@@ -158,13 +158,12 @@ class _CocycleSystem:
         E = np.zeros((self.k, m, self.dim), dtype=np.int64)
         for g in range(self.k):
             E[g][:, g * m:(g + 1) * m] = np.eye(m, dtype=np.int64)
+        elems = G.element_array()
         for gidx, gmat in enumerate(G.generators):
-            gi = G.index_of(gmat)
-            gact = self.acts[gi]
-            for sidx in range(self.size):
-                prod_idx = G.index_of(gmat.mul(G.elements[sidx]))
-                rows = (self.C[prod_idx] - E[gidx] - gact @ self.C[sidx]) % q
-                blocks.append(rows)
+            gact = self.acts[G.index_of(gmat)]
+            prod_idx = G.lookup((gmat.to_array() @ elems) % G.spec.modulus)
+            rows = (self.C[prod_idx] - E[gidx] - gact @ self.C) % q
+            blocks.append(rows.reshape(-1, self.dim))
         self._cocycle_rows = np.concatenate(blocks, axis=0)
         return self._cocycle_rows
 

@@ -79,12 +79,12 @@ def _bijective_shift(g: Mat, modulus: int) -> bool:
 def _qualifying_search(candidates, G: MatGroup, p: int):
     """First element with order dividing p-1 and bijective g - 1, searching
     by increasing element order and then deterministic position."""
+    orders = G.orders()
     for i in G.sorted_by_order():
         x = G.elements[i]
         if x.key() not in candidates:
             continue
-        if (p - 1) % G.element_order(x) == 0 and \
-                _bijective_shift(x, G.spec.modulus):
+        if (p - 1) % orders[i] == 0 and _bijective_shift(x, G.spec.modulus):
             return x
     return None
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, gcd
 
 import numpy as np
@@ -25,100 +26,120 @@ from .ringmat import Mat, ModuleSpec, char_poly, kernel, _howell_rows
 DEFAULT_CAP = 200_000
 
 
-class MatGroup:
-    """A closed finite matrix group; construct through MatGroup.close()."""
+def _keys(arr: np.ndarray, q: int) -> np.ndarray:
+    """Sort keys of the (N, r, r) matrices in arr, entries in [0, q), in the
+    lexicographic order of the flattened entries: base-q packed int64 codes
+    while q^(r*r) < 2^63, big-endian byte strings past that."""
+    r = arr.shape[1]
+    flat = arr.reshape(len(arr), r * r)
+    if q ** (r * r) < 2 ** 63:
+        return flat @ (q ** np.arange(r * r - 1, -1, -1, dtype=np.int64))
+    return np.ascontiguousarray(flat.astype(">i8")).view(
+        np.dtype((np.void, 8 * r * r))).ravel()
 
-    def __init__(self, spec, generators, elements, index, tree_parent, tree_gen):
+
+def _stack(mats, r: int) -> np.ndarray:
+    """The entries of the r x r matrices mats as a (len(mats), r, r) array."""
+    if any(m.rows != r or m.cols != r for m in mats):
+        raise InputError(f"matrices must be {r}x{r}")
+    return np.array([m.entries for m in mats],
+                    dtype=np.int64).reshape(len(mats), r, r)
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray):
+    """(pos, hit): searchsorted positions of keys in the non-empty
+    sorted_keys, and which keys are present."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
+class MatGroup:
+    """A closed finite matrix group; construct through MatGroup.close().
+
+    The elements are one read-only (N, r, r) int64 array in BFS-lex order,
+    identity first, searched through their sorted keys; the Mat list,
+    element orders and inverses are computed on first use."""
+
+    def __init__(self, spec, generators, array, sorted_keys, sorted_pos,
+                 tree_parent, tree_gen):
         self.spec = spec
         self.generators = tuple(generators)
-        self.elements = elements            # BFS-lex order, identity first
-        self._index = index                 # Mat.key() -> position
+        self._array = array
+        self._sorted_keys = sorted_keys     # keys of the elements, sorted
+        self._sorted_pos = sorted_pos       # element position of each key
         self.tree_parent = tree_parent      # element i == elements[parent] * gen
         self.tree_gen = tree_gen
-        self.order = len(elements)
-        self._array = None
-        self._inverse_cache = {}
-        self._order_cache = {}
+        self.order = len(array)
+        self._orders = None
+        self._inverse_idx = None
         self._cohom_cache = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def close(cls, generators, spec: ModuleSpec, cap: int = DEFAULT_CAP):
-        """Breadth-first closure of the generators under multiplication."""
-        q = spec.modulus
-        r = spec.rank
+        """Breadth-first closure of the generators under multiplication.
+
+        A layer is the new products (previous layer) x (generators) in key
+        order; an element's tree edge is its first such product."""
+        q, r = spec.modulus, spec.rank
+        if r * (q - 1) ** 2 >= 2 ** 63:
+            raise InputError(f"modulus {q} too large for int64 group "
+                             f"arithmetic (rank*(q-1)^2 >= 2^63)")
         gens = []
         for i, g in enumerate(generators):
-            if isinstance(g, Mat):
-                g = Mat.from_rows(g.entries, q)
-            else:
-                g = Mat.from_rows(g, q)
+            g = Mat.from_rows(g.entries if isinstance(g, Mat) else g, q)
             if g.rows != r or g.cols != r:
                 raise InputError(f"generator {i + 1} is not {r}x{r}")
             if not g.is_invertible():
                 raise InputError(f"generator {i + 1} not invertible")
             gens.append(g)
-        ident = Mat.identity(r, q)
-        if not gens:
-            return cls(spec, (), [ident], {ident.key(): 0}, [-1], [-1])
-
-        garr = np.stack([g.to_array() for g in gens])
-        elements = [ident]
-        index = {ident.key(): 0}
-        tree_parent = [-1]
-        tree_gen = [-1]
-        layer = np.stack([ident.to_array()])
-        layer_idx = [0]
-        while len(layer):
-            prods = np.einsum("aij,bjk->abik", layer, garr) % q
-            L, k = prods.shape[0], prods.shape[1]
-            flat = prods.reshape(L * k, r * r)
-            seen_here = {}
-            for t in range(L * k):
-                row = flat[t]
-                key = tuple(tuple(int(x) for x in row[i * r:(i + 1) * r])
-                            for i in range(r))
-                if key in index or key in seen_here:
-                    continue
-                seen_here[key] = (layer_idx[t // k], t % k)
-            if not seen_here:
+        k = len(gens)
+        layer = np.eye(r, dtype=np.int64)[None]
+        layer_idx = np.zeros(1, dtype=np.int64)
+        seen = _keys(layer, q)
+        chunks, key_chunks = [layer], [seen]
+        parents, labels = [np.array([-1])], [np.array([-1])]
+        garr = _stack(gens, r)
+        while k:
+            prods = (layer[:, None] @ garr[None]).reshape(-1, r, r) % q
+            keys, first = np.unique(_keys(prods, q), return_index=True)
+            pos, hit = _find(seen, keys)
+            fresh = ~hit
+            count = int(fresh.sum())
+            if not count:
                 break
-            new_keys = sorted(seen_here)
-            if len(elements) + len(new_keys) > cap:
+            if len(seen) + count > cap:
                 raise CapExceededError("group closure", cap)
-            next_layer = []
-            next_idx = []
-            for key in new_keys:
-                mat = Mat(key, q)
-                index[key] = len(elements)
-                elements.append(mat)
-                par, gi = seen_here[key]
-                tree_parent.append(par)
-                tree_gen.append(gi)
-                next_layer.append(mat.to_array())
-                next_idx.append(index[key])
-            layer = np.stack(next_layer)
-            layer_idx = next_idx
-        return cls(spec, gens, elements, index, tree_parent, tree_gen)
+            t = first[fresh]
+            parents.append(layer_idx[t // k])
+            labels.append(t % k)
+            layer, layer_idx = prods[t], np.arange(len(seen), len(seen) + count)
+            chunks.append(layer)
+            key_chunks.append(keys[fresh])
+            seen = np.insert(seen, pos[fresh], keys[fresh])
+        array, all_keys, tree_parent, tree_gen = map(
+            np.concatenate, (chunks, key_chunks, parents, labels))
+        sorted_pos = np.argsort(all_keys, kind="stable")
+        for a in (array, sorted_pos, tree_parent, tree_gen):
+            a.flags.writeable = False
+        return cls(spec, gens, array, all_keys[sorted_pos], sorted_pos,
+                   tree_parent, tree_gen)
 
     @classmethod
     def from_elements(cls, elements, spec: ModuleSpec, cap: int = DEFAULT_CAP):
         """Group from a set already closed under the operations: picks a small
         generating set greedily (lexicographic element order) and re-closes."""
-        elems = sorted({Mat.from_rows(e.entries if isinstance(e, Mat) else e,
-                                      spec.modulus).key()
-                        for e in elements})
-        ident = Mat.identity(spec.rank, spec.modulus)
-        gens = []
-        have = {ident.key()}
-        for key in elems:
-            if key in have:
-                continue
-            gens.append(Mat(key, spec.modulus))
-            have = {m.key() for m in cls.close(gens, spec, cap=cap).elements}
+        q = spec.modulus
+        mats = [e if isinstance(e, Mat) and e.modulus == q
+                else Mat.from_rows(e.entries if isinstance(e, Mat) else e, q)
+                for e in elements]
+        # distinct elements in lexicographic order
+        _, first = np.unique(_keys(_stack(mats, spec.rank), q),
+                             return_index=True)
+        gens = reduce_generators([mats[i] for i in first], spec, cap=cap)
         grp = cls.close(gens, spec, cap=cap)
-        if grp.order != len(elems):
+        if grp.order != len(first):
             raise InputError("element set is not closed under multiplication")
         return grp
 
@@ -128,39 +149,75 @@ class MatGroup:
     def identity(self) -> Mat:
         return self.elements[0]
 
+    @cached_property
+    def elements(self) -> list:
+        """The elements as Mat values, in BFS-lex order."""
+        q = self.spec.modulus
+        return [Mat(tuple(map(tuple, m)), q) for m in self._array.tolist()]
+
     def element_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.stack([m.to_array() for m in self.elements])
+        """The read-only (N, r, r) element array."""
         return self._array
 
+    def lookup(self, arr) -> np.ndarray:
+        """Positions of the (M, r, r) matrices in arr among the elements,
+        -1 for those not in the group."""
+        arr = np.asarray(arr, dtype=np.int64)
+        q = self.spec.modulus
+        pos, hit = _find(self._sorted_keys, _keys(arr % q, q))
+        # entries outside [0, q) would alias the key of another matrix
+        hit &= ((arr >= 0) & (arr < q)).all(axis=(1, 2))
+        return np.where(hit, self._sorted_pos[np.minimum(pos, self.order - 1)],
+                        -1)
+
+    def _position(self, mat: Mat) -> int:
+        r = self.spec.rank
+        shaped = mat.rows == r and mat.cols == r
+        return int(self.lookup(mat.to_array()[None])[0]) if shaped else -1
+
     def __contains__(self, mat: Mat) -> bool:
-        return mat.key() in self._index
+        return self._position(mat) >= 0
 
     def index_of(self, mat: Mat) -> int:
-        try:
-            return self._index[mat.key()]
-        except KeyError:
-            raise InputError("matrix is not an element of the group") from None
+        if (i := self._position(mat)) < 0:
+            raise InputError("matrix is not an element of the group")
+        return i
+
+    def orders(self) -> np.ndarray:
+        """Order of every element: from |G| strip each prime l while
+        x^(o/l) = 1, batched over the elements."""
+        if self._orders is None:
+            q, r = self.spec.modulus, self.spec.rank
+            o = np.full(self.order, self.order, dtype=np.int64)
+            for ell in _factor(self.order):
+                idx = np.arange(self.order)
+                while len(idx):
+                    y = _batch_power(self._array[idx], o[idx] // ell, q)
+                    idx = idx[(y == np.eye(r, dtype=np.int64)).all(axis=(1, 2))]
+                    o[idx] //= ell
+                    idx = idx[o[idx] % ell == 0]
+            o.flags.writeable = False
+            self._orders = o
+        return self._orders
+
+    def inverse_indices(self) -> np.ndarray:
+        """Position of the inverse of every element (x^-1 = x^(|G|-1))."""
+        if self._inverse_idx is None:
+            inv = self.lookup(_batch_power(self._array, self.order - 1,
+                                           self.spec.modulus))
+            inv.flags.writeable = False
+            self._inverse_idx = inv
+        return self._inverse_idx
 
     def inverse(self, mat: Mat) -> Mat:
-        key = mat.key()
-        if key not in self._inverse_cache:
-            self._inverse_cache[key] = mat.inv()
-        return self._inverse_cache[key]
+        return self.elements[self.inverse_indices()[self.index_of(mat)]]
 
     def element_order(self, mat: Mat) -> int:
-        key = mat.key()
-        if key not in self._order_cache:
-            self._order_cache[key] = element_order(mat, cap=self.order + 1)
-        return self._order_cache[key]
+        return int(self.orders()[self.index_of(mat)])
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
-        return all(x in other for x in self.elements)
-
-    def conjugate_subgroup(self, H: "MatGroup", x: Mat) -> bool:
-        """Whether x H x^-1 == H."""
-        xi = self.inverse(x) if x in self else x.inv()
-        return all(x.mul(h).mul(xi) in H for h in H.generators)
+        return (self.spec.rank == other.spec.rank
+                and bool((other.lookup(self._array) >= 0).all()))
 
     def reduce_mod(self, j: int, cap: int = DEFAULT_CAP) -> "MatGroup":
         """Image of the group under entrywise reduction mod p^j."""
@@ -173,10 +230,9 @@ class MatGroup:
         return [m for m in self.elements
                 if m.key() == ident.scale(m.entries[0][0]).key()]
 
-    def sorted_by_order(self):
+    def sorted_by_order(self) -> np.ndarray:
         """Element indices sorted by (element order, deterministic position)."""
-        return sorted(range(self.order),
-                      key=lambda i: (self.element_order(self.elements[i]), i))
+        return np.argsort(self.orders(), kind="stable")
 
 
 def element_order(A: Mat, cap: int = 10 ** 6) -> int:
@@ -207,29 +263,17 @@ def _factor(n: int) -> dict:
     return out
 
 
-def _p_element_mask(G: MatGroup) -> np.ndarray:
-    """Boolean mask over G.elements: order is a power of p.
-
-    x is a p-element iff x^(p^A) = 1 where p^A is the p-part of |G|;
-    computed by batched repeated p-th powers."""
-    p = G.spec.p
-    q = G.spec.modulus
-    A = _factor(G.order).get(p, 0)
-    arr = G.element_array().copy()
-    for _ in range(A):
-        arr = _batch_power(arr, p, q)
-    ident = np.eye(G.spec.rank, dtype=np.int64)
-    return (arr == ident).all(axis=(1, 2))
-
-
-def _batch_power(arr: np.ndarray, k: int, q: int) -> np.ndarray:
+def _batch_power(arr: np.ndarray, k, q: int) -> np.ndarray:
+    """arr[i]^k[i] mod q by binary powering; k is one exponent or one per
+    matrix, all >= 0."""
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), arr.shape[:1]).copy()
     result = np.broadcast_to(np.eye(arr.shape[1], dtype=np.int64),
                              arr.shape).copy()
     base = arr % q
-    while k:
-        if k & 1:
-            result = np.einsum("nij,njk->nik", result, base) % q
-        base = np.einsum("nij,njk->nik", base, base) % q
+    while k.any():
+        odd = (k & 1).astype(bool)
+        result[odd] = (result[odd] @ base[odd]) % q
+        base = (base @ base) % q
         k >>= 1
     return result
 
@@ -241,44 +285,48 @@ def p_sylow(G: MatGroup) -> MatGroup:
     p-elements of the normalizer of the current p-subgroup until the exact
     p-part of |G| is reached.  Ties are broken by the deterministic element
     order, so the result is reproducible."""
-    spec = G.spec
-    p = spec.p
+    spec, p = G.spec, G.spec.p
     target = p ** _factor(G.order).get(p, 0)
     if target == 1:
         return MatGroup.close([], spec)
-    mask = _p_element_mask(G)
-    p_idxs = [i for i in range(G.order) if mask[i]]
-    best = max(p_idxs, key=lambda i: (G.element_order(G.elements[i]), -i))
-    current = MatGroup.close([G.elements[best]], spec)
+    orders = G.orders()
+    p_mask = target % orders == 0
+    # argmax takes the first position among the largest p-element orders
+    current = MatGroup.close(
+        [G.elements[int(np.argmax(np.where(p_mask, orders, 0)))]], spec)
     while current.order < target:
-        norm_elems = _normalizer_elements(G, current)
-        ext = None
-        for i in p_idxs:
-            x = G.elements[i]
-            if x.key() in norm_elems and x not in current:
-                ext = x
-                break
-        if ext is None:
+        ext = np.flatnonzero(p_mask & _normalizer_mask(G, current)
+                             & (current.lookup(G.element_array()) < 0))
+        if not len(ext):
             raise AssertionError("Sylow ascent stalled (internal)")
-        current = MatGroup.close(list(current.generators) + [ext], spec)
+        current = MatGroup.close(list(current.generators)
+                                 + [G.elements[ext[0]]], spec)
     return current
 
 
-def _normalizer_elements(G: MatGroup, H: MatGroup) -> set:
-    out = set()
-    for x in G.elements:
-        xi = G.inverse(x)
-        if all(x.mul(h).mul(xi) in H for h in H.generators):
-            out.add(x.key())
-    return out
+def _normalizing(X: np.ndarray, Xi: np.ndarray, H: MatGroup) -> np.ndarray:
+    """Mask over the matrices x in X (inverses in Xi) with x h x^-1 in H for
+    every generator h of H, which for finite H means x H x^-1 = H."""
+    q = H.spec.modulus
+    mask = np.ones(len(X), dtype=bool)
+    for h in H.generators:
+        mask &= H.lookup((((X @ h.to_array()) % q) @ Xi) % q) >= 0
+    return mask
+
+
+def _normalizer_mask(G: MatGroup, H: MatGroup) -> np.ndarray:
+    """Mask over G.elements of the normalizer of H."""
+    X = G.element_array()
+    return _normalizing(X, X[G.inverse_indices()], H)
 
 
 def normalizer(G: MatGroup, H: MatGroup) -> MatGroup:
     """{x in G : x H x^-1 = H} as a closed subgroup."""
     if not H.is_subgroup_of(G):
         raise InputError("H is not contained in G")
-    keys = _normalizer_elements(G, H)
-    return MatGroup.from_elements([Mat(k, G.spec.modulus) for k in keys], G.spec)
+    return MatGroup.from_elements(
+        [G.elements[i] for i in np.flatnonzero(_normalizer_mask(G, H))],
+        G.spec)
 
 
 def is_p_group(H: MatGroup) -> bool:
@@ -286,20 +334,25 @@ def is_p_group(H: MatGroup) -> bool:
     return len(f) <= 1 and (not f or H.spec.p in f)
 
 
-def reduce_generators(mats, spec: ModuleSpec, cap: int = DEFAULT_CAP):
-    """Greedy sublist of mats generating the same group: keeps a matrix only
-    when it enlarges the closure so far.  Meant for small groups where
-    generator lists would otherwise snowball."""
-    ident = Mat.identity(spec.rank, spec.modulus)
+def reduce_generators(mats, spec: ModuleSpec, cap: int = DEFAULT_CAP,
+                      base=()):
+    """Greedy sublist of mats that with base generates the same group as
+    base and mats: keeps a matrix only when it enlarges the closure so far.
+    Meant for small groups where generator lists would otherwise snowball."""
+    mats = list(mats)
+    arr = _stack(mats, spec.rank)
     kept = []
-    have = {ident.key()}
-    for m in mats:
-        if m.key() in have:
-            continue
-        kept.append(m)
-        have = {x.key()
-                for x in MatGroup.close(kept, spec, cap=cap).elements}
-    return kept
+    grp = MatGroup.close(base, spec, cap=cap)
+    start = 0
+    while True:
+        # the closure only grows, so matrices skipped so far stay inside it
+        outside = np.flatnonzero(grp.lookup(arr[start:]) < 0)
+        if not len(outside):
+            return kept
+        start += int(outside[0])
+        kept.append(mats[start])
+        grp = MatGroup.close(list(base) + kept, spec, cap=cap)
+        start += 1
 
 
 def frattini(H: MatGroup) -> MatGroup:
@@ -312,42 +365,29 @@ def frattini(H: MatGroup) -> MatGroup:
     if H.order == 1:
         return H
     gens = reduce_generators(H.generators, H.spec, cap=H.order + 1)
-    comm_gens = []
-    for a in gens:
-        for b in gens:
-            c = a.mul(b).mul(H.inverse(a)).mul(H.inverse(b))
-            comm_gens.append(c)
-    comm_gens = reduce_generators(comm_gens, H.spec, cap=H.order + 1)
+    comms = [a.mul(b).mul(H.inverse(a)).mul(H.inverse(b))
+             for a in gens for b in gens]
     # normal closure of the commutators inside H
-    K = MatGroup.close(comm_gens, H.spec, cap=H.order + 1)
-    changed = True
-    while changed:
-        changed = False
-        extra = []
-        for x in gens:
-            xi = H.inverse(x)
-            for kgen in K.generators:
-                c = x.mul(kgen).mul(xi)
-                if c not in K:
-                    extra.append(c)
-        if extra:
-            K = MatGroup.close(reduce_generators(
-                list(K.generators) + extra, H.spec, cap=H.order + 1),
-                H.spec, cap=H.order + 1)
-            changed = True
+    K = MatGroup.close(reduce_generators(comms, H.spec, cap=H.order + 1),
+                       H.spec, cap=H.order + 1)
+    while True:
+        extra = [c for x in gens for kgen in K.generators
+                 if (c := x.mul(kgen).mul(H.inverse(x))) not in K]
+        if not extra:
+            break
+        K = MatGroup.close(reduce_generators(
+            list(K.generators) + extra, H.spec, cap=H.order + 1),
+            H.spec, cap=H.order + 1)
     phi_gens = reduce_generators(
         list(K.generators) + [g.pow(p) for g in gens], H.spec,
         cap=H.order + 1)
     phi = MatGroup.close(phi_gens, H.spec, cap=H.order + 1)
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
-    for a in gens:
-        if a.pow(p) not in phi:
-            raise AssertionError("H/phi not exponent p (internal)")
-        for b in gens:
-            c = a.mul(b).mul(H.inverse(a)).mul(H.inverse(b))
-            if c not in phi:
-                raise AssertionError("H/phi not abelian (internal)")
+    if any(a.pow(p) not in phi for a in gens):
+        raise AssertionError("H/phi not exponent p (internal)")
+    if any(c not in phi for c in comms):
+        raise AssertionError("H/phi not abelian (internal)")
     return phi
 
 
@@ -363,36 +403,14 @@ def _coset_coordinates(H: MatGroup, phi: MatGroup, basis):
     basis of H/phi (basis elements of H whose cosets are independent)."""
     p = H.spec.p
     coords = {}
-    powers = []
-    for b in basis:
-        row = [Mat.identity(H.spec.rank, H.spec.modulus)]
-        for _ in range(p - 1):
-            row.append(row[-1].mul(b))
-        powers.append(row)
+    powers = [[b.pow(e) for e in range(p)] for b in basis]
     for cvec in itertools.product(range(p), repeat=len(basis)):
-        m = powers[0][cvec[0]] if basis else Mat.identity(H.spec.rank,
-                                                          H.spec.modulus)
-        for i in range(1, len(basis)):
-            m = m.mul(powers[i][cvec[i]])
+        m = Mat.identity(H.spec.rank, H.spec.modulus)
+        for row, c in zip(powers, cvec):
+            m = m.mul(row[c])
         for f in phi.elements:
             coords[m.mul(f).key()] = cvec
     return coords
-
-
-def _frattini_basis(H: MatGroup, phi: MatGroup):
-    """Greedy basis of H/phi: walk H in its deterministic order and keep
-    elements that enlarge the subgroup generated so far."""
-    basis = []
-    current = phi
-    for x in H.elements:
-        if x in current:
-            continue
-        basis.append(x)
-        current = MatGroup.close(list(phi.generators) + basis, H.spec,
-                                 cap=H.order + 1)
-        if current.order == H.order:
-            break
-    return basis
 
 
 def _discrete_log_power(h: Mat, target: Mat, order: int) -> int:
@@ -430,7 +448,9 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
         if sub.order == 1:
             return []
         phi = frattini(sub)
-        basis = _frattini_basis(sub, phi)
+        # greedy basis of sub/phi in the deterministic element order
+        basis = reduce_generators(sub.elements, spec, cap=sub.order + 1,
+                                  base=phi.generators)
         k = len(basis)
         if k == 1:
             h1 = basis[0]
@@ -439,9 +459,7 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
             lam = _discrete_log_power(h1, conj, o)
             return [(h1, lam)]
         coords = _coset_coordinates(sub, phi, basis)
-        cols = []
-        for b in basis:
-            cols.append(coords[g.mul(b).mul(gi).key()])
+        cols = [coords[g.mul(b).mul(gi).key()] for b in basis]
         F = Mat.from_rows([[cols[j][i] for j in range(k)] for i in range(k)], p)
         fp_spec = ModuleSpec(p, 1, k)
         cp = char_poly(F, fp_spec)
@@ -461,19 +479,14 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
         if span.shape[0] != k:
             raise AssertionError("conjugation action not diagonalizable "
                                  "(internal; hypotheses violated?)")
-        chosen = []
-        current = phi
+        cands = []
         for vec in eigenvecs:
             cand = Mat.identity(spec.rank, spec.modulus)
             for b, c in zip(basis, vec):
                 cand = cand.mul(b.pow(int(c)))
-            if cand in current:
-                continue
-            chosen.append(cand)
-            current = MatGroup.close(list(phi.generators) + chosen, spec,
-                                     cap=sub.order + 1)
-            if current.order == sub.order:
-                break
+            cands.append(cand)
+        chosen = reduce_generators(cands, spec, cap=sub.order + 1,
+                                   base=phi.generators)
         H1 = MatGroup.close(list(phi.generators) + [chosen[0]], spec,
                             cap=sub.order + 1)
         H2 = MatGroup.close(list(phi.generators) + chosen[1:], spec,
@@ -489,9 +502,8 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
             continue
         seen.add(h.key())
         unique.append((h, lam))
-    regen = MatGroup.close([h for h, _ in unique], spec, cap=H.order + 1) \
-        if unique else MatGroup.close([], spec)
-    if {m.key() for m in regen.elements} != {m.key() for m in H.elements}:
+    regen = MatGroup.close([h for h, _ in unique], spec, cap=H.order + 1)
+    if regen.order != H.order or not regen.is_subgroup_of(H):
         raise AssertionError("decomposition does not regenerate H (internal)")
     for h, lam in unique:
         if g.mul(h).mul(gi).key() != h.pow(lam).key():
@@ -506,43 +518,35 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     x = n h in HN with x H x^-1 = g H g^-1 and returns n^-1 g."""
     if not N.is_subgroup_of(G) or not H.is_subgroup_of(G):
         raise PreconditionError("N and H are subgroups of G")
-    for x in G.generators:
-        xi = G.inverse(x)
-        for m in N.generators:
-            if x.mul(m).mul(xi) not in N:
-                raise PreconditionError("N is normal in G")
+    q, r = G.spec.modulus, G.spec.rank
+    X, inv = G.element_array(), G.inverse_indices()
+    gen_pos = [G.index_of(x) for x in G.generators]
+    if not _normalizing(X[gen_pos], X[inv[gen_pos]], N).all():
+        raise PreconditionError("N is normal in G")
     if g not in G:
         raise PreconditionError("g is an element of G")
     gi = G.inverse(g)
-    if all(g.mul(h).mul(gi) in H for h in H.generators):
+    ga, gia = g.to_array(), gi.to_array()
+    if _normalizing(ga[None], gia[None], H)[0]:
         return g  # already a normalizer element
-    # HN as a set of products
-    HN_keys = set()
-    for nn in N.elements:
-        for h in H.elements:
-            HN_keys.add(nn.mul(h).key())
-    for h in H.generators:
-        if g.mul(h).mul(gi).key() not in HN_keys:
-            raise PreconditionError("class of g normalizes HN/N")
-    target = {g.mul(h).mul(gi).key() for h in H.elements}
-    x_found = None
-    for key in sorted(HN_keys):
-        x = Mat(key, G.spec.modulus)
-        xi = x.inv()
-        if {x.mul(h).mul(xi).key() for h in H.elements} == target:
-            x_found = x
-            break
-    if x_found is None:
+    # HN as a set of products, in key order
+    HN = (N.element_array()[:, None] @ H.element_array()[None]) % q
+    keys, first = np.unique(_keys(HN.reshape(-1, r, r), q), return_index=True)
+    HN = HN.reshape(-1, r, r)[first]
+    conj = np.stack([h.to_array() for h in H.generators])
+    if not _find(keys, _keys((((ga @ conj) % q) @ gia) % q, q))[1].all():
+        raise PreconditionError("class of g normalizes HN/N")
+    # x H x^-1 = g H g^-1 exactly when g^-1 x normalizes H
+    HN_inv = X[inv[G.lookup(HN)]]
+    hits = np.flatnonzero(_normalizing((gia @ HN) % q, (HN_inv @ ga) % q, H))
+    if not len(hits):
         raise AssertionError("Sylow conjugator not found in HN (internal)")
-    n_part = None
-    for h in H.elements:
-        cand = x_found.mul(H.inverse(h))
-        if cand in N:
-            n_part = cand
-            break
-    if n_part is None:
+    # x = n h: the first h in H's element order with x h^-1 in N
+    cands = (HN[hits[0]] @ H.element_array()[H.inverse_indices()]) % q
+    in_N = np.flatnonzero(N.lookup(cands) >= 0)
+    if not len(in_N):
         raise AssertionError("x does not factor as n h (internal)")
-    out = N.inverse(n_part).mul(g)
+    out = G.inverse(Mat.from_array(cands[in_N[0]], q)).mul(g)
     oi = out.inv()
     assert gi.mul(out) in N, "result left the coset gN"
     assert all(out.mul(h).mul(oi) in H for h in H.generators), \
@@ -570,11 +574,7 @@ def sylow_normalizer_element(G: MatGroup, N: MatGroup):
             t += 1
         return t
 
-    g0 = None
-    for x in G.elements:
-        if class_order(x) == p - 1:
-            g0 = x
-            break
+    g0 = next((x for x in G.elements if class_order(x) == p - 1), None)
     if g0 is None:
         raise PreconditionError("G/N is cyclic of order p-1",
                                 "no class of full order")
@@ -602,20 +602,19 @@ def find_normalized_sylow(G: MatGroup, g: Mat):
     Whether such a Sylow always exists for g of order dividing p-1 is an open
     question; this only reports what the search finds on one input."""
     spec = G.spec
-    p = spec.p
+    q = spec.modulus
     H = p_sylow(G)
-    target = p ** _factor(G.order).get(p, 0)
-    gi = g.inv()
-    seen = set()
-    # all Sylows are conjugate; enumerate x H x^-1 over x in G
-    for x in G.elements:
-        xi = G.inverse(x)
-        conj_gens = [x.mul(h).mul(xi) for h in H.generators]
-        key = frozenset(cg.key() for cg in conj_gens)
-        if key in seen:
-            continue
-        seen.add(key)
-        S = MatGroup.close(conj_gens, spec, cap=target + 1)
-        if all(g.mul(h).mul(gi) in S for h in S.generators):
-            return S
-    return None
+    target = spec.p ** _factor(G.order).get(spec.p, 0)
+    # all Sylows are conjugate: take x H x^-1 for the first x in G's order
+    # with g normalizing it, that is with x^-1 g x normalizing H
+    X = G.element_array()
+    Xi = X[G.inverse_indices()]
+    ga, gia = g.to_array(), g.inv().to_array()
+    hits = np.flatnonzero(_normalizing((((Xi @ ga) % q) @ X) % q,
+                                       (((Xi @ gia) % q) @ X) % q, H))
+    if not len(hits):
+        return None
+    x = G.elements[hits[0]]
+    xi = G.inverse(x)
+    return MatGroup.close([x.mul(h).mul(xi) for h in H.generators], spec,
+                          cap=target + 1)

@@ -12,6 +12,41 @@ import itertools
 
 import numpy as np
 
+from .errors import CapExceededError
+from .ringmat import Mat
+
+
+def reference_closure(generators, spec, cap=None):
+    """MatGroup.close one product at a time, as a reference for its
+    vectorized BFS: (element keys, tree_parent, tree_gen).
+
+    Elements come in BFS layer order, lexicographic within a layer; an
+    element's tree edge (parent, generator) is its first product in
+    layer-position-major, generator-minor order."""
+    q = spec.modulus
+    gens = [Mat.from_rows(g.entries, q) for g in generators]
+    ident = Mat.identity(spec.rank, q)
+    elements, parent, label = [ident], [-1], [-1]
+    index = {ident.key(): 0}
+    layer = [0]
+    while layer:
+        found = {}
+        for i in layer:
+            for gi, g in enumerate(gens):
+                key = elements[i].mul(g).key()
+                if key not in index and key not in found:
+                    found[key] = (i, gi)
+        if cap is not None and len(elements) + len(found) > cap:
+            raise CapExceededError("group closure", cap)
+        layer = []
+        for key in sorted(found):
+            index[key] = len(elements)
+            layer.append(len(elements))
+            elements.append(Mat(key, q))
+            parent.append(found[key][0])
+            label.append(found[key][1])
+    return [m.key() for m in elements], parent, label
+
 
 def span_enumerate(rows, q: int) -> set:
     """The full additive span of the given row vectors in (Z/q)^c."""
@@ -126,8 +161,12 @@ def cocycle_counts(group, module_exponent=None):
         vals[:, idx, :] = v
 
     index_of = {mat.key(): i for i, mat in enumerate(group.elements)}
-    # cheap filter first: identity against (generator, element) pairs only
+    # the values along the tree must agree with the assigned generator
+    # values, also for generators that label no tree edge
     ok = np.ones(total, dtype=bool)
+    for g, gmat in enumerate(group.generators):
+        ok &= (vals[:, index_of[gmat.key()], :] == assign[:, g, :]).all(axis=1)
+    # cheap filter next: identity against (generator, element) pairs only
     for gmat in group.generators:
         i = index_of[gmat.key()]
         for j in range(size):

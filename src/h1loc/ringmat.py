@@ -244,6 +244,14 @@ def _valuation(x: int, p: int, n: int) -> int:
     return v
 
 
+def _check_int64(q: int) -> None:
+    """Elimination forms x - f * y with x, f, y in [0, q); refuse moduli
+    where that can leave int64 instead of wrapping around silently."""
+    if (q - 1) ** 2 + (q - 1) >= 2 ** 63:
+        raise InputError(f"modulus {q} too large for int64 linear algebra "
+                         f"((q-1)^2 + (q-1) >= 2^63)")
+
+
 def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
     """Canonical Howell form of the row span of M; zero rows dropped.
 
@@ -251,6 +259,7 @@ def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
     above a pivot reduced modulo the pivot.
     """
     q = p ** n
+    _check_int64(q)
     M = np.asarray(M, dtype=np.int64) % q
     ncols = M.shape[1]
     work = [row.copy() for row in M]
@@ -379,6 +388,7 @@ def normal_form(A: Mat, spec: ModuleSpec):
     """
     p, n = spec.p, spec.n
     q = p ** n
+    _check_int64(q)
     arr = A.to_array() % q
     r, c = arr.shape
     # work items: (vector, {row_id: coeff}); row ids r.. are lazily added pads
