@@ -11,7 +11,8 @@ from .counterexample import build, scan_orders, verify
 from .criteria import (CriterionReport, fixed_point_free_criterion,
                        fixed_point_spectrum, lift_qualifying_element,
                        similitude_criterion, sylow_normalizer_criterion)
-from .errors import CapExceededError, InputError, PreconditionError
+from .errors import (CapExceededError, InputError, InternalError,
+                     PreconditionError)
 from .groups import (Decomposition, MatGroup, decompose_generators,
                      element_order, find_normalized_sylow, frattini,
                      lift_normalizer, normalizer, p_sylow,

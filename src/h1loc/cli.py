@@ -9,7 +9,7 @@ Lines starting with `#` are comments.
 
 Exit codes: 0 success/certified, 1 mathematically interesting negative
 (nonvanishing group, criterion not applicable), 2 input error, 3 cap
-exceeded.
+exceeded, 4 internal error (a failed certificate: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import counterexample as cex
 from .cohomology import h1, h1_loc
 from .criteria import (fixed_point_free_criterion, similitude_criterion,
                        sylow_normalizer_criterion)
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, InputError, InternalError
 from .groups import MatGroup, decompose_generators
 from .ringmat import Mat, ModuleSpec
 from .symplectic import (eigenvalue_pairing_sweep, gsp4_generators,
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -141,7 +142,7 @@ def _structure_json(cohom):
         "order": cohom.order,
         "trivial": cohom.is_trivial,
         "representatives_on_generators": [
-            [list(Z.values[g.key()]) for g in Z.group.generators]
+            [list(Z.at(g)) for g in Z.group.generators]
             for Z in cohom.representatives
         ],
     }
@@ -174,7 +175,7 @@ def _read_description(args) -> GroupDescription:
 def _rep_lines(res):
     out = []
     for f, Z in zip(res.structure.invariant_factors, res.representatives):
-        vals = ", ".join(f"{g.entries} -> {Z.values[g.key()]}"
+        vals = ", ".join(f"{g.entries} -> {Z.at(g)}"
                          for g in Z.group.generators)
         out.append(f"  order-{f} class, cocycle on generators: {vals}")
     return out
@@ -352,6 +353,9 @@ def run(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as err:
+        print(f"error: internal: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -25,76 +25,79 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
-from .groups import MatGroup, element_order
+from .errors import InputError, PreconditionError, certify
+from .groups import MatGroup, _stack, element_order
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
                       eigenvalues_in_ext, quotient_structure, span_order)
+
+
+# multiplication-table pairs per block of Cocycle.is_valid; larger blocks
+# buy no speed and raise the peak memory
+_PAIR_BLOCK = 4096
 
 
 class Cocycle:
     """A 1-cocycle: one module vector per group element.
 
-    values maps every element of the group to a tuple; module_exponent j
-    says the values live in (Z/p^j)^rank and the action is reduced mod p^j.
+    values is a read-only (N, rank) int64 array whose row i is the value at
+    group.elements[i]; module_exponent j says the values live in
+    (Z/p^j)^rank and the action is reduced mod p^j.
     """
 
-    def __init__(self, group: MatGroup, values: dict, module_exponent=None):
+    def __init__(self, group: MatGroup, values, module_exponent=None):
         self.group = group
         self.module_exponent = (module_exponent if module_exponent is not None
                                 else group.spec.n)
         self.q = group.spec.p ** self.module_exponent
-        self.values = {k: tuple(int(x) % self.q for x in v)
-                       for k, v in values.items()}
+        shape = (group.order, group.spec.rank)
+        try:
+            vals = np.asarray(values, dtype=np.int64) % self.q
+        except (TypeError, ValueError):
+            raise InputError(f"cocycle values must form a {shape} integer "
+                             f"array") from None
+        if vals.shape != shape:
+            raise InputError(f"cocycle values have shape {vals.shape}, "
+                             f"expected {shape}")
+        vals.flags.writeable = False
+        self.values = vals
 
     def at(self, mat: Mat) -> tuple:
-        return self.values[mat.key()]
-
-    def action_matrix(self, mat: Mat) -> Mat:
-        return mat.reduce_mod(self.q)
+        return tuple(int(x) for x in self.values[self.group.index_of(mat)])
 
     def generator_vector(self) -> np.ndarray:
         """Values on the group generators, stacked (the z coordinates)."""
-        out = []
-        for g in self.group.generators:
-            out.extend(self.values[g.key()])
-        return np.array(out, dtype=np.int64)
+        G = self.group
+        return self.values[[G.index_of(g) for g in G.generators]].reshape(-1)
 
     def is_valid(self) -> bool:
-        """Exhaustive check of the cocycle identity on all pairs."""
-        G = self.group
-        q = self.q
-        ident = G.identity
-        if any(self.values[ident.key()]):
-            return False
-        for a in G.elements:
-            amat = self.action_matrix(a)
-            za = self.values[a.key()]
-            for b in G.elements:
-                ab = a.mul(b)
-                lhs = self.values[ab.key()]
-                zb = self.values[b.key()]
-                rhs = tuple((za[i] + sum(amat.entries[i][k] * zb[k]
-                                         for k in range(len(zb)))) % q
-                            for i in range(len(za)))
-                if lhs != rhs:
-                    return False
+        """Exhaustive check of Z_ab = Z_a + a Z_b on all |G|^2 pairs, a block
+        of rows of the multiplication table at a time."""
+        G, q, V = self.group, self.q, self.values
+        X, r = G.element_array(), G.spec.rank
+        step = max(1, _PAIR_BLOCK // G.order)
+        for s in range(0, G.order, step):
+            a = slice(s, s + step)
+            ab = G.lookup((X[a, None] @ X[None]).reshape(-1, r, r)
+                          % G.spec.modulus).reshape(-1, G.order)
+            # rhs[i, b] = V[a_i] + a_i V[b]
+            rhs = (V[a, None] + ((X[a] % q) @ V.T).transpose(0, 2, 1) % q) % q
+            if not (V[ab] == rhs).all():
+                return False
         return True
 
     def scale(self, c: int) -> "Cocycle":
-        return Cocycle(self.group,
-                       {k: tuple((c * x) % self.q for x in v)
-                        for k, v in self.values.items()},
+        return Cocycle(self.group, (c % self.q) * self.values,
                        self.module_exponent)
 
     def add(self, other: "Cocycle") -> "Cocycle":
-        return Cocycle(self.group,
-                       {k: tuple((x + y) % self.q for x, y in
-                                 zip(v, other.values[k]))
-                        for k, v in self.values.items()},
+        if not np.array_equal(self.group.element_array(),
+                              other.group.element_array()):
+            raise InputError("cocycles on different groups")
+        return Cocycle(self.group, self.values + other.values,
                        self.module_exponent)
 
     def is_zero(self) -> bool:
-        return not any(any(v) for v in self.values.values())
+        return not self.values.any()
 
 
 @dataclass
@@ -209,20 +212,15 @@ class _CocycleSystem:
         return self._z1loc
 
     def expand(self, z: np.ndarray) -> Cocycle:
-        """Full cocycle from stacked generator values, along the BFS tree."""
-        vals = np.zeros((self.size, self.m), dtype=np.int64)
-        zz = np.asarray(z, dtype=np.int64) % self.q
-        for idx in range(self.size):
-            par = self.G.tree_parent[idx]
-            if par < 0:
-                continue
-            g = self.G.tree_gen[idx]
-            vals[idx] = (vals[par] +
-                         self.acts[par] @ zz[g * self.m:(g + 1) * self.m]) % self.q
-        return Cocycle(self.G,
-                       {m.key(): tuple(int(x) for x in vals[i])
-                        for i, m in enumerate(self.G.elements)},
-                       self.j)
+        """Full cocycle C @ z from stacked generator values, reduced after
+        each generator block so that every int64 sum has rank terms."""
+        m, q = self.m, self.q
+        zz = np.asarray(z, dtype=np.int64) % q
+        vals = np.zeros((self.size, m), dtype=np.int64)
+        for g in range(self.k):
+            block = self.C[:, :, g * m:(g + 1) * m] @ zz[g * m:(g + 1) * m]
+            vals = (vals + block % q) % q
+        return Cocycle(self.G, vals, self.j)
 
 
 def _system(G: MatGroup, module_exponent=None) -> _CocycleSystem:
@@ -264,9 +262,8 @@ def h1_loc(G: MatGroup, module_exponent=None) -> CohomGroup:
     b1 = sys.b1_gens()
     # B^1 is contained in Z^1_loc: coboundaries solve their own conditions
     loc_span = RowSystem(z1loc, sys.p, sys.j)
-    for row in b1:
-        if not loc_span.contains(row):
-            raise AssertionError("coboundary outside Z^1_loc (internal)")
+    certify(all(loc_span.contains(row) for row in b1),
+            "coboundary outside Z^1_loc (internal)")
     struct = quotient_structure(z1loc, b1, G.spec, modulus=sys.q)
     reps = [sys.expand(np.array(gen, dtype=np.int64))
             for gen in struct.generators]
@@ -293,15 +290,10 @@ def is_coboundary(Z: Cocycle):
     m = G.spec.rank
     if not G.generators:
         return (0,) * m
-    rows = []
-    rhs = []
-    for g in G.generators:
-        B = (g.to_array() % q - np.eye(m, dtype=np.int64)) % q
-        rows.append(B)
-        rhs.extend(Z.values[g.key()])
-    A = np.concatenate(rows, axis=0)
+    A = np.concatenate([(g.to_array() - np.eye(m, dtype=np.int64)) % q
+                        for g in G.generators], axis=0)
     sol = RowSystem(A.T, G.spec.p, Z.module_exponent).solve(
-        np.array(rhs, dtype=np.int64))
+        Z.generator_vector())
     if sol is None:
         return None
     return tuple(int(x) for x in sol)
@@ -315,10 +307,9 @@ def satisfies_local_conditions(Z: Cocycle):
     m = G.spec.rank
     witnesses = {}
     ok = True
-    for mat in G.elements:
+    for mat, value in zip(G.elements, Z.values):
         B = (mat.to_array() % q - np.eye(m, dtype=np.int64)) % q
-        sol = RowSystem(B.T, G.spec.p, Z.module_exponent).solve(
-            np.array(Z.values[mat.key()], dtype=np.int64))
+        sol = RowSystem(B.T, G.spec.p, Z.module_exponent).solve(value)
         witnesses[mat.key()] = tuple(int(x) for x in sol) \
             if sol is not None else None
         if sol is None:
@@ -331,35 +322,31 @@ def cocycle_from_generator_values(G: MatGroup, gen_values: dict,
     """Extend prescribed generator values to the whole group along the tree
     and certify the cocycle identity exhaustively (raises if inconsistent)."""
     sys = _system(G, module_exponent)
-    z = []
-    for g in G.generators:
-        z.extend(gen_values[g.key()])
-    Z = sys.expand(np.array(z, dtype=np.int64))
-    if not Z.is_valid():
+    z = np.array([v for g in G.generators for v in gen_values[g.key()]],
+                 dtype=np.int64) % sys.q
+    Z = sys.expand(z)
+    # a generator that labels no tree edge (the identity, say) does not
+    # enter the expansion, so its prescribed value is compared here
+    if not Z.is_valid() or (Z.generator_vector() != z).any():
         raise InputError("generator values do not extend to a cocycle")
     return Z
 
 
 def class_order(Z: Cocycle) -> int:
-    """Order of [Z] in H^1: least t >= 1 with t Z a coboundary."""
+    """Order of [Z] in H^1: [Z] lies in a p-group killed by p^j, so this is
+    the least p^i, i <= j, with p^i Z a coboundary."""
     sys = _system(Z.group, Z.module_exponent)
     b1 = RowSystem(sys.b1_gens(), sys.p, sys.j)
     z = Z.generator_vector()
-    t = 1
-    while True:
-        if b1.contains((t * z) % sys.q):
-            return t
-        t += 1
-        if t > sys.q:
-            raise AssertionError("class order exceeded module exponent bound")
+    return next(sys.p ** i for i in range(sys.j + 1)
+                if b1.contains((sys.p ** i * z) % sys.q))
 
 
 def restrict(Z: Cocycle, H: MatGroup) -> Cocycle:
     """Value-wise restriction to a subgroup."""
-    for x in H.elements:
-        if x.key() not in Z.values:
-            raise InputError("H is not a subgroup of the cocycle's group")
-    return Cocycle(H, {x.key(): Z.values[x.key()] for x in H.elements},
+    if not H.is_subgroup_of(Z.group):
+        raise InputError("H is not a subgroup of the cocycle's group")
+    return Cocycle(H, Z.values[Z.group.lookup(H.element_array())],
                    Z.module_exponent)
 
 
@@ -369,13 +356,11 @@ def inflate(Zq: Cocycle, G: MatGroup, project: Callable[[Mat], Mat],
 
     The kernel of project must act trivially on the coefficient module of
     Zq (automatic for reduction mod p^j with coefficients in the p^j-torsion)."""
-    vals = {}
-    for x in G.elements:
-        img = project(x)
-        if img.key() not in Zq.values:
-            raise InputError("projection leaves the quotient cocycle's group")
-        vals[x.key()] = Zq.values[img.key()]
-    W = Cocycle(G, vals, Zq.module_exponent)
+    Q = Zq.group
+    idx = Q.lookup(_stack([project(x) for x in G.elements], Q.spec.rank))
+    if idx.min() < 0:
+        raise InputError("projection leaves the quotient cocycle's group")
+    W = Cocycle(G, Zq.values[idx], Zq.module_exponent)
     if check and not W.is_valid():
         raise InputError("inflation did not produce a cocycle "
                          "(kernel acts nontrivially?)")
@@ -506,8 +491,7 @@ def eigenvalue_ratio_vanishing(G: MatGroup) -> RatioCriterionReport:
         return RatioCriterionReport(delta, True, False, offending,
                                     "not_applicable")
     direct = h1(G)
-    if not direct.is_trivial:
-        raise AssertionError("ratio criterion certified a nonvanishing H^1 "
-                             "(internal)")
+    certify(direct.is_trivial,
+            "ratio criterion certified a nonvanishing H^1 (internal)")
     return RatioCriterionReport(delta, True, True, None, "certified",
                                 direct.structure.invariant_factors)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .cohomology import (Cocycle, class_order, cocycle_from_generator_values,
                          h1_loc, is_coboundary, satisfies_local_conditions)
-from .errors import InputError
+from .errors import InputError, certify
 from .groups import MatGroup, element_order
 from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, kernel, solve
 
@@ -70,22 +70,22 @@ def build(p: int) -> CounterexampleInstance:
     H2 = MatGroup.close([h10, h01], spec, cap=q + 1)
     G2 = MatGroup.close([g, h10, h01], spec, cap=3 * q + 1)
 
-    assert element_order(g) == 3, "g must have order 3"
-    assert H2.order == p * p, "H must have order p^2"
-    assert G2.order == 3 * p * p, "G must have order 3 p^2"
+    certify(element_order(g) == 3, "g must have order 3")
+    certify(H2.order == p * p, "H must have order p^2")
+    certify(G2.order == 3 * p * p, "G must have order 3 p^2")
     gi = g.inv()
     g2, g2i = g.mul(g), gi.mul(gi)
     for a in range(p):
         for b in range(p):
             hab = family_matrix(p, a, b)
-            assert g.mul(hab).mul(gi).key() == \
-                family_matrix(p, -b, a - b).key(), "conjugation law (g)"
-            assert g2.mul(hab).mul(g2i).key() == \
-                family_matrix(p, b - a, -a).key(), "conjugation law (g^2)"
-            assert hab.mul(family_matrix(p, 1, 1)).key() == \
-                family_matrix(p, a + 1, b + 1).key(), "h is additive"
-    for h in H2.generators:
-        assert g.mul(h).mul(gi) in H2
+            certify(g.mul(hab).mul(gi).key() ==
+                    family_matrix(p, -b, a - b).key(), "conjugation law (g)")
+            certify(g2.mul(hab).mul(g2i).key() ==
+                    family_matrix(p, b - a, -a).key(), "conjugation law (g^2)")
+            certify(hab.mul(family_matrix(p, 1, 1)).key() ==
+                    family_matrix(p, a + 1, b + 1).key(), "h is additive")
+    certify(all(g.mul(h).mul(gi) in H2 for h in H2.generators),
+            "g normalizes H")
     # extends the generator values through the tree; raises if the values
     # are inconsistent with the cocycle identity anywhere
     Z = cocycle_from_generator_values(
@@ -94,8 +94,8 @@ def build(p: int) -> CounterexampleInstance:
              h01.key(): cocycle_value(p, 0, 1)})
     for a in range(p):
         for b in range(p):
-            assert Z.at(family_matrix(p, a, b)) == cocycle_value(p, a, b), \
-                "cocycle does not match its closed form on H"
+            certify(Z.at(family_matrix(p, a, b)) == cocycle_value(p, a, b),
+                    "cocycle does not match its closed form on H")
     return CounterexampleInstance(p, spec, G2, H2, g, Z)
 
 

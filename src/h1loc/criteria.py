@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .cohomology import h1, h1_loc
-from .errors import PreconditionError
-from .groups import (MatGroup, element_order, lift_normalizer, normalizer,
-                     p_sylow, sylow_normalizer_element)
+from .errors import PreconditionError, certify
+from .groups import (MatGroup, coset_orders, element_order, lift_normalizer,
+                     normalizer, p_sylow, sylow_normalizer_element)
 from .ringmat import Mat
 from .symplectic import SymplecticSpace, similitude_multiplier
 
@@ -50,11 +50,10 @@ class CriterionReport:
 
     def finalize(self, conclusion: str, cross_check=None):
         if conclusion == "certified":
-            assert all(i.status == "satisfied" for i in self.items), \
-                "certified with an unsatisfied hypothesis (internal)"
-            if cross_check is not None:
-                assert cross_check == (), \
-                    "certified but direct H^1_loc is nontrivial (internal)"
+            certify(all(i.status == "satisfied" for i in self.items),
+                    "certified with an unsatisfied hypothesis (internal)")
+            certify(cross_check in (None, ()),
+                    "certified but direct H^1_loc is nontrivial (internal)")
         self.conclusion = conclusion
         self.cross_check = cross_check
         return self
@@ -110,9 +109,7 @@ def sylow_normalizer_criterion(G: MatGroup,
     rep.add("normalizer element of order dividing p-1 with g-1 bijective",
             "satisfied",
             f"order {element_order(g)}, det(g-1) unit", witness=g)
-    cross = h1_loc(G).structure.invariant_factors
-    assert cross == (), "criterion hypotheses hold but H^1_loc != 0"
-    return rep.finalize("certified", cross)
+    return rep.finalize("certified", h1_loc(G).structure.invariant_factors)
 
 
 def fixed_point_free_criterion(G1: MatGroup,
@@ -139,10 +136,7 @@ def fixed_point_free_criterion(G1: MatGroup,
     if g is None or not h1_group.is_trivial:
         cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
         return rep.finalize("not_applicable", cross)
-    cross = None
-    if Gn is not None:
-        cross = h1_loc(Gn).structure.invariant_factors
-        assert cross == (), "criterion hypotheses hold but H^1_loc != 0"
+    cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
     return rep.finalize("certified", cross)
 
 
@@ -200,12 +194,15 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
         while k < a:
             k += e0
         g = h.pow(p ** k)
-    assert (p - 1) % element_order(g) == 0, "lift order does not divide p-1"
-    assert g.reduce_mod(p).key() == g1.key(), "lift does not reduce to g1"
-    assert _bijective_shift(g, spec.modulus), "lift g-1 not bijective"
+    certify((p - 1) % element_order(g) == 0,
+            "lift order does not divide p-1 (internal)")
+    certify(g.reduce_mod(p).key() == g1.key(),
+            "lift does not reduce to g1 (internal)")
+    certify(_bijective_shift(g, spec.modulus),
+            "lift g-1 not bijective (internal)")
     gi = g.inv()
-    assert all(g.mul(x).mul(gi) in H for x in H.generators), \
-        "lift does not normalize the Sylow"
+    certify(all(g.mul(x).mul(gi) in H for x in H.generators),
+            "lift does not normalize the Sylow (internal)")
     return g
 
 
@@ -248,21 +245,11 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
         # only existence is guaranteed; scan the same normalizer for another
         # order-(p-1) element with the class-order certificate that also
         # fixes nothing nonzero
-        H = p_sylow(G1)
-        Nrm = normalizer(G1, H)
-        lower = (p - 1) // i
-
-        def class_order(x):
-            y, t = x, 1
-            while y not in N:
-                y = y.mul(x)
-                t += 1
-            return t
-
-        g = next((x for x in Nrm.elements
-                  if Nrm.element_order(x) == p - 1
-                  and _bijective_shift(x, p)
-                  and class_order(x) % lower == 0), None)
+        Nrm = normalizer(G1, p_sylow(G1))
+        full = (Nrm.orders() == p - 1) & (
+            coset_orders(Nrm, N) % ((p - 1) // i) == 0)
+        g = next((Nrm.elements[j] for j in np.flatnonzero(full)
+                  if _bijective_shift(Nrm.elements[j], p)), None)
     if g is None:
         rep.add("a constructed element fixes nothing nonzero", "failed",
                 "every qualifying normalizer element has a fixed vector")
@@ -270,9 +257,7 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
                             h1_loc(G1).structure.invariant_factors)
     rep.add("a constructed element fixes nothing nonzero", "satisfied",
             witness=g)
-    cross = h1_loc(G1).structure.invariant_factors
-    assert cross == (), "criterion hypotheses hold but H^1_loc != 0"
-    return rep.finalize("certified", cross)
+    return rep.finalize("certified", h1_loc(G1).structure.invariant_factors)
 
 
 def fixed_point_spectrum(G: MatGroup):

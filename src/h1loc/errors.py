@@ -1,6 +1,7 @@
 """Exceptions shared across the package.
 
-Exit-code mapping in the CLI: InputError -> 2, CapExceededError -> 3.
+Exit-code mapping in the CLI: InputError -> 2, CapExceededError -> 3,
+InternalError -> 4.
 """
 
 
@@ -26,3 +27,14 @@ class CapExceededError(RuntimeError):
         self.what = what
         self.cap = cap
         super().__init__(f"{what} exceeded cap of {cap}")
+
+
+class InternalError(RuntimeError):
+    """A certificate or internal invariant failed: a bug, never bad input."""
+
+
+def certify(condition, message: str) -> None:
+    """Raise InternalError(message) unless condition holds; unlike assert,
+    the check also runs under python -O."""
+    if not condition:
+        raise InternalError(message)

@@ -20,7 +20,8 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .errors import CapExceededError, InputError, PreconditionError
+from .errors import (CapExceededError, InputError, InternalError,
+                     PreconditionError, certify)
 from .ringmat import Mat, ModuleSpec, char_poly, kernel, _howell_rows
 
 DEFAULT_CAP = 200_000
@@ -184,18 +185,11 @@ class MatGroup:
         return i
 
     def orders(self) -> np.ndarray:
-        """Order of every element: from |G| strip each prime l while
-        x^(o/l) = 1, batched over the elements."""
+        """Order of every element, batched over the elements."""
         if self._orders is None:
-            q, r = self.spec.modulus, self.spec.rank
-            o = np.full(self.order, self.order, dtype=np.int64)
-            for ell in _factor(self.order):
-                idx = np.arange(self.order)
-                while len(idx):
-                    y = _batch_power(self._array[idx], o[idx] // ell, q)
-                    idx = idx[(y == np.eye(r, dtype=np.int64)).all(axis=(1, 2))]
-                    o[idx] //= ell
-                    idx = idx[o[idx] % ell == 0]
+            ident = np.eye(self.spec.rank, dtype=np.int64)
+            o = _strip_exponents(self, np.full(self.order, self.order),
+                                 lambda y: (y == ident).all(axis=(1, 2)))
             o.flags.writeable = False
             self._orders = o
         return self._orders
@@ -263,6 +257,28 @@ def _factor(n: int) -> dict:
     return out
 
 
+def _strip_exponents(G: MatGroup, t: np.ndarray, member) -> np.ndarray:
+    """For every element x of G the least s dividing t with member(x^s),
+    where member tests a batch of matrices and {s : member(x^s)} is an ideal
+    containing t: strip each prime of |G| while the test still holds."""
+    t = np.array(t, dtype=np.int64)
+    for ell in _factor(G.order):
+        idx = np.flatnonzero(t % ell == 0)
+        while len(idx):
+            y = _batch_power(G.element_array()[idx], t[idx] // ell,
+                             G.spec.modulus)
+            idx = idx[member(y)]
+            t[idx] //= ell
+            idx = idx[t[idx] % ell == 0]
+    return t
+
+
+def coset_orders(G: MatGroup, N: MatGroup) -> np.ndarray:
+    """For every element x of G the least t >= 1 with x^t in N, the order of
+    xN when N is normal; {t : x^t in N} is an ideal containing ord(x)."""
+    return _strip_exponents(G, G.orders(), lambda y: N.lookup(y) >= 0)
+
+
 def _batch_power(arr: np.ndarray, k, q: int) -> np.ndarray:
     """arr[i]^k[i] mod q by binary powering; k is one exponent or one per
     matrix, all >= 0."""
@@ -297,8 +313,7 @@ def p_sylow(G: MatGroup) -> MatGroup:
     while current.order < target:
         ext = np.flatnonzero(p_mask & _normalizer_mask(G, current)
                              & (current.lookup(G.element_array()) < 0))
-        if not len(ext):
-            raise AssertionError("Sylow ascent stalled (internal)")
+        certify(len(ext), "Sylow ascent stalled (internal)")
         current = MatGroup.close(list(current.generators)
                                  + [G.elements[ext[0]]], spec)
     return current
@@ -384,10 +399,9 @@ def frattini(H: MatGroup) -> MatGroup:
     phi = MatGroup.close(phi_gens, H.spec, cap=H.order + 1)
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
-    if any(a.pow(p) not in phi for a in gens):
-        raise AssertionError("H/phi not exponent p (internal)")
-    if any(c not in phi for c in comms):
-        raise AssertionError("H/phi not abelian (internal)")
+    certify(all(a.pow(p) in phi for a in gens),
+            "H/phi not exponent p (internal)")
+    certify(all(c in phi for c in comms), "H/phi not abelian (internal)")
     return phi
 
 
@@ -419,7 +433,7 @@ def _discrete_log_power(h: Mat, target: Mat, order: int) -> int:
         if x.key() == target.key():
             return lam
         x = x.mul(h)
-    raise AssertionError("conjugate is not a power of the generator (internal)")
+    raise InternalError("conjugate is not a power of the generator (internal)")
 
 
 def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
@@ -476,9 +490,8 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
                     eigenvecs.append(vec)
         # semisimplicity (order of the action divides p-1) guarantees a basis
         span = _howell_rows(np.array(eigenvecs, dtype=np.int64), p, 1)
-        if span.shape[0] != k:
-            raise AssertionError("conjugation action not diagonalizable "
-                                 "(internal; hypotheses violated?)")
+        certify(span.shape[0] == k, "conjugation action not diagonalizable "
+                "(internal; hypotheses violated?)")
         cands = []
         for vec in eigenvecs:
             cand = Mat.identity(spec.rank, spec.modulus)
@@ -503,11 +516,10 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
         seen.add(h.key())
         unique.append((h, lam))
     regen = MatGroup.close([h for h, _ in unique], spec, cap=H.order + 1)
-    if regen.order != H.order or not regen.is_subgroup_of(H):
-        raise AssertionError("decomposition does not regenerate H (internal)")
-    for h, lam in unique:
-        if g.mul(h).mul(gi).key() != h.pow(lam).key():
-            raise AssertionError("conjugation identity failed (internal)")
+    certify(regen.order == H.order and regen.is_subgroup_of(H),
+            "decomposition does not regenerate H (internal)")
+    certify(all(g.mul(h).mul(gi).key() == h.pow(lam).key()
+                for h, lam in unique), "conjugation identity failed (internal)")
     return Decomposition(tuple(unique))
 
 
@@ -539,18 +551,16 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     # x H x^-1 = g H g^-1 exactly when g^-1 x normalizes H
     HN_inv = X[inv[G.lookup(HN)]]
     hits = np.flatnonzero(_normalizing((gia @ HN) % q, (HN_inv @ ga) % q, H))
-    if not len(hits):
-        raise AssertionError("Sylow conjugator not found in HN (internal)")
+    certify(len(hits), "Sylow conjugator not found in HN (internal)")
     # x = n h: the first h in H's element order with x h^-1 in N
     cands = (HN[hits[0]] @ H.element_array()[H.inverse_indices()]) % q
     in_N = np.flatnonzero(N.lookup(cands) >= 0)
-    if not len(in_N):
-        raise AssertionError("x does not factor as n h (internal)")
+    certify(len(in_N), "x does not factor as n h (internal)")
     out = G.inverse(Mat.from_array(cands[in_N[0]], q)).mul(g)
     oi = out.inv()
-    assert gi.mul(out) in N, "result left the coset gN"
-    assert all(out.mul(h).mul(oi) in H for h in H.generators), \
-        "result does not normalize H"
+    certify(gi.mul(out) in N, "result left the coset gN (internal)")
+    certify(all(out.mul(h).mul(oi) in H for h in H.generators),
+            "result does not normalize H (internal)")
     return out
 
 
@@ -566,31 +576,24 @@ def sylow_normalizer_element(G: MatGroup, N: MatGroup):
         raise PreconditionError("G/N has order p-1",
                                 f"|G|/|N| = {G.order / N.order}")
 
-    def class_order(x: Mat) -> int:
-        y = x
-        t = 1
-        while y not in N:
-            y = y.mul(x)
-            t += 1
-        return t
-
-    g0 = next((x for x in G.elements if class_order(x) == p - 1), None)
-    if g0 is None:
+    class_orders = coset_orders(G, N)
+    full = np.flatnonzero(class_orders == p - 1)
+    if not len(full):
         raise PreconditionError("G/N is cyclic of order p-1",
                                 "no class of full order")
     H = p_sylow(G)
-    g1 = lift_normalizer(G, N, H, g0)
+    g1 = lift_normalizer(G, N, H, G.elements[full[0]])
     o = element_order(g1)
-    assert o % (p - 1) == 0
+    certify(o % (p - 1) == 0, "lift order not a multiple of p-1 (internal)")
     g = g1.pow(o // (p - 1))
-    assert element_order(g) == p - 1
+    certify(element_order(g) == p - 1, "element order not p-1 (internal)")
     gi = g.inv()
-    assert all(g.mul(h).mul(gi) in H for h in H.generators)
-    t = class_order(g)
+    certify(all(g.mul(h).mul(gi) in H for h in H.generators),
+            "element does not normalize the Sylow (internal)")
+    t = int(class_orders[G.index_of(g)])
     i = gcd(factorial(G.spec.rank), p - 1)
     lower = (p - 1) // i
-    if t % lower != 0:
-        raise AssertionError("class order certificate failed (internal)")
+    certify(t % lower == 0, "class order certificate failed (internal)")
     report = {"i": i, "class_order": t, "order": p - 1,
               "class_order_multiple_of": lower}
     return g, report

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, certify
 from .ringmat import Mat
 
 
@@ -46,6 +46,26 @@ def reference_closure(generators, spec, cap=None):
             parent.append(found[key][0])
             label.append(found[key][1])
     return [m.key() for m in elements], parent, label
+
+
+def cocycle_identity_holds(Z) -> bool:
+    """Cocycle.is_valid one pair at a time, as a reference for its blocked
+    check: Z_ab = Z_a + a Z_b for every pair, with Mat products and Python
+    integers."""
+    G, q = Z.group, Z.q
+    vals = {x.key(): tuple(int(v) for v in row)
+            for x, row in zip(G.elements, Z.values)}
+    for a in G.elements:
+        amat = a.reduce_mod(q)
+        za = vals[a.key()]
+        for b in G.elements:
+            zb = vals[b.key()]
+            rhs = tuple((za[i] + sum(amat.entries[i][k] * zb[k]
+                                     for k in range(len(zb)))) % q
+                        for i in range(len(za)))
+            if vals[a.mul(b).key()] != rhs:
+                return False
+    return True
 
 
 def span_enumerate(rows, q: int) -> set:
@@ -203,5 +223,6 @@ def cocycle_counts(group, module_exponent=None):
         if all(tuple(row[i]) in images[i] for i in range(size)):
             loc += 1
 
-    assert z1 % b1 == 0 and loc % b1 == 0
+    certify(z1 % b1 == 0 and loc % b1 == 0,
+            "B^1 order does not divide |Z^1| and |Z^1_loc| (internal)")
     return z1, b1, z1 // b1, loc // b1

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalError, certify
 
 
 def is_prime(p: int) -> bool:
@@ -155,24 +155,7 @@ class Mat:
         """Determinant as an element of Z/modulus (exact integer Bareiss, then reduce)."""
         if self.rows != self.cols:
             raise InputError("determinant of non-square matrix")
-        m = [list(r) for r in self.entries]
-        size = self.rows
-        sign = 1
-        prev = 1
-        for k in range(size - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, size):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, size):
-                for j in range(k + 1, size):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return (sign * m[size - 1][size - 1]) % self.modulus
+        return _int_det(self.entries) % self.modulus
 
     def is_invertible(self) -> bool:
         return gcd(self.det(), self.modulus) == 1
@@ -526,8 +509,8 @@ def quotient_structure(ambient_gens, sub_gens, spec: ModuleSpec,
                               tuple(g for _, g in entries))
     # order coherence: |quotient| * |span(sub)| == |span(ambient)|
     sub_order = span_order(np.array(sub, dtype=np.int64), p, n) if sub else 1
-    if struct.order * sub_order != sys.span_order():
-        raise AssertionError("quotient order mismatch (internal)")
+    certify(struct.order * sub_order == sys.span_order(),
+            "quotient order mismatch (internal)")
     return struct
 
 
@@ -651,7 +634,7 @@ class ExtensionField:
             coeffs = tuple(reversed(tail)) + (1,)  # ascending, monic
             if _poly_is_irreducible(coeffs, p):
                 return coeffs
-        raise AssertionError("no irreducible polynomial found (internal)")
+        raise InternalError("no irreducible polynomial found (internal)")
 
     def embed(self, c: int) -> tuple:
         return tuple([c % self.p] + [0] * (self.degree - 1))

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceededError, InputError, PreconditionError
+from .errors import (CapExceededError, InputError, PreconditionError,
+                     certify)
 from .groups import MatGroup
 from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows, char_poly
 
@@ -70,8 +71,8 @@ def similitude_multiplier(A: Mat, space: SymplecticSpace) -> Optional[int]:
         return None
     if S.key() != space.J.scale(nu).key():
         return None
-    if A.det() != pow(nu, space.d, q):
-        raise AssertionError("similitude with det != nu^d (internal)")
+    certify(A.det() == pow(nu, space.d, q),
+            "similitude with det != nu^d (internal)")
     return int(nu)
 
 
@@ -203,22 +204,8 @@ def invariant_subspaces(G: MatGroup, dim: int, cap: int = 5000):
     count = _gaussian_binomial(m, dim, p)
     if count > cap:
         raise CapExceededError(f"subspace enumeration ({count} subspaces)", cap)
-    gens = [g.to_array() % p for g in G.generators]
-    out = []
-    for basis in _echelon_bases(m, dim, p):
-        B = np.array(basis, dtype=np.int64)
-        sys = RowSystem(B, p, 1)
-        stable = True
-        for garr in gens:
-            for row in B:
-                if not sys.contains((garr @ row) % p):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(Mat.from_rows(basis, p))
-    return out
+    bases = (Mat.from_rows(basis, p) for basis in _echelon_bases(m, dim, p))
+    return [V for V in bases if is_stable(V, G)]
 
 
 def _gaussian_binomial(m: int, k: int, p: int) -> int:
@@ -265,8 +252,7 @@ def perp(V: Mat, space: SymplecticSpace) -> Mat:
         np.zeros((0, m), dtype=np.int64)
     out = Mat.from_rows([[int(x) for x in row] for row in H], p)
     dimV = _howell_rows(B, p, 1).shape[0]
-    if dimV + H.shape[0] != m:
-        raise AssertionError("dim V + dim V^perp != 2d (internal)")
+    certify(dimV + H.shape[0] == m, "dim V + dim V^perp != 2d (internal)")
     return out
 
 

@@ -108,20 +108,20 @@ def test_is_coboundary_roundtrip():
         vals = {x.key(): tuple((a - b) % 25 for a, b in
                                zip(x.apply(m_vec), m_vec))
                 for x in G.elements}
-        Z = Cocycle(G, vals)
+        Z = Cocycle(G, list(vals.values()))
         assert Z.is_valid()
         got = is_coboundary(Z)
         assert got is not None
         again = {x.key(): tuple((a - b) % 25 for a, b in
                                 zip(x.apply(got), got))
                  for x in G.elements}
-        assert again == Z.values
+        assert again == {x.key(): Z.at(x) for x in G.elements}
 
 
 def test_zero_cocycle_behaviour():
     spec = ModuleSpec(5, 1, 2)
     U = MatGroup.close([M([[1, 1], [0, 1]], 5)], spec)
-    Z0 = Cocycle(U, {x.key(): (0, 0) for x in U.elements})
+    Z0 = Cocycle(U, [(0, 0) for x in U.elements])
     assert is_coboundary(Z0) == (0, 0)
     ok, wit = satisfies_local_conditions(Z0)
     assert ok and all(w == (0, 0) for w in wit.values())
@@ -195,7 +195,7 @@ def test_inflation_restriction_exactness_on_torsion():
             zvec = tuple(Z.generator_vector())
             # restriction to H is zero iff values vanish on H (H acts
             # trivially on the torsion coefficients, so B^1(H) = 0)
-            if all(not any(Z.values[x.key()]) for x in H_elems):
+            if all(not any(Z.at(x)) for x in H_elems):
                 kernel_elems.add(zvec)
             amb = np.vstack([np.array([W.generator_vector() for W in infl],
                                       dtype=np.int64), b1]) \
