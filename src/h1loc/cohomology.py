@@ -8,11 +8,18 @@ multiplication tree; imposing the identity for every (generator, element)
 pair then forces it for all pairs.  Z^1 is the kernel of that stacked linear
 system over Z/p^j.
 
-The locally trivial cocycles add, for every sigma, the condition
-Z_sigma in Im(sigma - 1).  Over Z/p^j a submodule is cut out by the linear
-forms vanishing on it (w in ker((sigma-1)^T) gives w . Z_sigma = 0), so
-Z^1_loc is again a kernel and H^1_loc = Z^1_loc / B^1 is a finite abelian
-group with explicit invariant factors and representative cocycles.
+The locally trivial cocycles satisfy Z_sigma in Im(sigma - 1) for every
+sigma: their restriction to every cyclic subgroup is a coboundary.  For a
+cocycle the condition at s implies it at every power of s (Z_s = (s - 1) v
+gives Z_{s^k} = (s^k - 1) v) and at every conjugate of s
+(Z_{tst^-1} = (tst^-1 - 1)(t v - Z_t)), so it is imposed only at the
+representatives s of MatGroup.cyclic_class_representatives, whose cyclic
+subgroups cover the group up to conjugacy.  The cocycle rows stay in the
+stack, so the kernel is still exactly Z^1_loc.  Over Z/p^j a submodule is
+cut out by the linear forms vanishing on it (w in ker((s-1)^T) gives
+w . Z_s = 0), so Z^1_loc is again a kernel and H^1_loc = Z^1_loc / B^1 is a
+finite abelian group with explicit invariant factors and representative
+cocycles.
 
 The module exponent j defaults to n; j < n computes cohomology with
 coefficients in the p^j-torsion (the action factors through reduction).
@@ -134,16 +141,26 @@ class _CocycleSystem:
         q, m, k = self.q, self.m, self.k
         self.acts = G.element_array() % q   # size x m x m
         self.dim = k * m
-        # C[sigma]: value of a cocycle at sigma as a linear map of z
+        # C[sigma]: value of a cocycle at sigma as a linear map of z, built
+        # one BFS layer at a time from C[x g] = C[x] + x E_g, where E_g
+        # picks the block of generator g
         C = np.zeros((self.size, m, self.dim), dtype=np.int64)
-        for idx in range(self.size):
+        rows = np.arange(m)[:, None]
+        start, end = 0, 1    # layer 0 is the identity, where C is 0
+        while end < self.size:
+            # the next layer holds the children of [start, end); it is at
+            # most k times as long and ends at the first later parent
+            stop = min(self.size, end + k * (end - start))
+            later = np.flatnonzero(G.tree_parent[end:stop] >= end)
+            if len(later):
+                stop = end + int(later[0])
+            idx = np.arange(end, stop)
             par = G.tree_parent[idx]
-            if par < 0:
-                continue
-            g = G.tree_gen[idx]
-            C[idx] = C[par].copy()
-            C[idx][:, g * m:(g + 1) * m] += self.acts[par]
+            cols = G.tree_gen[idx, None, None] * m + np.arange(m)
+            C[idx] = C[par]
+            C[idx[:, None, None], rows, cols] += self.acts[par]
             C[idx] %= q
+            start, end = end, stop
         self.C = C
         self._z1 = None
         self._b1 = None
@@ -195,7 +212,7 @@ class _CocycleSystem:
     def local_constraints(self) -> np.ndarray:
         blocks = [self.cocycle_constraints()]
         ident = np.eye(self.m, dtype=np.int64)
-        for idx in range(self.size):
+        for idx in self.G.cyclic_class_representatives():
             B = (self.acts[idx] - ident) % self.q
             # w B = 0 makes w . v = 0 a test for v in Im(B); over Z/p^j the
             # double annihilator recovers the image exactly

@@ -27,7 +27,7 @@ from .cohomology import (Cocycle, class_order, cocycle_from_generator_values,
                          h1_loc, is_coboundary, satisfies_local_conditions)
 from .errors import InputError, certify
 from .groups import MatGroup, element_order
-from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, kernel, solve
+from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, solve
 
 import numpy as np
 
@@ -151,9 +151,7 @@ def verify(inst: CounterexampleInstance) -> VerificationReport:
     # (iii) not a coboundary, with the incompatible-witness certificate
     m = is_coboundary(inst.Z)
     h11, h21 = family_matrix(p, 1, 1), family_matrix(p, 2, 1)
-    sols_11 = _solution_set(h11, inst.Z.at(h11), inst.spec)
-    sols_21 = _solution_set(h21, inst.Z.at(h21), inst.spec)
-    disjoint = not (sols_11 & sols_21)
+    disjoint = not _witness_sets_meet(inst, h11, h21)
     w11 = tuple(x % p for x in witnesses[h11.key()])
     w21 = tuple(x % p for x in witnesses[h21.key()])
     expected = (w11 == (1, 1) and w21 == ((-1) % p, 0))
@@ -186,23 +184,13 @@ def verify(inst: CounterexampleInstance) -> VerificationReport:
                               witnesses[h11.key()], witnesses[h21.key()])
 
 
-def _solution_set(h: Mat, target, spec: ModuleSpec) -> set:
-    """All v with (h - 1) v = target, as a set (particular + kernel)."""
-    B = h.minus_identity()
-    x0 = solve(B, target, spec)
-    if x0 is None:
-        return set()
-    ker = kernel(B, spec)
-    q = spec.modulus
-    out = set()
-    import itertools
-    for coeffs in itertools.product(range(q), repeat=len(ker)):
-        v = list(x0)
-        for c, kv in zip(coeffs, ker):
-            for i in range(len(v)):
-                v[i] += c * kv[i]
-        out.add(tuple(x % q for x in v))
-    return out
+def _witness_sets_meet(inst: CounterexampleInstance, a: Mat, b: Mat) -> bool:
+    """Whether some v solves both (a - 1) v = Z_a and (b - 1) v = Z_b: one
+    solve of the stacked system [a - 1; b - 1] v = [Z_a; Z_b]."""
+    A = np.vstack([a.minus_identity().to_array(),
+                   b.minus_identity().to_array()])
+    return solve(Mat.from_array(A, inst.spec.modulus),
+                 inst.Z.at(a) + inst.Z.at(b), inst.spec) is not None
 
 
 def _equivariant_hom_group(inst: CounterexampleInstance):

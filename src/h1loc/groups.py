@@ -73,6 +73,7 @@ class MatGroup:
         self.order = len(array)
         self._orders = None
         self._inverse_idx = None
+        self._cyclic_reps = None
         self._cohom_cache = {}
 
     # -- construction ------------------------------------------------------
@@ -205,6 +206,42 @@ class MatGroup:
 
     def inverse(self, mat: Mat) -> Mat:
         return self.elements[self.inverse_indices()[self.index_of(mat)]]
+
+    def cyclic_class_representatives(self) -> np.ndarray:
+        """Positions s_1, s_2, ... of one generator per conjugacy class of
+        maximal cyclic subgroups, so the conjugates of the <s_i> cover the
+        group.
+
+        Elements are taken by descending order and skipped once covered,
+        so each new s_i generates a cyclic subgroup not inside a conjugate
+        of an earlier one.  The covered set is a union of conjugacy
+        classes: the powers of s_i not yet covered, closed under
+        conjugation by the generators one BFS layer at a time."""
+        if self._cyclic_reps is None:
+            q, r = self.spec.modulus, self.spec.rank
+            X, orders = self._array, self.orders()
+            gens = _stack(self.generators, r)
+            gens_inv = _batch_power(gens, orders[self.lookup(gens)] - 1, q)
+            covered = np.zeros(self.order, dtype=bool)
+            reps = []
+            for s in np.argsort(-orders, kind="stable"):
+                if covered[s]:
+                    continue
+                reps.append(s)
+                o = int(orders[s])
+                layer = self.lookup(_batch_power(
+                    np.broadcast_to(X[s], (o, r, r)), np.arange(o), q))
+                layer = layer[~covered[layer]]
+                while len(layer):
+                    covered[layer] = True
+                    conj = (((gens[:, None] @ X[layer][None]) % q)
+                            @ gens_inv[:, None]) % q
+                    nxt = self.lookup(conj.reshape(-1, r, r))
+                    layer = np.unique(nxt[~covered[nxt]])
+            reps = np.array(reps, dtype=np.int64)
+            reps.flags.writeable = False
+            self._cyclic_reps = reps
+        return self._cyclic_reps
 
     def element_order(self, mat: Mat) -> int:
         return int(self.orders()[self.index_of(mat)])
@@ -379,29 +416,37 @@ def frattini(H: MatGroup) -> MatGroup:
     p = H.spec.p
     if H.order == 1:
         return H
+    q, r = H.spec.modulus, H.spec.rank
     gens = reduce_generators(H.generators, H.spec, cap=H.order + 1)
-    comms = [a.mul(b).mul(H.inverse(a)).mul(H.inverse(b))
-             for a in gens for b in gens]
+    A = _stack(gens, r)
+    Ai = H.element_array()[H.inverse_indices()[H.lookup(A)]]
+    # a b a^-1 b^-1 for a, b in gens, a-major
+    ab = (A[:, None] @ A[None]) % q
+    comm_arr = ((((ab @ Ai[:, None]) % q) @ Ai[None]) % q).reshape(-1, r, r)
+    comms = [Mat.from_array(c, q) for c in comm_arr]
     # normal closure of the commutators inside H
     K = MatGroup.close(reduce_generators(comms, H.spec, cap=H.order + 1),
                        H.spec, cap=H.order + 1)
     while True:
-        extra = [c for x in gens for kgen in K.generators
-                 if (c := x.mul(kgen).mul(H.inverse(x))) not in K]
+        # x k x^-1 for x in gens and k in K.generators, x-major
+        conj = ((((A[:, None] @ _stack(K.generators, r)[None]) % q)
+                 @ Ai[:, None]) % q).reshape(-1, r, r)
+        extra = [Mat.from_array(c, q) for c in conj[K.lookup(conj) < 0]]
         if not extra:
             break
         K = MatGroup.close(reduce_generators(
             list(K.generators) + extra, H.spec, cap=H.order + 1),
             H.spec, cap=H.order + 1)
+    pth = _batch_power(A, p, q)
     phi_gens = reduce_generators(
-        list(K.generators) + [g.pow(p) for g in gens], H.spec,
+        list(K.generators) + [Mat.from_array(a, q) for a in pth], H.spec,
         cap=H.order + 1)
     phi = MatGroup.close(phi_gens, H.spec, cap=H.order + 1)
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
-    certify(all(a.pow(p) in phi for a in gens),
-            "H/phi not exponent p (internal)")
-    certify(all(c in phi for c in comms), "H/phi not abelian (internal)")
+    certify((phi.lookup(pth) >= 0).all(), "H/phi not exponent p (internal)")
+    certify((phi.lookup(comm_arr) >= 0).all(),
+            "H/phi not abelian (internal)")
     return phi
 
 

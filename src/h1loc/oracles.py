@@ -4,6 +4,9 @@ Everything here recomputes results of the main modules by direct enumeration
 over small instances, deliberately avoiding the Howell/kernel machinery so
 the two paths stay independent.  The test suite freezes values produced by
 these oracles and cross-checks the linear-algebra path against them.
+
+The reference_* functions are the slow paths that batched code replaced,
+kept one element at a time so the fast paths can be tested against them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 import numpy as np
 
 from .errors import CapExceededError, certify
-from .ringmat import Mat
+from .ringmat import Mat, RowSystem
 
 
 def reference_closure(generators, spec, cap=None):
@@ -46,6 +49,41 @@ def reference_closure(generators, spec, cap=None):
             parent.append(found[key][0])
             label.append(found[key][1])
     return [m.key() for m in elements], parent, label
+
+
+def reference_coefficients(G, module_exponent) -> np.ndarray:
+    """The coefficient array C of the cocycle system of G mod p^j, one
+    element at a time along the closure tree, as a reference for its
+    layer-by-layer construction: C[x g] = C[x] + x E_g."""
+    q = G.spec.p ** module_exponent
+    m, k = G.spec.rank, len(G.generators)
+    acts = G.element_array() % q
+    C = np.zeros((G.order, m, k * m), dtype=np.int64)
+    for idx in range(G.order):
+        par = G.tree_parent[idx]
+        if par < 0:
+            continue
+        g = G.tree_gen[idx]
+        C[idx] = C[par].copy()
+        C[idx][:, g * m:(g + 1) * m] += acts[par]
+        C[idx] %= q
+    return C
+
+
+def reference_z1loc(G, module_exponent=None) -> np.ndarray:
+    """Generators of Z^1_loc with the local condition w . Z_s = 0 imposed
+    at every element s, as a reference for imposing it only at the cyclic
+    class representatives."""
+    from .cohomology import _system
+    sys = _system(G, module_exponent)
+    blocks = [sys.cocycle_constraints()]
+    ident = np.eye(sys.m, dtype=np.int64)
+    for idx in range(sys.size):
+        W = RowSystem((sys.acts[idx] - ident) % sys.q, sys.p, sys.j).kernel()
+        if W.shape[0]:
+            blocks.append((W @ sys.C[idx]) % sys.q)
+    rows = np.unique(np.concatenate(blocks, axis=0), axis=0)
+    return RowSystem(rows.T, sys.p, sys.j).kernel()
 
 
 def cocycle_identity_holds(Z) -> bool:

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h1loc.counterexample import (build, cocycle_value, family_matrix,
-                                  scan_orders, twist_matrix, verify)
+from h1loc import oracles
+from h1loc.counterexample import (_witness_sets_meet, build, cocycle_value,
+                                  family_matrix, scan_orders, twist_matrix,
+                                  verify)
 from h1loc.errors import InputError
 from h1loc.groups import element_order
 
@@ -65,6 +67,28 @@ def test_verify_all_checks_pass_p5():
     assert rep.h1_loc_factors and all(f == 5 for f in rep.h1_loc_factors)
     assert tuple(x % 5 for x in rep.witness_11) == (1, 1)
     assert tuple(x % 5 for x in rep.witness_21) == (4, 0)
+
+
+@pytest.mark.parametrize("p, coords", [
+    (5, [(a, b) for a in range(5) for b in range(5)]),
+    (11, [(0, 0), (1, 1), (2, 1), (2, 2), (0, 1), (3, 7)]),
+])
+def test_witness_sets_meet_matches_enumeration(p, coords):
+    inst = build(p)
+    q = p * p
+    elems = [family_matrix(p, a, b) for a, b in coords] + [inst.g]
+    # every v with (h - 1) v = Z_h, by scanning the whole module
+    sols = [oracles.all_solutions(h.minus_identity().entries, inst.Z.at(h), q)
+            for h in elems]
+    assert all(sols)      # the local conditions hold at each element
+    for a, sa in zip(elems, sols):
+        for b, sb in zip(elems, sols):
+            assert _witness_sets_meet(inst, a, b) == bool(sa & sb)
+    h11, h21 = family_matrix(p, 1, 1), family_matrix(p, 2, 1)
+    assert not _witness_sets_meet(inst, h11, h21)
+    detail = next(c.detail for c in verify(inst).checks
+                  if c.name == "not a coboundary")
+    assert "witness sets at h(1,1), h(2,1) disjoint: True" in detail
 
 
 def test_scan_orders_rows():

@@ -1,7 +1,13 @@
 """Criterion checkers: worked cases and report invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import h1loc
 from corpus import M
 from h1loc.cohomology import h1_loc
 from h1loc.counterexample import build, twist_matrix
@@ -150,3 +156,17 @@ def test_report_lines_render():
     rep = sylow_normalizer_criterion(G)
     text = "\n".join(rep.lines())
     assert "criterion" in text and "conclusion" in text
+
+
+def test_criteria_sweep_sound_under_python_O():
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", str(root / "scripts" / "criteria_sweep.py"),
+         "--p", "5"], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert " 0 unsound (must be 0)" in proc.stdout
+    assert "!!" not in proc.stdout

@@ -1,5 +1,6 @@
 """Matrix-group algorithms: closure, Sylow, Frattini, decompositions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +170,25 @@ def test_frattini_matches_maximal_subgroup_oracle():
     phi = frattini(heis)
     assert keys(phi) == oracles.maximal_subgroup_intersection(heis)
     assert phi.order == 3
+
+
+def test_frattini_takes_the_normal_closure_of_commutators():
+    # in UT_4(F_2) the commutators of the generators give <e13, e24>, which
+    # is not normal; the Frattini subgroup is <e13, e24, e14> of order 8
+    spec = ModuleSpec(2, 1, 4)
+
+    def e(*cells):
+        a = np.eye(4, dtype=np.int64)
+        for i, j in cells:
+            a[i, j] = 1
+        return Mat.from_array(a, 2)
+
+    U = MatGroup.close([e((0, 1)), e((1, 2)), e((2, 3))], spec)
+    assert U.order == 64
+    phi = frattini(U)
+    expected = MatGroup.close([e((0, 2)), e((1, 3)), e((0, 3))], spec)
+    assert keys(phi) == keys(expected)
+    assert phi.order == 8
 
 
 def test_frattini_rejects_non_p_group():
