@@ -6,7 +6,9 @@ on the generators.  Writing z for the stacked generator values, the value at
 any element is C_sigma @ z for coefficient matrices C built along the BFS
 multiplication tree; imposing the identity for every (generator, element)
 pair then forces it for all pairs.  Z^1 is the kernel of that stacked linear
-system over Z/p^j.
+system over Z/p^j.  The stack has k * N * rank rows over only k * rank
+unknowns, so its rows are folded into a Howell basis a block at a time and
+the kernel is taken of that basis, never of the whole stack.
 
 The locally trivial cocycles satisfy Z_sigma in Im(sigma - 1) for every
 sigma: their restriction to every cyclic subgroup is a coboundary.  For a
@@ -14,8 +16,8 @@ cocycle the condition at s implies it at every power of s (Z_s = (s - 1) v
 gives Z_{s^k} = (s^k - 1) v) and at every conjugate of s
 (Z_{tst^-1} = (tst^-1 - 1)(t v - Z_t)), so it is imposed only at the
 representatives s of MatGroup.cyclic_class_representatives, whose cyclic
-subgroups cover the group up to conjugacy.  The cocycle rows stay in the
-stack, so the kernel is still exactly Z^1_loc.  Over Z/p^j a submodule is
+subgroups cover the group up to conjugacy.  The local rows are folded into
+the basis of the cocycle rows, so the kernel is still exactly Z^1_loc.  Over Z/p^j a submodule is
 cut out by the linear forms vanishing on it (w in ker((s-1)^T) gives
 w . Z_s = 0), so Z^1_loc is again a kernel and H^1_loc = Z^1_loc / B^1 is a
 finite abelian group with explicit invariant factors and representative
@@ -35,12 +37,24 @@ import numpy as np
 from .errors import InputError, PreconditionError, certify
 from .groups import MatGroup, _stack, element_order
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
-                      eigenvalues_in_ext, quotient_structure, span_order)
+                      _howell_rows, eigenvalues_in_ext, quotient_structure,
+                      span_order)
 
 
 # multiplication-table pairs per block of Cocycle.is_valid; larger blocks
 # buy no speed and raise the peak memory
 _PAIR_BLOCK = 4096
+# constraint rows folded into a running Howell basis at a time; the basis
+# has at most k * rank rows, so the working set stays small
+_ROW_BLOCK = 4096
+
+
+def _fold(basis: np.ndarray, rows: np.ndarray, p: int, j: int) -> np.ndarray:
+    """Howell basis of span(basis, rows), taking rows _ROW_BLOCK at a time."""
+    for s in range(0, len(rows), _ROW_BLOCK):
+        basis = _howell_rows(np.concatenate([basis, rows[s:s + _ROW_BLOCK]]),
+                             p, j)
+    return basis
 
 
 class Cocycle:
@@ -165,32 +179,34 @@ class _CocycleSystem:
         self._z1 = None
         self._b1 = None
         self._z1loc = None
-        self._cocycle_rows = None
+        self._cocycle_basis = None
 
-    def cocycle_constraints(self) -> np.ndarray:
-        if self._cocycle_rows is not None:
-            return self._cocycle_rows
-        G, m, q = self.G, self.m, self.q
-        if self.k == 0:
-            self._cocycle_rows = np.zeros((0, self.dim), dtype=np.int64)
-            return self._cocycle_rows
-        blocks = []
-        E = np.zeros((self.k, m, self.dim), dtype=np.int64)
-        for g in range(self.k):
-            E[g][:, g * m:(g + 1) * m] = np.eye(m, dtype=np.int64)
-        elems = G.element_array()
-        for gidx, gmat in enumerate(G.generators):
-            gact = self.acts[G.index_of(gmat)]
-            prod_idx = G.lookup((gmat.to_array() @ elems) % G.spec.modulus)
-            rows = (self.C[prod_idx] - E[gidx] - gact @ self.C) % q
-            blocks.append(rows.reshape(-1, self.dim))
-        self._cocycle_rows = np.concatenate(blocks, axis=0)
-        return self._cocycle_rows
+    def cocycle_basis(self) -> np.ndarray:
+        """Howell basis of the cocycle constraint rows, the coefficients of
+        Z_{gx} - Z_g - g Z_x = 0 for each generator g and element x.  The
+        rows are made and folded in a block of elements at a time, so the
+        k * N * rank stack is never held."""
+        if self._cocycle_basis is None:
+            G, m = self.G, self.m
+            basis = np.zeros((0, self.dim), dtype=np.int64)
+            step = max(1, _ROW_BLOCK // m)
+            ident = np.eye(m, dtype=np.int64)
+            for gidx, gmat in enumerate(G.generators):
+                gact = self.acts[G.index_of(gmat)]
+                prod_idx = G.lookup((gmat.to_array() @ G.element_array())
+                                    % G.spec.modulus)
+                for s in range(0, self.size, step):
+                    x = slice(s, s + step)
+                    rows = self.C[prod_idx[x]] - gact @ self.C[x]
+                    rows[:, :, gidx * m:(gidx + 1) * m] -= ident
+                    basis = _fold(basis, rows.reshape(-1, self.dim),
+                                  self.p, self.j)
+            self._cocycle_basis = basis
+        return self._cocycle_basis
 
     def z1_gens(self) -> np.ndarray:
         if self._z1 is None:
-            rows = np.unique(self.cocycle_constraints(), axis=0)
-            sys = RowSystem(rows.T, self.p, self.j)
+            sys = RowSystem(self.cocycle_basis().T, self.p, self.j)
             self._z1 = sys.kernel()
         return self._z1
 
@@ -210,7 +226,9 @@ class _CocycleSystem:
         return self._b1
 
     def local_constraints(self) -> np.ndarray:
-        blocks = [self.cocycle_constraints()]
+        """Rows w C[s] with w (s - 1) = 0 at each cyclic class
+        representative s."""
+        blocks = [np.zeros((0, self.dim), dtype=np.int64)]
         ident = np.eye(self.m, dtype=np.int64)
         for idx in self.G.cyclic_class_representatives():
             B = (self.acts[idx] - ident) % self.q
@@ -223,8 +241,9 @@ class _CocycleSystem:
 
     def z1loc_gens(self) -> np.ndarray:
         if self._z1loc is None:
-            rows = np.unique(self.local_constraints(), axis=0)
-            sys = RowSystem(rows.T, self.p, self.j)
+            basis = _fold(self.cocycle_basis(), self.local_constraints(),
+                          self.p, self.j)
+            sys = RowSystem(basis.T, self.p, self.j)
             self._z1loc = sys.kernel()
         return self._z1loc
 
@@ -324,9 +343,9 @@ def satisfies_local_conditions(Z: Cocycle):
     m = G.spec.rank
     witnesses = {}
     ok = True
-    for mat, value in zip(G.elements, Z.values):
-        B = (mat.to_array() % q - np.eye(m, dtype=np.int64)) % q
-        sol = RowSystem(B.T, G.spec.p, Z.module_exponent).solve(value)
+    B = (G.element_array() - np.eye(m, dtype=np.int64)) % q
+    for mat, Bs, value in zip(G.elements, B, Z.values):
+        sol = RowSystem(Bs.T, G.spec.p, Z.module_exponent).solve(value)
         witnesses[mat.key()] = tuple(int(x) for x in sol) \
             if sol is not None else None
         if sol is None:

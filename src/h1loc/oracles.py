@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .errors import CapExceededError, certify
-from .ringmat import Mat, RowSystem
+from .ringmat import Mat, RowSystem, _valuation
 
 
 def reference_closure(generators, spec, cap=None):
@@ -70,20 +70,99 @@ def reference_coefficients(G, module_exponent) -> np.ndarray:
     return C
 
 
-def reference_z1loc(G, module_exponent=None) -> np.ndarray:
-    """Generators of Z^1_loc with the local condition w . Z_s = 0 imposed
-    at every element s, as a reference for imposing it only at the cyclic
-    class representatives."""
+def reference_howell_rows(M, p: int, n: int) -> np.ndarray:
+    """ringmat._howell_rows one row at a time, as a reference for its
+    column steps vectorized across rows: the same canonical Howell form.
+    It computes with Python integers, so it is exact at any modulus."""
+    q = p ** n
+    M = np.asarray(M, dtype=np.int64).astype(object) % q
+    ncols = M.shape[1]
+    work = [row.copy() for row in M]
+    placed = []  # (pivot_col, pivot_val, row)
+    active = np.flatnonzero((M != 0).any(axis=0)) if M.size else []
+    for col in active:
+        col = int(col)
+        best, bestv = None, n
+        for i, r in enumerate(work):
+            e = int(r[col])
+            if e:
+                v = _valuation(e, p, n)
+                if v < bestv:
+                    best, bestv = i, v
+        if best is None:
+            continue
+        piv = work.pop(best)
+        v = bestv
+        u = int(piv[col]) // p ** v
+        piv = (piv * pow(u, -1, q)) % q
+        for i in range(len(work)):
+            e = int(work[i][col])
+            if e:
+                f = e // p ** v
+                work[i] = (work[i] - f * piv) % q
+        if v:
+            ann = (piv * p ** (n - v)) % q
+            if ann.any():
+                work.append(ann)
+        placed.append((col, v, piv))
+    for i, (ci, vi, ri) in enumerate(placed):
+        mod = p ** vi
+        for j in range(i):
+            cj, vj, rj = placed[j]
+            f = int(rj[ci]) // mod
+            if f:
+                placed[j] = (cj, vj, (rj - f * ri) % q)
+    return np.array([r for (_, _, r) in placed],
+                    dtype=np.int64).reshape(len(placed), ncols)
+
+
+def reference_cocycle_rows(G, module_exponent=None) -> np.ndarray:
+    """The whole stack of cocycle constraint rows C[g x] - E_g - g C[x],
+    one generator g at a time over all elements x, as a reference for
+    folding them into a Howell basis block by block."""
     from .cohomology import _system
     sys = _system(G, module_exponent)
-    blocks = [sys.cocycle_constraints()]
+    m, blocks = sys.m, [np.zeros((0, sys.dim), dtype=np.int64)]
+    for gidx, gmat in enumerate(G.generators):
+        E = np.zeros((m, sys.dim), dtype=np.int64)
+        E[:, gidx * m:(gidx + 1) * m] = np.eye(m, dtype=np.int64)
+        prod_idx = G.lookup((gmat.to_array() @ G.element_array())
+                            % G.spec.modulus)
+        gact = sys.acts[G.index_of(gmat)]
+        rows = (sys.C[prod_idx] - E - gact @ sys.C) % sys.q
+        blocks.append(rows.reshape(-1, sys.dim))
+    return np.concatenate(blocks)
+
+
+def _unique_kernel(rows, p: int, j: int) -> np.ndarray:
+    """Kernel of the stacked rows, sorted and deduplicated, through the
+    transposed RowSystem."""
+    return RowSystem(np.unique(rows, axis=0).T, p, j).kernel()
+
+
+def reference_z1(G, module_exponent=None) -> np.ndarray:
+    """Generators of Z^1 from the whole constraint stack, as a reference for
+    the kernel of its folded Howell basis."""
+    from .cohomology import _system
+    sys = _system(G, module_exponent)
+    return _unique_kernel(reference_cocycle_rows(G, module_exponent),
+                          sys.p, sys.j)
+
+
+def reference_z1loc(G, module_exponent=None, elements=None) -> np.ndarray:
+    """Generators of Z^1_loc from the whole constraint stack, with the local
+    condition w . Z_s = 0 imposed at each given element s (every element by
+    default), as a reference for imposing it only at the cyclic class
+    representatives and for folding the stack into a Howell basis."""
+    from .cohomology import _system
+    sys = _system(G, module_exponent)
+    blocks = [reference_cocycle_rows(G, module_exponent)]
     ident = np.eye(sys.m, dtype=np.int64)
-    for idx in range(sys.size):
+    for idx in (range(sys.size) if elements is None else elements):
         W = RowSystem((sys.acts[idx] - ident) % sys.q, sys.p, sys.j).kernel()
         if W.shape[0]:
             blocks.append((W @ sys.C[idx]) % sys.q)
-    rows = np.unique(np.concatenate(blocks, axis=0), axis=0)
-    return RowSystem(rows.T, sys.p, sys.j).kernel()
+    return _unique_kernel(np.concatenate(blocks, axis=0), sys.p, sys.j)
 
 
 def cocycle_identity_holds(Z) -> bool:

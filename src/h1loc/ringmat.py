@@ -13,6 +13,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Optional, Sequence
@@ -235,56 +236,56 @@ def _check_int64(q: int) -> None:
                          f"((q-1)^2 + (q-1) >= 2^63)")
 
 
-def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Canonical Howell form of the row span of M; zero rows dropped.
+def _howell(M: np.ndarray, p: int, n: int):
+    """Canonical Howell form of the row span of M, zero rows dropped, with
+    its pivot columns and pivot values: (H, cols, divs).
 
     Rows come back sorted by pivot column, each pivot a power of p, entries
-    above a pivot reduced modulo the pivot.
+    above a pivot reduced modulo the pivot.  One step per column, vectorized
+    across rows: the row of least valuation there becomes the pivot, the
+    column is eliminated from every row at once (which cancels the pivot
+    row itself mod q), and the pivot's annihilator row takes its slot.
     """
     q = p ** n
     _check_int64(q)
-    M = np.asarray(M, dtype=np.int64) % q
-    ncols = M.shape[1]
-    work = [row.copy() for row in M]
-    placed = []  # (pivot_col, pivot_val, row)
+    W = np.asarray(M, dtype=np.int64) % q
+    W = W[W.any(axis=1)]
+    # W only matters modulo q, so it is reduced only when the next step
+    # could leave int64: each step adds at most step to |W|
+    step, bound = (q - 1) ** 2, q - 1
+    cols, divs, piv_rows = [], [], []
     # row operations keep initially-zero columns zero, so skip them outright
-    active = np.flatnonzero((M != 0).any(axis=0)) if M.size else []
-    for col in active:
-        col = int(col)
-        best, bestv = None, n
-        for i, r in enumerate(work):
-            e = int(r[col])
-            if e:
-                v = _valuation(e, p, n)
-                if v < bestv:
-                    best, bestv = i, v
-        if best is None:
+    for col in np.flatnonzero(W.any(axis=0)).tolist():
+        c = W[:, col] % q
+        d = gcd(int(np.gcd.reduce(c)), q)    # p^(least valuation)
+        if d == q:
             continue
-        piv = work.pop(best)
-        v = bestv
-        u = int(piv[col]) // p ** v
-        piv = (piv * pow(u, -1, q)) % q
-        for i in range(len(work)):
-            e = int(work[i][col])
-            if e:
-                f = e // p ** v
-                work[i] = (work[i] - f * piv) % q
-        if v:
-            ann = (piv * p ** (n - v)) % q
-            if ann.any():
-                work.append(ann)
-        placed.append((col, v, piv))
+        f = c // d if d > 1 else c
+        best = int((f % p != 0).argmax())
+        piv = W[best] % q * pow(int(f[best]), -1, q) % q
+        if bound > 2 ** 63 - 1 - step:
+            W %= q
+            bound = q - 1
+        W -= f[:, None] * piv
+        bound += step
+        if d > 1:
+            W[best] = piv * (q // d) % q
+        cols.append(col)
+        divs.append(d)
+        piv_rows.append(piv)
+    if not piv_rows:
+        return np.zeros((0, W.shape[1]), dtype=np.int64), cols, divs
+    H = np.stack(piv_rows)
     # canonical reduction above each pivot
-    for i, (ci, vi, ri) in enumerate(placed):
-        mod = p ** vi
-        for j in range(i):
-            cj, vj, rj = placed[j]
-            f = int(rj[ci]) // mod
-            if f:
-                placed[j] = (cj, vj, (rj - f * ri) % q)
-    if not placed:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.stack([r for (_, _, r) in placed])
+    for i in range(1, len(cols)):
+        H[:i] -= (H[:i, cols[i]] // divs[i])[:, None] * H[i]
+        H[:i] %= q
+    return H, cols, divs
+
+
+def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Canonical Howell form of the row span of M; zero rows dropped."""
+    return _howell(M, p, n)[0]
 
 
 class RowSystem:
@@ -298,30 +299,27 @@ class RowSystem:
     def __init__(self, M: np.ndarray, p: int, n: int):
         self.p, self.n = p, n
         self.q = p ** n
-        M = np.asarray(M, dtype=np.int64) % self.q
+        M = np.asarray(M, dtype=np.int64)
         self.nrows, self.ncols = M.shape
-        aug = np.hstack([M, np.eye(self.nrows, dtype=np.int64)])
-        H = _howell_rows(aug, p, n)
-        self.basis = []   # (pivot_col, val, row) with pivot inside M columns
-        self.kern = []    # coefficient rows spanning the left kernel
-        for row in H:
-            nz = np.nonzero(row)[0]
-            col = int(nz[0])
-            if col < self.ncols:
-                self.basis.append((col, _valuation(int(row[col]), p, n), row))
-            else:
-                self.kern.append(row[self.ncols:].copy())
+        H, cols, divs = _howell(
+            np.concatenate([M, np.eye(self.nrows, dtype=np.int64)], axis=1),
+            p, n)
+        inside = bisect_left(cols, self.ncols)
+        # (pivot_col, pivot value p^v, row) with the pivot inside M columns
+        self.basis = list(zip(cols[:inside], divs[:inside], H[:inside]))
+        # coefficient rows spanning the left kernel
+        self.kern = H[inside:, self.ncols:]
 
     def _reduce(self, v: np.ndarray) -> Optional[np.ndarray]:
         """Back-substitute v against the basis; None if v is not in the span."""
         w = np.concatenate([np.asarray(v, dtype=np.int64) % self.q,
                             np.zeros(self.nrows, dtype=np.int64)])
-        for col, val, row in self.basis:
+        for col, d, row in self.basis:
             e = int(w[col])
             if e:
-                if e % self.p ** val:
+                if e % d:
                     return None
-                w = (w - (e // self.p ** val) * row) % self.q
+                w = (w - (e // d) * row) % self.q
         if w[:self.ncols].any():
             return None
         return w[self.ncols:]
@@ -338,23 +336,16 @@ class RowSystem:
 
     def kernel(self) -> np.ndarray:
         """Rows generating {a : a @ M = 0}."""
-        if not self.kern:
-            return np.zeros((0, self.nrows), dtype=np.int64)
-        return np.stack(self.kern)
+        return self.kern
 
     def span_order(self) -> int:
-        return prod(self.p ** (self.n - val) for (_, val, _) in self.basis) \
-            if self.basis else 1
+        return prod(self.q // d for (_, d, _) in self.basis)
 
 
 def span_order(rows: np.ndarray, p: int, n: int) -> int:
     """Order of the subgroup of (Z/p^n)^c generated by the given rows."""
-    H = _howell_rows(np.asarray(rows, dtype=np.int64), p, n)
-    total = 1
-    for row in H:
-        col = int(np.nonzero(row)[0][0])
-        total *= p ** (n - _valuation(int(row[col]), p, n))
-    return total
+    q = p ** n
+    return prod(q // d for d in _howell(rows, p, n)[2])
 
 
 # ---------------------------------------------------------------------------
