@@ -15,6 +15,7 @@ exceeded, 4 internal error (a failed certificate: a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -340,8 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parse_args leaves it unchanged, so
+    every call of run shares it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CapExceededError as err:

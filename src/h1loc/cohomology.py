@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, PreconditionError, certify
-from .groups import MatGroup, _stack, element_order
+from .groups import MatGroup, _cached, _stack, element_order
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
                       _howell_rows, eigenvalues_in_ext, quotient_structure,
                       span_order)
@@ -141,10 +141,12 @@ class CohomGroup:
 
 
 class _CocycleSystem:
-    """Per-(group, module exponent) linear-algebra state, cached on the group."""
+    """Per-(group, module exponent) linear-algebra state, cached on the group
+    and filled under the group's lock."""
 
     def __init__(self, G: MatGroup, j: int):
         self.G = G
+        self._lock = G._lock
         self.j = j
         spec = G.spec
         self.p = spec.p
@@ -176,54 +178,46 @@ class _CocycleSystem:
             C[idx] %= q
             start, end = end, stop
         self.C = C
-        self._z1 = None
-        self._b1 = None
-        self._z1loc = None
-        self._cocycle_basis = None
 
+    @_cached
     def cocycle_basis(self) -> np.ndarray:
         """Howell basis of the cocycle constraint rows, the coefficients of
         Z_{gx} - Z_g - g Z_x = 0 for each generator g and element x.  The
         rows are made and folded in a block of elements at a time, so the
         k * N * rank stack is never held."""
-        if self._cocycle_basis is None:
-            G, m = self.G, self.m
-            basis = np.zeros((0, self.dim), dtype=np.int64)
-            step = max(1, _ROW_BLOCK // m)
-            ident = np.eye(m, dtype=np.int64)
-            for gidx, gmat in enumerate(G.generators):
-                gact = self.acts[G.index_of(gmat)]
-                prod_idx = G.lookup((gmat.to_array() @ G.element_array())
-                                    % G.spec.modulus)
-                for s in range(0, self.size, step):
-                    x = slice(s, s + step)
-                    rows = self.C[prod_idx[x]] - gact @ self.C[x]
-                    rows[:, :, gidx * m:(gidx + 1) * m] -= ident
-                    basis = _fold(basis, rows.reshape(-1, self.dim),
-                                  self.p, self.j)
-            self._cocycle_basis = basis
-        return self._cocycle_basis
+        G, m = self.G, self.m
+        basis = np.zeros((0, self.dim), dtype=np.int64)
+        step = max(1, _ROW_BLOCK // m)
+        ident = np.eye(m, dtype=np.int64)
+        for gidx, gmat in enumerate(G.generators):
+            gact = self.acts[G.index_of(gmat)]
+            prod_idx = G.lookup((gmat.to_array() @ G.element_array())
+                                % G.spec.modulus)
+            for s in range(0, self.size, step):
+                x = slice(s, s + step)
+                rows = self.C[prod_idx[x]] - gact @ self.C[x]
+                rows[:, :, gidx * m:(gidx + 1) * m] -= ident
+                basis = _fold(basis, rows.reshape(-1, self.dim),
+                              self.p, self.j)
+        return basis
 
+    @_cached
     def z1_gens(self) -> np.ndarray:
-        if self._z1 is None:
-            sys = RowSystem(self.cocycle_basis().T, self.p, self.j)
-            self._z1 = sys.kernel()
-        return self._z1
+        return RowSystem(self.cocycle_basis().T, self.p, self.j).kernel()
 
+    @_cached
     def b1_gens(self) -> np.ndarray:
-        if self._b1 is None:
-            out = []
-            for t in range(self.m):
-                e = np.zeros(self.m, dtype=np.int64)
-                e[t] = 1
-                z = []
-                for gmat in self.G.generators:
-                    gact = self.acts[self.G.index_of(gmat)]
-                    z.extend(((gact - np.eye(self.m, dtype=np.int64)) @ e) % self.q)
-                out.append(z)
-            self._b1 = (np.array(out, dtype=np.int64) % self.q
-                        if out else np.zeros((0, self.dim), dtype=np.int64))
-        return self._b1
+        out = []
+        for t in range(self.m):
+            e = np.zeros(self.m, dtype=np.int64)
+            e[t] = 1
+            z = []
+            for gmat in self.G.generators:
+                gact = self.acts[self.G.index_of(gmat)]
+                z.extend(((gact - np.eye(self.m, dtype=np.int64)) @ e) % self.q)
+            out.append(z)
+        return (np.array(out, dtype=np.int64) % self.q
+                if out else np.zeros((0, self.dim), dtype=np.int64))
 
     def local_constraints(self) -> np.ndarray:
         """Rows w C[s] with w (s - 1) = 0 at each cyclic class
@@ -239,13 +233,11 @@ class _CocycleSystem:
                 blocks.append((W @ self.C[idx]) % self.q)
         return np.concatenate(blocks, axis=0)
 
+    @_cached
     def z1loc_gens(self) -> np.ndarray:
-        if self._z1loc is None:
-            basis = _fold(self.cocycle_basis(), self.local_constraints(),
-                          self.p, self.j)
-            sys = RowSystem(basis.T, self.p, self.j)
-            self._z1loc = sys.kernel()
-        return self._z1loc
+        basis = _fold(self.cocycle_basis(), self.local_constraints(),
+                      self.p, self.j)
+        return RowSystem(basis.T, self.p, self.j).kernel()
 
     def expand(self, z: np.ndarray) -> Cocycle:
         """Full cocycle C @ z from stacked generator values, reduced after
@@ -263,9 +255,10 @@ def _system(G: MatGroup, module_exponent=None) -> _CocycleSystem:
     j = module_exponent if module_exponent is not None else G.spec.n
     if not 1 <= j <= G.spec.n:
         raise InputError("module exponent out of range")
-    if j not in G._cohom_cache:
-        G._cohom_cache[j] = _CocycleSystem(G, j)
-    return G._cohom_cache[j]
+    with G._lock:
+        if j not in G._cohom_cache:
+            G._cohom_cache[j] = _CocycleSystem(G, j)
+        return G._cohom_cache[j]
 
 
 def cocycle_space(G: MatGroup, module_exponent=None):

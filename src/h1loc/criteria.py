@@ -20,10 +20,10 @@ import numpy as np
 
 from .cohomology import h1, h1_loc
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, coset_orders, element_order, lift_normalizer,
-                     normalizer, p_sylow, sylow_normalizer_element)
-from .ringmat import Mat
-from .symplectic import SymplecticSpace, similitude_multiplier
+from .groups import (MatGroup, _normalizer_mask, coset_orders,
+                     lift_normalizer, p_sylow, sylow_normalizer_element)
+from .ringmat import Mat, batch_det
+from .symplectic import SymplecticSpace, similitude_multipliers
 
 
 @dataclass
@@ -70,22 +70,31 @@ class CriterionReport:
         return out
 
 
+def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:
+    """Mask over the (N, r, r) matrices X with entries in [0, modulus):
+    x - 1 is bijective over (Z/modulus)^rank."""
+    shift = (X - np.eye(X.shape[1], dtype=np.int64)) % modulus
+    return np.gcd(batch_det(shift, modulus), modulus) == 1
+
+
 def _bijective_shift(g: Mat, modulus: int) -> bool:
     """g - 1 bijective over (Z/modulus)^rank."""
-    return gcd(g.minus_identity().det(), modulus) == 1
+    return bool(_bijective_shifts(g.to_array()[None], modulus)[0])
 
 
-def _qualifying_search(candidates, G: MatGroup, p: int):
-    """First element with order dividing p-1 and bijective g - 1, searching
-    by increasing element order and then deterministic position."""
+def _qualifying_search(mask, G: MatGroup, p: int):
+    """(element, order) for the first element where the boolean mask over
+    G's element positions is set with order dividing p-1 and bijective
+    g - 1, searching by increasing element order and then deterministic
+    position; None if there is none."""
     orders = G.orders()
-    for i in G.sorted_by_order():
-        x = G.elements[i]
-        if x.key() not in candidates:
-            continue
-        if (p - 1) % orders[i] == 0 and _bijective_shift(x, G.spec.modulus):
-            return x
-    return None
+    order_ok = np.asarray(mask, dtype=bool) & ((p - 1) % orders == 0)
+    cand = G.sorted_by_order()
+    cand = cand[order_ok[cand]]
+    hits = cand[_bijective_shifts(G.element_array()[cand], G.spec.modulus)]
+    if not len(hits):
+        return None
+    return G.element(hits[0]), int(orders[hits[0]])
 
 
 def sylow_normalizer_criterion(G: MatGroup,
@@ -96,19 +105,18 @@ def sylow_normalizer_criterion(G: MatGroup,
     p = G.spec.p
     H = p_sylow(G)
     rep.add("p-Sylow subgroup computed", "satisfied", f"order {H.order}")
-    N = normalizer(G, H)
-    rep.add("normalizer computed", "satisfied", f"order {N.order}")
-    keys = {x.key() for x in N.elements}
-    g = _qualifying_search(keys, G, p)
-    if g is None:
+    mask = _normalizer_mask(G, H)
+    rep.add("normalizer computed", "satisfied", f"order {int(mask.sum())}")
+    found = _qualifying_search(mask, G, p)
+    if found is None:
         rep.add("normalizer element of order dividing p-1 with g-1 bijective",
                 "failed", "no qualifying element")
         cross = h1_loc(G).structure.invariant_factors \
             if compute_cross_check else None
         return rep.finalize("not_applicable", cross)
+    g, order = found
     rep.add("normalizer element of order dividing p-1 with g-1 bijective",
-            "satisfied",
-            f"order {element_order(g)}, det(g-1) unit", witness=g)
+            "satisfied", f"order {order}, det(g-1) unit", witness=g)
     return rep.finalize("certified", h1_loc(G).structure.invariant_factors)
 
 
@@ -121,19 +129,19 @@ def fixed_point_free_criterion(G1: MatGroup,
     p = G1.spec.p
     if G1.spec.n != 1:
         raise PreconditionError("G1 is a group mod p")
-    g = _qualifying_search({x.key() for x in G1.elements}, G1, p)
-    if g is None:
+    found = _qualifying_search(np.ones(G1.order, dtype=bool), G1, p)
+    if found is None:
         rep.add("element of order dividing p-1 fixing nothing nonzero",
                 "failed", "no qualifying element")
     else:
         rep.add("element of order dividing p-1 fixing nothing nonzero",
-                "satisfied", f"order {element_order(g)}", witness=g)
+                "satisfied", f"order {found[1]}", witness=found[0])
     h1_group = h1(G1)
     if h1_group.is_trivial:
         rep.add("H^1(G1, M) = 0", "satisfied")
     else:
         rep.add("H^1(G1, M) = 0", "failed", h1_group.describe())
-    if g is None or not h1_group.is_trivial:
+    if found is None or not h1_group.is_trivial:
         cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
         return rep.finalize("not_applicable", cross)
     cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
@@ -157,7 +165,7 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     Q = G.reduce_mod(1)
     if g1 not in Q:
         raise PreconditionError("g1 is an element of the mod-p image of G")
-    t = element_order(g1)
+    t = Q.element_order(g1)
     if (p - 1) % t != 0:
         raise PreconditionError("order of g1 divides p-1",
                                 f"order(g1) = {t}")
@@ -170,14 +178,12 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
                                 "the deterministic Sylow is not normalized")
     # preimage of the mod-p Sylow is a p-Sylow of G (the reduction kernel is
     # a p-group), so the coset correction happens inside G
-    N = MatGroup.from_elements(
-        [x for x in G.elements if x.reduce_mod(p).key() ==
-         Mat.identity(spec.rank, p).key()], spec)
-    H = MatGroup.from_elements(
-        [x for x in G.elements if x.reduce_mod(p) in HQ], spec)
-    h0 = next(x for x in G.elements if x.reduce_mod(p).key() == g1.key())
+    red = Q.lookup(G.element_array() % p)    # position of x mod p in Q
+    N = G.subgroup(red == 0)                 # Q's identity comes first
+    H = G.subgroup((HQ.lookup(Q.element_array()) >= 0)[red])
+    h0 = G.element(int(np.argmax(red == Q.index_of(g1))))
     h = lift_normalizer(G, N, H, h0)
-    o = element_order(h)
+    o = G.element_order(h)
     a = 0
     while o % p == 0:
         o //= p
@@ -194,7 +200,7 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
         while k < a:
             k += e0
         g = h.pow(p ** k)
-    certify((p - 1) % element_order(g) == 0,
+    certify((p - 1) % G.element_order(g) == 0,
             "lift order does not divide p-1 (internal)")
     certify(g.reduce_mod(p).key() == g1.key(),
             "lift does not reduce to g1 (internal)")
@@ -216,25 +222,20 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     p = spec.p
     if spec.n != 1:
         raise PreconditionError("G1 is a group mod p")
-    space = SymplecticSpace(spec)
-    mults = {}
-    for x in G1.elements:
-        nu = similitude_multiplier(x, space)
-        if nu is None:
-            rep.add("every element is a similitude", "failed",
-                    "a non-similitude element exists")
-            return rep.finalize("not_applicable")
-        mults[x.key()] = nu
+    mults = similitude_multipliers(G1.element_array(), SymplecticSpace(spec))
+    if (mults == 0).any():
+        rep.add("every element is a similitude", "failed",
+                "a non-similitude element exists")
+        return rep.finalize("not_applicable")
     rep.add("every element is a similitude", "satisfied")
-    image = set(mults.values())
+    image = np.unique(mults)
     if len(image) != p - 1:
         rep.add("multiplier is surjective onto the units", "failed",
                 f"image has order {len(image)}")
         return rep.finalize("not_applicable",
                             h1_loc(G1).structure.invariant_factors)
     rep.add("multiplier is surjective onto the units", "satisfied")
-    N = MatGroup.from_elements([x for x in G1.elements if mults[x.key()] == 1],
-                               spec)
+    N = G1.subgroup(mults == 1)
     g, info = sylow_normalizer_element(G1, N)
     i = gcd(factorial(spec.rank), p - 1)
     rep.add("Sylow-normalizer element of order p-1 from the multiplier "
@@ -245,11 +246,12 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
         # only existence is guaranteed; scan the same normalizer for another
         # order-(p-1) element with the class-order certificate that also
         # fixes nothing nonzero
-        Nrm = normalizer(G1, p_sylow(G1))
+        Nrm = G1.subgroup(_normalizer_mask(G1, p_sylow(G1)))
         full = (Nrm.orders() == p - 1) & (
             coset_orders(Nrm, N) % ((p - 1) // i) == 0)
-        g = next((Nrm.elements[j] for j in np.flatnonzero(full)
-                  if _bijective_shift(Nrm.elements[j], p)), None)
+        hits = np.flatnonzero(full)
+        hits = hits[_bijective_shifts(Nrm.element_array()[hits], p)]
+        g = Nrm.element(hits[0]) if len(hits) else None
     if g is None:
         rep.add("a constructed element fixes nothing nonzero", "failed",
                 "every qualifying normalizer element has a fixed vector")

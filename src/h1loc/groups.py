@@ -13,9 +13,10 @@ normalizers.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, gcd
 
 import numpy as np
@@ -47,6 +48,25 @@ def _stack(mats, r: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(mats), r, r)
 
 
+def _cached(fill):
+    """Method decorator for a lazy cache: the first call runs fill under the
+    owner's lock (self._lock, reentrant) and later calls reuse its value, so
+    threads sharing the owner fill each cache exactly once."""
+    slot = f"_{fill.__name__}_cache"
+
+    @functools.wraps(fill)
+    def get(self):
+        value = self.__dict__.get(slot)
+        if value is None:
+            with self._lock:
+                value = self.__dict__.get(slot)
+                if value is None:
+                    value = fill(self)
+                    setattr(self, slot, value)
+        return value
+    return get
+
+
 def _find(sorted_keys: np.ndarray, keys: np.ndarray):
     """(pos, hit): searchsorted positions of keys in the non-empty
     sorted_keys, and which keys are present."""
@@ -59,7 +79,8 @@ class MatGroup:
 
     The elements are one read-only (N, r, r) int64 array in BFS-lex order,
     identity first, searched through their sorted keys; the Mat list,
-    element orders and inverses are computed on first use."""
+    element orders and inverses are computed on first use, under the
+    group's lock."""
 
     def __init__(self, spec, generators, array, sorted_keys, sorted_pos,
                  tree_parent, tree_gen):
@@ -71,10 +92,8 @@ class MatGroup:
         self.tree_parent = tree_parent      # element i == elements[parent] * gen
         self.tree_gen = tree_gen
         self.order = len(array)
-        self._orders = None
-        self._inverse_idx = None
-        self._cyclic_reps = None
-        self._cohom_cache = {}
+        self._lock = threading.RLock()      # guards the lazy caches
+        self._cohom_cache = {}              # module exponent -> system
 
     # -- construction ------------------------------------------------------
 
@@ -136,26 +155,47 @@ class MatGroup:
         mats = [e if isinstance(e, Mat) and e.modulus == q
                 else Mat.from_rows(e.entries if isinstance(e, Mat) else e, q)
                 for e in elements]
+        arr = _stack(mats, spec.rank)
         # distinct elements in lexicographic order
-        _, first = np.unique(_keys(_stack(mats, spec.rank), q),
-                             return_index=True)
-        gens = reduce_generators([mats[i] for i in first], spec, cap=cap)
+        _, first = np.unique(_keys(arr, q), return_index=True)
+        return cls._from_lex_sorted(arr[first], spec, cap)
+
+    @classmethod
+    def _from_lex_sorted(cls, arr, spec: ModuleSpec, cap: int):
+        """Group on the distinct, lexicographically sorted (N, r, r) matrices
+        arr, closed from the greedy generators _greedy_generators picks."""
+        q = spec.modulus
+        gens = [Mat.from_array(arr[i], q)
+                for i in _greedy_generators(arr, spec, cap)]
         grp = cls.close(gens, spec, cap=cap)
-        if grp.order != len(first):
+        if grp.order != len(arr):
             raise InputError("element set is not closed under multiplication")
         return grp
+
+    def subgroup(self, mask, cap: int = DEFAULT_CAP) -> "MatGroup":
+        """The subgroup on the elements where the boolean mask over the
+        element positions is set, closed from the same generators
+        from_elements would pick from them, so the two give equal groups."""
+        lex = self._sorted_pos[np.asarray(mask, dtype=bool)[self._sorted_pos]]
+        return MatGroup._from_lex_sorted(self._array[lex], self.spec, cap)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def identity(self) -> Mat:
-        return self.elements[0]
+        return Mat.identity(self.spec.rank, self.spec.modulus)
 
-    @cached_property
+    @property
+    @_cached
     def elements(self) -> list:
-        """The elements as Mat values, in BFS-lex order."""
+        """The elements as Mat values, in BFS-lex order: for callers at the
+        API edge; the library itself works on element positions."""
         q = self.spec.modulus
         return [Mat(tuple(map(tuple, m)), q) for m in self._array.tolist()]
+
+    def element(self, i) -> Mat:
+        """The element at position i as a Mat."""
+        return Mat.from_array(self._array[i], self.spec.modulus)
 
     def element_array(self) -> np.ndarray:
         """The read-only (N, r, r) element array."""
@@ -185,28 +225,27 @@ class MatGroup:
             raise InputError("matrix is not an element of the group")
         return i
 
+    @_cached
     def orders(self) -> np.ndarray:
         """Order of every element, batched over the elements."""
-        if self._orders is None:
-            ident = np.eye(self.spec.rank, dtype=np.int64)
-            o = _strip_exponents(self, np.full(self.order, self.order),
-                                 lambda y: (y == ident).all(axis=(1, 2)))
-            o.flags.writeable = False
-            self._orders = o
-        return self._orders
+        ident = np.eye(self.spec.rank, dtype=np.int64)
+        o = _strip_exponents(self, np.full(self.order, self.order),
+                             lambda y: (y == ident).all(axis=(1, 2)))
+        o.flags.writeable = False
+        return o
 
+    @_cached
     def inverse_indices(self) -> np.ndarray:
         """Position of the inverse of every element (x^-1 = x^(|G|-1))."""
-        if self._inverse_idx is None:
-            inv = self.lookup(_batch_power(self._array, self.order - 1,
-                                           self.spec.modulus))
-            inv.flags.writeable = False
-            self._inverse_idx = inv
-        return self._inverse_idx
+        inv = self.lookup(_batch_power(self._array, self.order - 1,
+                                       self.spec.modulus))
+        inv.flags.writeable = False
+        return inv
 
     def inverse(self, mat: Mat) -> Mat:
-        return self.elements[self.inverse_indices()[self.index_of(mat)]]
+        return self.element(self.inverse_indices()[self.index_of(mat)])
 
+    @_cached
     def cyclic_class_representatives(self) -> np.ndarray:
         """Positions s_1, s_2, ... of one generator per conjugacy class of
         maximal cyclic subgroups, so the conjugates of the <s_i> cover the
@@ -217,31 +256,29 @@ class MatGroup:
         of an earlier one.  The covered set is a union of conjugacy
         classes: the powers of s_i not yet covered, closed under
         conjugation by the generators one BFS layer at a time."""
-        if self._cyclic_reps is None:
-            q, r = self.spec.modulus, self.spec.rank
-            X, orders = self._array, self.orders()
-            gens = _stack(self.generators, r)
-            gens_inv = _batch_power(gens, orders[self.lookup(gens)] - 1, q)
-            covered = np.zeros(self.order, dtype=bool)
-            reps = []
-            for s in np.argsort(-orders, kind="stable"):
-                if covered[s]:
-                    continue
-                reps.append(s)
-                o = int(orders[s])
-                layer = self.lookup(_batch_power(
-                    np.broadcast_to(X[s], (o, r, r)), np.arange(o), q))
-                layer = layer[~covered[layer]]
-                while len(layer):
-                    covered[layer] = True
-                    conj = (((gens[:, None] @ X[layer][None]) % q)
-                            @ gens_inv[:, None]) % q
-                    nxt = self.lookup(conj.reshape(-1, r, r))
-                    layer = np.unique(nxt[~covered[nxt]])
-            reps = np.array(reps, dtype=np.int64)
-            reps.flags.writeable = False
-            self._cyclic_reps = reps
-        return self._cyclic_reps
+        q, r = self.spec.modulus, self.spec.rank
+        X, orders = self._array, self.orders()
+        gens = _stack(self.generators, r)
+        gens_inv = _batch_power(gens, orders[self.lookup(gens)] - 1, q)
+        covered = np.zeros(self.order, dtype=bool)
+        reps = []
+        for s in np.argsort(-orders, kind="stable"):
+            if covered[s]:
+                continue
+            reps.append(s)
+            o = int(orders[s])
+            layer = self.lookup(_batch_power(
+                np.broadcast_to(X[s], (o, r, r)), np.arange(o), q))
+            layer = layer[~covered[layer]]
+            while len(layer):
+                covered[layer] = True
+                conj = (((gens[:, None] @ X[layer][None]) % q)
+                        @ gens_inv[:, None]) % q
+                nxt = self.lookup(conj.reshape(-1, r, r))
+                layer = np.unique(nxt[~covered[nxt]])
+        reps = np.array(reps, dtype=np.int64)
+        reps.flags.writeable = False
+        return reps
 
     def element_order(self, mat: Mat) -> int:
         return int(self.orders()[self.index_of(mat)])
@@ -257,9 +294,10 @@ class MatGroup:
                               sub, cap=cap)
 
     def scalar_elements(self):
-        ident = Mat.identity(self.spec.rank, self.spec.modulus)
-        return [m for m in self.elements
-                if m.key() == ident.scale(m.entries[0][0]).key()]
+        X = self._array
+        scalar = (X == X[:, :1, :1] * np.eye(self.spec.rank, dtype=np.int64)
+                  ).all(axis=(1, 2))
+        return [self.element(i) for i in np.flatnonzero(scalar)]
 
     def sorted_by_order(self) -> np.ndarray:
         """Element indices sorted by (element order, deterministic position)."""
@@ -346,13 +384,13 @@ def p_sylow(G: MatGroup) -> MatGroup:
     p_mask = target % orders == 0
     # argmax takes the first position among the largest p-element orders
     current = MatGroup.close(
-        [G.elements[int(np.argmax(np.where(p_mask, orders, 0)))]], spec)
+        [G.element(int(np.argmax(np.where(p_mask, orders, 0))))], spec)
     while current.order < target:
         ext = np.flatnonzero(p_mask & _normalizer_mask(G, current)
                              & (current.lookup(G.element_array()) < 0))
         certify(len(ext), "Sylow ascent stalled (internal)")
         current = MatGroup.close(list(current.generators)
-                                 + [G.elements[ext[0]]], spec)
+                                 + [G.element(ext[0])], spec)
     return current
 
 
@@ -367,7 +405,7 @@ def _normalizing(X: np.ndarray, Xi: np.ndarray, H: MatGroup) -> np.ndarray:
 
 
 def _normalizer_mask(G: MatGroup, H: MatGroup) -> np.ndarray:
-    """Mask over G.elements of the normalizer of H."""
+    """Mask over the element positions of G of the normalizer of H."""
     X = G.element_array()
     return _normalizing(X, X[G.inverse_indices()], H)
 
@@ -392,7 +430,15 @@ def reduce_generators(mats, spec: ModuleSpec, cap: int = DEFAULT_CAP,
     base and mats: keeps a matrix only when it enlarges the closure so far.
     Meant for small groups where generator lists would otherwise snowball."""
     mats = list(mats)
-    arr = _stack(mats, spec.rank)
+    return [mats[i] for i in _greedy_generators(_stack(mats, spec.rank), spec,
+                                                cap, base)]
+
+
+def _greedy_generators(arr, spec: ModuleSpec, cap: int = DEFAULT_CAP,
+                       base=()) -> list:
+    """Positions of the greedy sublist of the (N, r, r) matrices arr that
+    reduce_generators keeps."""
+    q = spec.modulus
     kept = []
     grp = MatGroup.close(base, spec, cap=cap)
     start = 0
@@ -402,8 +448,9 @@ def reduce_generators(mats, spec: ModuleSpec, cap: int = DEFAULT_CAP,
         if not len(outside):
             return kept
         start += int(outside[0])
-        kept.append(mats[start])
-        grp = MatGroup.close(list(base) + kept, spec, cap=cap)
+        kept.append(start)
+        grp = MatGroup.close(list(base) + [Mat.from_array(arr[i], q)
+                                           for i in kept], spec, cap=cap)
         start += 1
 
 
@@ -627,11 +674,11 @@ def sylow_normalizer_element(G: MatGroup, N: MatGroup):
         raise PreconditionError("G/N is cyclic of order p-1",
                                 "no class of full order")
     H = p_sylow(G)
-    g1 = lift_normalizer(G, N, H, G.elements[full[0]])
-    o = element_order(g1)
+    g1 = lift_normalizer(G, N, H, G.element(full[0]))
+    o = G.element_order(g1)
     certify(o % (p - 1) == 0, "lift order not a multiple of p-1 (internal)")
     g = g1.pow(o // (p - 1))
-    certify(element_order(g) == p - 1, "element order not p-1 (internal)")
+    certify(G.element_order(g) == p - 1, "element order not p-1 (internal)")
     gi = g.inv()
     certify(all(g.mul(h).mul(gi) in H for h in H.generators),
             "element does not normalize the Sylow (internal)")
@@ -662,7 +709,7 @@ def find_normalized_sylow(G: MatGroup, g: Mat):
                                        (((Xi @ gia) % q) @ X) % q, H))
     if not len(hits):
         return None
-    x = G.elements[hits[0]]
+    x = G.element(hits[0])
     xi = G.inverse(x)
     return MatGroup.close([x.mul(h).mul(xi) for h in H.generators], spec,
                           cap=target + 1)

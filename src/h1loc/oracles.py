@@ -12,6 +12,7 @@ kept one element at a time so the fast paths can be tested against them.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 import numpy as np
 
@@ -163,6 +164,21 @@ def reference_z1loc(G, module_exponent=None, elements=None) -> np.ndarray:
         if W.shape[0]:
             blocks.append((W @ sys.C[idx]) % sys.q)
     return _unique_kernel(np.concatenate(blocks, axis=0), sys.p, sys.j)
+
+
+def reference_qualifying_search(keys, G, p: int):
+    """The element search of the vanishing criteria over Mat elements and a
+    set of element keys, as a reference for its run on position masks: the
+    first element of G, by increasing order and then position, whose key is
+    in keys, whose order divides p-1 and with det(x - 1) a unit; None if
+    there is none."""
+    orders = G.orders()
+    for i in G.sorted_by_order():
+        x = G.elements[i]
+        if (x.key() in keys and (p - 1) % orders[i] == 0
+                and gcd(x.minus_identity().det(), G.spec.modulus) == 1):
+            return x
+    return None
 
 
 def cocycle_identity_holds(Z) -> bool:

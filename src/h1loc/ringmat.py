@@ -595,6 +595,23 @@ def _int_det(m) -> int:
     return sign * m[size - 1][size - 1]
 
 
+def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod q of the (N, r, r) matrices in arr, entries in
+    [0, q), by the Leibniz expansion: r! signed products per matrix, for the
+    small ranks of the groups here.  Every product is reduced after each
+    factor, so nothing past (q-1)^2 is formed."""
+    arr = np.asarray(arr, dtype=np.int64)
+    r = arr.shape[1]
+    out = np.zeros(len(arr), dtype=np.int64)
+    for perm in itertools.permutations(range(r)):
+        term = np.ones(len(arr), dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = (term * arr[:, i, j]) % q
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out = (out - term if inversions % 2 else out + term) % q
+    return out
+
+
 class ExtensionField:
     """F_{p^degree} realized as F_p[x] modulo a fixed irreducible polynomial.
 

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
 from .groups import MatGroup
-from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows, char_poly
+from .ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, batch_det,
+                      char_poly)
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,34 @@ class SimilitudeWitness:
 
 def similitude_multiplier(A: Mat, space: SymplecticSpace) -> Optional[int]:
     """nu with A^T J A = nu J, or None; asserts det(A) = nu^d when found."""
+    if A.modulus != space.spec.modulus:
+        raise InputError("matrix modulus does not match the symplectic space")
+    nu = int(similitude_multipliers(A.to_array()[None], space)[0])
+    return nu or None
+
+
+def similitude_multipliers(arr: np.ndarray,
+                           space: SymplecticSpace) -> np.ndarray:
+    """The multiplier nu of every matrix A in the (N, 2d, 2d) array arr, with
+    A^T J A = nu J for a unit nu, or 0 where A is not a similitude; certifies
+    det(A) = nu^d at every similitude."""
     spec = space.spec
-    q = spec.modulus
-    if A.rows != spec.rank or A.cols != spec.rank:
+    q, d = spec.modulus, space.d
+    arr = np.asarray(arr, dtype=np.int64)
+    if arr.shape[1:] != (spec.rank, spec.rank):
         raise InputError("matrix size does not match the symplectic space")
-    S = A.transpose().mul(space.J).mul(A)
-    nu = S.entries[0][space.d]
-    if np.gcd(nu, q) != 1:
-        return None
-    if S.key() != space.J.scale(nu).key():
-        return None
-    certify(A.det() == pow(nu, space.d, q),
+    J = space.J.to_array()
+    S = (((arr.transpose(0, 2, 1) @ J) % q) @ arr) % q
+    nu = S[:, 0, d]
+    ok = (np.gcd(nu, q) == 1) & (S == (nu[:, None, None] * J) % q).all(
+        axis=(1, 2))
+    nu = np.where(ok, nu, 0)
+    nu_d = np.ones(len(nu), dtype=np.int64)
+    for _ in range(d):
+        nu_d = (nu_d * nu) % q
+    certify((batch_det(arr[ok], q) == nu_d[ok]).all(),
             "similitude with det != nu^d (internal)")
-    return int(nu)
+    return nu
 
 
 def gsp4_order(p: int) -> int:

@@ -1,8 +1,14 @@
 """CLI: parsing, serialization round trip, commands, exit codes, JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import h1loc
 
 from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK,
                        GroupDescription, parse_group, run)
@@ -173,3 +179,29 @@ def test_cap_exit_code(tmp_path):
 
 def test_missing_file():
     assert run(["h1", "/nonexistent/file.grp"]) == EXIT_INPUT
+
+
+def test_shared_parser_leaks_nothing_between_runs(tmp_path, capsys):
+    # run() reuses one parser: no default, --json or --cap of one call may
+    # reach the next, so each output equals that of a fresh process
+    sym = write(tmp_path, "gl2.grp", GL2F5)
+    calls = [["criteria", sym, "--json"],
+             ["gsp4", "--p", "3", "--enumerate", "--cap", "10"],
+             ["h1loc", sym],       # 480 elements: a leaked cap would refuse
+             ["criteria", sym]]
+    in_process = []
+    for argv in calls:
+        code = run(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert [c for c, _, _ in in_process] == [EXIT_OK, EXIT_CAP, EXIT_OK,
+                                             EXIT_OK]
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for argv, got in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "h1loc.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=600)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
