@@ -172,12 +172,13 @@ class MatGroup:
             raise InputError("element set is not closed under multiplication")
         return grp
 
-    def subgroup(self, mask, cap: int = DEFAULT_CAP) -> "MatGroup":
+    def subgroup(self, mask) -> "MatGroup":
         """The subgroup on the elements where the boolean mask over the
         element positions is set, closed from the same generators
         from_elements would pick from them, so the two give equal groups."""
         lex = self._sorted_pos[np.asarray(mask, dtype=bool)[self._sorted_pos]]
-        return MatGroup._from_lex_sorted(self._array[lex], self.spec, cap)
+        return MatGroup._from_lex_sorted(self._array[lex], self.spec,
+                                         self.order)
 
     # -- basic structure ---------------------------------------------------
 
@@ -294,10 +295,9 @@ class MatGroup:
                               sub, cap=cap)
 
     def scalar_elements(self):
-        X = self._array
-        scalar = (X == X[:, :1, :1] * np.eye(self.spec.rank, dtype=np.int64)
-                  ).all(axis=(1, 2))
-        return [self.element(i) for i in np.flatnonzero(scalar)]
+        ident = Mat.identity(self.spec.rank, self.spec.modulus)
+        return [m for m in self.elements
+                if m.key() == ident.scale(m.entries[0][0]).key()]
 
     def sorted_by_order(self) -> np.ndarray:
         """Element indices sorted by (element order, deterministic position)."""

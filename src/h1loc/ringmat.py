@@ -600,6 +600,7 @@ def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
     [0, q), by the Leibniz expansion: r! signed products per matrix, for the
     small ranks of the groups here.  Every product is reduced after each
     factor, so nothing past (q-1)^2 is formed."""
+    _check_int64(q)
     arr = np.asarray(arr, dtype=np.int64)
     r = arr.shape[1]
     out = np.zeros(len(arr), dtype=np.int64)

@@ -75,6 +75,9 @@ def similitude_multipliers(arr: np.ndarray,
     det(A) = nu^d at every similitude."""
     spec = space.spec
     q, d = spec.modulus, space.d
+    if spec.rank * (q - 1) ** 2 >= 2 ** 63:
+        raise InputError(f"modulus {q} too large for int64 similitude "
+                         f"products (rank*(q-1)^2 >= 2^63)")
     arr = np.asarray(arr, dtype=np.int64)
     if arr.shape[1:] != (spec.rank, spec.rank):
         raise InputError("matrix size does not match the symplectic space")
@@ -165,21 +168,10 @@ def eigenvalue_pairing_check(A: Mat, space: SymplecticSpace) -> bool:
 def eigenvalue_pairing_sweep(mats: np.ndarray, p: int) -> int:
     """Vectorized pairing check over a batch of 4x4 matrices mod p; returns
     the number of failures (0 expected).  Raises if a matrix in the batch is
-    not a similitude."""
-    q = p
+    not a similitude; c0 = det = nu^2 is certified by the multiplier."""
     mats = np.asarray(mats, dtype=np.int64) % p
-    d = 2
-    J = np.zeros((4, 4), dtype=np.int64)
-    for i in range(d):
-        J[i, d + i] = 1
-        J[d + i, i] = -1
-    J %= p
-    S = np.einsum("nji,jk,nkl->nil", mats, J, mats) % p
-    nu = S[:, 0, d].copy()
-    if np.any(np.gcd(nu, p) != 1):
-        raise PreconditionError("every matrix is a similitude")
-    expect = (nu[:, None, None] * J[None, :, :]) % p
-    if not (S == expect).all():
+    nu = similitude_multipliers(mats, SymplecticSpace(ModuleSpec(p, 1, 4)))
+    if not nu.all():
         raise PreconditionError("every matrix is a similitude")
     # elementary symmetric functions from principal minors (exact integers)
     a = mats

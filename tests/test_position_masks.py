@@ -7,10 +7,12 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import M, small_oracle_groups, twist_corpus
 from h1loc import oracles
+from h1loc.errors import InputError
 from h1loc.cohomology import _system, h1_loc
 from h1loc.criteria import (_qualifying_search, fixed_point_free_criterion,
                             sylow_normalizer_criterion)
@@ -18,7 +20,7 @@ from h1loc.groups import (MatGroup, _normalizer_mask, element_order,
                           normalizer, p_sylow)
 from h1loc.ringmat import Mat, ModuleSpec, batch_det
 from h1loc.symplectic import (SymplecticSpace, gsp4_generators,
-                              similitude_multipliers)
+                              similitude_multiplier, similitude_multipliers)
 
 
 def _fresh(G):
@@ -197,3 +199,25 @@ def test_similitude_multipliers_match_mat_products():
     arr = np.stack([M(rows, 25).to_array() for rows in
                     ([[1, 5], [0, 1]], [[5, 0], [0, 1]], [[2, 0], [0, 3]])])
     assert similitude_multipliers(arr, sp).tolist() == [1, 0, 6]
+
+
+def test_large_moduli_are_refused_not_wrapped():
+    # 4 (p-1)^2 < 2^63 here: the largest entries still give exact products
+    p = 1518499999
+    space = SymplecticSpace(ModuleSpec(p, 1, 4))
+    a, b = p - 1, p - 2
+    A = M([[a, 0, 0, 0], [0, a, 0, 0], [0, 0, b, 0], [0, 0, 0, b]], p)
+    assert similitude_multiplier(A, space) == a * b % p
+    assert similitude_multiplier(A, space) == _reference_multiplier(A, space)
+    assert batch_det(A.to_array()[None], p).tolist() == [A.det()]
+    # past the bound the int64 products could wrap: refused, not answered
+    p = 2 ** 31 - 1
+    space = SymplecticSpace(ModuleSpec(p, 1, 4))
+    A = M([[p - 1, 0, 0, 0], [0, p - 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+    with pytest.raises(InputError):
+        similitude_multiplier(A, space)
+    with pytest.raises(InputError):
+        similitude_multipliers(A.to_array()[None], space)
+    q = 2 ** 32 + 15
+    with pytest.raises(InputError):
+        batch_det(np.full((1, 2, 2), q - 1, dtype=np.int64), q)
