@@ -35,10 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, PreconditionError, certify
-from .groups import MatGroup, _cached, _stack, element_order
+from .groups import MatGroup, _cached, _stack
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
-                      _howell_rows, eigenvalues_in_ext, quotient_structure,
-                      span_order)
+                      _bijective_shifts, _howell_rows, eigenvalues_in_ext,
+                      quotient_structure, span_order)
 
 
 # multiplication-table pairs per block of Cocycle.is_valid; larger blocks
@@ -495,24 +495,19 @@ def eigenvalue_ratio_vanishing(G: MatGroup) -> RatioCriterionReport:
     hypotheses hold the conclusion is also verified by direct computation.
     """
     spec = G.spec
-    from math import gcd as _gcd
-    delta = None
-    for x in G.elements:
-        if _gcd(x.minus_identity().det(), spec.modulus) == 1:
-            delta = x
-            break
-    if delta is None:
+    # the first element, in G's order, with det(x - 1) a unit
+    hits = np.flatnonzero(_bijective_shifts(G.element_array(), spec.modulus))
+    if not len(hits):
         return RatioCriterionReport(None, None, None, None, "inconclusive")
+    delta = G.element(hits[0])
     Q = G.reduce_mod(1)
     q_h1 = h1(Q, module_exponent=1)
     if not q_h1.is_trivial:
         return RatioCriterionReport(delta, False, None, None, "not_applicable")
-    # p-prime power of the reduction of delta
+    # p-prime power of the reduction of delta, an element of Q
     dbar = delta.reduce_mod(spec.p)
-    o = element_order(dbar)
-    while o % spec.p == 0:
+    while Q.element_order(dbar) % spec.p == 0:
         dbar = dbar.pow(spec.p)
-        o = element_order(dbar)
     holds, offending = eigenvalue_ratio_condition(dbar, spec.p)
     if holds is None:
         return RatioCriterionReport(delta, True, None, None, "inconclusive")

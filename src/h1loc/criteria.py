@@ -22,7 +22,7 @@ from .cohomology import h1, h1_loc
 from .errors import PreconditionError, certify
 from .groups import (MatGroup, _normalizer_mask, coset_orders,
                      lift_normalizer, p_sylow, sylow_normalizer_element)
-from .ringmat import Mat, batch_det
+from .ringmat import Mat, _bijective_shifts
 from .symplectic import SymplecticSpace, similitude_multipliers
 
 
@@ -68,13 +68,6 @@ class CriterionReport:
             desc = " x ".join(f"C{f}" for f in self.cross_check) or "trivial"
             out.append(f"  direct H1_loc: {desc}")
         return out
-
-
-def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:
-    """Mask over the (N, r, r) matrices X with entries in [0, modulus):
-    x - 1 is bijective over (Z/modulus)^rank."""
-    shift = (X - np.eye(X.shape[1], dtype=np.int64)) % modulus
-    return np.gcd(batch_det(shift, modulus), modulus) == 1
 
 
 def _bijective_shift(g: Mat, modulus: int) -> bool:

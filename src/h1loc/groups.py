@@ -5,10 +5,10 @@ breadth first with a deterministic order (BFS layer, then lexicographic on
 entries).  The closure keeps, for every element, one factorization
 element = parent * generator; the cohomology module rides on that tree.
 
-Also here: element orders, p-Sylow subgroups by normalizer ascent, Frattini
-subgroups of p-groups, the constructive conjugation-eigenbasis decomposition
-of a normalized p-group, and coset-representative corrections into Sylow
-normalizers.
+Also here: element orders from prime power maps, p-Sylow subgroups by
+normalizer ascent, Frattini subgroups of p-groups, the constructive
+conjugation-eigenbasis decomposition of a normalized p-group, and
+coset-representative corrections into Sylow normalizers.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class MatGroup:
 
     The elements are one read-only (N, r, r) int64 array in BFS-lex order,
     identity first, searched through their sorted keys; the Mat list,
-    element orders and inverses are computed on first use, under the
-    group's lock."""
+    prime power maps, element orders and inverses are computed on first
+    use, under the group's lock."""
 
     def __init__(self, spec, generators, array, sorted_keys, sorted_pos,
                  tree_parent, tree_gen):
@@ -227,24 +227,60 @@ class MatGroup:
         return i
 
     @_cached
+    def power_maps(self) -> dict:
+        """For every prime l dividing |G|, the position of x^l for every
+        element x: one batched power and one lookup per prime.  Any power
+        x^t with t dividing |G| is then a chain of integer gathers."""
+        maps = {}
+        for ell in _factor(self.order):
+            pm = self.lookup(_batch_power(self._array, ell, self.spec.modulus))
+            pm.flags.writeable = False
+            maps[ell] = pm
+        return maps
+
+    @_cached
     def orders(self) -> np.ndarray:
-        """Order of every element, batched over the elements."""
-        ident = np.eye(self.spec.rank, dtype=np.int64)
+        """Order of every element, from the power maps (the identity comes
+        first, so x^s = 1 exactly when its position is 0)."""
         o = _strip_exponents(self, np.full(self.order, self.order),
-                             lambda y: (y == ident).all(axis=(1, 2)))
+                             np.arange(self.order) == 0)
         o.flags.writeable = False
         return o
 
     @_cached
     def inverse_indices(self) -> np.ndarray:
-        """Position of the inverse of every element (x^-1 = x^(|G|-1))."""
-        inv = self.lookup(_batch_power(self._array, self.order - 1,
+        """Position of the inverse of every element (x^-1 = x^(ord(x)-1))."""
+        inv = self.lookup(_batch_power(self._array, self.orders() - 1,
                                        self.spec.modulus))
         inv.flags.writeable = False
         return inv
 
     def inverse(self, mat: Mat) -> Mat:
         return self.element(self.inverse_indices()[self.index_of(mat)])
+
+    def _conjugation_table(self) -> np.ndarray:
+        """conj[g, i]: the position of g x_i g^-1 for the generator g and
+        the element x_i, built one generator at a time to keep the peak
+        memory at one (N, r, r) product."""
+        q, r = self.spec.modulus, self.spec.rank
+        gens = _stack(self.generators, r)
+        gens_inv = _batch_power(gens, self.orders()[self.lookup(gens)] - 1, q)
+        conj = np.empty((len(gens), self.order), dtype=np.int64)
+        for g, gi, row in zip(gens, gens_inv, conj):
+            row[:] = self.lookup((((g @ self._array) % q) @ gi) % q)
+        return conj
+
+    def _cyclic_positions(self, s: int) -> np.ndarray:
+        """Positions of s^0, ..., s^(ord(s)-1): the powers by doubling, then
+        one lookup."""
+        q, r = self.spec.modulus, self.spec.rank
+        o = int(self.orders()[s])
+        powers = np.eye(r, dtype=np.int64)[None]
+        step = self._array[s]        # s^len(powers)
+        while len(powers) < o:
+            powers = np.concatenate([powers, (powers @ step) % q])[:o]
+            step = (step @ step) % q
+        return self.lookup(powers)
 
     @_cached
     def cyclic_class_representatives(self) -> np.ndarray:
@@ -256,26 +292,20 @@ class MatGroup:
         so each new s_i generates a cyclic subgroup not inside a conjugate
         of an earlier one.  The covered set is a union of conjugacy
         classes: the powers of s_i not yet covered, closed under
-        conjugation by the generators one BFS layer at a time."""
-        q, r = self.spec.modulus, self.spec.rank
-        X, orders = self._array, self.orders()
-        gens = _stack(self.generators, r)
-        gens_inv = _batch_power(gens, orders[self.lookup(gens)] - 1, q)
+        conjugation by the generators one BFS layer at a time, each layer
+        one gather from the conjugation table."""
+        conj = self._conjugation_table()
         covered = np.zeros(self.order, dtype=bool)
         reps = []
-        for s in np.argsort(-orders, kind="stable"):
+        for s in np.argsort(-self.orders(), kind="stable"):
             if covered[s]:
                 continue
             reps.append(s)
-            o = int(orders[s])
-            layer = self.lookup(_batch_power(
-                np.broadcast_to(X[s], (o, r, r)), np.arange(o), q))
+            layer = self._cyclic_positions(s)
             layer = layer[~covered[layer]]
             while len(layer):
                 covered[layer] = True
-                conj = (((gens[:, None] @ X[layer][None]) % q)
-                        @ gens_inv[:, None]) % q
-                nxt = self.lookup(conj.reshape(-1, r, r))
+                nxt = conj[:, layer].ravel()
                 layer = np.unique(nxt[~covered[nxt]])
         reps = np.array(reps, dtype=np.int64)
         reps.flags.writeable = False
@@ -295,9 +325,12 @@ class MatGroup:
                               sub, cap=cap)
 
     def scalar_elements(self):
-        ident = Mat.identity(self.spec.rank, self.spec.modulus)
-        return [m for m in self.elements
-                if m.key() == ident.scale(m.entries[0][0]).key()]
+        """The scalar elements c * Id, found with one mask over the element
+        array."""
+        X = self._array
+        ident = np.eye(self.spec.rank, dtype=np.int64)
+        scalar = (X == X[:, :1, :1] * ident).all(axis=(1, 2))
+        return [self.element(i) for i in np.flatnonzero(scalar)]
 
     def sorted_by_order(self) -> np.ndarray:
         """Element indices sorted by (element order, deterministic position)."""
@@ -333,39 +366,58 @@ def _factor(n: int) -> dict:
 
 
 def _strip_exponents(G: MatGroup, t: np.ndarray, member) -> np.ndarray:
-    """For every element x of G the least s dividing t with member(x^s),
-    where member tests a batch of matrices and {s : member(x^s)} is an ideal
-    containing t: strip each prime of |G| while the test still holds."""
+    """For every element x of G the least s dividing t with x^s in member,
+    a boolean mask over G's positions, where every t divides |G| and
+    {s : x^s in member} is an ideal containing t: strip each prime of |G|
+    while x^(t/l) stays in member.  The powers are gathers through
+    G.power_maps(), never matrix products."""
     t = np.array(t, dtype=np.int64)
-    for ell in _factor(G.order):
+    maps = G.power_maps()
+    for ell in maps:
         idx = np.flatnonzero(t % ell == 0)
         while len(idx):
-            y = _batch_power(G.element_array()[idx], t[idx] // ell,
-                             G.spec.modulus)
-            idx = idx[member(y)]
+            idx = idx[member[_power_positions(maps, idx, t[idx] // ell)]]
             t[idx] //= ell
             idx = idx[t[idx] % ell == 0]
     return t
 
 
+def _power_positions(maps: dict, pos: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Positions of x^e[i] for the elements x at pos, every e[i] a product
+    of primes of |G|: one gather per prime factor, through the power maps."""
+    pos, e = pos.copy(), e.copy()
+    for ell, pm in maps.items():
+        live = np.flatnonzero(e % ell == 0)
+        while len(live):
+            pos[live] = pm[pos[live]]
+            e[live] //= ell
+            live = live[e[live] % ell == 0]
+    return pos
+
+
 def coset_orders(G: MatGroup, N: MatGroup) -> np.ndarray:
     """For every element x of G the least t >= 1 with x^t in N, the order of
-    xN when N is normal; {t : x^t in N} is an ideal containing ord(x)."""
-    return _strip_exponents(G, G.orders(), lambda y: N.lookup(y) >= 0)
+    xN when N is normal; {t : x^t in N} is an ideal containing ord(x).  The
+    membership of G's elements in N is one lookup, the powers are gathers
+    through G's power maps."""
+    return _strip_exponents(G, G.orders(), N.lookup(G.element_array()) >= 0)
 
 
 def _batch_power(arr: np.ndarray, k, q: int) -> np.ndarray:
     """arr[i]^k[i] mod q by binary powering; k is one exponent or one per
-    matrix, all >= 0."""
+    matrix, all >= 0.  A matrix leaves the squaring once its exponent is
+    used up."""
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), arr.shape[:1]).copy()
     result = np.broadcast_to(np.eye(arr.shape[1], dtype=np.int64),
                              arr.shape).copy()
     base = arr % q
-    while k.any():
-        odd = (k & 1).astype(bool)
+    live = np.flatnonzero(k)
+    while len(live):
+        odd = live[(k[live] & 1).astype(bool)]
         result[odd] = (result[odd] @ base[odd]) % q
-        base = (base @ base) % q
-        k >>= 1
+        k[live] >>= 1
+        live = live[k[live] > 0]
+        base[live] = (base[live] @ base[live]) % q
     return result
 
 

@@ -17,6 +17,7 @@ from math import gcd
 import numpy as np
 
 from .errors import CapExceededError, certify
+from .groups import _batch_power, _factor, _stack
 from .ringmat import Mat, RowSystem, _valuation
 
 
@@ -50,6 +51,72 @@ def reference_closure(generators, spec, cap=None):
             parent.append(found[key][0])
             label.append(found[key][1])
     return [m.key() for m in elements], parent, label
+
+
+def _reference_strip_exponents(G, t, member) -> np.ndarray:
+    """The least s dividing t with member(x^s) for every element x of G,
+    member a test on a batch of matrices: each power x^(t/l) by binary
+    matrix powering, as a reference for the gathers through the power
+    maps."""
+    t = np.array(t, dtype=np.int64)
+    for ell in _factor(G.order):
+        idx = np.flatnonzero(t % ell == 0)
+        while len(idx):
+            y = _batch_power(G.element_array()[idx], t[idx] // ell,
+                             G.spec.modulus)
+            idx = idx[member(y)]
+            t[idx] //= ell
+            idx = idx[t[idx] % ell == 0]
+    return t
+
+
+def reference_orders(G) -> np.ndarray:
+    """MatGroup.orders by matrix powering and comparison with the identity
+    matrix, as a reference for the power-map gathers."""
+    ident = np.eye(G.spec.rank, dtype=np.int64)
+    return _reference_strip_exponents(G, np.full(G.order, G.order),
+                                      lambda y: (y == ident).all(axis=(1, 2)))
+
+
+def reference_coset_orders(G, N) -> np.ndarray:
+    """groups.coset_orders with one lookup in N per powering step, as a
+    reference for one membership mask and the power-map gathers."""
+    return _reference_strip_exponents(G, reference_orders(G),
+                                      lambda y: N.lookup(y) >= 0)
+
+
+def reference_inverse_indices(G) -> np.ndarray:
+    """MatGroup.inverse_indices as x^(|G|-1) for every element x."""
+    return G.lookup(_batch_power(G.element_array(), G.order - 1,
+                                 G.spec.modulus))
+
+
+def reference_cyclic_class_representatives(G) -> np.ndarray:
+    """MatGroup.cyclic_class_representatives with every BFS layer
+    conjugated by matrix products and looked up, and the powers of each
+    representative by binary powering, as a reference for the gathers from
+    the conjugation table."""
+    q, r = G.spec.modulus, G.spec.rank
+    X, orders = G.element_array(), reference_orders(G)
+    gens = _stack(G.generators, r)
+    gens_inv = _batch_power(gens, orders[G.lookup(gens)] - 1, q)
+    covered = np.zeros(G.order, dtype=bool)
+    reps = []
+    for s in np.argsort(-orders, kind="stable"):
+        if covered[s]:
+            continue
+        reps.append(s)
+        o = int(orders[s])
+        layer = G.lookup(_batch_power(
+            np.broadcast_to(X[s], (o, r, r)), np.arange(o), q))
+        layer = layer[~covered[layer]]
+        while len(layer):
+            covered[layer] = True
+            conj = (((gens[:, None] @ X[layer][None]) % q)
+                    @ gens_inv[:, None]) % q
+            nxt = G.lookup(conj.reshape(-1, r, r))
+            layer = np.unique(nxt[~covered[nxt]])
+    return np.array(reps, dtype=np.int64)
 
 
 def reference_coefficients(G, module_exponent) -> np.ndarray:

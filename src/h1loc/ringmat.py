@@ -613,6 +613,13 @@ def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:
+    """Mask over the (N, r, r) matrices X with entries in [0, modulus):
+    x - 1 is bijective over (Z/modulus)^rank."""
+    shift = (X - np.eye(X.shape[1], dtype=np.int64)) % modulus
+    return np.gcd(batch_det(shift, modulus), modulus) == 1
+
+
 class ExtensionField:
     """F_{p^degree} realized as F_p[x] modulo a fixed irreducible polynomial.
 

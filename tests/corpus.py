@@ -2,6 +2,8 @@
 
 from functools import lru_cache
 
+import numpy as np
+
 from h1loc.counterexample import family_matrix, twist_matrix
 from h1loc.errors import CapExceededError
 from h1loc.groups import MatGroup
@@ -99,3 +101,16 @@ def twist_corpus():
                     continue
                 out.append((f"p{p} g={tl} H={hl}", p, g, G))
     return out
+
+
+def byte_key_group():
+    """A rank-4 group mod 25: q^16 >= 2^63, so its element keys are byte
+    strings."""
+    spec = ModuleSpec(5, 2, 4)
+    e12 = np.eye(4, dtype=np.int64)
+    e12[0, 1] = 1
+    e34 = np.eye(4, dtype=np.int64)
+    e34[2, 3] = 5
+    swap = np.eye(4, dtype=np.int64)[[0, 1, 3, 2]]
+    return MatGroup.close([Mat.from_array(a, spec.modulus)
+                           for a in (e12, e34, swap)], spec)

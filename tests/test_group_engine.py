@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import h1loc
-from corpus import M, small_oracle_groups, twist_corpus
+from corpus import M, byte_key_group, small_oracle_groups, twist_corpus
 from h1loc import oracles
 from h1loc.cli import EXIT_INPUT, run
 from h1loc.cohomology import sizes
@@ -63,15 +63,8 @@ def test_closure_matches_reference_random(data):
 
 
 def test_byte_key_path_rank4_mod25():
-    spec = ModuleSpec(5, 2, 4)
-    q = spec.modulus
-    e12 = np.eye(4, dtype=np.int64)
-    e12[0, 1] = 1
-    e34 = np.eye(4, dtype=np.int64)
-    e34[2, 3] = 5
-    swap = np.eye(4, dtype=np.int64)[[0, 1, 3, 2]]
-    gens = [Mat.from_array(a, q) for a in (e12, e34, swap)]
-    G = MatGroup.close(gens, spec)
+    G = byte_key_group()
+    q = G.spec.modulus
     assert q ** 16 >= 2 ** 63
     assert _keys(G.element_array(), q).dtype.kind == "V"
     assert_matches_reference(G)

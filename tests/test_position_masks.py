@@ -125,10 +125,10 @@ def test_lazy_caches_fill_once_across_threads():
 
     def accessors(grp):
         system = _system(grp)
-        return [grp.elements, grp.orders(), grp.inverse_indices(),
-                grp.cyclic_class_representatives(), system,
-                system.cocycle_basis(), system.z1_gens(), system.b1_gens(),
-                system.z1loc_gens()]
+        return [grp.elements, grp.power_maps(), grp.orders(),
+                grp.inverse_indices(), grp.cyclic_class_representatives(),
+                system, system.cocycle_basis(), system.z1_gens(),
+                system.b1_gens(), system.z1loc_gens()]
 
     results = [None] * 4
     barrier = threading.Barrier(4)
@@ -153,7 +153,10 @@ def test_lazy_caches_fill_once_across_threads():
         assert all(a is b for a, b in zip(got, results[0]))
     ref = accessors(_fresh(G0))
     assert results[0][0] == ref[0]
-    for a, b in zip(results[0][1:4] + results[0][5:], ref[1:4] + ref[5:]):
+    maps, ref_maps = results[0][1], ref[1]
+    assert list(maps) == list(ref_maps)
+    assert all(np.array_equal(maps[ell], ref_maps[ell]) for ell in ref_maps)
+    for a, b in zip(results[0][2:5] + results[0][6:], ref[2:5] + ref[6:]):
         assert np.array_equal(a, b)
     assert h1_loc(G).structure == h1_loc(G0).structure
 
