@@ -239,6 +239,16 @@ class _CocycleSystem:
                       self.p, self.j)
         return RowSystem(basis.T, self.p, self.j).kernel()
 
+    @_cached
+    def h1loc_structure(self) -> AbelianStructure:
+        """Z^1_loc / B^1, after certifying that B^1 lies in Z^1_loc."""
+        z1loc, b1 = self.z1loc_gens(), self.b1_gens()
+        # coboundaries solve their own local conditions
+        loc_span = RowSystem(z1loc, self.p, self.j)
+        certify(all(loc_span.contains(row) for row in b1),
+                "coboundary outside Z^1_loc (internal)")
+        return quotient_structure(z1loc, b1, self.G.spec, modulus=self.q)
+
     def expand(self, z: np.ndarray) -> Cocycle:
         """Full cocycle C @ z from stacked generator values, reduced after
         each generator block so that every int64 sum has rank terms."""
@@ -287,13 +297,7 @@ def h1_loc(G: MatGroup, module_exponent=None) -> CohomGroup:
     """The subgroup of H^1 of classes [Z] with Z_sigma in Im(sigma - 1) for
     every sigma: locally trivial classes, computed as Z^1_loc / B^1."""
     sys = _system(G, module_exponent)
-    z1loc = sys.z1loc_gens()
-    b1 = sys.b1_gens()
-    # B^1 is contained in Z^1_loc: coboundaries solve their own conditions
-    loc_span = RowSystem(z1loc, sys.p, sys.j)
-    certify(all(loc_span.contains(row) for row in b1),
-            "coboundary outside Z^1_loc (internal)")
-    struct = quotient_structure(z1loc, b1, G.spec, modulus=sys.q)
+    struct = sys.h1loc_structure()
     reps = [sys.expand(np.array(gen, dtype=np.int64))
             for gen in struct.generators]
     return CohomGroup(struct, reps)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cohomology import h1, h1_loc
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, _normalizer_mask, coset_orders,
+from .groups import (MatGroup, _distinct, _normalizer_mask, coset_orders,
                      lift_normalizer, p_sylow, sylow_normalizer_element)
 from .ringmat import Mat, _bijective_shifts
 from .symplectic import SymplecticSpace, similitude_multipliers
@@ -221,7 +221,7 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
                 "a non-similitude element exists")
         return rep.finalize("not_applicable")
     rep.add("every element is a similitude", "satisfied")
-    image = np.unique(mults)
+    image = _distinct(mults)
     if len(image) != p - 1:
         rep.add("multiplier is surjective onto the units", "failed",
                 f"image has order {len(image)}")

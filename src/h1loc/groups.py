@@ -4,6 +4,10 @@ Groups are closures of generator lists under multiplication, enumerated
 breadth first with a deterministic order (BFS layer, then lexicographic on
 entries).  The closure keeps, for every element, one factorization
 element = parent * generator; the cohomology module rides on that tree.
+Once a closure holds q^rank elements it works on row codes: each row of a
+matrix as one base-q integer, and a product with a generator as one
+lookup per row in that generator's table of row images, built at that
+point so it never costs more than the products already formed.
 
 Also here: element orders from prime power maps, p-Sylow subgroups by
 normalizer ascent, Frattini subgroups of p-groups, the constructive
@@ -38,6 +42,46 @@ def _keys(arr: np.ndarray, q: int) -> np.ndarray:
         return flat @ (q ** np.arange(r * r - 1, -1, -1, dtype=np.int64))
     return np.ascontiguousarray(flat.astype(">i8")).view(
         np.dtype((np.void, 8 * r * r))).ravel()
+
+
+def _digit_weights(q: int, r: int) -> np.ndarray:
+    """q^(r-1), ..., q, 1: the weights of a big-endian base-q row code, so
+    row x_i of a matrix with entries in [0, q) has code x_i @ weights."""
+    return q ** np.arange(r - 1, -1, -1, dtype=np.int64)
+
+
+def _decode_rows(codes: np.ndarray, q: int, r: int) -> np.ndarray:
+    """The length-r rows with the given codes: (N,) codes give (N, r) rows,
+    (N, r) codes give (N, r, r) matrices."""
+    return (codes[..., None] // _digit_weights(q, r)) % q
+
+
+def _code_keys(codes: np.ndarray, q: int) -> np.ndarray:
+    """_keys of the (N, r) row-coded matrices: packing the row codes in
+    base q^r gives the base-q packing of the entries, so the keys are
+    identical; byte keys decode the entries first."""
+    r = codes.shape[1]
+    if q ** (r * r) < 2 ** 63:
+        return codes @ _digit_weights(q ** r, r)
+    return _keys(_decode_rows(codes, q, r), q)
+
+
+def _row_table(garr: np.ndarray, q: int) -> np.ndarray:
+    """table[g, c]: the code of (row with code c) @ generator g mod q, for
+    every code c in [0, q^r) and each of the (k, r, r) generators garr."""
+    r = garr.shape[1]
+    rows = _decode_rows(np.arange(q ** r, dtype=np.int64), q, r)
+    return ((rows @ garr) % q) @ _digit_weights(q, r)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the 1-d array a, as np.unique(a) gives
+    them, without the import of numpy.ma that the plain np.unique call
+    makes (about 14 ms of every process that reaches it)."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _stack(mats, r: int) -> np.ndarray:
@@ -102,7 +146,11 @@ class MatGroup:
         """Breadth-first closure of the generators under multiplication.
 
         A layer is the new products (previous layer) x (generators) in key
-        order; an element's tree edge is its first such product."""
+        order; an element's tree edge is its first such product.  Products
+        are batched matmuls until the closure holds q^rank elements; from
+        then on a layer is kept as row codes and its products are gathers
+        from the generators' row tables (_row_table), so the table never
+        costs more than the products already formed."""
         q, r = spec.modulus, spec.rank
         if r * (q - 1) ** 2 >= 2 ** 63:
             raise InputError(f"modulus {q} too large for int64 group "
@@ -119,14 +167,24 @@ class MatGroup:
         layer = np.eye(r, dtype=np.int64)[None]
         layer_idx = np.zeros(1, dtype=np.int64)
         seen = _keys(layer, q)
-        chunks, key_chunks = [layer], [seen]
+        # layers as (L, r, r) matrices, then as (L, r) row codes
+        chunks, code_chunks, key_chunks = [layer], [], [seen]
         parents, labels = [np.array([-1])], [np.array([-1])]
         garr = _stack(gens, r)
+        table = None
         while k:
-            prods = (layer[:, None] @ garr[None]).reshape(-1, r, r) % q
-            keys, first = np.unique(_keys(prods, q), return_index=True)
-            pos, hit = _find(seen, keys)
-            fresh = ~hit
+            if table is None and len(seen) >= q ** r:
+                table = _row_table(garr, q)
+                layer = layer @ _digit_weights(q, r)
+            if table is None:
+                prods = (layer[:, None] @ garr[None]).reshape(-1, r, r) % q
+                prod_keys = _keys(prods, q)
+            else:
+                # row i of x g is (row i of x) g: k * L * r gathers
+                prods = table[:, layer].transpose(1, 0, 2).reshape(-1, r)
+                prod_keys = _code_keys(prods, q)
+            keys, first = np.unique(prod_keys, return_index=True)
+            fresh = ~_find(seen, keys)[1]
             count = int(fresh.sum())
             if not count:
                 break
@@ -136,9 +194,12 @@ class MatGroup:
             parents.append(layer_idx[t // k])
             labels.append(t % k)
             layer, layer_idx = prods[t], np.arange(len(seen), len(seen) + count)
-            chunks.append(layer)
+            (chunks if table is None else code_chunks).append(layer)
             key_chunks.append(keys[fresh])
-            seen = np.insert(seen, pos[fresh], keys[fresh])
+            # both runs are sorted, so the stable sort is one merge
+            seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
+        if code_chunks:
+            chunks.append(_decode_rows(np.concatenate(code_chunks), q, r))
         array, all_keys, tree_parent, tree_gen = map(
             np.concatenate, (chunks, key_chunks, parents, labels))
         sorted_pos = np.argsort(all_keys, kind="stable")
@@ -306,7 +367,7 @@ class MatGroup:
             while len(layer):
                 covered[layer] = True
                 nxt = conj[:, layer].ravel()
-                layer = np.unique(nxt[~covered[nxt]])
+                layer = _distinct(nxt[~covered[nxt]])
         reps = np.array(reps, dtype=np.int64)
         reps.flags.writeable = False
         return reps

@@ -16,9 +16,10 @@ from math import gcd
 
 import numpy as np
 
-from .errors import CapExceededError, certify
-from .groups import _batch_power, _factor, _stack
-from .ringmat import Mat, RowSystem, _valuation
+from .errors import CapExceededError, InputError, certify
+from .groups import (DEFAULT_CAP, MatGroup, _batch_power, _factor, _find,
+                     _keys, _stack)
+from .ringmat import Mat, RowSystem, _check_int64, _valuation
 
 
 def reference_closure(generators, spec, cap=None):
@@ -51,6 +52,70 @@ def reference_closure(generators, spec, cap=None):
             parent.append(found[key][0])
             label.append(found[key][1])
     return [m.key() for m in elements], parent, label
+
+
+def reference_close(generators, spec, cap=DEFAULT_CAP):
+    """MatGroup.close with every product a batched matmul and the sorted
+    keys grown by np.insert, as a reference for the row-code table
+    gathers: the same group, element array, tree and sorted keys."""
+    q, r = spec.modulus, spec.rank
+    if r * (q - 1) ** 2 >= 2 ** 63:
+        raise InputError(f"modulus {q} too large for int64 group "
+                         f"arithmetic (rank*(q-1)^2 >= 2^63)")
+    gens = []
+    for i, g in enumerate(generators):
+        g = Mat.from_rows(g.entries if isinstance(g, Mat) else g, q)
+        if g.rows != r or g.cols != r:
+            raise InputError(f"generator {i + 1} is not {r}x{r}")
+        if not g.is_invertible():
+            raise InputError(f"generator {i + 1} not invertible")
+        gens.append(g)
+    k = len(gens)
+    layer = np.eye(r, dtype=np.int64)[None]
+    layer_idx = np.zeros(1, dtype=np.int64)
+    seen = _keys(layer, q)
+    chunks, key_chunks = [layer], [seen]
+    parents, labels = [np.array([-1])], [np.array([-1])]
+    garr = _stack(gens, r)
+    while k:
+        prods = (layer[:, None] @ garr[None]).reshape(-1, r, r) % q
+        keys, first = np.unique(_keys(prods, q), return_index=True)
+        pos, hit = _find(seen, keys)
+        fresh = ~hit
+        count = int(fresh.sum())
+        if not count:
+            break
+        if len(seen) + count > cap:
+            raise CapExceededError("group closure", cap)
+        t = first[fresh]
+        parents.append(layer_idx[t // k])
+        labels.append(t % k)
+        layer, layer_idx = prods[t], np.arange(len(seen), len(seen) + count)
+        chunks.append(layer)
+        key_chunks.append(keys[fresh])
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+    array, all_keys, tree_parent, tree_gen = map(
+        np.concatenate, (chunks, key_chunks, parents, labels))
+    sorted_pos = np.argsort(all_keys, kind="stable")
+    return MatGroup(spec, gens, array, all_keys[sorted_pos], sorted_pos,
+                    tree_parent, tree_gen)
+
+
+def reference_batch_det(arr: np.ndarray, q: int) -> np.ndarray:
+    """batch_det by the Leibniz expansion, r! signed products per matrix,
+    each reduced after every factor: the reference for the Laplace
+    expansion."""
+    _check_int64(q)
+    arr = np.asarray(arr, dtype=np.int64)
+    r = arr.shape[1]
+    out = np.zeros(len(arr), dtype=np.int64)
+    for perm in itertools.permutations(range(r)):
+        term = np.ones(len(arr), dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = (term * arr[:, i, j]) % q
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out = (out - term if inversions % 2 else out + term) % q
+    return out
 
 
 def _reference_strip_exponents(G, t, member) -> np.ndarray:

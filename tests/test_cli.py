@@ -205,3 +205,29 @@ def test_shared_parser_leaks_nothing_between_runs(tmp_path, capsys):
                               capture_output=True, text=True, env=env,
                               timeout=600)
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_cli_commands_do_not_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma, about 14 ms of every process
+    fam = write(tmp_path, "family.grp", FAMILY)
+    sym = write(tmp_path, "gl2.grp", GL2F5)
+    script = (
+        "import contextlib, io, sys\n"
+        "from h1loc.cli import run\n"
+        "for argv in ([sys.argv[1], '--json'], [sys.argv[2], '--json'],\n"
+        "             ['counterexample', '--p', '5', '--json'],\n"
+        "             ['gsp4', '--p', '3', '--enumerate', '--json']):\n"
+        "    if argv[0].endswith('.grp'):\n"
+        "        argv = ['criteria'] + argv\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        run(argv)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, fam, sym],
+                          capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,9 +1,15 @@
 """Cocycle spaces, H^1, H^1_loc and the structural maps between them."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import h1loc
 
 from corpus import M, small_oracle_groups, twist_corpus
 from h1loc import oracles
@@ -345,3 +351,51 @@ def test_h1_loc_subgroup_of_h1_representativewise():
             ok, _ = satisfies_local_conditions(Z)
             assert ok, label
             assert class_order(Z) == f, label
+
+
+def test_h1_loc_structure_is_certified_once_per_system(monkeypatch):
+    """A second h1_loc on the same (group, j) reuses the certified
+    structure: no second B^1 certificate or Smith quotient, but a new
+    CohomGroup and a new representatives list each time."""
+    from h1loc import cohomology
+    calls = []
+    real = cohomology.quotient_structure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cohomology, "quotient_structure", counting)
+    G = build(5).G2
+    first, second = h1_loc(G), h1_loc(G)
+    assert len(calls) == 1
+    assert first is not second
+    assert first.representatives is not second.representatives
+    assert first.structure == second.structure
+    assert [Z.values.tolist() for Z in first.representatives] == \
+        [Z.values.tolist() for Z in second.representatives]
+    h1_loc(G, module_exponent=1)
+    assert len(calls) == 2
+
+
+def test_h1_loc_certificate_runs_under_optimize():
+    """With Z^1_loc emptied, B^1 is outside it: the certificate raises
+    InternalError also under python -O."""
+    script = (
+        "import numpy as np\n"
+        "from h1loc import cohomology\n"
+        "from h1loc.counterexample import build\n"
+        "from h1loc.errors import InternalError\n"
+        "cohomology._CocycleSystem.z1loc_gens = "
+        "lambda self: np.zeros((0, self.dim), dtype=np.int64)\n"
+        "try:\n"
+        "    cohomology.h1_loc(build(5).G2)\n"
+        "except InternalError as e:\n"
+        "    print(e)\n")
+    env = dict(os.environ)
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "coboundary outside Z^1_loc" in proc.stdout

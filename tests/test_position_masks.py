@@ -175,6 +175,38 @@ def test_batch_det_matches_mat_det(pn, r, seed, singular):
     assert got.tolist() == [Mat.from_array(a, q).det() for a in A]
 
 
+# the largest modulus batch_det accepts: q (q - 1) < 2^63
+NEAR_INT64_BOUND = 3037000500
+
+
+@pytest.mark.parametrize("q", [2 ** 31 - 1, NEAR_INT64_BOUND])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_batch_det_laplace_matches_leibniz(r, q):
+    """Every rank 1 to 5, at 2^31 - 1 and at the int64 bound, on random,
+    singular and worst-case (every entry q - 1) matrices."""
+    rng = np.random.default_rng(r)
+    A = rng.integers(0, q, size=(40, r, r))
+    A[:10, -1] = A[:10, 0] if r > 1 else 0    # singular
+    A[10] = q - 1
+    A[11] = np.eye(r, dtype=np.int64) * (q - 1)
+    A[12] = np.eye(r, dtype=np.int64)[::-1]
+    got = batch_det(A, q)
+    assert got.tolist() == oracles.reference_batch_det(A, q).tolist()
+    assert (got[:10] == 0).all()
+    assert got[11] == pow(q - 1, r, q)
+    assert got[12] == (-1) ** (r * (r - 1) // 2) % q
+    assert batch_det(A[:2], q).tolist() == [Mat.from_array(a, q).det()
+                                            for a in A[:2]]
+    with pytest.raises(InputError):
+        batch_det(A[:1], NEAR_INT64_BOUND + 1)
+
+
+def test_batch_det_on_gsp4_f3_matches_leibniz():
+    gens, space = gsp4_generators(3)
+    X = MatGroup.close(gens, space.spec).element_array()
+    assert np.array_equal(batch_det(X, 3), oracles.reference_batch_det(X, 3))
+
+
 def _reference_multiplier(A: Mat, space):
     """nu with A^T J A = nu J for a unit nu, or 0, with Mat products."""
     S = A.transpose().mul(space.J).mul(A)
