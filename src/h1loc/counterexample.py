@@ -32,11 +32,18 @@ from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, solve
 import numpy as np
 
 
+def family_array(p: int, a, b) -> np.ndarray:
+    """h(a, b) for the integer arrays a, b, as an (N, 2, 2) array over
+    Z/p^2."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    t = p * (a - 2 * b)
+    return np.stack([1 + t, 3 * p * (b - a), -p * b, 1 - t],
+                    axis=-1).reshape(-1, 2, 2) % (p * p)
+
+
 def family_matrix(p: int, a: int, b: int) -> Mat:
     """h(a, b) = Id + p * [[a-2b, 3(b-a)], [-b, 2b-a]] over Z/p^2."""
-    q = p * p
-    return Mat.from_rows([[1 + p * (a - 2 * b), 3 * p * (b - a)],
-                          [-p * b, 1 - p * (a - 2 * b)]], q)
+    return Mat.from_array(family_array(p, [a], [b])[0], p * p)
 
 
 def twist_matrix(p: int) -> Mat:
@@ -44,9 +51,15 @@ def twist_matrix(p: int) -> Mat:
     return Mat.from_rows([[1, -3], [1, -2]], p * p)
 
 
+def cocycle_values(p: int, a, b) -> np.ndarray:
+    """Z_{h(a, b)} = (p(a-2b), p(a-b)) for the integer arrays a, b, as an
+    (N, 2) array over Z/p^2."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    return np.stack([p * (a - 2 * b), p * (a - b)], axis=-1) % (p * p)
+
+
 def cocycle_value(p: int, a: int, b: int) -> tuple:
-    q = p * p
-    return ((p * (a - 2 * b)) % q, (p * (a - b)) % q)
+    return tuple(cocycle_values(p, [a], [b])[0].tolist())
 
 
 @dataclass
@@ -73,17 +86,18 @@ def build(p: int) -> CounterexampleInstance:
     certify(element_order(g) == 3, "g must have order 3")
     certify(H2.order == p * p, "H must have order p^2")
     certify(G2.order == 3 * p * p, "G must have order 3 p^2")
+    # every h(a, b) at once, a-major, and the laws as array equalities
+    a, b = np.divmod(np.arange(q), p)
+    hab = family_array(p, a, b)
     gi = g.inv()
-    g2, g2i = g.mul(g), gi.mul(gi)
-    for a in range(p):
-        for b in range(p):
-            hab = family_matrix(p, a, b)
-            certify(g.mul(hab).mul(gi).key() ==
-                    family_matrix(p, -b, a - b).key(), "conjugation law (g)")
-            certify(g2.mul(hab).mul(g2i).key() ==
-                    family_matrix(p, b - a, -a).key(), "conjugation law (g^2)")
-            certify(hab.mul(family_matrix(p, 1, 1)).key() ==
-                    family_matrix(p, a + 1, b + 1).key(), "h is additive")
+    garr, giarr = g.to_array(), gi.to_array()
+    ghg = (garr @ hab % q) @ giarr % q
+    certify(np.array_equal(ghg, family_array(p, -b, a - b)),
+            "conjugation law (g)")
+    certify(np.array_equal((garr @ ghg % q) @ giarr % q,
+                           family_array(p, b - a, -a)), "conjugation law (g^2)")
+    certify(np.array_equal(hab @ family_array(p, [1], [1]) % q,
+                           family_array(p, a + 1, b + 1)), "h is additive")
     certify(all(g.mul(h).mul(gi) in H2 for h in H2.generators),
             "g normalizes H")
     # extends the generator values through the tree; raises if the values
@@ -92,10 +106,10 @@ def build(p: int) -> CounterexampleInstance:
         G2, {g.key(): (0, 0),
              h10.key(): cocycle_value(p, 1, 0),
              h01.key(): cocycle_value(p, 0, 1)})
-    for a in range(p):
-        for b in range(p):
-            certify(Z.at(family_matrix(p, a, b)) == cocycle_value(p, a, b),
-                    "cocycle does not match its closed form on H")
+    pos = G2.lookup(hab)
+    certify((pos >= 0).all() and
+            np.array_equal(Z.values[pos], cocycle_values(p, a, b)),
+            "cocycle does not match its closed form on H")
     return CounterexampleInstance(p, spec, G2, H2, g, Z)
 
 

@@ -22,7 +22,7 @@ from .cohomology import h1, h1_loc
 from .errors import PreconditionError, certify
 from .groups import (MatGroup, _distinct, _normalizer_mask, coset_orders,
                      lift_normalizer, p_sylow, sylow_normalizer_element)
-from .ringmat import Mat, _bijective_shifts
+from .ringmat import Mat, _bijective_shifts, _howell_stack
 from .symplectic import SymplecticSpace, similitude_multipliers
 
 
@@ -257,19 +257,14 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
 
 def fixed_point_spectrum(G: MatGroup):
     """Per-element dimension of the fixed space ker(sigma - 1) over F_p,
-    plus a flag: every element has eigenvalue 1."""
+    plus a flag: every element has eigenvalue 1.  Over F_p the dimension
+    is rank minus the pivot count of sigma - 1, and the pivots of all the
+    sigma - 1 come from one stacked Howell call."""
     spec = G.spec
     if spec.n != 1:
         raise PreconditionError("fixed-point spectrum works mod p")
-    p, m = spec.p, spec.rank
-    from .ringmat import RowSystem
-    out = {}
-    all_fixed = True
-    for x in G.elements:
-        B = (x.to_array() - np.eye(m, dtype=np.int64)) % p
-        ker = RowSystem(B.T, p, 1).kernel()
-        dim = ker.shape[0]
-        out[x.key()] = dim
-        if dim == 0:
-            all_fixed = False
-    return out, all_fixed
+    B = (G.element_array() - np.eye(spec.rank, dtype=np.int64)) % spec.p
+    _, divs = _howell_stack(B, spec.p, 1)
+    dims = (spec.rank - (divs < spec.p).sum(axis=1)).tolist()
+    return ({x.key(): dim for x, dim in zip(G.elements, dims)},
+            all(dims))

@@ -84,6 +84,27 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _first_occurrences(keys: np.ndarray):
+    """(distinct keys sorted, index of the first occurrence of each), as
+    np.unique(keys, return_index=True) gives them.  From 256 keys on, where
+    (max key + 1) * n fits in int64 for the n keys, the packed values
+    key * n + index are distinct, so the default sort orders them with no
+    stable argsort and each key's run starts at its first index.  Fewer
+    keys, where np.unique's fixed cost is the smaller, and byte keys go
+    through np.unique."""
+    n = len(keys)
+    if n < 256 or keys.dtype != np.int64 or \
+            (int(keys.max()) + 1) * n > 2 ** 63:
+        return np.unique(keys, return_index=True)
+    packed = keys * n
+    packed += np.arange(n)
+    packed.sort()
+    start = np.ones(n, dtype=bool)
+    np.not_equal(packed[1:] // n, packed[:-1] // n, out=start[1:])
+    packed = packed[start]
+    return packed // n, packed % n
+
+
 def _stack(mats, r: int) -> np.ndarray:
     """The entries of the r x r matrices mats as a (len(mats), r, r) array."""
     if any(m.rows != r or m.cols != r for m in mats):
@@ -183,7 +204,7 @@ class MatGroup:
                 # row i of x g is (row i of x) g: k * L * r gathers
                 prods = table[:, layer].transpose(1, 0, 2).reshape(-1, r)
                 prod_keys = _code_keys(prods, q)
-            keys, first = np.unique(prod_keys, return_index=True)
+            keys, first = _first_occurrences(prod_keys)
             fresh = ~_find(seen, keys)[1]
             count = int(fresh.sum())
             if not count:
@@ -286,6 +307,34 @@ class MatGroup:
         if (i := self._position(mat)) < 0:
             raise InputError("matrix is not an element of the group")
         return i
+
+    @_cached
+    def tree_layers(self) -> tuple:
+        """(start, stop) of every BFS layer after the identity's.  A layer's
+        parents all lie in the layer before it, so a walk down the closure
+        tree can fill one whole layer per step."""
+        layers = []
+        start, end = 0, 1
+        while end < self.order:
+            # the next layer holds the children of [start, end); it is at
+            # most k times as long and ends at the first later parent
+            stop = min(self.order,
+                       end + len(self.generators) * (end - start))
+            later = np.flatnonzero(self.tree_parent[end:stop] >= end)
+            if len(later):
+                stop = end + int(later[0])
+            layers.append((end, stop))
+            start, end = end, stop
+        return tuple(layers)
+
+    def right_multiplication(self) -> np.ndarray:
+        """right[g, i]: the position of x_i g for the generator g and the
+        element x_i, one lookup per generator."""
+        q = self.spec.modulus
+        right = np.empty((len(self.generators), self.order), dtype=np.int64)
+        for g, row in zip(self.generators, right):
+            row[:] = self.lookup((self._array @ g.to_array()) % q)
+        return right
 
     @_cached
     def power_maps(self) -> dict:

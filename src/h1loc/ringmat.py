@@ -7,7 +7,9 @@ reduces to zero by back-substitution, and annihilator rows (p^(n-v) times a
 pivot row) are folded in so the column filtration of the row span is exact.
 
 All matrices are dense, entries are canonical representatives in [0, p^n),
-and every operation is a pure function.
+and every operation is a pure function.  Many small systems over the same
+ring are solved as one stack (RowSystemStack), with the same answers as one
+RowSystem each.
 """
 
 from __future__ import annotations
@@ -288,6 +290,68 @@ def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
     return _howell(M, p, n)[0]
 
 
+def _unit_inverses(u: np.ndarray, p: int, q: int) -> np.ndarray:
+    """u^-1 mod q = u^(phi(q) - 1) for every unit in u, by binary powering
+    on the whole array; entries that are not units give no inverse."""
+    e = q - q // p - 1
+    result = np.ones_like(u)
+    base = u % q
+    while e:
+        if e & 1:
+            result = result * base % q
+        base = base * base % q
+        e >>= 1
+    return result
+
+
+def _howell_stack(M: np.ndarray, p: int, n: int):
+    """Canonical Howell forms of the row spans of the (N, R, C) stack M,
+    indexed by pivot column: (H, divs), where H[s, c] is system s's pivot
+    row at column c with pivot divs[s, c] = p^v, and a zero row with
+    divs[s, c] = q where system s has no pivot at c.  For each system the
+    pivot rows, columns and divisors are those of _howell on it alone.
+
+    The steps are _howell's, one column at a time across all N systems;
+    a system whose column is zero is masked out of that step."""
+    q = p ** n
+    _check_int64(q)
+    W = np.asarray(M, dtype=np.int64) % q
+    N, _, C = W.shape
+    H = np.zeros((N, C, C), dtype=np.int64)
+    divs = np.full((N, C), q, dtype=np.int64)
+    systems = np.arange(N)
+    step, bound = (q - 1) ** 2, q - 1
+    pivot_cols = []
+    for col in np.flatnonzero(W.any(axis=(0, 1))).tolist():
+        c = W[:, :, col] % q
+        d = np.gcd(np.gcd.reduce(c, axis=1), q)
+        live = d < q
+        if not live.any():
+            continue
+        # a masked system has c = 0, so f = 0: the elimination leaves it
+        # alone, and only live systems take an annihilator row or a pivot
+        f = c // d[:, None]
+        best = (f % p != 0).argmax(axis=1)
+        piv = (W[systems, best] % q
+               * _unit_inverses(f[systems, best], p, q)[:, None] % q)
+        if bound > 2 ** 63 - 1 - step:
+            W %= q
+            bound = q - 1
+        W -= f[:, :, None] * piv[:, None, :]
+        bound += step
+        ann = np.flatnonzero(live & (d > 1))
+        W[ann, best[ann]] = piv[ann] * (q // d[ann, None]) % q
+        H[live, col] = piv[live]
+        divs[live, col] = d[live]
+        pivot_cols.append(col)
+    # canonical reduction above each pivot; rows without a pivot are zero
+    for col in pivot_cols[1:]:
+        f = H[:, :col, col] // divs[:, col, None]
+        H[:, :col] -= f[:, :, None] * H[:, col, None, :]
+        H[:, :col] %= q
+    return H, divs
+
+
 class RowSystem:
     """Precomputed Howell data for the row space of M over Z/p^n.
 
@@ -340,6 +404,43 @@ class RowSystem:
 
     def span_order(self) -> int:
         return prod(self.q // d for (_, d, _) in self.basis)
+
+
+class RowSystemStack:
+    """RowSystem for every (R, C) matrix of an (N, R, C) stack at once: one
+    _howell_stack of the N augmented systems [M_s | I], and back-substitution
+    one column at a time across all of them.  Every answer equals the one
+    RowSystem(M_s) gives for its system."""
+
+    def __init__(self, M: np.ndarray, p: int, n: int):
+        self.q = p ** n
+        M = np.asarray(M, dtype=np.int64)
+        N, R, self.ncols = M.shape
+        eye = np.broadcast_to(np.eye(R, dtype=np.int64), (N, R, R))
+        self.H, self.divs = _howell_stack(np.concatenate([M, eye], axis=2),
+                                          p, n)
+
+    def kernels(self):
+        """(K, live): K[s][live[s]] are the rows RowSystem(M_s).kernel()
+        gives, in its order."""
+        C = self.ncols
+        return self.H[:, C:, C:], self.divs[:, C:] < self.q
+
+    def solve(self, V: np.ndarray):
+        """(A, ok): A[s] is the row RowSystem(M_s).solve(V[s]) gives, with
+        A[s] @ M_s = V[s], wherever ok[s]; ok[s] is False where there is
+        none."""
+        C, q = self.ncols, self.q
+        w = np.zeros(self.H.shape[:2], dtype=np.int64)
+        w[:, :C] = np.asarray(V, dtype=np.int64) % q
+        ok = np.ones(len(w), dtype=bool)
+        for col in range(C):
+            # no pivot at col: divs is q, so a nonzero entry fails here;
+            # later pivot rows are zero at col, so a passed column stays 0
+            e, d = w[:, col], self.divs[:, col]
+            ok &= e % d == 0
+            w = (w - (e // d)[:, None] * self.H[:, col]) % q
+        return (-w[:, C:]) % q, ok
 
 
 def span_order(rows: np.ndarray, p: int, n: int) -> int:
