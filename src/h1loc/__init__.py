@@ -18,7 +18,7 @@ from .groups import (Decomposition, MatGroup, decompose_generators,
                      lift_normalizer, normalizer, p_sylow,
                      sylow_normalizer_element)
 from .ringmat import (AbelianStructure, ExtensionField, Mat, ModuleSpec,
-                      char_poly, eigenvalues_in_ext, kernel, normal_form,
+                      char_poly, eigenvalues_in_ext, kernel,
                       quotient_structure, solve)
 from .symplectic import (SimilitudeWitness, SymplecticSpace,
                          eigenvalue_pairing_check, eigenvalue_pairing_sweep,

@@ -4,11 +4,18 @@ acting on (Z/p^j)^rank.
 A 1-cocycle Z satisfies Z_{st} = Z_s + s Z_t and is determined by its values
 on the generators.  Writing z for the stacked generator values, the value at
 any element is C_sigma @ z for coefficient matrices C built along the BFS
-multiplication tree; imposing the identity for every (generator, element)
-pair then forces it for all pairs.  Z^1 is the kernel of that stacked linear
-system over Z/p^j.  The stack has k * N * rank rows over only k * rank
-unknowns, so its rows are folded into a Howell basis a block at a time and
-the kernel is taken of that basis, never of the whole stack.
+closure tree by C[x g] = C[x] + x E_g.  The identity is written once, in
+that orientation: Z_{xg} = Z_x + x Z_g for every element x and generator g,
+read off the group's right-multiplication table.  With Z_1 = 0 these k * N
+pairs force it for all pairs, by induction along words in the generators.
+Cocycle.is_valid checks them on values; the constraint rows
+C[x g] - C[x] - x E_g impose them on z, and Z^1 is the kernel of that
+stacked linear system over Z/p^j.  A closure-tree edge gives a zero row,
+which the elimination drops.  The stack has k * N * rank rows over only
+k * rank unknowns, so its rows are folded into a Howell basis a block at a
+time and the kernel is taken of that basis, never of the whole stack.
+B^1 is the row span of one (rank, k * rank) matrix, the columns of g - 1
+side by side, whose RowSystem decides coboundaries and class orders.
 
 The locally trivial cocycles satisfy Z_sigma in Im(sigma - 1) for every
 sigma: their restriction to every cyclic subgroup is a coboundary.  For a
@@ -26,9 +33,7 @@ factors and representative cocycles.
 The per-element certificates run on whole arrays.  The kernels of all the
 s - 1 at the class representatives, and the local witnesses v with
 (sigma - 1) v = Z_sigma at every element, each come from one stacked
-Howell solve (ringmat.RowSystemStack).  Cocycle.is_valid checks all |G|^2
-pairs without forming a product: the position of ab is gathered along b's
-closure-tree path from the generators' right-multiplication tables.
+Howell solve (ringmat.RowSystemStack).
 
 The module exponent j defaults to n; j < n computes cohomology with
 coefficients in the p^j-torsion (the action factors through reduction).
@@ -48,11 +53,6 @@ from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
                       eigenvalues_in_ext, quotient_structure, span_order)
 
 
-# multiplication-table pairs per block of Cocycle.is_valid: each block walks
-# every BFS layer once, so small blocks pay that walk often.  At p = 17 on
-# the family group (751,689 pairs) 16384 took 35 ms against 62 ms at 4096,
-# with a peak of 0.7 MB; 65536 saved a few ms more for 2.2 MB
-_PAIR_BLOCK = 16384
 # constraint rows folded into a running Howell basis at a time; the basis
 # has at most k * rank rows, so the working set stays small
 _ROW_BLOCK = 4096
@@ -100,32 +100,22 @@ class Cocycle:
         return self.values[[G.index_of(g) for g in G.generators]].reshape(-1)
 
     def is_valid(self) -> bool:
-        """Exhaustive check of Z_ab = Z_a + a Z_b on all |G|^2 pairs, a block
-        of rows a of the multiplication table at a time.
+        """Whether Z_ab = Z_a + a Z_b for all pairs, from Z_1 = 0 and
+        Z_{xg} = Z_x + x Z_g for every element x and generator g: k * N
+        pairs, each one gather from the right-multiplication table.
 
-        No product ab is formed: b = parent(b) g along the closure tree, so
-        ab = (a parent(b)) g is one gather from the right-multiplication
-        table of the generator g, and a block's row of positions fills one
-        BFS layer of b at a time, starting from a itself at b = 1."""
+        These imply the identity for all pairs, by induction on b as a word
+        in the generators (G is finite, so no inverses are needed).  At
+        b = 1 it says Z_1 = 0, and if it holds at b then
+        Z_{abg} = Z_{ab} + ab Z_g = Z_a + a (Z_b + b Z_g) = Z_a + a Z_{bg}."""
         G, q, V = self.group, self.q, self.values
-        X, right = G.element_array(), G.right_multiplication()
-        parent, gen = G.tree_parent, G.tree_gen
-        r = G.spec.rank
-        VT = np.ascontiguousarray(V.T)     # VT[t]: coordinate t of every value
-        step = max(1, _PAIR_BLOCK // G.order)
-        for s in range(0, G.order, step):
-            a = np.arange(s, min(s + step, G.order))
-            ab = np.empty((len(a), G.order), dtype=np.int64)
-            ab[:, 0] = a
-            for start, stop in G.tree_layers():
-                ab[:, start:stop] = right[gen[start:stop],
-                                          ab[:, parent[start:stop]]]
-            Xa = X[a] % q
-            for t in range(r):
-                # coordinate t of a_i V[b], then of V[a_i] + a_i V[b]
-                rhs = sum(Xa[:, t, k, None] * VT[k] for k in range(r)) % q
-                if not ((rhs + V[a, t, None]) % q == VT[t][ab]).all():
-                    return False
+        if V[0].any():
+            return False
+        X = G.element_array() % q
+        gens = [G.index_of(g) for g in G.generators]
+        for g, right in zip(gens, G.right_multiplication()):
+            if not (V[right] == ((X @ V[g]) % q + V) % q).all():
+                return False
         return True
 
     def scale(self, c: int) -> "Cocycle":
@@ -176,12 +166,20 @@ class _CocycleSystem:
         self.m = spec.rank
         self.k = len(G.generators)
         self.size = G.order
-        q, m, k = self.q, self.m, self.k
-        self.acts = G.element_array() % q   # size x m x m
-        self.dim = k * m
-        # C[sigma]: value of a cocycle at sigma as a linear map of z, built
-        # one BFS layer at a time from C[x g] = C[x] + x E_g, where E_g
-        # picks the block of generator g
+        # size x m x m; the elements are already reduced mod p^n, so at
+        # j = n the read-only element array serves without a copy
+        X = G.element_array()
+        self.acts = X if j == spec.n else X % self.q
+        self.dim = self.k * self.m
+
+    @property
+    @_cached
+    def C(self) -> np.ndarray:
+        """C[sigma]: value of a cocycle at sigma as a linear map of z, built
+        one BFS layer at a time from C[x g] = C[x] + x E_g, where E_g picks
+        the block of generator g.  Filled on first use: B^1 alone
+        (is_coboundary, class_order) does not need it."""
+        G, q, m = self.G, self.q, self.m
         C = np.zeros((self.size, m, self.dim), dtype=np.int64)
         rows = np.arange(m)[:, None]
         for start, stop in G.tree_layers():    # layer 0, the identity: C = 0
@@ -191,28 +189,28 @@ class _CocycleSystem:
             C[idx] = C[par]
             C[idx[:, None, None], rows, cols] += self.acts[par]
             C[idx] %= q
-        self.C = C
+        return C
+
+    def cocycle_rows(self, g: int, x: np.ndarray) -> np.ndarray:
+        """The constraint rows C[x g] - C[x] - x E_g of generator g at the
+        element positions x, unreduced: rank rows per element, and all
+        zero where x g is x's child along the closure tree."""
+        m = self.m
+        rows = self.C[self.G.right_multiplication()[g, x]] - self.C[x]
+        rows[:, :, g * m:(g + 1) * m] -= self.acts[x]
+        return rows.reshape(-1, self.dim)
 
     @_cached
     def cocycle_basis(self) -> np.ndarray:
-        """Howell basis of the cocycle constraint rows, the coefficients of
-        Z_{gx} - Z_g - g Z_x = 0 for each generator g and element x.  The
-        rows are made and folded in a block of elements at a time, so the
-        k * N * rank stack is never held."""
-        G, m = self.G, self.m
+        """Howell basis of the cocycle constraint rows for every generator
+        and element.  The rows are made and folded in a block of elements
+        at a time, so the k * N * rank stack is never held."""
         basis = np.zeros((0, self.dim), dtype=np.int64)
-        step = max(1, _ROW_BLOCK // m)
-        ident = np.eye(m, dtype=np.int64)
-        for gidx, gmat in enumerate(G.generators):
-            gact = self.acts[G.index_of(gmat)]
-            prod_idx = G.lookup((gmat.to_array() @ G.element_array())
-                                % G.spec.modulus)
+        step = max(1, _ROW_BLOCK // self.m)
+        for g in range(self.k):
             for s in range(0, self.size, step):
-                x = slice(s, s + step)
-                rows = self.C[prod_idx[x]] - gact @ self.C[x]
-                rows[:, :, gidx * m:(gidx + 1) * m] -= ident
-                basis = _fold(basis, rows.reshape(-1, self.dim),
-                              self.p, self.j)
+                x = np.arange(s, min(s + step, self.size))
+                basis = _fold(basis, self.cocycle_rows(g, x), self.p, self.j)
         return basis
 
     @_cached
@@ -221,17 +219,16 @@ class _CocycleSystem:
 
     @_cached
     def b1_gens(self) -> np.ndarray:
-        out = []
-        for t in range(self.m):
-            e = np.zeros(self.m, dtype=np.int64)
-            e[t] = 1
-            z = []
-            for gmat in self.G.generators:
-                gact = self.acts[self.G.index_of(gmat)]
-                z.extend(((gact - np.eye(self.m, dtype=np.int64)) @ e) % self.q)
-            out.append(z)
-        return (np.array(out, dtype=np.int64) % self.q
-                if out else np.zeros((0, self.dim), dtype=np.int64))
+        """Rows spanning B^1 in the z coordinates: row t is the coboundary
+        of the basis vector e_t, column t of g - 1 at each generator g, so
+        v @ b1_gens() is the coboundary of v."""
+        gens = self.acts[[self.G.index_of(g) for g in self.G.generators]]
+        D = (gens - np.eye(self.m, dtype=np.int64)) % self.q
+        return D.transpose(2, 0, 1).reshape(self.m, self.dim)
+
+    @_cached
+    def b1_system(self) -> RowSystem:
+        return RowSystem(self.b1_gens(), self.p, self.j)
 
     def local_constraints(self) -> np.ndarray:
         """Rows w C[s] with w (s - 1) = 0 at each cyclic class
@@ -327,17 +324,10 @@ def sizes(G: MatGroup, module_exponent=None):
 def is_coboundary(Z: Cocycle):
     """A vector v with Z_sigma = sigma v - v for all sigma, or None.
 
-    Agreement on the generators forces agreement everywhere, so the system
-    stacks (g - 1) over the generators only."""
-    G = Z.group
-    q = Z.q
-    m = G.spec.rank
-    if not G.generators:
-        return (0,) * m
-    A = np.concatenate([(g.to_array() - np.eye(m, dtype=np.int64)) % q
-                        for g in G.generators], axis=0)
-    sol = RowSystem(A.T, G.spec.p, Z.module_exponent).solve(
-        Z.generator_vector())
+    Agreement on the generators forces agreement everywhere, so v solves
+    v @ b1_gens() = z for the generator values z."""
+    sys = _system(Z.group, Z.module_exponent)
+    sol = sys.b1_system().solve(Z.generator_vector())
     if sol is None:
         return None
     return tuple(int(x) for x in sol)
@@ -376,10 +366,9 @@ def class_order(Z: Cocycle) -> int:
     """Order of [Z] in H^1: [Z] lies in a p-group killed by p^j, so this is
     the least p^i, i <= j, with p^i Z a coboundary."""
     sys = _system(Z.group, Z.module_exponent)
-    b1 = RowSystem(sys.b1_gens(), sys.p, sys.j)
     z = Z.generator_vector()
     return next(sys.p ** i for i in range(sys.j + 1)
-                if b1.contains((sys.p ** i * z) % sys.q))
+                if sys.b1_system().contains((sys.p ** i * z) % sys.q))
 
 
 def restrict(Z: Cocycle, H: MatGroup) -> Cocycle:

@@ -327,13 +327,15 @@ class MatGroup:
             start, end = end, stop
         return tuple(layers)
 
+    @_cached
     def right_multiplication(self) -> np.ndarray:
         """right[g, i]: the position of x_i g for the generator g and the
-        element x_i, one lookup per generator."""
+        element x_i, one lookup per generator; read-only."""
         q = self.spec.modulus
         right = np.empty((len(self.generators), self.order), dtype=np.int64)
         for g, row in zip(self.generators, right):
             row[:] = self.lookup((self._array @ g.to_array()) % q)
+        right.flags.writeable = False
         return right
 
     @_cached

@@ -252,7 +252,10 @@ def reference_howell_rows(M, p: int, n: int) -> np.ndarray:
 def reference_cocycle_rows(G, module_exponent=None) -> np.ndarray:
     """The whole stack of cocycle constraint rows C[g x] - E_g - g C[x],
     one generator g at a time over all elements x, as a reference for
-    folding them into a Howell basis block by block."""
+    folding them into a Howell basis block by block.  The rows are kept in
+    the left orientation Z_{gx} = Z_g + g Z_x, apart from the right-hand
+    rows C[x g] - C[x] - x E_g of _CocycleSystem.cocycle_rows: both have
+    Z^1 as their kernel, so their Howell forms agree."""
     from .cohomology import _system
     sys = _system(G, module_exponent)
     m, blocks = sys.m, [np.zeros((0, sys.dim), dtype=np.int64)]
@@ -314,9 +317,10 @@ def reference_qualifying_search(keys, G, p: int):
 
 
 def reference_is_valid(Z) -> bool:
-    """Cocycle.is_valid with every product ab a batched matmul and its
-    position one lookup, about 4096 pairs at a time, as a reference for
-    the gathers along the closure tree."""
+    """Z_ab = Z_a + a Z_b on all |G|^2 pairs, every product ab a batched
+    matmul and its position one lookup, about 4096 pairs at a time: the
+    exhaustive reference for Cocycle.is_valid, which checks only the
+    k * N pairs (element, generator)."""
     G, q, V = Z.group, Z.q, Z.values
     X, r = G.element_array(), G.spec.rank
     step = max(1, 4096 // G.order)
@@ -358,9 +362,9 @@ def reference_fixed_point_spectrum(G):
 
 
 def cocycle_identity_holds(Z) -> bool:
-    """Cocycle.is_valid one pair at a time, as a reference for its blocked
-    check: Z_ab = Z_a + a Z_b for every pair, with Mat products and Python
-    integers."""
+    """Z_ab = Z_a + a Z_b for every pair, one pair at a time with Mat
+    products and Python integers: an exhaustive reference for
+    Cocycle.is_valid, independent of the group's tables."""
     G, q = Z.group, Z.q
     vals = {x.key(): tuple(int(v) for v in row)
             for x, row in zip(G.elements, Z.values)}

@@ -26,13 +26,28 @@ from .errors import InputError, InternalError, certify
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin with the prime bases up to 37.  It is
+    exact below 318665857834031151167461, the least strong pseudoprime to
+    all of them (Sorenson and Webster, Math. Comp. 86 (2017)); larger p
+    raise InputError."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p >= 318665857834031151167461:
+        raise InputError(f"p = {p} is too large for the primality test")
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -452,89 +467,6 @@ def span_order(rows: np.ndarray, p: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def normal_form(A: Mat, spec: ModuleSpec):
-    """Howell-style row canonical form H of A with a unimodular transform T.
-
-    When the canonical form needs more rows than A has (annihilator rows of
-    pivots can be independent), A is implicitly padded with zero rows; then
-    T @ A_padded = H and T is square unimodular.  H is deterministic for
-    fixed A: rows sorted by pivot column, zero rows at the bottom.
-    """
-    p, n = spec.p, spec.n
-    q = p ** n
-    _check_int64(q)
-    arr = A.to_array() % q
-    r, c = arr.shape
-    # work items: (vector, {row_id: coeff}); row ids r.. are lazily added pads
-    work = [(arr[i].copy(), {i: 1}) for i in range(r)]
-    next_id = r
-    placed = []
-    zeros = []
-    for col in range(c):
-        best, bestv = None, n
-        for i, (vec, _) in enumerate(work):
-            e = int(vec[col])
-            if e:
-                v = _valuation(e, p, n)
-                if v < bestv:
-                    best, bestv = i, v
-        if best is None:
-            continue
-        vec, coeff = work.pop(best)
-        v = bestv
-        u_inv = pow(int(vec[col]) // p ** v, -1, q)
-        vec = (vec * u_inv) % q
-        coeff = {k: (x * u_inv) % q for k, x in coeff.items()}
-        for i in range(len(work)):
-            wv, wc = work[i]
-            e = int(wv[col])
-            if e:
-                f = e // p ** v
-                wv = (wv - f * vec) % q
-                wc = dict(wc)
-                for k, x in coeff.items():
-                    wc[k] = (wc.get(k, 0) - f * x) % q
-                work[i] = (wv, wc)
-        if v:
-            ann_vec = (vec * p ** (n - v)) % q
-            if ann_vec.any():
-                ann_coeff = {k: (x * p ** (n - v)) % q for k, x in coeff.items()}
-                ann_coeff[next_id] = 1      # consumes one virtual zero-pad row
-                next_id += 1
-                work.append((ann_vec, ann_coeff))
-        placed.append([col, v, vec, coeff])
-    for vec, coeff in work:                  # fully reduced rows
-        zeros.append((vec, coeff))
-    # canonical reduction above pivots
-    for i in range(len(placed)):
-        ci, vi, ri, ki = placed[i]
-        mod = p ** vi
-        for j in range(i):
-            cj, vj, rj, kj = placed[j]
-            f = int(rj[ci]) // mod
-            if f:
-                rj = (rj - f * ri) % q
-                kj = dict(kj)
-                for k, x in ki.items():
-                    kj[k] = (kj.get(k, 0) - f * x) % q
-                placed[j] = [cj, vj, rj, kj]
-    total = next_id
-    H_rows, T_rows = [], []
-    for _, _, vec, coeff in placed:
-        H_rows.append(vec)
-        T_rows.append([coeff.get(k, 0) for k in range(total)])
-    for vec, coeff in zeros:
-        H_rows.append(np.zeros(c, dtype=np.int64))
-        T_rows.append([coeff.get(k, 0) for k in range(total)])
-    # T acts on A padded with zero rows to `total`; H is trimmed back to
-    # max(r, #pivots) rows so the form is idempotent, with
-    # T @ pad(A) == pad(H) row for row
-    keep = max(r, len(placed))
-    H = Mat.from_rows([list(map(int, row)) for row in H_rows[:keep]], q)
-    T = Mat.from_rows(T_rows, q)
-    return H, T
-
 
 def kernel(A: Mat, spec: ModuleSpec):
     """Generators of {x : A @ x = 0} as a list of vectors."""

@@ -177,6 +177,14 @@ def test_cap_exit_code(tmp_path):
     assert run(["h1", path, "--cap", "10"]) == EXIT_CAP
 
 
+def test_huge_prime_header_exits_two(tmp_path, capsys):
+    # 2^61 - 1 is prime, and the int64 bound of the closure refuses it
+    text = "p=2305843009213693951 n=1 rank=2\ngen:\n1 1\n0 1\n"
+    path = write(tmp_path, "huge.grp", text)
+    assert run(["h1", path]) == EXIT_INPUT
+    assert "too large" in capsys.readouterr().err
+
+
 def test_missing_file():
     assert run(["h1", "/nonexistent/file.grp"]) == EXIT_INPUT
 

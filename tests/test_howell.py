@@ -1,6 +1,7 @@
 """The vectorized Howell kernel against the row-at-a-time reference, the
-block-folded cocycle basis against the whole constraint stack, and the
-int64 boundary of the linear algebra."""
+block-folded cocycle basis against the whole constraint stack in the
+reference's left orientation, the zero rows of the closure-tree edges, and
+the int64 boundary of the linear algebra."""
 
 import numpy as np
 import pytest
@@ -103,7 +104,11 @@ def test_cocycle_basis_in_blocks_equals_one_shot(monkeypatch, block):
 
 def test_z1_and_z1loc_match_sorted_transposed_stack():
     """Z^1 and Z^1_loc from the folded basis against the whole stack, sorted
-    and deduplicated, through the transposed RowSystem."""
+    and deduplicated, through the transposed RowSystem.  The stack is the
+    reference's left-orientation rows C[g x] - E_g - g C[x]; the basis
+    folds the rows C[x g] - C[x] - x E_g.  Both have Z^1 as their kernel,
+    so over Z/p^j they span the same module and have the same Howell
+    form."""
     groups = [G for _, G in small_oracle_groups()]
     groups += [G for _, _, _, G in twist_corpus() if G.order <= 2500]
     assert len(groups) == len(small_oracle_groups()) + len(twist_corpus()) - 2
@@ -112,10 +117,33 @@ def test_z1_and_z1loc_match_sorted_transposed_stack():
             if j > G.spec.n:
                 continue
             sys = _system(G, j)
+            rows = oracles.reference_cocycle_rows(G, j)
+            assert np.array_equal(sys.cocycle_basis(),
+                                  _howell_rows(rows, G.spec.p, j))
             assert np.array_equal(sys.z1_gens(), oracles.reference_z1(G, j))
             assert np.array_equal(
                 sys.z1loc_gens(),
                 oracles.reference_z1loc(G, j, G.cyclic_class_representatives()))
+
+
+def test_tree_edges_give_zero_constraint_rows():
+    """C is built along the closure tree by C[x g] = C[x] + x E_g, so the
+    constraint rows of a tree edge (x, g) vanish."""
+    groups = [G for _, G in small_oracle_groups()]
+    groups += [G for _, _, _, G in twist_corpus() if G.order <= 2500]
+    nonzero = 0
+    for G in groups:
+        sys = _system(G)
+        children = np.arange(1, G.order)
+        for g in range(sys.k):
+            edges = children[G.tree_gen[1:] == g]
+            x = G.tree_parent[edges]
+            assert np.array_equal(G.right_multiplication()[g, x], edges)
+            assert not (sys.cocycle_rows(g, x) % sys.q).any()
+            rows = sys.cocycle_rows(g, np.arange(G.order)) % sys.q
+            nonzero += int(rows.any(axis=1).sum())
+    # the other pairs carry the relations
+    assert nonzero
 
 
 # -- the int64 boundary ------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from h1loc import oracles
 from h1loc.errors import InputError
-from h1loc.ringmat import (ExtensionField, Mat, ModuleSpec, char_poly,
-                           eigenvalues_in_ext, kernel, normal_form,
+from h1loc.ringmat import (ExtensionField, Mat, ModuleSpec, _howell_rows,
+                           char_poly, eigenvalues_in_ext, is_prime, kernel,
                            quotient_structure, solve, span_order)
 
 
@@ -21,42 +21,49 @@ def test_module_spec_validation():
         ModuleSpec(5, 1, 0)
 
 
-def test_normal_form_identity():
-    spec = ModuleSpec(5, 2, 2)
-    A = Mat.identity(2, 25)
-    H, T = normal_form(A, spec)
-    assert H.key() == A.key()
-    assert T.key() == A.key()
-
-
 def test_normal_form_span_mod9():
-    spec = ModuleSpec(3, 2, 1)
-    A = Mat.from_rows([[3]], 9)
-    H, T = normal_form(A, spec)
-    assert H.entries == ((3,),)
+    H = _howell_rows(np.array([[3]]), 3, 2)
+    assert H.tolist() == [[3]]
     span = oracles.span_enumerate([[3]], 9)
     assert span == {(0,), (3,), (6,)}
     assert (6,) in span and (1,) not in span
+    assert oracles.span_enumerate(H.tolist(), 9) == span
 
 
 def test_normal_form_needs_extra_row():
     # pivot 4 mod 8 has annihilator 2*(4,1) = (0,2) outside the row
-    spec = ModuleSpec(2, 3, 2)
-    A = Mat.from_rows([[4, 1]], 8)
-    H, T = normal_form(A, spec)
-    assert H.entries == ((4, 1), (0, 2))
-    assert np.gcd(T.det(), 8) == 1
-    padded = np.vstack([A.to_array(), np.zeros((1, 2), dtype=np.int64)])
-    assert ((T.to_array() @ padded) % 8 == H.to_array()).all()
+    H = _howell_rows(np.array([[4, 1]]), 2, 3)
+    assert H.tolist() == [[4, 1], [0, 2]]
+    assert oracles.span_enumerate(H.tolist(), 8) == \
+        oracles.span_enumerate([[4, 1]], 8)
 
 
-def test_normal_form_two_rows_mod8():
-    spec = ModuleSpec(2, 3, 2)
-    A = Mat.from_rows([[2, 4], [0, 0]], 8)
-    H, _ = normal_form(A, spec)
-    nonzero = [r for r in H.entries if any(r)]
-    assert len(nonzero) == 1
-    assert len(oracles.span_enumerate(A.entries, 8)) == 4
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5) if _trial_division(n)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_input():
+    # strong pseudoprimes to the bases 2; 2..7; 2..31, and a Carmichael
+    # number, all composite
+    for n, factor in [(2047, 23), (3215031751, 151),
+                      (3825123056546413051, 149491), (561, 3)]:
+        assert n % factor == 0 and not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 14 + 31)
+    assert not is_prime(10 ** 14)
+    # the least strong pseudoprime to every base up to 37: refused, not
+    # called prime
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert (psi12 - 2) % 137 == 0 and not is_prime(psi12 - 2)
+    with pytest.raises(InputError, match="too large"):
+        is_prime(psi12)
+    with pytest.raises(InputError, match="too large"):
+        ModuleSpec(2 ** 89 - 1, 1, 1)
 
 
 def test_kernel_examples():
@@ -154,25 +161,6 @@ def matrix_and_spec(draw, max_dim=3):
         st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows))
     return Mat.from_rows(entries, q), ModuleSpec(p, n, cols)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrix_and_spec())
-def test_normal_form_idempotent_and_span_preserving(ms):
-    A, spec = ms
-    q = spec.modulus
-    H, T = normal_form(A, spec)
-    H2, _ = normal_form(H, spec)
-    assert H2.entries == H.entries
-    assert oracles.span_enumerate(A.entries, q) == \
-        oracles.span_enumerate(H.entries, q)
-    total = T.rows
-    pad_a = np.vstack([A.to_array(),
-                       np.zeros((total - A.rows, A.cols), dtype=np.int64)])
-    pad_h = np.vstack([H.to_array(),
-                       np.zeros((total - H.rows, A.cols), dtype=np.int64)])
-    assert ((T.to_array() @ pad_a) % q == pad_h).all()
-    assert np.gcd(T.det(), q) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,10 @@
-"""Stacked Howell solves and tree-gather cocycle checks against the
-one-system and matmul paths they replaced: _howell_stack against _howell
-per system, RowSystemStack against RowSystem, the local constraints and the
-fixed-point spectrum against their per-element loops, Cocycle.is_valid
-against oracles.reference_is_valid and the per-pair oracle, the closure
-tree's BFS layers, and the packed first-occurrence sort of MatGroup.close
-against np.unique."""
+"""Stacked Howell solves and the generator-pair cocycle check against the
+one-system and exhaustive paths they replaced: _howell_stack against
+_howell per system, RowSystemStack against RowSystem, the local constraints
+and the fixed-point spectrum against their per-element loops,
+Cocycle.is_valid against oracles.reference_is_valid and the per-pair
+oracle, the closure tree's BFS layers, and the packed first-occurrence sort
+of MatGroup.close against np.unique."""
 
 import numpy as np
 import pytest
@@ -181,6 +181,10 @@ def test_is_valid_matches_references_with_corrupted_values():
 
 
 def test_is_valid_on_trivial_group_and_identity_generator():
+    """Also with a generator listed twice, and with a value changed at the
+    identity or at a repeated generator, where the k * N pairs meet Z_1
+    itself or read one position for two generators."""
+    rng = np.random.default_rng(5)
     spec = ModuleSpec(5, 2, 2)
     trivial = MatGroup.close([], spec)
     assert trivial.tree_layers() == ()
@@ -188,13 +192,37 @@ def test_is_valid_on_trivial_group_and_identity_generator():
     assert _assert_verdicts_agree(Cocycle(trivial, [[0, 0]]))
     assert not _assert_verdicts_agree(Cocycle(trivial, [[0, 5]]))
     ident = M([[1, 0], [0, 1]], 25)
-    for gens in ([ident], [ident, M([[1, 1], [0, 1]], 25)],
-                 [M([[1, 1], [0, 1]], 25), ident, M([[6, 0], [0, 1]], 25)]):
+    u, d = M([[1, 1], [0, 1]], 25), M([[6, 0], [0, 1]], 25)
+    for gens in ([ident], [ident, u], [u, ident, d], [u, u], [u, d, u]):
         G = MatGroup.close(gens, spec)
-        for Z in cocycle_space(G):
+        for Z in cocycle_space(G) + [_random_cocycle(G, rng)]:
             assert _assert_verdicts_agree(Z)
             assert not _assert_verdicts_agree(_changed_at(Z, G.order - 1)) \
                 or G.order < 3
+            for g in gens:
+                assert not _assert_verdicts_agree(
+                    _changed_at(Z, G.index_of(g)))
+
+
+def test_is_valid_sees_a_break_at_the_last_generator_only():
+    """Z plus a function that is zero on H = <g_1, ..., g_{k-1}> and v off
+    it: constant on the cosets xH, so it keeps Z_{xg} = Z_x + x Z_g for
+    every generator but the last, and only the last one's pairs can show
+    that it is no cocycle."""
+    rng = np.random.default_rng(7)
+    broken = 0
+    for G in _corpus_groups():
+        if len(G.generators) < 2:
+            continue
+        H = MatGroup.close(G.generators[:-1], G.spec)
+        off = np.ones(G.order, dtype=bool)
+        off[G.lookup(H.element_array())] = False
+        Z = _random_cocycle(G, rng)
+        vals = Z.values.copy()
+        vals[off, 0] += 1
+        broken += not _assert_verdicts_agree(
+            Cocycle(G, vals, Z.module_exponent))
+    assert broken >= 10
 
 
 def test_is_valid_on_the_family_at_p17():
