@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .cohomology import (Cocycle, class_order, cocycle_from_generator_values,
                          h1_loc, is_coboundary, satisfies_local_conditions)
 from .errors import InputError, certify
-from .groups import MatGroup, element_order
-from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, solve
+from .groups import MatGroup, _normalizing
+from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, solve, span_order
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def build(p: int) -> CounterexampleInstance:
     H2 = MatGroup.close([h10, h01], spec, cap=q + 1)
     G2 = MatGroup.close([g, h10, h01], spec, cap=3 * q + 1)
 
-    certify(element_order(g) == 3, "g must have order 3")
+    certify(G2.element_order(g) == 3, "g must have order 3")
     certify(H2.order == p * p, "H must have order p^2")
     certify(G2.order == 3 * p * p, "G must have order 3 p^2")
     # every h(a, b) at once, a-major, and the laws as array equalities
@@ -98,8 +98,7 @@ def build(p: int) -> CounterexampleInstance:
                            family_array(p, b - a, -a)), "conjugation law (g^2)")
     certify(np.array_equal(hab @ family_array(p, [1], [1]) % q,
                            family_array(p, a + 1, b + 1)), "h is additive")
-    certify(all(g.mul(h).mul(gi) in H2 for h in H2.generators),
-            "g normalizes H")
+    certify(_normalizing(garr[None], giarr[None], H2)[0], "g normalizes H")
     # extends the generator values through the tree; raises if the values
     # are inconsistent with the cocycle identity anywhere
     Z = cocycle_from_generator_values(
@@ -238,9 +237,8 @@ def _equivariant_hom_group(inst: CounterexampleInstance):
     for _ in range(2):
         orbit.append((gb @ orbit[-1]) % p)
     orbit_rows = np.array([f.reshape(4) for f in orbit], dtype=np.int64)
-    from .ringmat import span_order as _span_order
     generates = dim > 0 and \
-        _span_order(orbit_rows, p, 1) == _span_order(sol, p, 1)
+        span_order(orbit_rows, p, 1) == span_order(sol, p, 1)
     return dim, generates
 
 
@@ -257,10 +255,11 @@ def scan_orders(p: int, include_comparison: bool = True):
         gens = ([] if j == 0 else [top]) + list(inst.H2.generators)
         Gj = MatGroup.close(gens, inst.spec, cap=3 * q + 1)
         loc = h1_loc(Gj)
+        order = Gj.element_order(top)
         rows.append({
             "label": f"<g^{j}, H>",
-            "twist_order": element_order(top) if j else 1,
-            "divides_p_minus_1": (p - 1) % (element_order(top) if j else 1) == 0,
+            "twist_order": order,
+            "divides_p_minus_1": (p - 1) % order == 0,
             "group_order": Gj.order,
             "h1_loc": loc.structure.invariant_factors,
             "vanishes": loc.is_trivial,
@@ -272,10 +271,11 @@ def scan_orders(p: int, include_comparison: bool = True):
         Gc = MatGroup.close([d] + list(inst.H2.generators), inst.spec,
                             cap=(p - 1) * q * q + 1)
         loc = h1_loc(Gc)
+        order = Gc.element_order(d)
         rows.append({
             "label": "comparison <diag(2,3)^p, H>",
-            "twist_order": element_order(d),
-            "divides_p_minus_1": (p - 1) % element_order(d) == 0,
+            "twist_order": order,
+            "divides_p_minus_1": (p - 1) % order == 0,
             "group_order": Gc.order,
             "h1_loc": loc.structure.invariant_factors,
             "vanishes": loc.is_trivial,

@@ -20,8 +20,9 @@ import numpy as np
 
 from .cohomology import h1, h1_loc
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, _distinct, _normalizer_mask, coset_orders,
-                     lift_normalizer, p_sylow, sylow_normalizer_element)
+from .groups import (MatGroup, _distinct, _normalizer_mask, _normalizing,
+                     _power_positions, coset_orders, lift_normalizer, p_sylow,
+                     sylow_normalizer_element)
 from .ringmat import Mat, _bijective_shifts, _howell_stack
 from .symplectic import SymplecticSpace, similitude_multipliers
 
@@ -134,10 +135,9 @@ def fixed_point_free_criterion(G1: MatGroup,
         rep.add("H^1(G1, M) = 0", "satisfied")
     else:
         rep.add("H^1(G1, M) = 0", "failed", h1_group.describe())
-    if found is None or not h1_group.is_trivial:
-        cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
-        return rep.finalize("not_applicable", cross)
     cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
+    if found is None or not h1_group.is_trivial:
+        return rep.finalize("not_applicable", cross)
     return rep.finalize("certified", cross)
 
 
@@ -158,15 +158,16 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     Q = G.reduce_mod(1)
     if g1 not in Q:
         raise PreconditionError("g1 is an element of the mod-p image of G")
-    t = Q.element_order(g1)
+    qpos = np.array([Q.index_of(g1)])
+    t = int(Q.orders()[qpos[0]])
     if (p - 1) % t != 0:
         raise PreconditionError("order of g1 divides p-1",
                                 f"order(g1) = {t}")
     if not _bijective_shift(g1, p):
         raise PreconditionError("g1 - 1 is bijective mod p")
     HQ = p_sylow(Q)
-    g1i = g1.inv()
-    if not all(g1.mul(h).mul(g1i) in HQ for h in HQ.generators):
+    QX = Q.element_array()
+    if not _normalizing(QX[qpos], QX[Q.inverse_indices()[qpos]], HQ)[0]:
         raise PreconditionError("g1 normalizes a p-Sylow of the mod-p image",
                                 "the deterministic Sylow is not normalized")
     # preimage of the mod-p Sylow is a p-Sylow of G (the reduction kernel is
@@ -174,16 +175,15 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     red = Q.lookup(G.element_array() % p)    # position of x mod p in Q
     N = G.subgroup(red == 0)                 # Q's identity comes first
     H = G.subgroup((HQ.lookup(Q.element_array()) >= 0)[red])
-    h0 = G.element(int(np.argmax(red == Q.index_of(g1))))
+    h0 = G.element(int(np.argmax(red == qpos[0])))
     h = lift_normalizer(G, N, H, h0)
-    o = G.element_order(h)
+    pos = np.array([G.index_of(h)])
+    o = int(G.orders()[pos[0]])
     a = 0
     while o % p == 0:
         o //= p
         a += 1
-    if a == 0:
-        g = h
-    else:
+    if a:
         # exponent p^k with p^k = 1 mod t keeps the reduction equal to g1
         # while killing the p-part of the order
         e0 = 1
@@ -192,15 +192,16 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
         k = e0
         while k < a:
             k += e0
-        g = h.pow(p ** k)
-    certify((p - 1) % G.element_order(g) == 0,
+        pos = _power_positions(G.power_maps(), pos, np.array([p ** k]))
+    g = G.element(pos[0])
+    certify((p - 1) % G.orders()[pos[0]] == 0,
             "lift order does not divide p-1 (internal)")
     certify(g.reduce_mod(p).key() == g1.key(),
             "lift does not reduce to g1 (internal)")
     certify(_bijective_shift(g, spec.modulus),
             "lift g-1 not bijective (internal)")
-    gi = g.inv()
-    certify(all(g.mul(x).mul(gi) in H for x in H.generators),
+    X = G.element_array()
+    certify(_normalizing(X[pos], X[G.inverse_indices()[pos]], H)[0],
             "lift does not normalize the Sylow (internal)")
     return g
 

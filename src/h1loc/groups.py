@@ -12,22 +12,24 @@ point so it never costs more than the products already formed.
 Also here: element orders from prime power maps, p-Sylow subgroups by
 normalizer ascent, Frattini subgroups of p-groups, the constructive
 conjugation-eigenbasis decomposition of a normalized p-group, and
-coset-representative corrections into Sylow normalizers.
+coset-representative corrections into Sylow normalizers.  These run on
+element arrays too: generating sets are the greedy positions of
+_greedy_generators, and _normalizing is the one test that elements
+normalize a group; Mat values appear only in arguments and results.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 from dataclasses import dataclass
 from math import factorial, gcd
 
 import numpy as np
 
-from .errors import (CapExceededError, InputError, InternalError,
-                     PreconditionError, certify)
-from .ringmat import Mat, ModuleSpec, char_poly, kernel, _howell_rows
+from .errors import (CapExceededError, InputError, PreconditionError,
+                     certify)
+from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows
 
 DEFAULT_CAP = 200_000
 
@@ -246,10 +248,7 @@ class MatGroup:
     def _from_lex_sorted(cls, arr, spec: ModuleSpec, cap: int):
         """Group on the distinct, lexicographically sorted (N, r, r) matrices
         arr, closed from the greedy generators _greedy_generators picks."""
-        q = spec.modulus
-        gens = [Mat.from_array(arr[i], q)
-                for i in _greedy_generators(arr, spec, cap)]
-        grp = cls.close(gens, spec, cap=cap)
+        grp = _greedy_generators(arr, spec, cap)[1]
         if grp.order != len(arr):
             raise InputError("element set is not closed under multiplication")
         return grp
@@ -578,9 +577,7 @@ def normalizer(G: MatGroup, H: MatGroup) -> MatGroup:
     """{x in G : x H x^-1 = H} as a closed subgroup."""
     if not H.is_subgroup_of(G):
         raise InputError("H is not contained in G")
-    return MatGroup.from_elements(
-        [G.elements[i] for i in np.flatnonzero(_normalizer_mask(G, H))],
-        G.spec)
+    return G.subgroup(_normalizer_mask(G, H))
 
 
 def is_p_group(H: MatGroup) -> bool:
@@ -588,20 +585,12 @@ def is_p_group(H: MatGroup) -> bool:
     return len(f) <= 1 and (not f or H.spec.p in f)
 
 
-def reduce_generators(mats, spec: ModuleSpec, cap: int = DEFAULT_CAP,
-                      base=()):
-    """Greedy sublist of mats that with base generates the same group as
-    base and mats: keeps a matrix only when it enlarges the closure so far.
-    Meant for small groups where generator lists would otherwise snowball."""
-    mats = list(mats)
-    return [mats[i] for i in _greedy_generators(_stack(mats, spec.rank), spec,
-                                                cap, base)]
-
-
 def _greedy_generators(arr, spec: ModuleSpec, cap: int = DEFAULT_CAP,
-                       base=()) -> list:
-    """Positions of the greedy sublist of the (N, r, r) matrices arr that
-    reduce_generators keeps."""
+                       base=()):
+    """(positions, group): the greedy sublist of the (N, r, r) matrices arr
+    that with the Mat list base generates the same group as base and arr,
+    keeping a matrix only when it enlarges the closure so far, and that
+    group, closed from base and the kept matrices in order."""
     q = spec.modulus
     kept = []
     grp = MatGroup.close(base, spec, cap=cap)
@@ -610,7 +599,7 @@ def _greedy_generators(arr, spec: ModuleSpec, cap: int = DEFAULT_CAP,
         # the closure only grows, so matrices skipped so far stay inside it
         outside = np.flatnonzero(grp.lookup(arr[start:]) < 0)
         if not len(outside):
-            return kept
+            return kept, grp
         start += int(outside[0])
         kept.append(start)
         grp = MatGroup.close(list(base) + [Mat.from_array(arr[i], q)
@@ -628,31 +617,29 @@ def frattini(H: MatGroup) -> MatGroup:
     if H.order == 1:
         return H
     q, r = H.spec.modulus, H.spec.rank
-    gens = reduce_generators(H.generators, H.spec, cap=H.order + 1)
-    A = _stack(gens, r)
+    cap = H.order + 1
+
+    def generated(arr):
+        return _greedy_generators(arr, H.spec, cap)[1]
+
+    A = _stack(H.generators, r)
+    A = A[_greedy_generators(A, H.spec, cap)[0]]
     Ai = H.element_array()[H.inverse_indices()[H.lookup(A)]]
     # a b a^-1 b^-1 for a, b in gens, a-major
     ab = (A[:, None] @ A[None]) % q
     comm_arr = ((((ab @ Ai[:, None]) % q) @ Ai[None]) % q).reshape(-1, r, r)
-    comms = [Mat.from_array(c, q) for c in comm_arr]
     # normal closure of the commutators inside H
-    K = MatGroup.close(reduce_generators(comms, H.spec, cap=H.order + 1),
-                       H.spec, cap=H.order + 1)
+    K = generated(comm_arr)
     while True:
         # x k x^-1 for x in gens and k in K.generators, x-major
         conj = ((((A[:, None] @ _stack(K.generators, r)[None]) % q)
                  @ Ai[:, None]) % q).reshape(-1, r, r)
-        extra = [Mat.from_array(c, q) for c in conj[K.lookup(conj) < 0]]
-        if not extra:
+        extra = conj[K.lookup(conj) < 0]
+        if not len(extra):
             break
-        K = MatGroup.close(reduce_generators(
-            list(K.generators) + extra, H.spec, cap=H.order + 1),
-            H.spec, cap=H.order + 1)
+        K = generated(np.concatenate([_stack(K.generators, r), extra]))
     pth = _batch_power(A, p, q)
-    phi_gens = reduce_generators(
-        list(K.generators) + [Mat.from_array(a, q) for a in pth], H.spec,
-        cap=H.order + 1)
-    phi = MatGroup.close(phi_gens, H.spec, cap=H.order + 1)
+    phi = generated(np.concatenate([_stack(K.generators, r), pth]))
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
     certify((phi.lookup(pth) >= 0).all(), "H/phi not exponent p (internal)")
@@ -668,115 +655,95 @@ class Decomposition:
     pairs: tuple  # ((h_i, lambda_i), ...)
 
 
-def _coset_coordinates(H: MatGroup, phi: MatGroup, basis):
-    """Map every element of H to its F_p coordinate vector over the given
-    basis of H/phi (basis elements of H whose cosets are independent)."""
-    p = H.spec.p
-    coords = {}
-    powers = [[b.pow(e) for e in range(p)] for b in basis]
-    for cvec in itertools.product(range(p), repeat=len(basis)):
-        m = Mat.identity(H.spec.rank, H.spec.modulus)
-        for row, c in zip(powers, cvec):
-            m = m.mul(row[c])
-        for f in phi.elements:
-            coords[m.mul(f).key()] = cvec
-    return coords
-
-
-def _discrete_log_power(h: Mat, target: Mat, order: int) -> int:
-    x = Mat.identity(h.rows, h.modulus)
-    for lam in range(order):
-        if x.key() == target.key():
-            return lam
-        x = x.mul(h)
-    raise InternalError("conjugate is not a power of the generator (internal)")
-
-
 def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
     """Generators h_1..h_r of the p-group H with g h_i g^-1 = h_i^lambda_i.
 
     Hypotheses (each failure raises PreconditionError naming it): H is a
     p-group, g normalizes H, and the order of g divides p-1.  The recursion
     mirrors the existence proof: diagonalize the conjugation action on
-    H/phi(H) over F_p and split off one eigenvector at a time.
+    H/phi(H) over F_p and split off one eigenvector at a time.  It runs on
+    element arrays; the h_i become Mat values only in the result.
     """
     spec = H.spec
-    p = spec.p
+    p, q, r = spec.p, spec.modulus, spec.rank
     if not is_p_group(H):
         raise PreconditionError("H is a p-group", f"|H| = {H.order}")
-    gi = g.inv()
-    for h in H.generators:
-        if g.mul(h).mul(gi) not in H:
-            raise PreconditionError("H is normal in <g, H>",
-                                    "g does not normalize H")
+    ga, gia = g.to_array(), g.inv().to_array()
+    if not _normalizing(ga[None], gia[None], H)[0]:
+        raise PreconditionError("H is normal in <g, H>",
+                                "g does not normalize H")
     og = element_order(g)
     if (p - 1) % og != 0:
         raise PreconditionError("order of g divides p-1",
                                 f"order(g) = {og}, p-1 = {p - 1}")
 
     def recurse(sub: MatGroup):
+        """(h, lambda) pairs for the g-stable p-group sub, h as arrays."""
         if sub.order == 1:
             return []
         phi = frattini(sub)
+        X = sub.element_array()
         # greedy basis of sub/phi in the deterministic element order
-        basis = reduce_generators(sub.elements, spec, cap=sub.order + 1,
-                                  base=phi.generators)
+        basis = _greedy_generators(X, spec, sub.order + 1, phi.generators)[0]
+        conj = (((ga @ X[basis]) % q) @ gia) % q    # g b g^-1 for each b
         k = len(basis)
         if k == 1:
-            h1 = basis[0]
-            o = element_order(h1)
-            conj = g.mul(h1).mul(gi)
-            lam = _discrete_log_power(h1, conj, o)
-            return [(h1, lam)]
-        coords = _coset_coordinates(sub, phi, basis)
-        cols = [coords[g.mul(b).mul(gi).key()] for b in basis]
-        F = Mat.from_rows([[cols[j][i] for j in range(k)] for i in range(k)], p)
-        fp_spec = ModuleSpec(p, 1, k)
-        cp = char_poly(F, fp_spec)
+            powers = sub._cyclic_positions(basis[0])
+            lam = np.flatnonzero(powers == sub.lookup(conj)[0])
+            certify(len(lam), "conjugate is not a power of the generator "
+                    "(internal)")
+            return [(X[basis[0]], int(lam[0]))]
+        # reps[c]: b_1^c_1 ... b_k^c_k for c in F_p^k, c_1 most significant;
+        # the first p powers of each b are distinct, as b is outside phi
+        reps = np.eye(r, dtype=np.int64)[None]
+        for b in basis:
+            powers = X[sub._cyclic_positions(b)[:p]]
+            reps = ((reps[:, None] @ powers[None]) % q).reshape(-1, r, r)
+        # g b_j g^-1 lies in the coset reps[c] phi with c its coordinates:
+        # exactly one (g b_j g^-1)^-1 reps[c] is in phi
+        conj_inv = X[sub.inverse_indices()[sub.lookup(conj)]]
+        hits = phi.lookup(((conj_inv[:, None] @ reps[None]) % q)
+                          .reshape(-1, r, r)).reshape(k, -1) >= 0
+        certify((hits.sum(axis=1) == 1).all(),
+                "conjugate outside one coset of phi (internal)")
+        digits = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        # row j: the coordinates of g b_j g^-1, column j of the action F
+        coords = (hits.argmax(axis=1)[:, None] // digits) % p
         eigenvecs = []
         for lam in range(p):
-            acc = 0
-            for c in cp:
-                acc = (acc * lam + c) % p
-            if acc:
-                continue
-            shifted = F.sub(Mat.identity(k, p).scale(lam))
-            for vec in kernel(shifted, fp_spec):
-                if any(vec):
-                    eigenvecs.append(vec)
+            # F - lam has no kernel unless lam is an eigenvalue
+            ker = RowSystem((coords - lam * np.eye(k, dtype=np.int64)) % p,
+                            p, 1).kernel()
+            eigenvecs.extend(vec for vec in ker if vec.any())
+        eigenvecs = np.array(eigenvecs, dtype=np.int64).reshape(-1, k)
         # semisimplicity (order of the action divides p-1) guarantees a basis
-        span = _howell_rows(np.array(eigenvecs, dtype=np.int64), p, 1)
-        certify(span.shape[0] == k, "conjugation action not diagonalizable "
+        certify(_howell_rows(eigenvecs, p, 1).shape[0] == k,
+                "conjugation action not diagonalizable "
                 "(internal; hypotheses violated?)")
-        cands = []
-        for vec in eigenvecs:
-            cand = Mat.identity(spec.rank, spec.modulus)
-            for b, c in zip(basis, vec):
-                cand = cand.mul(b.pow(int(c)))
-            cands.append(cand)
-        chosen = reduce_generators(cands, spec, cap=sub.order + 1,
-                                   base=phi.generators)
-        H1 = MatGroup.close(list(phi.generators) + [chosen[0]], spec,
+        cands = reps[eigenvecs @ digits]
+        chosen = [Mat.from_array(cands[i], q) for i in
+                  _greedy_generators(cands, spec, sub.order + 1,
+                                     phi.generators)[0]]
+        H1 = MatGroup.close(list(phi.generators) + chosen[:1], spec,
                             cap=sub.order + 1)
         H2 = MatGroup.close(list(phi.generators) + chosen[1:], spec,
                             cap=sub.order + 1)
         return recurse(H1) + recurse(H2)
 
-    pairs = recurse(H)
-    # dedupe and certify
-    seen = set()
-    unique = []
-    for h, lam in pairs:
-        if h.key() in seen:
-            continue
-        seen.add(h.key())
-        unique.append((h, lam))
-    regen = MatGroup.close([h for h, _ in unique], spec, cap=H.order + 1)
+    unique = {}
+    for h, lam in recurse(H):
+        unique.setdefault(h.tobytes(), (h, lam))
+    hs = np.array([h for h, _ in unique.values()],
+                  dtype=np.int64).reshape(-1, r, r)
+    lams = np.array([lam for _, lam in unique.values()], dtype=np.int64)
+    pairs = tuple((Mat.from_array(h, q), lam) for h, lam in unique.values())
+    regen = MatGroup.close([h for h, _ in pairs], spec, cap=H.order + 1)
     certify(regen.order == H.order and regen.is_subgroup_of(H),
             "decomposition does not regenerate H (internal)")
-    certify(all(g.mul(h).mul(gi).key() == h.pow(lam).key()
-                for h, lam in unique), "conjugation identity failed (internal)")
-    return Decomposition(tuple(unique))
+    certify(np.array_equal((((ga @ hs) % q) @ gia) % q,
+                           _batch_power(hs, lams, q)),
+            "conjugation identity failed (internal)")
+    return Decomposition(pairs)
 
 
 def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
@@ -812,12 +779,12 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     cands = (HN[hits[0]] @ H.element_array()[H.inverse_indices()]) % q
     in_N = np.flatnonzero(N.lookup(cands) >= 0)
     certify(len(in_N), "x does not factor as n h (internal)")
-    out = G.inverse(Mat.from_array(cands[in_N[0]], q)).mul(g)
-    oi = out.inv()
-    certify(gi.mul(out) in N, "result left the coset gN (internal)")
-    certify(all(out.mul(h).mul(oi) in H for h in H.generators),
+    out = (X[inv[G.lookup(cands[in_N[:1]])]] @ ga) % q    # n^-1 g
+    certify(N.lookup((gia @ out) % q)[0] >= 0,
+            "result left the coset gN (internal)")
+    certify(_normalizing(out, X[inv[G.lookup(out)]], H)[0],
             "result does not normalize H (internal)")
-    return out
+    return Mat.from_array(out[0], q)
 
 
 def sylow_normalizer_element(G: MatGroup, N: MatGroup):
@@ -839,14 +806,16 @@ def sylow_normalizer_element(G: MatGroup, N: MatGroup):
                                 "no class of full order")
     H = p_sylow(G)
     g1 = lift_normalizer(G, N, H, G.element(full[0]))
-    o = G.element_order(g1)
+    pos = np.array([G.index_of(g1)])
+    o = int(G.orders()[pos[0]])
     certify(o % (p - 1) == 0, "lift order not a multiple of p-1 (internal)")
-    g = g1.pow(o // (p - 1))
-    certify(G.element_order(g) == p - 1, "element order not p-1 (internal)")
-    gi = g.inv()
-    certify(all(g.mul(h).mul(gi) in H for h in H.generators),
+    pos = _power_positions(G.power_maps(), pos, np.array([o // (p - 1)]))
+    certify(G.orders()[pos[0]] == p - 1, "element order not p-1 (internal)")
+    X = G.element_array()
+    certify(_normalizing(X[pos], X[G.inverse_indices()[pos]], H)[0],
             "element does not normalize the Sylow (internal)")
-    t = int(class_orders[G.index_of(g)])
+    g = G.element(pos[0])
+    t = int(class_orders[pos[0]])
     i = gcd(factorial(G.spec.rank), p - 1)
     lower = (p - 1) // i
     certify(t % lower == 0, "class order certificate failed (internal)")
@@ -873,7 +842,7 @@ def find_normalized_sylow(G: MatGroup, g: Mat):
                                        (((Xi @ gia) % q) @ X) % q, H))
     if not len(hits):
         return None
-    x = G.element(hits[0])
-    xi = G.inverse(x)
-    return MatGroup.close([x.mul(h).mul(xi) for h in H.generators], spec,
+    x, xi = X[hits[0]], Xi[hits[0]]
+    conj = (((x @ _stack(H.generators, spec.rank)) % q) @ xi) % q
+    return MatGroup.close([Mat.from_array(h, q) for h in conj], spec,
                           cap=target + 1)

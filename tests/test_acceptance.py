@@ -4,7 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 summary lines.
 """
 
-import itertools
+import hashlib
 import time
 from math import gcd
 
@@ -13,15 +13,14 @@ import pytest
 
 from corpus import M, small_oracle_groups, twist_corpus
 from h1loc import oracles
-from h1loc.cohomology import (class_order, h1, h1_loc,
+from h1loc.cohomology import (class_order, h1_loc,
                               satisfies_local_conditions, sizes)
 from h1loc.counterexample import build, family_matrix, verify
 from h1loc.criteria import (fixed_point_free_criterion,
                             sylow_normalizer_criterion)
 from h1loc.errors import PreconditionError
-from h1loc.groups import (MatGroup, decompose_generators, element_order,
-                          p_sylow)
-from h1loc.ringmat import Mat, ModuleSpec, RowSystem, is_prime, kernel
+from h1loc.groups import MatGroup, decompose_generators, element_order
+from h1loc.ringmat import ModuleSpec, is_prime, kernel
 from h1loc.symplectic import eigenvalue_pairing_sweep, gsp4_generators, \
     gsp4_order
 
@@ -223,6 +222,16 @@ def test_criterion_6_constructive_decomposition():
     ok = good >= 50 and violations == 2
     _report("criterion 6 (constructive decomposition)", ok,
             f"{good} instances, {violations} violations reported")
+
+
+def test_decomposition_outputs_frozen():
+    # sha256 of the (h.entries, lambda) lists of every instance: a change
+    # of the generators, their order or their exponents shows here
+    pairs = [[(h.entries, lam) for h, lam in decompose_generators(g, H).pairs]
+             for g, H in _decomposition_instances()]
+    assert len(pairs) == 53
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
+        "a0f454df6a676c8138685e19c417bf1cd925c7b43aa8f6fcbbd73e85be6c7218"
 
 
 def test_criterion_7_torsion_isomorphism_sweep():

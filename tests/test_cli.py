@@ -11,7 +11,7 @@ import pytest
 import h1loc
 
 from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK,
-                       GroupDescription, parse_group, run)
+                       parse_group, run)
 from h1loc.errors import InputError
 
 CYCLIC = """\
@@ -156,6 +156,9 @@ gen:
     assert run(["decompose", path, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["pairs"][0]["exponent"] == 2
+    # the whole payload, frozen
+    assert payload == {"command": "decompose",
+                       "pairs": [{"h": [[1, 1], [0, 1]], "exponent": 2}]}
 
 
 def test_decompose_precondition_exit_code(tmp_path):

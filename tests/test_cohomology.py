@@ -19,7 +19,7 @@ from h1loc.cohomology import (Cocycle, class_order, coboundaries,
                               is_coboundary, mod_p_projection, restrict,
                               satisfies_local_conditions, sizes,
                               torsion_isomorphism_check)
-from h1loc.counterexample import build, family_matrix, twist_matrix
+from h1loc.counterexample import build, family_matrix
 from h1loc.errors import InputError, PreconditionError
 from h1loc.groups import MatGroup
 from h1loc.ringmat import Mat, ModuleSpec, RowSystem

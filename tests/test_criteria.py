@@ -9,8 +9,7 @@ import pytest
 
 import h1loc
 from corpus import M
-from h1loc.cohomology import h1_loc
-from h1loc.counterexample import build, twist_matrix
+from h1loc.counterexample import build
 from h1loc.criteria import (fixed_point_free_criterion, fixed_point_spectrum,
                             lift_qualifying_element, similitude_criterion,
                             sylow_normalizer_criterion)

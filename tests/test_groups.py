@@ -172,23 +172,49 @@ def test_frattini_matches_maximal_subgroup_oracle():
     assert phi.order == 3
 
 
+def _ut4(*cells):
+    """Id + the sum of E_ij over the cells: 4x4 unitriangular, mod 2."""
+    a = np.eye(4, dtype=np.int64)
+    for i, j in cells:
+        a[i, j] = 1
+    return Mat.from_array(a, 2)
+
+
 def test_frattini_takes_the_normal_closure_of_commutators():
     # in UT_4(F_2) the commutators of the generators give <e13, e24>, which
     # is not normal; the Frattini subgroup is <e13, e24, e14> of order 8
     spec = ModuleSpec(2, 1, 4)
-
-    def e(*cells):
-        a = np.eye(4, dtype=np.int64)
-        for i, j in cells:
-            a[i, j] = 1
-        return Mat.from_array(a, 2)
-
-    U = MatGroup.close([e((0, 1)), e((1, 2)), e((2, 3))], spec)
+    U = MatGroup.close([_ut4((0, 1)), _ut4((1, 2)), _ut4((2, 3))], spec)
     assert U.order == 64
     phi = frattini(U)
-    expected = MatGroup.close([e((0, 2)), e((1, 3)), e((0, 3))], spec)
+    expected = MatGroup.close([_ut4((0, 2)), _ut4((1, 3)), _ut4((0, 3))], spec)
     assert keys(phi) == keys(expected)
     assert phi.order == 8
+
+
+def test_frattini_generators_frozen():
+    # the generators frattini returns on the groups above, frozen so that a
+    # change of the greedy reduction shows as a changed generating set
+    spec = ModuleSpec(5, 2, 2)
+    spec3 = ModuleSpec(3, 1, 3)
+
+    groups = [
+        (MatGroup.close([family_matrix(5, 1, 0), family_matrix(5, 0, 1)],
+                        spec), []),
+        (MatGroup.close([M([[1, 1], [0, 1]], 25)], spec),
+         [((1, 5), (0, 1))]),
+        (MatGroup.close([], spec), []),
+        (MatGroup.close([M([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3),
+                         M([[1, 0, 0], [0, 1, 1], [0, 0, 1]], 3)], spec3),
+         [((1, 0, 1), (0, 1, 0), (0, 0, 1))]),
+        (MatGroup.close([_ut4((0, 1)), _ut4((1, 2)), _ut4((2, 3))],
+                        ModuleSpec(2, 1, 4)),
+         [((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+          ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
+          ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))]),
+    ]
+    for H, expected in groups:
+        assert [g.entries for g in frattini(H).generators] == expected
 
 
 def test_frattini_rejects_non_p_group():
