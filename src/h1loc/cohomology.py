@@ -14,17 +14,30 @@ stacked linear system over Z/p^j.  A closure-tree edge gives a zero row,
 which the elimination drops.  The stack has k * N * rank rows over only
 k * rank unknowns, so its rows are folded into a Howell basis a block at a
 time and the kernel is taken of that basis, never of the whole stack.
-B^1 is the row span of one (rank, k * rank) matrix, the columns of g - 1
-side by side, whose RowSystem decides coboundaries and class orders.
+Most of those rows are redundant: Z^1 is the kernel of the relator rows
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6), and
+the kernel of any subset of the rows contains it.  So the fold starts from
+the rows of every (N // 64)-th element and certifies that sample: when
+every generator of its kernel expands to a cocycle with those generator
+values, that kernel is Z^1, and the sample's Howell basis equals the whole
+stack's, because over Z/p^j a row span is the annihilator of its kernel.
+A sample that fails is refined by halving the stride, down to the whole
+stack.  B^1 is the row span of one (rank, k * rank) matrix, the columns of
+g - 1 side by side, whose RowSystem decides coboundaries and class orders.
 
 The locally trivial cocycles satisfy Z_sigma in Im(sigma - 1) for every
 sigma: their restriction to every cyclic subgroup is a coboundary.  For a
 cocycle the condition at s implies it at every power of s (Z_s = (s - 1) v
 gives Z_{s^k} = (s^k - 1) v) and at every conjugate of s
-(Z_{tst^-1} = (tst^-1 - 1)(t v - Z_t)), so it is imposed only at the
-representatives s of MatGroup.cyclic_class_representatives, whose cyclic
-subgroups cover the group up to conjugacy.  The local rows are folded into
-the basis of the cocycle rows, so the kernel is still exactly Z^1_loc.
+(Z_{tst^-1} = (tst^-1 - 1)(t v - Z_t)).  It also follows from the
+condition at the p-part s_p of s: the condition at s says that Z restricted
+to <s> is a coboundary, and since M is p-primary and [<s> : <s_p>] is prime
+to p, restriction H^1(<s>, M) -> H^1(<s_p>, M) is injective (Brown,
+Cohomology of Groups, III.9-10).  So the condition is imposed only at the
+representatives s of MatGroup.cyclic_class_representatives, one per
+conjugacy class of maximal cyclic p-subgroups, whose conjugates cover the
+p-elements.  The local rows are folded into the basis of the cocycle rows,
+so the kernel is still exactly Z^1_loc.
 Over Z/p^j a submodule is cut out by the linear forms vanishing on it
 (w in ker((s-1)^T) gives w . Z_s = 0), so Z^1_loc is again a kernel and
 H^1_loc = Z^1_loc / B^1 is a finite abelian group with explicit invariant
@@ -57,6 +70,28 @@ from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
 # constraint rows folded into a running Howell basis at a time; the basis
 # has at most k * rank rows, so the working set stays small
 _ROW_BLOCK = 4096
+# the cocycle fold starts from the rows of every (N // _SAMPLE)-th element
+_SAMPLE = 64
+
+
+def _identity_holds(G: MatGroup, V: np.ndarray, q: int) -> bool:
+    """Whether V_{xg} = V_x + x V_g mod q for every element x and generator
+    g, where V[i] holds value columns at element i, shape (N, rank, r):
+    k * N pairs, each one gather from the right-multiplication table, taken
+    a block of elements at a time."""
+    X, R = G.element_array(), G.right_multiplication()
+    step = max(1, _ROW_BLOCK // G.spec.rank)
+    # the identity comes first, so right[g, 0] is generator g's position
+    for g, right in zip(R[:, 0], R):
+        for s in range(0, G.order, step):
+            x = slice(s, s + step)
+            rhs = X[x] @ V[g]
+            rhs %= q
+            rhs += V[x]
+            rhs %= q
+            if not np.array_equal(V[right[x]], rhs):
+                return False
+    return True
 
 
 def _fold(basis: np.ndarray, rows: np.ndarray, p: int, j: int) -> np.ndarray:
@@ -109,15 +144,9 @@ class Cocycle:
         in the generators (G is finite, so no inverses are needed).  At
         b = 1 it says Z_1 = 0, and if it holds at b then
         Z_{abg} = Z_{ab} + ab Z_g = Z_a + a (Z_b + b Z_g) = Z_a + a Z_{bg}."""
-        G, q, V = self.group, self.q, self.values
-        if V[0].any():
-            return False
-        X = G.element_array() % q
-        gens = [G.index_of(g) for g in G.generators]
-        for g, right in zip(gens, G.right_multiplication()):
-            if not (V[right] == ((X @ V[g]) % q + V) % q).all():
-                return False
-        return True
+        V = self.values
+        return not V[0].any() and _identity_holds(self.group, V[:, :, None],
+                                                  self.q)
 
     def scale(self, c: int) -> "Cocycle":
         return Cocycle(self.group, (c % self.q) * self.values,
@@ -201,22 +230,82 @@ class _CocycleSystem:
         rows[:, :, g * m:(g + 1) * m] -= self.acts[x]
         return rows.reshape(-1, self.dim)
 
-    @_cached
+    def _values(self, K: np.ndarray) -> np.ndarray:
+        """(N, rank, len(K)) array of the values C @ z of the cocycles with
+        stacked generator values z, the rows of K, filled a block of
+        elements at a time and reduced after each generator block, so that
+        every int64 sum has rank terms."""
+        m, q = self.m, self.q
+        K = np.asarray(K, dtype=np.int64) % q
+        V = np.zeros((self.size, m, len(K)), dtype=np.int64)
+        step = max(1, _ROW_BLOCK // m)
+        for s in range(0, self.size, step):
+            v = V[s:s + step]
+            for g in range(self.k):
+                blk = slice(g * m, (g + 1) * m)
+                t = self.C[s:s + step, :, blk] @ K[:, blk].T
+                t %= q
+                v += t
+                v %= q
+        return V
+
+    def _in_z1(self, K: np.ndarray) -> bool:
+        """Whether every row z of K is in Z^1: its expansion V = C z has
+        V_1 = 0, takes the values z at the generators, and satisfies the
+        cocycle identity (_identity_holds), checked for all rows at once."""
+        V = self._values(K)
+        gens = self.G.right_multiplication()[:, 0]
+        # a generator that labels no tree edge does not enter the
+        # expansion, so its value is compared here
+        return (not V[0].any()
+                and np.array_equal(V[gens], K.reshape(
+                    len(K), self.k, self.m).transpose(1, 2, 0))
+                and _identity_holds(self.G, V, self.q))
+
     def cocycle_basis(self) -> np.ndarray:
         """Howell basis of the cocycle constraint rows for every generator
-        and element.  The rows are made and folded in a block of elements
-        at a time, so the k * N * rank stack is never held."""
+        and element."""
+        return self._fold_rows()[0]
+
+    @_cached
+    def _fold_rows(self) -> tuple:
+        """(cocycle_basis, its kernel Z^1 or None where it was not taken).
+
+        The kernel of any subset of the rows contains Z^1, so the rows of
+        a strided sample of element positions come first: every s-th one,
+        s = N // _SAMPLE.  If every generator of the sample's kernel
+        passes _in_z1, that kernel is Z^1, and since a row span over Z/p^j
+        is the annihilator of its kernel, the sample's Howell basis is that
+        of the whole stack.  Otherwise s is halved and only the new
+        positions are folded in.  At s = 1 every row is folded, with no
+        check, so the loop always ends with the basis of the whole stack.
+        Rows are made and folded a block of elements at a time, so the
+        k * N * rank stack is never held."""
         basis = np.zeros((0, self.dim), dtype=np.int64)
         step = max(1, _ROW_BLOCK // self.m)
-        for g in range(self.k):
-            for s in range(0, self.size, step):
-                x = np.arange(s, min(s + step, self.size))
-                basis = _fold(basis, self.cocycle_rows(g, x), self.p, self.j)
-        return basis
+        todo = np.arange(self.size)
+        s = self.size // _SAMPLE
+        while True:
+            if s > 1:
+                new, todo = todo[todo % s == 0], todo[todo % s != 0]
+            else:
+                new, todo = todo, todo[:0]
+            for g in range(self.k):
+                for b in range(0, len(new), step):
+                    basis = _fold(basis, self.cocycle_rows(g, new[b:b + step]),
+                                  self.p, self.j)
+            if not len(todo):
+                return basis, None
+            z1 = RowSystem(basis.T, self.p, self.j).kernel()
+            if self._in_z1(z1):
+                return basis, z1
+            s //= 2
 
     @_cached
     def z1_gens(self) -> np.ndarray:
-        return RowSystem(self.cocycle_basis().T, self.p, self.j).kernel()
+        basis, z1 = self._fold_rows()
+        return (z1 if z1 is not None
+                else RowSystem(basis.T, self.p, self.j).kernel())
 
     @_cached
     def b1_gens(self) -> np.ndarray:
@@ -259,15 +348,9 @@ class _CocycleSystem:
         return quotient_structure(z1loc, b1, self.G.spec, modulus=self.q)
 
     def expand(self, z: np.ndarray) -> Cocycle:
-        """Full cocycle C @ z from stacked generator values, reduced after
-        each generator block so that every int64 sum has rank terms."""
-        m, q = self.m, self.q
-        zz = np.asarray(z, dtype=np.int64) % q
-        vals = np.zeros((self.size, m), dtype=np.int64)
-        for g in range(self.k):
-            block = self.C[:, :, g * m:(g + 1) * m] @ zz[g * m:(g + 1) * m]
-            vals = (vals + block % q) % q
-        return Cocycle(self.G, vals, self.j)
+        """Full cocycle C @ z from stacked generator values."""
+        return Cocycle(self.G, self._values(np.asarray(z)[None])[:, :, 0],
+                       self.j)
 
 
 def _system(G: MatGroup, module_exponent=None) -> _CocycleSystem:

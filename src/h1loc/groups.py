@@ -9,13 +9,16 @@ matrix as one base-q integer, and a product with a generator as one
 lookup per row in that generator's table of row images, built at that
 point so it never costs more than the products already formed.
 
-Also here: element orders from prime power maps, p-Sylow subgroups by
-normalizer ascent, Frattini subgroups of p-groups, the constructive
-conjugation-eigenbasis decomposition of a normalized p-group, and
-coset-representative corrections into Sylow normalizers.  These run on
-element arrays too: generating sets are the greedy positions of
-_greedy_generators, and _normalizing is the one test that elements
-normalize a group; Mat values appear only in arguments and results.
+Also here: element orders from prime power maps, the p-elements and one
+generator per conjugacy class of maximal cyclic p-subgroups (where
+cohomology.h1_loc imposes its local conditions), p-Sylow subgroups by
+normalizer ascent over the p-elements, Frattini subgroups of p-groups,
+the constructive conjugation-eigenbasis decomposition of a normalized
+p-group, and coset-representative corrections into Sylow normalizers.
+These run on element arrays too: generating sets are the greedy
+positions of _greedy_generators, and _normalizing is the one test that
+elements normalize a group; Mat values appear only in arguments and
+results.
 """
 
 from __future__ import annotations
@@ -369,23 +372,47 @@ class MatGroup:
     def inverse(self, mat: Mat) -> Mat:
         return self.element(self.inverse_indices()[self.index_of(mat)])
 
-    def _conjugation_table(self) -> np.ndarray:
-        """conj[g, i]: the position of g x_i g^-1 for the generator g and
-        the element x_i, built one generator at a time to keep the peak
-        memory at one (N, r, r) product."""
+    @_cached
+    def _p_elements(self) -> tuple:
+        """(positions, e): the positions of the p-elements of G, ascending,
+        and e with ord(x) = p^e for each, from the p-power map alone.  With
+        p^a the p-part of |G|, x is a p-element when x^(p^a) = 1, and e
+        counts the steps x, x^p, x^(p^2), ... before the identity."""
+        pm = self.power_maps().get(self.spec.p)
+        pos = np.arange(self.order)
+        e = np.zeros(self.order, dtype=np.int64)
+        for _ in range(_factor(self.order).get(self.spec.p, 0)):
+            e += pos != 0
+            pos = pm[pos]
+        P = np.flatnonzero(pos == 0)
+        e = e[P]
+        for a in (P, e):
+            a.flags.writeable = False
+        return P, e
+
+    def _conjugation_table(self, pos: np.ndarray) -> np.ndarray:
+        """conj[g, t]: the position of g x g^-1 for the generator g and the
+        element x at pos[t], built one generator at a time to keep the peak
+        memory at one (len(pos), r, r) product."""
         q, r = self.spec.modulus, self.spec.rank
         gens = _stack(self.generators, r)
-        gens_inv = _batch_power(gens, self.orders()[self.lookup(gens)] - 1, q)
-        conj = np.empty((len(gens), self.order), dtype=np.int64)
+        gens_inv = _batch_power(gens, self.order - 1, q)
+        X = self._array[pos]
+        conj = np.empty((len(gens), len(pos)), dtype=np.int64)
         for g, gi, row in zip(gens, gens_inv, conj):
-            row[:] = self.lookup((((g @ self._array) % q) @ gi) % q)
+            y = g @ X
+            y %= q
+            y = y @ gi
+            y %= q
+            row[:] = self.lookup(y)
         return conj
 
-    def _cyclic_positions(self, s: int) -> np.ndarray:
-        """Positions of s^0, ..., s^(ord(s)-1): the powers by doubling, then
-        one lookup."""
+    def _cyclic_positions(self, s: int, o=None) -> np.ndarray:
+        """Positions of s^0, ..., s^(o-1) for the order o of s (read from
+        orders() when not given): the powers by doubling, then one
+        lookup."""
         q, r = self.spec.modulus, self.spec.rank
-        o = int(self.orders()[s])
+        o = int(self.orders()[s]) if o is None else int(o)
         powers = np.eye(r, dtype=np.int64)[None]
         step = self._array[s]        # s^len(powers)
         while len(powers) < o:
@@ -396,23 +423,28 @@ class MatGroup:
     @_cached
     def cyclic_class_representatives(self) -> np.ndarray:
         """Positions s_1, s_2, ... of one generator per conjugacy class of
-        maximal cyclic subgroups, so the conjugates of the <s_i> cover the
-        group.
+        maximal cyclic p-subgroups, so the conjugates of the <s_i> cover
+        the p-elements of the group.
 
-        Elements are taken by descending order and skipped once covered,
-        so each new s_i generates a cyclic subgroup not inside a conjugate
-        of an earlier one.  The covered set is a union of conjugacy
-        classes: the powers of s_i not yet covered, closed under
+        The p-elements are taken by descending order and skipped once
+        covered, so each new s_i generates a cyclic p-subgroup not inside a
+        conjugate of an earlier one.  The covered set is a union of
+        conjugacy classes: the powers of s_i not yet covered, closed under
         conjugation by the generators one BFS layer at a time, each layer
-        one gather from the conjugation table."""
-        conj = self._conjugation_table()
-        covered = np.zeros(self.order, dtype=bool)
+        one gather from the conjugation table.  Conjugates of p-elements
+        are p-elements, so the walk and its table run on the p-element
+        positions only, indexed by their rank among them."""
+        P, e = self._p_elements()
+        # every conjugate lies in P, so its rank in P is its index
+        conj = np.searchsorted(P, self._conjugation_table(P))
+        covered = np.zeros(len(P), dtype=bool)
         reps = []
-        for s in np.argsort(-self.orders(), kind="stable"):
-            if covered[s]:
+        for t in np.argsort(-e, kind="stable"):
+            if covered[t]:
                 continue
-            reps.append(s)
-            layer = self._cyclic_positions(s)
+            reps.append(P[t])
+            layer = np.searchsorted(
+                P, self._cyclic_positions(P[t], self.spec.p ** int(e[t])))
             layer = layer[~covered[layer]]
             while len(layer):
                 covered[layer] = True
@@ -538,19 +570,21 @@ def p_sylow(G: MatGroup) -> MatGroup:
     Starts from a p-element of maximal order and repeatedly extends by
     p-elements of the normalizer of the current p-subgroup until the exact
     p-part of |G| is reached.  Ties are broken by the deterministic element
-    order, so the result is reproducible."""
+    order, so the result is reproducible.  Only p-elements can extend a
+    p-subgroup, so the normalizer and membership tests run on the
+    p-element positions alone."""
     spec, p = G.spec, G.spec.p
     target = p ** _factor(G.order).get(p, 0)
     if target == 1:
         return MatGroup.close([], spec)
-    orders = G.orders()
-    p_mask = target % orders == 0
+    P, e = G._p_elements()
     # argmax takes the first position among the largest p-element orders
-    current = MatGroup.close(
-        [G.element(int(np.argmax(np.where(p_mask, orders, 0))))], spec)
+    current = MatGroup.close([G.element(int(P[np.argmax(e)]))], spec)
+    X = G.element_array()
     while current.order < target:
-        ext = np.flatnonzero(p_mask & _normalizer_mask(G, current)
-                             & (current.lookup(G.element_array()) < 0))
+        XP = X[P]
+        ext = P[_normalizing(XP, X[G.inverse_indices()[P]], current)
+                & (current.lookup(XP) < 0)]
         certify(len(ext), "Sylow ascent stalled (internal)")
         current = MatGroup.close(list(current.generators)
                                  + [G.element(ext[0])], spec)

@@ -156,19 +156,31 @@ def reference_inverse_indices(G) -> np.ndarray:
                                  G.spec.modulus))
 
 
-def reference_cyclic_class_representatives(G) -> np.ndarray:
-    """MatGroup.cyclic_class_representatives with every BFS layer
+def reference_p_element_mask(G) -> np.ndarray:
+    """Mask of the elements of G whose order, by matrix powering, divides
+    the p-part of |G|."""
+    return (G.spec.p ** _factor(G.order).get(G.spec.p, 0)
+            % reference_orders(G)) == 0
+
+
+def reference_cyclic_class_representatives(G, p_elements=False) -> np.ndarray:
+    """One generator per conjugacy class of maximal cyclic subgroups,
+    walking all elements by descending order; with p_elements, one per
+    class of maximal cyclic p-subgroups, walking only the p-elements as
+    MatGroup.cyclic_class_representatives does.  Every BFS layer is
     conjugated by matrix products and looked up, and the powers of each
-    representative by binary powering, as a reference for the gathers from
-    the conjugation table."""
+    representative come by binary powering, as a reference for the gathers
+    from the conjugation table."""
     q, r = G.spec.modulus, G.spec.rank
     X, orders = G.element_array(), reference_orders(G)
     gens = _stack(G.generators, r)
     gens_inv = _batch_power(gens, orders[G.lookup(gens)] - 1, q)
     covered = np.zeros(G.order, dtype=bool)
+    walk = (reference_p_element_mask(G) if p_elements
+            else np.ones(G.order, dtype=bool))
     reps = []
     for s in np.argsort(-orders, kind="stable"):
-        if covered[s]:
+        if covered[s] or not walk[s]:
             continue
         reps.append(s)
         o = int(orders[s])
@@ -201,6 +213,21 @@ def reference_coefficients(G, module_exponent) -> np.ndarray:
         C[idx][:, g * m:(g + 1) * m] += acts[par]
         C[idx] %= q
     return C
+
+
+def reference_cocycle_basis(G, module_exponent=None) -> np.ndarray:
+    """_CocycleSystem.cocycle_basis folding the rows of every generator and
+    element position, with no sample and no check, as a reference for the
+    sampled fold."""
+    from .cohomology import _ROW_BLOCK, _fold, _system
+    sys = _system(G, module_exponent)
+    basis = np.zeros((0, sys.dim), dtype=np.int64)
+    step = max(1, _ROW_BLOCK // sys.m)
+    for g in range(sys.k):
+        for s in range(0, sys.size, step):
+            x = np.arange(s, min(s + step, sys.size))
+            basis = _fold(basis, sys.cocycle_rows(g, x), sys.p, sys.j)
+    return basis
 
 
 def reference_howell_rows(M, p: int, n: int) -> np.ndarray:
@@ -334,15 +361,17 @@ def reference_is_valid(Z) -> bool:
     return True
 
 
-def reference_local_constraints(G, module_exponent=None) -> np.ndarray:
+def reference_local_constraints(G, module_exponent=None,
+                                reps=None) -> np.ndarray:
     """_CocycleSystem.local_constraints with one RowSystem kernel per cyclic
-    class representative, as a reference for the stacked kernels."""
+    class representative (or per element position in reps), as a
+    reference for the stacked kernels."""
     j = module_exponent if module_exponent is not None else G.spec.n
     p, m = G.spec.p, G.spec.rank
     q = p ** j
     C = reference_coefficients(G, j)
     blocks = [np.zeros((0, C.shape[2]), dtype=np.int64)]
-    for idx in G.cyclic_class_representatives():
+    for idx in (G.cyclic_class_representatives() if reps is None else reps):
         B = (G.element_array()[idx] - np.eye(m, dtype=np.int64)) % q
         W = RowSystem(B, p, j).kernel()
         if W.shape[0]:

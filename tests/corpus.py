@@ -114,3 +114,14 @@ def byte_key_group():
     swap = np.eye(4, dtype=np.int64)[[0, 1, 3, 2]]
     return MatGroup.close([Mat.from_array(a, spec.modulus)
                            for a in (e12, e34, swap)], spec)
+
+
+@lru_cache(maxsize=None)
+def cohomology_cases():
+    """(label, group, module exponent): every twist-corpus group at j = 2
+    and 1, and every small oracle group at each j <= n; 268 cases."""
+    out = [(f"{label} j={j}", G, j)
+           for label, _p, _g, G in twist_corpus() for j in (2, 1)]
+    out += [(f"{label} j={j}", G, j) for label, G in small_oracle_groups()
+            for j in range(1, G.spec.n + 1)]
+    return out

@@ -1,27 +1,31 @@
 """Local conditions imposed once per conjugacy class of maximal cyclic
-subgroups: the cover, the representative counts, Z^1_loc against the
-all-elements reference, and the layer-built coefficient array."""
+p-subgroups: the cover of the p-elements, the representative counts, Z^1_loc
+against the all-elements and all-classes references, and the layer-built
+coefficient array.  The walk over all elements, which took one
+representative per class of maximal cyclic subgroups, stays as
+oracles.reference_cyclic_class_representatives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import M, small_oracle_groups, twist_corpus
+from corpus import M, cohomology_cases, small_oracle_groups, twist_corpus
 from h1loc import oracles
-from h1loc.cohomology import _system
+from h1loc.cohomology import _fold, _system
+from h1loc.counterexample import build
 from h1loc.errors import CapExceededError
 from h1loc.groups import MatGroup, _batch_power
-from h1loc.ringmat import Mat, ModuleSpec
+from h1loc.ringmat import Mat, ModuleSpec, RowSystem
 
 
-def covered_by_conjugate_powers(G):
-    """Mask of the elements t s^k t^-1 over representatives s, powers k and
-    all t in G, by direct conjugation by every element."""
+def covered_by_conjugate_powers(G, reps):
+    """Mask of the elements t s^k t^-1 over the representatives s in reps,
+    powers k and all t in G, by direct conjugation by every element."""
     q = G.spec.modulus
     X = G.element_array()
     Xi = X[G.inverse_indices()]
     covered = np.zeros(G.order, dtype=bool)
-    for s in G.cyclic_class_representatives():
+    for s in reps:
         o = int(G.orders()[s])
         powers = _batch_power(np.repeat(X[s][None], o, axis=0),
                               np.arange(o), q)
@@ -32,15 +36,18 @@ def covered_by_conjugate_powers(G):
     return covered
 
 
-def maximal_cyclic_class_count(G):
+def maximal_cyclic_class_count(G, p_elements=False):
     """Number of conjugacy classes of maximal cyclic subgroups, from the
-    sets of all cyclic subgroups."""
+    sets of all cyclic subgroups; with p_elements, of maximal cyclic
+    p-subgroups, from the cyclic subgroups the p-elements generate."""
     q, r = G.spec.modulus, G.spec.rank
     X = G.element_array()
     Xi = X[G.inverse_indices()]
+    walk = (oracles.reference_p_element_mask(G) if p_elements
+            else np.ones(G.order, dtype=bool))
     cyclic = {frozenset(G.lookup(_batch_power(
         np.repeat(X[s][None], o, axis=0), np.arange(o), q)).tolist())
-        for s, o in enumerate(G.orders().tolist())}
+        for s, o in enumerate(G.orders().tolist()) if walk[s]}
     maximal = [c for c in cyclic if not any(c < d for d in cyclic)]
     classes = set()
     for c in maximal:
@@ -57,20 +64,35 @@ def small_groups():
 
 def test_representatives_cover_the_group():
     for G in small_groups():
-        assert covered_by_conjugate_powers(G).all()
+        reps = oracles.reference_cyclic_class_representatives(G)
+        assert covered_by_conjugate_powers(G, reps).all()
 
 
 def test_one_representative_per_class_of_maximal_cyclic_subgroups():
     for G in small_groups():
-        assert len(G.cyclic_class_representatives()) == \
+        assert len(oracles.reference_cyclic_class_representatives(G)) == \
             maximal_cyclic_class_count(G)
 
 
+def test_p_representatives_cover_exactly_the_p_elements():
+    for G in small_groups():
+        p_mask = oracles.reference_p_element_mask(G)
+        reps = G.cyclic_class_representatives()
+        assert p_mask[reps].all()
+        assert np.array_equal(covered_by_conjugate_powers(G, reps), p_mask)
+
+
+def test_one_p_representative_per_class_of_maximal_cyclic_p_subgroups():
+    for G in small_groups():
+        assert len(G.cyclic_class_representatives()) == \
+            maximal_cyclic_class_count(G, p_elements=True)
+
+
 def test_representative_counts_cyclic_and_dihedral():
+    walk = oracles.reference_cyclic_class_representatives
     cyclic = MatGroup.close([M([[1, 1], [0, 1]], 25)], ModuleSpec(5, 2, 2))
     assert cyclic.order == 25
-    assert cyclic.cyclic_class_representatives().tolist() == \
-        [int(np.argmax(cyclic.orders()))]
+    assert walk(cyclic).tolist() == [int(np.argmax(cyclic.orders()))]
     swap = M([[0, 1], [1, 0]], 7)
     spec = ModuleSpec(7, 1, 2)
     # diag(a, a^-1) with a of order n, and the swap: dihedral of order 2n
@@ -78,19 +100,45 @@ def test_representative_counts_cyclic_and_dihedral():
     even = MatGroup.close([M([[3, 0], [0, 5]], 7), swap], spec)   # n = 6
     assert (odd.order, even.order) == (6, 12)
     # rotations, then one class of reflections (n odd) or two (n even)
-    assert len(odd.cyclic_class_representatives()) == 2
-    assert len(even.cyclic_class_representatives()) == 3
-    assert even.orders()[even.cyclic_class_representatives()].tolist() == \
-        [6, 2, 2]
+    assert len(walk(odd)) == 2
+    assert len(walk(even)) == 3
+    assert even.orders()[walk(even)].tolist() == [6, 2, 2]
+
+
+def test_p_representative_counts_cyclic_and_dihedral():
+    cyclic = MatGroup.close([M([[1, 1], [0, 1]], 25)], ModuleSpec(5, 2, 2))
+    assert cyclic.cyclic_class_representatives().tolist() == \
+        [int(np.argmax(cyclic.orders()))]
+    # dihedral groups over F_7 have no element of order 7: only the
+    # identity is a 7-element
+    swap = M([[0, 1], [1, 0]], 7)
+    even = MatGroup.close([M([[3, 0], [0, 5]], 7), swap], ModuleSpec(7, 1, 2))
+    assert even.cyclic_class_representatives().tolist() == [0]
+    # over F_3, <[[1,1],[0,1]], diag(-1, 1)> is S_3: three reflections and
+    # one maximal cyclic 3-subgroup, which the walk keeps alone
+    s3 = MatGroup.close([M([[1, 1], [0, 1]], 3), M([[2, 0], [0, 1]], 3)],
+                        ModuleSpec(3, 1, 2))
+    assert s3.order == 6
+    assert len(oracles.reference_cyclic_class_representatives(s3)) == 2
+    assert s3.orders()[s3.cyclic_class_representatives()].tolist() == [3]
 
 
 def test_representative_counts_on_the_largest_corpus_groups():
+    walk = oracles.reference_cyclic_class_representatives
+    counts = {G.order: len(walk(G))
+              for _, _, _, G in twist_corpus() if G.order >= 2500}
+    assert counts == {2500: 84, 14406: 76}
+    total = sum(len(walk(G)) for _, _, _, G in twist_corpus())
+    assert total == 1199
+
+
+def test_p_representative_counts_on_the_largest_corpus_groups():
     counts = {G.order: len(G.cyclic_class_representatives())
               for _, _, _, G in twist_corpus() if G.order >= 2500}
     assert counts == {2500: 84, 14406: 76}
     total = sum(len(G.cyclic_class_representatives())
                 for _, _, _, G in twist_corpus())
-    assert total == 1199
+    assert total == 1187
 
 
 def test_z1loc_matches_all_elements_reference_on_twist_corpus():
@@ -120,7 +168,11 @@ def test_z1loc_matches_all_elements_reference_random(data):
         G = MatGroup.close(gens, spec, cap=1500)
     except CapExceededError:
         return
-    assert covered_by_conjugate_powers(G).all()
+    reps = oracles.reference_cyclic_class_representatives(G)
+    assert covered_by_conjugate_powers(G, reps).all()
+    assert np.array_equal(
+        covered_by_conjugate_powers(G, G.cyclic_class_representatives()),
+        oracles.reference_p_element_mask(G))
     for j in range(1, n + 1):
         assert np.array_equal(_system(G, j).z1loc_gens(),
                               oracles.reference_z1loc(G, j))
@@ -133,3 +185,18 @@ def test_coefficients_match_per_element_loop(j):
     for G in groups:
         assert np.array_equal(_system(G, j).C,
                               oracles.reference_coefficients(G, j))
+
+
+def test_z1loc_p_representatives_match_all_class_representatives():
+    """Z^1_loc with the local conditions at the p-representatives equals
+    Z^1_loc with them at one element per class of maximal cyclic
+    subgroups, both from the whole cocycle stack."""
+    cases = cohomology_cases()
+    assert len(cases) == 268
+    for label, G, j in cases:
+        reps = oracles.reference_cyclic_class_representatives(G)
+        basis = _fold(oracles.reference_cocycle_basis(G, j),
+                      oracles.reference_local_constraints(G, j, reps),
+                      G.spec.p, j)
+        want = RowSystem(basis.T, G.spec.p, j).kernel()
+        assert np.array_equal(_system(G, j).z1loc_gens(), want), label

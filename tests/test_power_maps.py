@@ -1,5 +1,6 @@
-"""Element orders, inverses, coset orders and the cyclic class walk from the
-prime power maps, against the matrix-powering references they replaced."""
+"""Element orders, inverses, coset orders, the p-elements and the cyclic
+class walk from the prime power maps, against the matrix-powering references
+they replaced."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -56,9 +57,14 @@ def assert_matches_references(label, G):
     assert np.array_equal(G.orders(), oracles.reference_orders(G)), label
     assert np.array_equal(G.inverse_indices(),
                           oracles.reference_inverse_indices(G)), label
+    P, e = G._p_elements()
+    assert np.array_equal(P, np.flatnonzero(
+        oracles.reference_p_element_mask(G))), label
+    assert np.array_equal(G.spec.p ** e, G.orders()[P]), label
     assert np.array_equal(
         G.cyclic_class_representatives(),
-        oracles.reference_cyclic_class_representatives(G)), label
+        oracles.reference_cyclic_class_representatives(G, p_elements=True)), \
+        label
     for N in _normal_and_other_subgroups(G):
         assert np.array_equal(coset_orders(G, N),
                               oracles.reference_coset_orders(G, N)), label
