@@ -182,26 +182,17 @@ def _rep_lines(res):
     return out
 
 
-def _cmd_h1(args) -> int:
+def _cmd_cohomology(args) -> int:
+    """h1 and h1loc: H^1 or H^1_loc of the group in args.input."""
+    local = args.command == "h1loc"
     desc = _read_description(args)
     G = desc.group(cap=args.cap)
-    res = h1(G)
-    _emit({"command": "h1", "group_order": G.order, "p": desc.p, "n": desc.n,
-           "rank": desc.rank, "h1": _structure_json(res)},
+    res = h1_loc(G) if local else h1(G)
+    key, label = ("h1_loc", "H1_loc") if local else ("h1", "H1")
+    _emit({"command": args.command, "group_order": G.order, "p": desc.p,
+           "n": desc.n, "rank": desc.rank, key: _structure_json(res)},
           args.json,
-          [f"group of order {G.order}", f"H1 = {res.describe()}"]
-          + _rep_lines(res))
-    return EXIT_OK if res.is_trivial else EXIT_NEGATIVE
-
-
-def _cmd_h1loc(args) -> int:
-    desc = _read_description(args)
-    G = desc.group(cap=args.cap)
-    res = h1_loc(G)
-    _emit({"command": "h1loc", "group_order": G.order, "p": desc.p,
-           "n": desc.n, "rank": desc.rank, "h1_loc": _structure_json(res)},
-          args.json,
-          [f"group of order {G.order}", f"H1_loc = {res.describe()}"]
+          [f"group of order {G.order}", f"{label} = {res.describe()}"]
           + _rep_lines(res))
     return EXIT_OK if res.is_trivial else EXIT_NEGATIVE
 
@@ -312,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("h1", help="H^1 of the group acting on (Z/p^n)^rank")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_h1)
+    sp.set_defaults(fn=_cmd_cohomology)
     sp = sub.add_parser("h1loc", help="first local cohomology group")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_h1loc)
+    sp.set_defaults(fn=_cmd_cohomology)
     sp = sub.add_parser("criteria", help="run the vanishing criteria")
     add_common(sp)
     sp.set_defaults(fn=_cmd_criteria)

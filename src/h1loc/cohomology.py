@@ -2,18 +2,20 @@
 acting on (Z/p^j)^rank.
 
 A 1-cocycle Z satisfies Z_{st} = Z_s + s Z_t and is determined by its values
-on the generators.  Writing z for the stacked generator values, the value at
-any element is C_sigma @ z for coefficient matrices C built along the BFS
-closure tree by C[x g] = C[x] + x E_g.  The identity is written once, in
-that orientation: Z_{xg} = Z_x + x Z_g for every element x and generator g,
-read off the group's right-multiplication table.  With Z_1 = 0 these k * N
-pairs force it for all pairs, by induction along words in the generators.
-Cocycle.is_valid checks them on values; the constraint rows
-C[x g] - C[x] - x E_g impose them on z, and Z^1 is the kernel of that
-stacked linear system over Z/p^j.  A closure-tree edge gives a zero row,
-which the elimination drops.  The stack has k * N * rank rows over only
-k * rank unknowns, so its rows are folded into a Howell basis a block at a
-time and the kernel is taken of that basis, never of the whole stack.
+on the generators.  The identity is written once, in one orientation:
+Z_{xg} = Z_x + x Z_g for every element x and generator g.  Walked down the
+BFS closure tree one layer at a time, it expands the stacked generator
+values z to the whole group (_CocycleSystem._values); the coefficient
+matrices C, with C_sigma @ z the value at sigma, are the expansion of the
+identity matrix.  With Z_1 = 0 the k * N pairs (x, g), read off the group's
+right-multiplication table, force the identity for all pairs, by induction
+along words in the generators.  Cocycle.is_valid checks them on values;
+the constraint rows C[x g] - C[x] - x E_g impose them on z, and Z^1 is the
+kernel of that stacked linear system over Z/p^j.  A closure-tree edge gives
+a zero row, which the elimination drops.  The stack has k * N * rank rows
+over only k * rank unknowns, so its rows are folded into a Howell basis a
+block at a time and the kernel is taken of that basis, never of the whole
+stack.
 Most of those rows are redundant: Z^1 is the kernel of the relator rows
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6), and
 the kernel of any subset of the rows contains it.  So the fold starts from
@@ -60,7 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, PreconditionError, certify
+from .errors import InputError, InternalError, PreconditionError, certify
 from .groups import MatGroup, _cached, _stack
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
                       RowSystemStack, _bijective_shifts, _howell_rows,
@@ -205,21 +207,12 @@ class _CocycleSystem:
     @property
     @_cached
     def C(self) -> np.ndarray:
-        """C[sigma]: value of a cocycle at sigma as a linear map of z, built
-        one BFS layer at a time from C[x g] = C[x] + x E_g, where E_g picks
-        the block of generator g.  Filled on first use: B^1 alone
-        (is_coboundary, class_order) does not need it."""
-        G, q, m = self.G, self.q, self.m
-        C = np.zeros((self.size, m, self.dim), dtype=np.int64)
-        rows = np.arange(m)[:, None]
-        for start, stop in G.tree_layers():    # layer 0, the identity: C = 0
-            idx = np.arange(start, stop)
-            par = G.tree_parent[idx]
-            cols = G.tree_gen[idx, None, None] * m + np.arange(m)
-            C[idx] = C[par]
-            C[idx[:, None, None], rows, cols] += self.acts[par]
-            C[idx] %= q
-        return C
+        """C[sigma]: value of a cocycle at sigma as a linear map of z, the
+        expansion _values(I) of the identity, so C[x g] = C[x] + x E_g,
+        where E_g picks the block of generator g.  Cached for the cocycle
+        rows and the local rows; B^1 alone (is_coboundary, class_order)
+        does not need it."""
+        return self._values(np.eye(self.dim, dtype=np.int64))
 
     def cocycle_rows(self, g: int, x: np.ndarray) -> np.ndarray:
         """The constraint rows C[x g] - C[x] - x E_g of generator g at the
@@ -231,29 +224,36 @@ class _CocycleSystem:
         return rows.reshape(-1, self.dim)
 
     def _values(self, K: np.ndarray) -> np.ndarray:
-        """(N, rank, len(K)) array of the values C @ z of the cocycles with
-        stacked generator values z, the rows of K, filled a block of
-        elements at a time and reduced after each generator block, so that
-        every int64 sum has rank terms."""
-        m, q = self.m, self.q
+        """(N, rank, len(K)) array of the values of the cocycles with
+        stacked generator values z, the rows of K, walking down the closure
+        tree: V_1 = 0 and V_{xg} = V_x + x K_g, where K_g is generator g's
+        block of K, one BFS layer (tree_layers) at a time, since a layer's
+        parents lie in the layer before it.  A layer is taken
+        _ROW_BLOCK // rank elements at a time, and each product is reduced
+        before the parent's values are added, so every int64 sum has at
+        most rank terms."""
+        G, m, q = self.G, self.m, self.q
         K = np.asarray(K, dtype=np.int64) % q
+        # Kg[g] is the (rank, len(K)) block of generator g
+        Kg = K.reshape(len(K), self.k, m).transpose(1, 2, 0)
         V = np.zeros((self.size, m, len(K)), dtype=np.int64)
         step = max(1, _ROW_BLOCK // m)
-        for s in range(0, self.size, step):
-            v = V[s:s + step]
-            for g in range(self.k):
-                blk = slice(g * m, (g + 1) * m)
-                t = self.C[s:s + step, :, blk] @ K[:, blk].T
-                t %= q
-                v += t
+        for start, stop in G.tree_layers():
+            for s in range(start, stop, step):
+                x = slice(s, min(s + step, stop))
+                par = G.tree_parent[x]
+                v = self.acts[par] @ Kg[G.tree_gen[x]]
                 v %= q
+                v += V[par]
+                v %= q
+                V[x] = v
         return V
 
-    def _in_z1(self, K: np.ndarray) -> bool:
-        """Whether every row z of K is in Z^1: its expansion V = C z has
-        V_1 = 0, takes the values z at the generators, and satisfies the
-        cocycle identity (_identity_holds), checked for all rows at once."""
-        V = self._values(K)
+    def _in_z1(self, K: np.ndarray, V: np.ndarray) -> bool:
+        """Whether every row z of K is in Z^1, given its expansion
+        V = _values(K): V_1 = 0, V takes the values z at the generators,
+        and V satisfies the cocycle identity (_identity_holds), checked for
+        all rows at once."""
         gens = self.G.right_multiplication()[:, 0]
         # a generator that labels no tree edge does not enter the
         # expansion, so its value is compared here
@@ -297,7 +297,7 @@ class _CocycleSystem:
             if not len(todo):
                 return basis, None
             z1 = RowSystem(basis.T, self.p, self.j).kernel()
-            if self._in_z1(z1):
+            if self._in_z1(z1, self._values(z1)):
                 return basis, z1
             s //= 2
 
@@ -339,18 +339,27 @@ class _CocycleSystem:
 
     @_cached
     def h1loc_structure(self) -> AbelianStructure:
-        """Z^1_loc / B^1, after certifying that B^1 lies in Z^1_loc."""
+        """Z^1_loc / B^1.  quotient_structure solves every B^1 row in
+        Z^1_loc, which certifies that coboundaries solve their own local
+        conditions."""
         z1loc, b1 = self.z1loc_gens(), self.b1_gens()
-        # coboundaries solve their own local conditions
-        loc_span = RowSystem(z1loc, self.p, self.j)
-        certify(all(loc_span.contains(row) for row in b1),
-                "coboundary outside Z^1_loc (internal)")
-        return quotient_structure(z1loc, b1, self.G.spec, modulus=self.q)
+        try:
+            return quotient_structure(z1loc, b1, self.G.spec, modulus=self.q)
+        except InputError:
+            raise InternalError("coboundary outside Z^1_loc (internal)") \
+                from None
 
-    def expand(self, z: np.ndarray) -> Cocycle:
-        """Full cocycle C @ z from stacked generator values."""
-        return Cocycle(self.G, self._values(np.asarray(z)[None])[:, :, 0],
-                       self.j)
+    def expand(self, K: np.ndarray) -> list:
+        """The cocycles with stacked generator values the rows of K, all
+        from one walk (_values)."""
+        V = self._values(K)
+        return [Cocycle(self.G, V[:, :, t], self.j) for t in range(len(K))]
+
+    def cohom_group(self, struct: AbelianStructure) -> CohomGroup:
+        """struct with its generators expanded to representative cocycles."""
+        K = np.array(struct.generators, dtype=np.int64)
+        return CohomGroup(struct, self.expand(
+            K.reshape(len(struct.generators), self.dim)))
 
 
 def _system(G: MatGroup, module_exponent=None) -> _CocycleSystem:
@@ -366,33 +375,27 @@ def _system(G: MatGroup, module_exponent=None) -> _CocycleSystem:
 def cocycle_space(G: MatGroup, module_exponent=None):
     """Generators of Z^1(G, M) as Cocycle objects."""
     sys = _system(G, module_exponent)
-    return [sys.expand(z) for z in sys.z1_gens()]
+    return sys.expand(sys.z1_gens())
 
 
 def coboundaries(G: MatGroup, module_exponent=None):
     """Generators of B^1(G, M): one coboundary per module basis vector."""
     sys = _system(G, module_exponent)
-    return [sys.expand(z) for z in sys.b1_gens()]
+    return sys.expand(sys.b1_gens())
 
 
 def h1(G: MatGroup, module_exponent=None) -> CohomGroup:
     """H^1(G, M) = Z^1/B^1 with invariant factors and representatives."""
     sys = _system(G, module_exponent)
-    struct = quotient_structure(sys.z1_gens(), sys.b1_gens(), G.spec,
-                                modulus=sys.q)
-    reps = [sys.expand(np.array(gen, dtype=np.int64))
-            for gen in struct.generators]
-    return CohomGroup(struct, reps)
+    return sys.cohom_group(quotient_structure(sys.z1_gens(), sys.b1_gens(),
+                                              G.spec, modulus=sys.q))
 
 
 def h1_loc(G: MatGroup, module_exponent=None) -> CohomGroup:
     """The subgroup of H^1 of classes [Z] with Z_sigma in Im(sigma - 1) for
     every sigma: locally trivial classes, computed as Z^1_loc / B^1."""
     sys = _system(G, module_exponent)
-    struct = sys.h1loc_structure()
-    reps = [sys.expand(np.array(gen, dtype=np.int64))
-            for gen in struct.generators]
-    return CohomGroup(struct, reps)
+    return sys.cohom_group(sys.h1loc_structure())
 
 
 def sizes(G: MatGroup, module_exponent=None):
@@ -436,14 +439,12 @@ def cocycle_from_generator_values(G: MatGroup, gen_values: dict,
     """Extend prescribed generator values to the whole group along the tree
     and certify the cocycle identity exhaustively (raises if inconsistent)."""
     sys = _system(G, module_exponent)
-    z = np.array([v for g in G.generators for v in gen_values[g.key()]],
+    z = np.array([[v for g in G.generators for v in gen_values[g.key()]]],
                  dtype=np.int64) % sys.q
-    Z = sys.expand(z)
-    # a generator that labels no tree edge (the identity, say) does not
-    # enter the expansion, so its prescribed value is compared here
-    if not Z.is_valid() or (Z.generator_vector() != z).any():
+    V = sys._values(z)
+    if not sys._in_z1(z, V):
         raise InputError("generator values do not extend to a cocycle")
-    return Z
+    return Cocycle(G, V[:, :, 0], sys.j)
 
 
 def class_order(Z: Cocycle) -> int:
@@ -463,8 +464,8 @@ def restrict(Z: Cocycle, H: MatGroup) -> Cocycle:
                    Z.module_exponent)
 
 
-def inflate(Zq: Cocycle, G: MatGroup, project: Callable[[Mat], Mat],
-            check: bool = True) -> Cocycle:
+def inflate(Zq: Cocycle, G: MatGroup,
+            project: Callable[[Mat], Mat]) -> Cocycle:
     """Pull a cocycle on a quotient back through project: G -> quotient.
 
     The kernel of project must act trivially on the coefficient module of
@@ -474,7 +475,7 @@ def inflate(Zq: Cocycle, G: MatGroup, project: Callable[[Mat], Mat],
     if idx.min() < 0:
         raise InputError("projection leaves the quotient cocycle's group")
     W = Cocycle(G, Zq.values[idx], Zq.module_exponent)
-    if check and not W.is_valid():
+    if not W.is_valid():
         raise InputError("inflation did not produce a cocycle "
                          "(kernel acts nontrivially?)")
     return W

@@ -242,41 +242,33 @@ def _equivariant_hom_group(inst: CounterexampleInstance):
     return dim, generates
 
 
-def scan_orders(p: int, include_comparison: bool = True):
+def scan_orders(p: int):
     """One row per subgroup <g^j, H> plus a comparison row where g is
     replaced by a fixed-point-free element of order dividing p-1: the
     nonvanishing case is exactly the one whose twist order (3) does not
     divide p-1."""
     inst = build(p)
     q = p * p
-    rows = []
+    # (label, twist, generators beside H's, closure cap)
+    cases = []
     for j in (0, 1, 2):
         top = inst.g.pow(j)
-        gens = ([] if j == 0 else [top]) + list(inst.H2.generators)
-        Gj = MatGroup.close(gens, inst.spec, cap=3 * q + 1)
-        loc = h1_loc(Gj)
-        order = Gj.element_order(top)
+        cases.append((f"<g^{j}, H>", top, [] if j == 0 else [top], 3 * q + 1))
+    # same module, twist of order dividing p-1 with no nonzero fixed
+    # point: diag(2,3)^p (reduces to diag(2,3) mod p)
+    d = Mat.from_rows([[2, 0], [0, 3]], q).pow(p)
+    cases.append(("comparison <diag(2,3)^p, H>", d, [d], (p - 1) * q * q + 1))
+    rows = []
+    for label, top, twist, cap in cases:
+        G = MatGroup.close(twist + list(inst.H2.generators), inst.spec,
+                           cap=cap)
+        loc = h1_loc(G)
+        order = G.element_order(top)
         rows.append({
-            "label": f"<g^{j}, H>",
+            "label": label,
             "twist_order": order,
             "divides_p_minus_1": (p - 1) % order == 0,
-            "group_order": Gj.order,
-            "h1_loc": loc.structure.invariant_factors,
-            "vanishes": loc.is_trivial,
-        })
-    if include_comparison:
-        # same module, twist of order dividing p-1 with no nonzero fixed
-        # point: diag(2,3)^p (reduces to diag(2,3) mod p)
-        d = Mat.from_rows([[2, 0], [0, 3]], q).pow(p)
-        Gc = MatGroup.close([d] + list(inst.H2.generators), inst.spec,
-                            cap=(p - 1) * q * q + 1)
-        loc = h1_loc(Gc)
-        order = Gc.element_order(d)
-        rows.append({
-            "label": "comparison <diag(2,3)^p, H>",
-            "twist_order": order,
-            "divides_p_minus_1": (p - 1) % order == 0,
-            "group_order": Gc.order,
+            "group_order": G.order,
             "h1_loc": loc.structure.invariant_factors,
             "vanishes": loc.is_trivial,
         })

@@ -153,7 +153,7 @@ class MatGroup:
     use, under the group's lock."""
 
     def __init__(self, spec, generators, array, sorted_keys, sorted_pos,
-                 tree_parent, tree_gen):
+                 tree_parent, tree_gen, layers):
         self.spec = spec
         self.generators = tuple(generators)
         self._array = array
@@ -161,6 +161,7 @@ class MatGroup:
         self._sorted_pos = sorted_pos       # element position of each key
         self.tree_parent = tree_parent      # element i == elements[parent] * gen
         self.tree_gen = tree_gen
+        self._layers = tuple(layers)        # (start, stop) of each BFS layer
         self.order = len(array)
         self._lock = threading.RLock()      # guards the lazy caches
         self._cohom_cache = {}              # module exponent -> system
@@ -196,6 +197,7 @@ class MatGroup:
         # layers as (L, r, r) matrices, then as (L, r) row codes
         chunks, code_chunks, key_chunks = [layer], [], [seen]
         parents, labels = [np.array([-1])], [np.array([-1])]
+        layers = []
         garr = _stack(gens, r)
         table = None
         while k:
@@ -219,7 +221,8 @@ class MatGroup:
             t = first[fresh]
             parents.append(layer_idx[t // k])
             labels.append(t % k)
-            layer, layer_idx = prods[t], np.arange(len(seen), len(seen) + count)
+            layers.append((len(seen), len(seen) + count))
+            layer, layer_idx = prods[t], np.arange(*layers[-1])
             (chunks if table is None else code_chunks).append(layer)
             key_chunks.append(keys[fresh])
             # both runs are sorted, so the stable sort is one merge
@@ -232,7 +235,7 @@ class MatGroup:
         for a in (array, sorted_pos, tree_parent, tree_gen):
             a.flags.writeable = False
         return cls(spec, gens, array, all_keys[sorted_pos], sorted_pos,
-                   tree_parent, tree_gen)
+                   tree_parent, tree_gen, layers)
 
     @classmethod
     def from_elements(cls, elements, spec: ModuleSpec, cap: int = DEFAULT_CAP):
@@ -310,24 +313,11 @@ class MatGroup:
             raise InputError("matrix is not an element of the group")
         return i
 
-    @_cached
     def tree_layers(self) -> tuple:
-        """(start, stop) of every BFS layer after the identity's.  A layer's
-        parents all lie in the layer before it, so a walk down the closure
-        tree can fill one whole layer per step."""
-        layers = []
-        start, end = 0, 1
-        while end < self.order:
-            # the next layer holds the children of [start, end); it is at
-            # most k times as long and ends at the first later parent
-            stop = min(self.order,
-                       end + len(self.generators) * (end - start))
-            later = np.flatnonzero(self.tree_parent[end:stop] >= end)
-            if len(later):
-                stop = end + int(later[0])
-            layers.append((end, stop))
-            start, end = end, stop
-        return tuple(layers)
+        """(start, stop) of every BFS layer after the identity's, as close
+        formed them.  A layer's parents all lie in the layer before it, so
+        a walk down the closure tree can fill one whole layer per step."""
+        return self._layers
 
     @_cached
     def right_multiplication(self) -> np.ndarray:

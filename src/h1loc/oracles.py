@@ -57,7 +57,8 @@ def reference_closure(generators, spec, cap=None):
 def reference_close(generators, spec, cap=DEFAULT_CAP):
     """MatGroup.close with every product a batched matmul and the sorted
     keys grown by np.insert, as a reference for the row-code table
-    gathers: the same group, element array, tree and sorted keys."""
+    gathers: the same group, element array, tree, BFS layers and sorted
+    keys."""
     q, r = spec.modulus, spec.rank
     if r * (q - 1) ** 2 >= 2 ** 63:
         raise InputError(f"modulus {q} too large for int64 group "
@@ -76,6 +77,7 @@ def reference_close(generators, spec, cap=DEFAULT_CAP):
     seen = _keys(layer, q)
     chunks, key_chunks = [layer], [seen]
     parents, labels = [np.array([-1])], [np.array([-1])]
+    layers = []
     garr = _stack(gens, r)
     while k:
         prods = (layer[:, None] @ garr[None]).reshape(-1, r, r) % q
@@ -91,6 +93,7 @@ def reference_close(generators, spec, cap=DEFAULT_CAP):
         parents.append(layer_idx[t // k])
         labels.append(t % k)
         layer, layer_idx = prods[t], np.arange(len(seen), len(seen) + count)
+        layers.append((len(seen), len(seen) + count))
         chunks.append(layer)
         key_chunks.append(keys[fresh])
         seen = np.insert(seen, pos[fresh], keys[fresh])
@@ -98,7 +101,7 @@ def reference_close(generators, spec, cap=DEFAULT_CAP):
         np.concatenate, (chunks, key_chunks, parents, labels))
     sorted_pos = np.argsort(all_keys, kind="stable")
     return MatGroup(spec, gens, array, all_keys[sorted_pos], sorted_pos,
-                    tree_parent, tree_gen)
+                    tree_parent, tree_gen, layers)
 
 
 def reference_batch_det(arr: np.ndarray, q: int) -> np.ndarray:
@@ -198,8 +201,9 @@ def reference_cyclic_class_representatives(G, p_elements=False) -> np.ndarray:
 
 def reference_coefficients(G, module_exponent) -> np.ndarray:
     """The coefficient array C of the cocycle system of G mod p^j, one
-    element at a time along the closure tree, as a reference for its
-    layer-by-layer construction: C[x g] = C[x] + x E_g."""
+    element at a time along the closure tree, as a reference for the walk
+    down the tree layers that expands the identity to it:
+    C[x g] = C[x] + x E_g."""
     q = G.spec.p ** module_exponent
     m, k = G.spec.rank, len(G.generators)
     acts = G.element_array() % q

@@ -15,7 +15,7 @@ import h1loc
 from corpus import M, twist_corpus
 from h1loc import oracles
 from h1loc.cli import EXIT_INTERNAL, run
-from h1loc.cohomology import (Cocycle, coboundaries,
+from h1loc.cohomology import (Cocycle, _system, coboundaries,
                               cocycle_from_generator_values, cocycle_space,
                               restrict)
 from h1loc.counterexample import build
@@ -67,7 +67,8 @@ def test_family_cocycle_matches_closed_form_everywhere():
 
 def test_coboundaries_exact_near_int64_bound():
     # dihedral group of order 42 mod 2^31 - 1, conjugated by a dense matrix:
-    # one unreduced C @ z would sum 4 products near 2^62 and wrap
+    # each product of the walk down the closure tree sums 2 terms near 2^62,
+    # and one more such term would wrap
     p = 2 ** 31 - 1
     spec = ModuleSpec(p, 1, 2)
     zeta = pow(7, (p - 1) // 21, p)      # 7 is a primitive root mod p
@@ -82,6 +83,34 @@ def test_coboundaries_exact_near_int64_bound():
             expect = tuple((x.entries[i][t] - (i == t)) % p for i in range(2))
             assert Z.at(x) == expect
         assert Z.is_valid()
+
+
+@pytest.mark.parametrize("p, n, a", [
+    # units of order 2^5 and 3^3
+    (2, 31, pow(5, 2 ** 24, 2 ** 31)), (3, 19, pow(2, 2 * 3 ** 15, 3 ** 19))])
+def test_expansion_exact_at_the_largest_accepted_powers(p, n, a):
+    """2^31 and 3^19 are the largest powers of 2 and 3 that close accepts
+    at rank 2, so each product in the walk down the closure tree sums two
+    terms near 2^62.  The group is a dihedral-type group of order 4 * 2^5
+    or 4 * 3^3, conjugated by a dense matrix, so the tree is deep and its
+    entries large.  C and the expansion of random K are compared with
+    Python-int products with the per-element reference coefficients; for
+    p = 2 a wrapped int64 is still right mod 2^31, so only p = 3 catches a
+    missed reduction."""
+    q = p ** n
+    spec = ModuleSpec(p, n, 2)
+    T = M([[1, q // 3], [0, 1]], q).mul(M([[1, 0], [q // 5, 1]], q))
+    Ti = T.inv()
+    G = MatGroup.close([T.mul(M(g, q)).mul(Ti)
+                        for g in ([[a, 0], [0, pow(a, -1, q)]],
+                                  [[0, -1], [1, 0]])], spec)
+    assert G.order == (128 if p == 2 else 108)
+    sys = _system(G, n)
+    ref = oracles.reference_coefficients(G, n)
+    assert np.array_equal(sys.C, ref)
+    K = np.random.default_rng(n).integers(0, q, size=(4, sys.dim))
+    assert np.array_equal(sys._values(K), (ref.astype(object)
+                                           @ K.T.astype(object)) % q)
 
 
 def test_cocycle_constructor_checks_shape_and_freezes():

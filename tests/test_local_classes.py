@@ -1,9 +1,9 @@
 """Local conditions imposed once per conjugacy class of maximal cyclic
 p-subgroups: the cover of the p-elements, the representative counts, Z^1_loc
-against the all-elements and all-classes references, and the layer-built
-coefficient array.  The walk over all elements, which took one
-representative per class of maximal cyclic subgroups, stays as
-oracles.reference_cyclic_class_representatives."""
+against the all-elements and all-classes references, and the coefficient
+array and cocycle expansion walked down the closure tree.  The walk over all
+elements, which took one representative per class of maximal cyclic
+subgroups, stays as oracles.reference_cyclic_class_representatives."""
 
 import numpy as np
 import pytest
@@ -180,11 +180,20 @@ def test_z1loc_matches_all_elements_reference_random(data):
 
 @pytest.mark.parametrize("j", [2, 1])
 def test_coefficients_match_per_element_loop(j):
-    groups = [G for _, G in small_oracle_groups() if G.spec.n >= j]
-    groups += [G for _, _, _, G in twist_corpus()]
+    """C, the expansion of the identity, and the expansion _values(K) of
+    random K, against Python-int products with the per-element reference
+    coefficients, on every cohomology case at j and the family's G and H."""
+    rng = np.random.default_rng(j)
+    groups = [G for _, G, i in cohomology_cases() if i == j]
+    groups += [G for inst in map(build, (5, 11, 17))
+               for G in (inst.G2, inst.H2)]
     for G in groups:
-        assert np.array_equal(_system(G, j).C,
-                              oracles.reference_coefficients(G, j))
+        sys = _system(G, j)
+        ref = oracles.reference_coefficients(G, j)
+        assert np.array_equal(sys.C, ref)
+        K = rng.integers(0, sys.q, size=(3, sys.dim))
+        assert np.array_equal(sys._values(K), (ref.astype(object)
+                                               @ K.T.astype(object)) % sys.q)
 
 
 def test_z1loc_p_representatives_match_all_class_representatives():

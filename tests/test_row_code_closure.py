@@ -1,8 +1,8 @@
 """MatGroup.close on row codes against the matmul closure it replaced
-(oracles.reference_close): the same element array, tree, sorted keys and
-key positions, on groups where the row table is never built, built
-mid-closure and built for the last step only; and batch_det against the
-Leibniz reference on the same groups."""
+(oracles.reference_close): the same element array, tree, BFS layers,
+sorted keys and key positions, on groups where the row table is never
+built, built mid-closure and built for the last step only; and batch_det
+against the Leibniz reference on the same groups."""
 
 import numpy as np
 import pytest
@@ -31,8 +31,9 @@ def tables(monkeypatch):
 
 
 def assert_same_closure(G, label=""):
-    """G equals the reference closure of its generators, array for array,
-    and batch_det agrees with the Leibniz reference on its elements."""
+    """G equals the reference closure of its generators, array for array
+    and layer for layer, and batch_det agrees with the Leibniz reference on
+    its elements."""
     R = oracles.reference_close(G.generators, G.spec, cap=G.order)
     for got, want in ((G.element_array(), R.element_array()),
                       (G.tree_parent, R.tree_parent),
@@ -41,6 +42,7 @@ def assert_same_closure(G, label=""):
                       (G._sorted_pos, R._sorted_pos)):
         assert got.dtype == want.dtype, label
         assert np.array_equal(got, want), label
+    assert G.tree_layers() == R.tree_layers(), label
     q = G.spec.modulus
     X = G.element_array()
     assert np.array_equal(batch_det(X, q), oracles.reference_batch_det(X, q))
