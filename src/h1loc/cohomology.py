@@ -439,6 +439,13 @@ def cocycle_from_generator_values(G: MatGroup, gen_values: dict,
     """Extend prescribed generator values to the whole group along the tree
     and certify the cocycle identity exhaustively (raises if inconsistent)."""
     sys = _system(G, module_exponent)
+    rank = G.spec.rank
+    for i, g in enumerate(G.generators):
+        if g.key() not in gen_values:
+            raise InputError(f"no value for generator {i + 1}")
+        if np.shape(gen_values[g.key()]) != (rank,):
+            raise InputError(f"value of generator {i + 1} is not a vector "
+                             f"of length {rank}")
     z = np.array([[v for g in G.generators for v in gen_values[g.key()]]],
                  dtype=np.int64) % sys.q
     V = sys._values(z)

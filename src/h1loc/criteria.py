@@ -8,6 +8,12 @@ and never takes the conclusion on faith: a "certified" verdict is always
 cross-checked by computing H^1_loc directly.  Failing a hypothesis is not
 an error: the group may still have vanishing cohomology for other reasons,
 so the verdict is just "not applicable".
+
+The Sylow normalizer comes from groups.sylow_normalizer_mask.  By Sylow's
+theorem every p-element lies in a p-Sylow, and each p-Sylow holds exactly
+|G|_p of them, so a group with exactly |G|_p p-elements has one, normal,
+p-Sylow, and its normalizer is the whole group with no Sylow ascent;
+only a non-normal Sylow is computed and its normalizer tested.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ import numpy as np
 
 from .cohomology import h1, h1_loc
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, _distinct, _normalizer_mask, _normalizing,
-                     _power_positions, coset_orders, lift_normalizer, p_sylow,
-                     sylow_normalizer_element)
+from .groups import (MatGroup, _distinct, _normalizing, _power_positions,
+                     coset_orders, lift_normalizer, p_sylow,
+                     sylow_normalizer_element, sylow_normalizer_mask)
 from .ringmat import Mat, _bijective_shifts, _howell_stack
 from .symplectic import SymplecticSpace, similitude_multipliers
 
@@ -97,9 +103,8 @@ def sylow_normalizer_criterion(G: MatGroup,
     element g of order dividing p-1 with g - 1 bijective."""
     rep = CriterionReport("sylow-normalizer element of order dividing p-1")
     p = G.spec.p
-    H = p_sylow(G)
-    rep.add("p-Sylow subgroup computed", "satisfied", f"order {H.order}")
-    mask = _normalizer_mask(G, H)
+    sylow_order, mask = sylow_normalizer_mask(G)
+    rep.add("p-Sylow subgroup computed", "satisfied", f"order {sylow_order}")
     rep.add("normalizer computed", "satisfied", f"order {int(mask.sum())}")
     found = _qualifying_search(mask, G, p)
     if found is None:
@@ -240,7 +245,7 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
         # only existence is guaranteed; scan the same normalizer for another
         # order-(p-1) element with the class-order certificate that also
         # fixes nothing nonzero
-        Nrm = G1.subgroup(_normalizer_mask(G1, p_sylow(G1)))
+        Nrm = G1.subgroup(sylow_normalizer_mask(G1)[1])
         full = (Nrm.orders() == p - 1) & (
             coset_orders(Nrm, N) % ((p - 1) // i) == 0)
         hits = np.flatnonzero(full)

@@ -12,7 +12,8 @@ point so it never costs more than the products already formed.
 Also here: element orders from prime power maps, the p-elements and one
 generator per conjugacy class of maximal cyclic p-subgroups (where
 cohomology.h1_loc imposes its local conditions), p-Sylow subgroups by
-normalizer ascent over the p-elements, Frattini subgroups of p-groups,
+normalizer ascent over the p-elements (skipped for a normal p-Sylow,
+which the p-element count reveals), Frattini subgroups of p-groups,
 the constructive conjugation-eigenbasis decomposition of a normalized
 p-group, and coset-representative corrections into Sylow normalizers.
 These run on element arrays too: generating sets are the greedy
@@ -539,7 +540,10 @@ def coset_orders(G: MatGroup, N: MatGroup) -> np.ndarray:
 def _batch_power(arr: np.ndarray, k, q: int) -> np.ndarray:
     """arr[i]^k[i] mod q by binary powering; k is one exponent or one per
     matrix, all >= 0.  A matrix leaves the squaring once its exponent is
-    used up."""
+    used up.  One exponent for all needs no such bookkeeping: its products
+    go in place through one buffer, with no indexed copies."""
+    if np.ndim(k) == 0:
+        return _scalar_power(arr, int(k), q)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), arr.shape[:1]).copy()
     result = np.broadcast_to(np.eye(arr.shape[1], dtype=np.int64),
                              arr.shape).copy()
@@ -551,6 +555,24 @@ def _batch_power(arr: np.ndarray, k, q: int) -> np.ndarray:
         k[live] >>= 1
         live = live[k[live] > 0]
         base[live] = (base[live] @ base[live]) % q
+    return result
+
+
+def _scalar_power(arr: np.ndarray, k: int, q: int) -> np.ndarray:
+    """arr[i]^k mod q for every matrix by binary powering, k >= 0: the
+    peak memory is the result, the squares and one product buffer."""
+    result = np.broadcast_to(np.eye(arr.shape[1], dtype=np.int64),
+                             arr.shape).copy()
+    base = arr % q
+    prod = np.empty_like(base)
+    while k:
+        if k & 1:
+            np.matmul(result, base, out=prod)
+            np.remainder(prod, q, out=result)
+        k >>= 1
+        if k:
+            np.matmul(base, base, out=prod)
+            np.remainder(prod, q, out=base)
     return result
 
 
@@ -595,6 +617,24 @@ def _normalizer_mask(G: MatGroup, H: MatGroup) -> np.ndarray:
     """Mask over the element positions of G of the normalizer of H."""
     X = G.element_array()
     return _normalizing(X, X[G.inverse_indices()], H)
+
+
+def sylow_normalizer_mask(G: MatGroup):
+    """(|S|, mask): the order of a p-Sylow S of G and the mask over G's
+    element positions of its normalizer.
+
+    By Sylow's theorem every p-element lies in a p-Sylow, and each p-Sylow
+    holds exactly p^a = |G|_p of them.  So G has exactly p^a p-elements
+    when they form one p-Sylow, which is then normal: its normalizer is
+    all of G, read off the count of G._p_elements() with no p_sylow, no
+    closure and no conjugation test.  Otherwise S is p_sylow(G) and the
+    mask is _normalizer_mask(G, S)."""
+    p = G.spec.p
+    target = p ** _factor(G.order).get(p, 0)
+    if len(G._p_elements()[0]) == target:
+        return target, np.ones(G.order, dtype=bool)
+    H = p_sylow(G)
+    return H.order, _normalizer_mask(G, H)
 
 
 def normalizer(G: MatGroup, H: MatGroup) -> MatGroup:

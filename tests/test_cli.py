@@ -1,5 +1,6 @@
 """CLI: parsing, serialization round trip, commands, exit codes, JSON."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ import pytest
 
 import h1loc
 
+from corpus import twist_corpus
 from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK,
-                       parse_group, run)
+                       GroupDescription, parse_group, run)
+from h1loc.criteria import sylow_normalizer_criterion
 from h1loc.errors import InputError
 
 CYCLIC = """\
@@ -113,6 +116,36 @@ def test_criteria_command(tmp_path, capsys):
     assert code2 == EXIT_OK
     payload2 = json.loads(capsys.readouterr().out)
     assert any(r["conclusion"] == "certified" for r in payload2["reports"])
+
+
+def test_criteria_outputs_frozen(tmp_path, capsys):
+    # sha256 digests taken before the Sylow normalizer was read off the
+    # p-element count, so a changed verdict, detail or witness fails here:
+    # the exit code and `criteria --json` output of every twist-corpus
+    # group, unconjugated, in corpus order; the witnesses of the
+    # Sylow-normalizer criterion on the same groups; and both outputs on
+    # GL2F5, whose 5-Sylow is not normal
+    outputs, witnesses = hashlib.sha256(), hashlib.sha256()
+    for i, (label, p, _g, G) in enumerate(twist_corpus()):
+        desc = GroupDescription(p, 2, 2, [[list(row) for row in g.entries]
+                                          for g in G.generators])
+        path = write(tmp_path, f"twist{i:03d}.grp", desc.serialize())
+        code = run(["criteria", path, "--json"])
+        outputs.update(f"{label}\n{code}\n{capsys.readouterr().out}".encode())
+        found = [item.witness.key() for item in sylow_normalizer_criterion(
+            G, compute_cross_check=False).items if item.witness is not None]
+        witnesses.update(f"{label}\n{found}\n".encode())
+    sym = write(tmp_path, "gl2.grp", GL2F5)
+    gl2 = hashlib.sha256()
+    for argv in (["criteria", sym, "--json"], ["criteria", sym]):
+        code = run(argv)
+        gl2.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert outputs.hexdigest() == \
+        "4fd6b1a5879fd95695cf3f209ab7abb1cdddcef4179081c5c19be63e9ae27b85"
+    assert witnesses.hexdigest() == \
+        "273348438f4e71630a729415582bc58636d84f61024e96e43f57108a05a4fe41"
+    assert gl2.hexdigest() == \
+        "05793b7c9ec7e272254ececd19167ea1bd788fd39d92264d9e74a1926670b260"
 
 
 def test_counterexample_command(capsys):

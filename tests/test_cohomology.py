@@ -167,6 +167,21 @@ def test_generator_value_extension_rejects_inconsistent():
     assert Z.is_valid()
 
 
+def test_generator_value_of_wrong_length_is_an_input_error():
+    spec = ModuleSpec(5, 1, 2)
+    g = M([[1, 1], [0, 1]], 5)
+    G = MatGroup.close([g], spec)
+    with pytest.raises(InputError, match="generator 1"):
+        cocycle_from_generator_values(G, {g.key(): (1, 0, 0)})
+
+
+def test_missing_generator_value_is_an_input_error():
+    spec = ModuleSpec(5, 1, 2)
+    G = MatGroup.close([M([[1, 1], [0, 1]], 5)], spec)
+    with pytest.raises(InputError, match="generator 1"):
+        cocycle_from_generator_values(G, {})
+
+
 def test_inflation_restriction_exactness_on_torsion():
     # groups mod p^2 with H = reduction kernel, coefficients in the p-torsion
     cases = 0

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import M, small_oracle_groups
-from h1loc import oracles
+from corpus import M, small_oracle_groups, twist_corpus
+from h1loc import groups as groups_module, oracles
 from h1loc.counterexample import family_matrix, twist_matrix
 from h1loc.errors import CapExceededError, InputError, PreconditionError
-from h1loc.groups import (MatGroup, decompose_generators, element_order,
+from h1loc.groups import (MatGroup, _batch_power, _normalizer_mask,
+                          decompose_generators, element_order,
                           find_normalized_sylow, frattini, lift_normalizer,
-                          normalizer, p_sylow, sylow_normalizer_element)
+                          normalizer, p_sylow, sylow_normalizer_element,
+                          sylow_normalizer_mask)
 from h1loc.ringmat import Mat, ModuleSpec
 
 
@@ -139,6 +141,84 @@ def test_lagrange_for_computed_subgroups():
         assert G.order % S.order == 0, label
         assert G.order % N.order == 0, label
         assert S.is_subgroup_of(N), label
+
+
+def _sylow_cases():
+    """(label, group): the twist corpus, the small oracle groups, the
+    family's G and H at p = 5, 11, 17, and GL_2(F_3) and GL_2(F_5), whose
+    Sylows are not normal."""
+    out = [(label, G) for label, _p, _g, G in twist_corpus()]
+    out += small_oracle_groups()
+    for p in (5, 11, 17):
+        spec = ModuleSpec(p, 2, 2)
+        H = MatGroup.close([family_matrix(p, 1, 0), family_matrix(p, 0, 1)],
+                           spec)
+        out += [(f"family H p={p}", H), (f"family G p={p}", MatGroup.close(
+            [twist_matrix(p)] + list(H.generators), spec))]
+    out.append(("GL2(F3)", MatGroup.close(
+        [M([[1, 1], [0, 1]], 3), M([[0, 1], [1, 0]], 3)], ModuleSpec(3, 1, 2))))
+    out.append(("GL2(F5)", MatGroup.close(
+        [M([[2, 0], [0, 1]], 5), M([[4, 1], [4, 0]], 5)], ModuleSpec(5, 1, 2))))
+    return out
+
+
+def _closed_under_products(G, P):
+    """Brute force: every product of two elements at the positions P lies
+    at a position in P, one block of left factors at a time."""
+    q, r = G.spec.modulus, G.spec.rank
+    X = G.element_array()[P]
+    inside = np.zeros(G.order, dtype=bool)
+    inside[P] = True
+    step = max(1, 2 ** 16 // len(P))
+    for s in range(0, len(P), step):
+        prods = ((X[s:s + step, None] @ X[None]) % q).reshape(-1, r, r)
+        pos = G.lookup(prods)
+        if not ((pos >= 0).all() and inside[pos].all()):
+            return False
+    return True
+
+
+def test_sylow_normalizer_mask_matches_the_ascent(monkeypatch):
+    ascents = []
+
+    def counted_p_sylow(G):
+        ascents.append(G)
+        return p_sylow(G)
+
+    # the helper reaches p_sylow through the module, so this counts the
+    # ascents it runs
+    monkeypatch.setattr(groups_module, "p_sylow", counted_p_sylow)
+    counted, normalizer_orders = set(), {}
+    for label, G in _sylow_cases():
+        before = len(ascents)
+        order, mask = sylow_normalizer_mask(G)
+        if len(ascents) > before:
+            counted.add(label)
+        normalizer_orders[label] = int(mask.sum())
+        H = p_sylow(G)
+        assert order == H.order, label
+        assert np.array_equal(mask, _normalizer_mask(G, H)), label
+        P = G._p_elements()[0]
+        if label not in counted:
+            # the count branch: the p-elements are the normal Sylow
+            assert len(P) == H.order and mask.all(), label
+            assert _closed_under_products(G, P), label
+    assert not counted & {label for label, *_ in twist_corpus()}
+    assert {"GL2(F3)", "GL2(F5)"} <= counted
+    assert normalizer_orders["GL2(F3)"] == 12
+    assert normalizer_orders["GL2(F5)"] == 80
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 200), st.integers(0, 2 ** 32 - 1))
+def test_batch_power_with_one_exponent(r, k, seed):
+    rng = np.random.default_rng(seed)
+    q = 49
+    A = rng.integers(0, q, size=(12, r, r))
+    got = _batch_power(A, k, q)
+    assert np.array_equal(got, _batch_power(A, np.full(12, k), q))
+    for a, g in zip(A, got):
+        assert np.array_equal(g, Mat.from_array(a, q).pow(k).to_array())
 
 
 def test_frattini_elementary_abelian():
