@@ -38,8 +38,13 @@ to p, restriction H^1(<s>, M) -> H^1(<s_p>, M) is injective (Brown,
 Cohomology of Groups, III.9-10).  So the condition is imposed only at the
 representatives s of MatGroup.cyclic_class_representatives, one per
 conjugacy class of maximal cyclic p-subgroups, whose conjugates cover the
-p-elements.  The local rows are folded into the basis of the cocycle rows,
-so the kernel is still exactly Z^1_loc.
+p-elements.  Those classes need no walk over the group: a p-element
+x != 1 generates a maximal cyclic p-subgroup exactly when it is not the
+p-th power of a p-element, conjugation by the generators and x -> x^u
+(u among the generators of (Z/p^E)^*) permute those maximal generators,
+and the classes are the orbits of these permutations.  The local rows are
+folded into the basis of the cocycle rows, so the kernel is still exactly
+Z^1_loc.
 Over Z/p^j a submodule is cut out by the linear forms vanishing on it
 (w in ker((s-1)^T) gives w . Z_s = 0), so Z^1_loc is again a kernel and
 H^1_loc = Z^1_loc / B^1 is a finite abelian group with explicit invariant
@@ -338,6 +343,12 @@ class _CocycleSystem:
         return RowSystem(basis.T, self.p, self.j).kernel()
 
     @_cached
+    def h1_structure(self) -> AbelianStructure:
+        """Z^1 / B^1, its generators in the z coordinates."""
+        return quotient_structure(self.z1_gens(), self.b1_gens(), self.G.spec,
+                                  modulus=self.q)
+
+    @_cached
     def h1loc_structure(self) -> AbelianStructure:
         """Z^1_loc / B^1.  quotient_structure solves every B^1 row in
         Z^1_loc, which certifies that coboundaries solve their own local
@@ -387,8 +398,7 @@ def coboundaries(G: MatGroup, module_exponent=None):
 def h1(G: MatGroup, module_exponent=None) -> CohomGroup:
     """H^1(G, M) = Z^1/B^1 with invariant factors and representatives."""
     sys = _system(G, module_exponent)
-    return sys.cohom_group(quotient_structure(sys.z1_gens(), sys.b1_gens(),
-                                              G.spec, modulus=sys.q))
+    return sys.cohom_group(sys.h1_structure())
 
 
 def h1_loc(G: MatGroup, module_exponent=None) -> CohomGroup:

@@ -13,7 +13,11 @@ The Sylow normalizer comes from groups.sylow_normalizer_mask.  By Sylow's
 theorem every p-element lies in a p-Sylow, and each p-Sylow holds exactly
 |G|_p of them, so a group with exactly |G|_p p-elements has one, normal,
 p-Sylow, and its normalizer is the whole group with no Sylow ascent;
-only a non-normal Sylow is computed and its normalizer tested.
+only a non-normal Sylow is computed and its normalizer tested.  The
+search for a qualifying element reads no element order: x^(p-1) = 1 picks
+its candidates, and powers of the hits alone give their orders.  The
+cross-checks read the cached H^1 and H^1_loc structures of the cohomology
+system, with no representative cocycle expanded.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cohomology import h1, h1_loc
+from .cohomology import _system
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, _distinct, _normalizing, _power_positions,
-                     coset_orders, lift_normalizer, p_sylow,
-                     sylow_normalizer_element, sylow_normalizer_mask)
+from .groups import (MatGroup, _distinct, _factor, _normalizing,
+                     _power_positions, _scalar_power, coset_orders,
+                     lift_normalizer, p_sylow, sylow_normalizer_element,
+                     sylow_normalizer_mask)
 from .ringmat import Mat, _bijective_shifts, _howell_stack
 from .symplectic import SymplecticSpace, similitude_multipliers
 
@@ -86,15 +91,40 @@ def _qualifying_search(mask, G: MatGroup, p: int):
     """(element, order) for the first element where the boolean mask over
     G's element positions is set with order dividing p-1 and bijective
     g - 1, searching by increasing element order and then deterministic
-    position; None if there is none."""
-    orders = G.orders()
-    order_ok = np.asarray(mask, dtype=bool) & ((p - 1) % orders == 0)
-    cand = G.sorted_by_order()
-    cand = cand[order_ok[cand]]
-    hits = cand[_bijective_shifts(G.element_array()[cand], G.spec.modulus)]
-    if not len(hits):
-        return None
-    return G.element(hits[0]), int(orders[hits[0]])
+    position; None if there is none.
+
+    No element order or power map of G is read.  The candidates are the
+    masked x with x^(p-1) = 1, one batched power; det(g - 1) is tested on
+    all of them at once.  Among the hits, the least divisor d of p-1 with
+    some hit x^d = 1 is the least order, and the hits with x^d = 1 are
+    those of order d, so the first of them in position order is the
+    element sought."""
+    q = G.spec.modulus
+    X = G.element_array()
+    ident = np.eye(G.spec.rank, dtype=np.int64)
+    cand = np.flatnonzero(mask)
+    cand = cand[(_scalar_power(X[cand], p - 1, q) == ident).all(axis=(1, 2))]
+    hits = X[cand[_bijective_shifts(X[cand], q)]]
+    for d in _divisors(p - 1):
+        first = np.flatnonzero(
+            (_scalar_power(hits, d, q) == ident).all(axis=(1, 2)))
+        if len(first):
+            return Mat.from_array(hits[first[0]], q), d
+    return None
+
+
+def _divisors(n: int) -> list:
+    """The divisors of n, ascending."""
+    divs = [1]
+    for ell, a in _factor(n).items():
+        divs = [d * ell ** i for d in divs for i in range(a + 1)]
+    return sorted(divs)
+
+
+def _h1loc_factors(G: MatGroup) -> tuple:
+    """Invariant factors of H^1_loc(G, M), with no representative
+    cocycles expanded."""
+    return _system(G).h1loc_structure().invariant_factors
 
 
 def sylow_normalizer_criterion(G: MatGroup,
@@ -110,13 +140,12 @@ def sylow_normalizer_criterion(G: MatGroup,
     if found is None:
         rep.add("normalizer element of order dividing p-1 with g-1 bijective",
                 "failed", "no qualifying element")
-        cross = h1_loc(G).structure.invariant_factors \
-            if compute_cross_check else None
+        cross = _h1loc_factors(G) if compute_cross_check else None
         return rep.finalize("not_applicable", cross)
     g, order = found
     rep.add("normalizer element of order dividing p-1 with g-1 bijective",
             "satisfied", f"order {order}, det(g-1) unit", witness=g)
-    return rep.finalize("certified", h1_loc(G).structure.invariant_factors)
+    return rep.finalize("certified", _h1loc_factors(G))
 
 
 def fixed_point_free_criterion(G1: MatGroup,
@@ -135,12 +164,12 @@ def fixed_point_free_criterion(G1: MatGroup,
     else:
         rep.add("element of order dividing p-1 fixing nothing nonzero",
                 "satisfied", f"order {found[1]}", witness=found[0])
-    h1_group = h1(G1)
+    h1_group = _system(G1).h1_structure()
     if h1_group.is_trivial:
         rep.add("H^1(G1, M) = 0", "satisfied")
     else:
         rep.add("H^1(G1, M) = 0", "failed", h1_group.describe())
-    cross = h1_loc(Gn).structure.invariant_factors if Gn is not None else None
+    cross = _h1loc_factors(Gn) if Gn is not None else None
     if found is None or not h1_group.is_trivial:
         return rep.finalize("not_applicable", cross)
     return rep.finalize("certified", cross)
@@ -231,8 +260,7 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     if len(image) != p - 1:
         rep.add("multiplier is surjective onto the units", "failed",
                 f"image has order {len(image)}")
-        return rep.finalize("not_applicable",
-                            h1_loc(G1).structure.invariant_factors)
+        return rep.finalize("not_applicable", _h1loc_factors(G1))
     rep.add("multiplier is surjective onto the units", "satisfied")
     N = G1.subgroup(mults == 1)
     g, info = sylow_normalizer_element(G1, N)
@@ -254,11 +282,10 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     if g is None:
         rep.add("a constructed element fixes nothing nonzero", "failed",
                 "every qualifying normalizer element has a fixed vector")
-        return rep.finalize("not_applicable",
-                            h1_loc(G1).structure.invariant_factors)
+        return rep.finalize("not_applicable", _h1loc_factors(G1))
     rep.add("a constructed element fixes nothing nonzero", "satisfied",
             witness=g)
-    return rep.finalize("certified", h1_loc(G1).structure.invariant_factors)
+    return rep.finalize("certified", _h1loc_factors(G1))
 
 
 def fixed_point_spectrum(G: MatGroup):

@@ -9,13 +9,20 @@ matrix as one base-q integer, and a product with a generator as one
 lookup per row in that generator's table of row images, built at that
 point so it never costs more than the products already formed.
 
-Also here: element orders from prime power maps, the p-elements and one
-generator per conjugacy class of maximal cyclic p-subgroups (where
-cohomology.h1_loc imposes its local conditions), p-Sylow subgroups by
-normalizer ascent over the p-elements (skipped for a normal p-Sylow,
-which the p-element count reveals), Frattini subgroups of p-groups,
-the constructive conjugation-eigenbasis decomposition of a normalized
-p-group, and coset-representative corrections into Sylow normalizers.
+Also here: element orders from prime power maps (one cached map per
+prime), the p-elements from the p-power map alone, and one generator per
+conjugacy class of maximal cyclic p-subgroups, where cohomology.h1_loc
+imposes its local conditions.  A p-element x != 1 generates a maximal
+cyclic p-subgroup exactly when it is not the p-th power of a p-element;
+conjugation by the generators and x -> x^u, for u among the generators
+of (Z/p^E)^*, permute those maximal generators; so the classes are the
+orbits of these permutations, found by min-label propagation, each
+represented by its first element in (descending order, position).  Then
+p-Sylow subgroups by normalizer ascent over the p-elements (skipped for a
+normal p-Sylow, which the p-element count reveals), Frattini subgroups of
+p-groups, the constructive conjugation-eigenbasis decomposition of a
+normalized p-group, and coset-representative corrections into Sylow
+normalizers.
 These run on element arrays too: generating sets are the greedy
 positions of _greedy_generators, and _normalizing is the one test that
 elements normalize a group; Mat values appear only in arguments and
@@ -166,6 +173,7 @@ class MatGroup:
         self.order = len(array)
         self._lock = threading.RLock()      # guards the lazy caches
         self._cohom_cache = {}              # module exponent -> system
+        self._power_map_cache = {}          # prime -> power map
 
     # -- construction ------------------------------------------------------
 
@@ -331,17 +339,28 @@ class MatGroup:
         right.flags.writeable = False
         return right
 
+    def _power_map(self, ell: int) -> np.ndarray:
+        """The position of x^ell for every element x, for a prime ell
+        dividing |G|: one batched power and one lookup, cached per prime
+        under the group's lock, so a caller that needs one prime (the
+        p-elements) computes no other."""
+        pm = self._power_map_cache.get(ell)
+        if pm is None:
+            with self._lock:
+                pm = self._power_map_cache.get(ell)
+                if pm is None:
+                    pm = self.lookup(_scalar_power(self._array, ell,
+                                                   self.spec.modulus))
+                    pm.flags.writeable = False
+                    self._power_map_cache[ell] = pm
+        return pm
+
     @_cached
     def power_maps(self) -> dict:
         """For every prime l dividing |G|, the position of x^l for every
-        element x: one batched power and one lookup per prime.  Any power
-        x^t with t dividing |G| is then a chain of integer gathers."""
-        maps = {}
-        for ell in _factor(self.order):
-            pm = self.lookup(_batch_power(self._array, ell, self.spec.modulus))
-            pm.flags.writeable = False
-            maps[ell] = pm
-        return maps
+        element x (_power_map).  Any power x^t with t dividing |G| is then
+        a chain of integer gathers."""
+        return {ell: self._power_map(ell) for ell in _factor(self.order)}
 
     @_cached
     def orders(self) -> np.ndarray:
@@ -354,9 +373,15 @@ class MatGroup:
 
     @_cached
     def inverse_indices(self) -> np.ndarray:
-        """Position of the inverse of every element (x^-1 = x^(ord(x)-1))."""
-        inv = self.lookup(_batch_power(self._array, self.orders() - 1,
-                                       self.spec.modulus))
+        """Position of the inverse of every element: x^-1 = x^(t-1) for its
+        order t, one scalar power over the elements of each distinct
+        order."""
+        o = self.orders()
+        inv = np.empty(self.order, dtype=np.int64)
+        for t in _distinct(o).tolist():
+            at = np.flatnonzero(o == t)
+            inv[at] = self.lookup(_scalar_power(self._array[at], t - 1,
+                                                self.spec.modulus))
         inv.flags.writeable = False
         return inv
 
@@ -369,10 +394,12 @@ class MatGroup:
         and e with ord(x) = p^e for each, from the p-power map alone.  With
         p^a the p-part of |G|, x is a p-element when x^(p^a) = 1, and e
         counts the steps x, x^p, x^(p^2), ... before the identity."""
-        pm = self.power_maps().get(self.spec.p)
+        p = self.spec.p
         pos = np.arange(self.order)
         e = np.zeros(self.order, dtype=np.int64)
-        for _ in range(_factor(self.order).get(self.spec.p, 0)):
+        a = _factor(self.order).get(p, 0)
+        pm = self._power_map(p) if a else None
+        for _ in range(a):
             e += pos != 0
             pos = pm[pos]
         P = np.flatnonzero(pos == 0)
@@ -417,31 +444,56 @@ class MatGroup:
         maximal cyclic p-subgroups, so the conjugates of the <s_i> cover
         the p-elements of the group.
 
-        The p-elements are taken by descending order and skipped once
-        covered, so each new s_i generates a cyclic p-subgroup not inside a
-        conjugate of an earlier one.  The covered set is a union of
-        conjugacy classes: the powers of s_i not yet covered, closed under
-        conjugation by the generators one BFS layer at a time, each layer
-        one gather from the conjugation table.  Conjugates of p-elements
-        are p-elements, so the walk and its table run on the p-element
-        positions only, indexed by their rank among them."""
+        Three facts give them with a few array passes:
+        - a p-element x != 1 generates a maximal cyclic p-subgroup exactly
+          when it is not the p-th power of a p-element, which the p-power
+          map reads off (the identity is 1^p);
+        - conjugation by the generators and x -> x^u, for u among the
+          generators of (Z/p^E)^* (_unit_generators, p^E the largest
+          p-element order), permute those maximal generators;
+        - so the generators of the conjugates of one maximal <s> form one
+          orbit of these permutations.
+        The orbits come from min-label propagation: each maximal generator
+        starts with its rank in the order (descending order, then
+        position), takes the least label along every permutation in both
+        directions, and jumps to its label's label, until nothing
+        changes.  An orbit's least rank is the element the walk over the
+        p-elements in that order picks for its class (skipping those in a
+        conjugate of an earlier pick), so the result equals that walk's,
+        oracles.reference_cyclic_class_representatives(G, p_elements=True),
+        in the same order.  With no p-element but the identity it is [0]."""
         P, e = self._p_elements()
-        # every conjugate lies in P, so its rank in P is its index
-        conj = np.searchsorted(P, self._conjugation_table(P))
-        covered = np.zeros(len(P), dtype=bool)
-        reps = []
-        for t in np.argsort(-e, kind="stable"):
-            if covered[t]:
-                continue
-            reps.append(P[t])
-            layer = np.searchsorted(
-                P, self._cyclic_positions(P[t], self.spec.p ** int(e[t])))
-            layer = layer[~covered[layer]]
-            while len(layer):
-                covered[layer] = True
-                nxt = conj[:, layer].ravel()
-                layer = _distinct(nxt[~covered[nxt]])
-        reps = np.array(reps, dtype=np.int64)
+        if len(P) == 1:
+            reps = np.zeros(1, dtype=np.int64)
+            reps.flags.writeable = False
+            return reps
+        p, q = self.spec.p, self.spec.modulus
+        powered = np.zeros(len(P), dtype=bool)
+        powered[np.searchsorted(P, self._power_map(p)[P])] = True
+        maximal = np.flatnonzero(~powered)
+        pos = P[maximal]                    # ascending positions
+        walk = np.argsort(-e[maximal], kind="stable")
+        rank = np.empty(len(pos), dtype=np.int64)
+        rank[walk] = np.arange(len(pos))    # rank[i]: walk rank of pos[i]
+        images = list(self._conjugation_table(pos))
+        images += [self.lookup(_scalar_power(self._array[pos], u, q))
+                   for u in _unit_generators(p, int(e.max()))]
+        perms = []
+        for img in images:
+            perm = np.empty(len(pos), dtype=np.int64)
+            perm[rank] = rank[np.searchsorted(pos, img)]
+            perms.append(perm)
+        label = np.arange(len(pos))
+        while True:
+            new = label.copy()
+            for perm in perms:
+                np.minimum(new, label[perm], out=new)
+                new[perm] = np.minimum(new[perm], label)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        reps = pos[walk[np.flatnonzero(label == np.arange(len(pos)))]]
         reps.flags.writeable = False
         return reps
 
@@ -497,6 +549,22 @@ def _factor(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _unit_generators(p: int, E: int) -> list:
+    """Generators of the unit group (Z/p^E)^*, as residues other than 1 in
+    [1, p^E): -1 and 5 for p = 2, whose units are the +-5^i, and for odd p
+    a primitive root mod p^2, which is a primitive root mod every p^E."""
+    q = p ** E
+    if p == 2:
+        gens = [q - 1, 5 % q]
+    else:
+        n = p * (p - 1)
+        primes = list(_factor(n))
+        root = next(g for g in range(2, p * p)
+                    if all(pow(g, n // ell, p * p) != 1 for ell in primes))
+        gens = [root % q]
+    return [u for u in dict.fromkeys(gens) if u != 1]
 
 
 def _strip_exponents(G: MatGroup, t: np.ndarray, member) -> np.ndarray:

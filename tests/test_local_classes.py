@@ -14,7 +14,7 @@ from h1loc import oracles
 from h1loc.cohomology import _fold, _system
 from h1loc.counterexample import build
 from h1loc.errors import CapExceededError
-from h1loc.groups import MatGroup, _batch_power
+from h1loc.groups import MatGroup, _batch_power, _unit_generators
 from h1loc.ringmat import Mat, ModuleSpec, RowSystem
 
 
@@ -55,6 +55,60 @@ def maximal_cyclic_class_count(G, p_elements=False):
         idx = G.lookup(conj.reshape(-1, r, r)).reshape(G.order, len(c))
         classes.add(frozenset(frozenset(row) for row in idx.tolist()))
     return len(classes)
+
+
+def _class_walk_edge_groups():
+    """(label, group): cyclic groups whose generators form one orbit only
+    under every unit power (mod 2^5, which needs -1 and 5, and mod 3^3),
+    a group of order 486 with elements of order 27 under a diagonal
+    twist, a group with no p-element but the identity, and GL_2(F_3) and
+    GL_2(F_5), whose maximal cyclic p-subgroups are conjugate."""
+    u = [[1, 1], [0, 1]]
+    return [
+        ("<u> mod 2^5", MatGroup.close([M(u, 32)], ModuleSpec(2, 5, 2))),
+        ("<u> mod 3^3", MatGroup.close([M(u, 27)], ModuleSpec(3, 3, 2))),
+        ("<u, diag(2, 1)> mod 3^3", MatGroup.close(
+            [M(u, 27), M([[2, 0], [0, 1]], 27)], ModuleSpec(3, 3, 2))),
+        ("dihedral of order 6 over F_7", MatGroup.close(
+            [M([[2, 0], [0, 4]], 7), M([[0, 1], [1, 0]], 7)],
+            ModuleSpec(7, 1, 2))),
+        ("GL2(F3)", MatGroup.close([M(u, 3), M([[0, 1], [1, 0]], 3)],
+                                   ModuleSpec(3, 1, 2))),
+        ("GL2(F5)", MatGroup.close([M([[2, 0], [0, 1]], 5),
+                                    M([[4, 1], [4, 0]], 5)],
+                                   ModuleSpec(5, 1, 2))),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_generators_generate_the_units(p):
+    for E in range(1, 6):
+        q = p ** E
+        gens = _unit_generators(p, E)
+        assert all(1 < u < q and u % p for u in gens), (p, E)
+        span, frontier = {1}, [1]
+        while frontier:
+            frontier = [x * u % q for x in frontier for u in gens
+                        if x * u % q not in span]
+            span.update(frontier)
+        assert span == {u for u in range(1, q) if u % p}, (p, E)
+
+
+def test_p_representatives_match_the_walk_on_edge_groups():
+    got = {}
+    for label, G in _class_walk_edge_groups():
+        reps = G.cyclic_class_representatives()
+        walk = oracles.reference_cyclic_class_representatives(
+            G, p_elements=True)
+        assert np.array_equal(reps, walk), label
+        got[label] = (G.order, G.orders()[reps].tolist())
+    # one class in each cyclic group and in each GL_2(F_p), whose p-Sylows
+    # have order p; the 3-group has three classes of order 27 and one of
+    # order 9
+    assert got == {"<u> mod 2^5": (32, [32]), "<u> mod 3^3": (27, [27]),
+                   "<u, diag(2, 1)> mod 3^3": (486, [27, 27, 27, 9]),
+                   "dihedral of order 6 over F_7": (6, [1]),
+                   "GL2(F3)": (48, [3]), "GL2(F5)": (480, [5])}
 
 
 def small_groups():

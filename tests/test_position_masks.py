@@ -83,6 +83,33 @@ def test_normalizer_mask_and_search_match_references_on_twist_corpus():
                 {x.key() for x in Q.elements}, Q, p)), label
 
 
+def test_qualifying_search_past_a_masked_first_hit():
+    """The search against the key-set reference on masks that leave out
+    its first hit over the whole group, and then every element of that
+    hit's order, so the next hit has another order among the divisors of
+    p - 1: on every fourth twist-corpus group and its mod-p image, and on
+    GL_2(F_5)."""
+    groups = [(p, H) for _, p, _, G in twist_corpus()[::4]
+              for H in (G, G.reduce_mod(1))]
+    groups.append((5, MatGroup.close([M([[2, 0], [0, 1]], 5),
+                                      M([[4, 1], [4, 0]], 5)],
+                                     ModuleSpec(5, 1, 2))))
+    compared, order_changed = 0, 0
+    for p, G in groups:
+        found = _qualifying_search(np.ones(G.order, dtype=bool), G, p)
+        if found is None:
+            continue
+        first = G.index_of(found[0])
+        for mask in (np.arange(G.order) != first, G.orders() != found[1]):
+            keys = {G.elements[i].key() for i in np.flatnonzero(mask)}
+            got = _qualifying_search(mask, G, p)
+            assert _search_agrees(
+                got, oracles.reference_qualifying_search(keys, G, p)), p
+            compared += 1
+            order_changed += got is not None and got[1] != found[1]
+    assert (compared, order_changed) == (58, 22)
+
+
 def test_subgroup_from_positions_equals_from_elements():
     # the reduction kernel and the mod-p Sylow preimage, as the lift of a
     # qualifying element builds them
