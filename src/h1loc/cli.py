@@ -25,7 +25,7 @@ from .cohomology import h1, h1_loc
 from .criteria import (fixed_point_free_criterion, similitude_criterion,
                        sylow_normalizer_criterion)
 from .errors import CapExceededError, InputError, InternalError
-from .groups import MatGroup, decompose_generators
+from .groups import DEFAULT_CAP, MatGroup, decompose_generators
 from .ringmat import Mat, ModuleSpec
 from .symplectic import (eigenvalue_pairing_sweep, gsp4_generators,
                          gsp4_order)
@@ -49,10 +49,9 @@ class GroupDescription:
     def spec(self) -> ModuleSpec:
         return ModuleSpec(self.p, self.n, self.rank)
 
-    def group(self, cap=None) -> MatGroup:
-        kw = {"cap": cap} if cap else {}
+    def group(self, cap=DEFAULT_CAP) -> MatGroup:
         return MatGroup.close([Mat.from_rows(g, self.spec.modulus)
-                               for g in self.generators], self.spec, **kw)
+                               for g in self.generators], self.spec, cap=cap)
 
     def serialize(self) -> str:
         head = f"p={self.p} n={self.n} rank={self.rank}"
@@ -249,7 +248,7 @@ def _cmd_gsp4(args) -> int:
     if args.enumerate:
         gens, _space = gsp4_generators(args.p)
         spec = ModuleSpec(args.p, 1, 4)
-        G = MatGroup.close(gens, spec, cap=args.cap or 200_000)
+        G = MatGroup.close(gens, spec, cap=args.cap)
         failures = eigenvalue_pairing_sweep(G.element_array(), args.p)
         payload.update({"order_enumerated": G.order,
                         "pairing_failures": failures,
@@ -272,7 +271,7 @@ def _cmd_decompose(args) -> int:
     g = Mat.from_rows(desc.generators[0], q)
     H = MatGroup.close([Mat.from_rows(rows, q)
                         for rows in desc.generators[1:]], desc.spec,
-                       cap=args.cap or 200_000)
+                       cap=args.cap)
     dec = decompose_generators(g, H)
     payload = {
         "command": "decompose",
@@ -284,6 +283,14 @@ def _cmd_decompose(args) -> int:
         lines.append(f"  exponent {lam}: {h.entries}")
     _emit(payload, args.json, lines)
     return EXIT_OK
+
+
+def _cap(text: str) -> int:
+    """A --cap value: an integer of at least 1, else a usage error (exit
+    code 2, as for any malformed option)."""
+    if (cap := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"closure cap {cap} is below 1")
+    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("input", help="group description file")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
-        sp.add_argument("--cap", type=int, default=None,
+        sp.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
                         help="element cap for closures")
 
     sp = sub.add_parser("h1", help="H^1 of the group acting on (Z/p^n)^rank")
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="close the group from generators and sweep the "
                          "eigenvalue pairing")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     sp.set_defaults(fn=_cmd_gsp4)
     sp = sub.add_parser("decompose",
                         help="decompose: first generator is the twist g, "

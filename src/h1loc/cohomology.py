@@ -2,30 +2,31 @@
 acting on (Z/p^j)^rank.
 
 A 1-cocycle Z satisfies Z_{st} = Z_s + s Z_t and is determined by its values
-on the generators.  The identity is written once, in one orientation:
-Z_{xg} = Z_x + x Z_g for every element x and generator g.  Walked down the
-BFS closure tree one layer at a time, it expands the stacked generator
-values z to the whole group (_CocycleSystem._values); the coefficient
-matrices C, with C_sigma @ z the value at sigma, are the expansion of the
-identity matrix.  With Z_1 = 0 the k * N pairs (x, g), read off the group's
-right-multiplication table, force the identity for all pairs, by induction
-along words in the generators.  Cocycle.is_valid checks them on values;
-the constraint rows C[x g] - C[x] - x E_g impose them on z, and Z^1 is the
-kernel of that stacked linear system over Z/p^j.  A closure-tree edge gives
-a zero row, which the elimination drops.  The stack has k * N * rank rows
-over only k * rank unknowns, so its rows are folded into a Howell basis a
-block at a time and the kernel is taken of that basis, never of the whole
-stack.
+on the generators.  The identity is written once, in one orientation, as
+the residual V_x + x V_g - V_{xg} at a pair (x, g) of an element and a
+generator (_residuals), one gather from the group's right-multiplication
+table.  Walked down the BFS closure tree one layer at a time, the identity
+expands the stacked generator values z to the whole group
+(_CocycleSystem._values), so the residual of a closure-tree edge is zero;
+the coefficient matrices C, with C_sigma @ z the value at sigma, are the
+expansion of the identity matrix.  With Z_1 = 0 the k * N pairs force the
+identity for all pairs, by induction along words in the generators, so Z
+is a cocycle exactly when all its residuals vanish (_identity_holds, behind
+Cocycle.is_valid), and Z^1 is the kernel over Z/p^j of the residual rows
+of C, folded into a Howell basis a block at a time.
 Most of those rows are redundant: Z^1 is the kernel of the relator rows
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6), and
-the kernel of any subset of the rows contains it.  So the fold starts from
-the rows of every (N // 64)-th element and certifies that sample: when
-every generator of its kernel expands to a cocycle with those generator
-values, that kernel is Z^1, and the sample's Howell basis equals the whole
-stack's, because over Z/p^j a row span is the annihilator of its kernel.
-A sample that fails is refined by halving the stride, down to the whole
-stack.  B^1 is the row span of one (rank, k * rank) matrix, the columns of
-g - 1 side by side, whose RowSystem decides coboundaries and class orders.
+the kernel of any subset of the rows contains it.  So the fold takes the
+rows of the pairs of the first BFS layers holding at least 64 elements,
+which need C only one layer further (every pair, when that layer is the
+last), and their kernel K is a candidate containing Z^1.  K is expanded once, and the residuals of every later pair
+are folded in K's coordinates: Z^1 is exactly their kernel times K, and
+when they all vanish, as they mostly do, K is Z^1.  Over Z/p^j a row span
+is the annihilator of its kernel, so the Howell basis of the whole stack
+is the candidate's, or after a cut the annihilator of Z^1; C itself, a
+k * rank column array per element, is never formed.  B^1 is the row span
+of one (rank, k * rank) matrix, the columns of g - 1 side by side, whose
+RowSystem decides coboundaries and class orders.
 
 The locally trivial cocycles satisfy Z_sigma in Im(sigma - 1) for every
 sigma: their restriction to every cyclic subgroup is a coboundary.  For a
@@ -42,8 +43,10 @@ p-elements.  Those classes need no walk over the group: a p-element
 x != 1 generates a maximal cyclic p-subgroup exactly when it is not the
 p-th power of a p-element, conjugation by the generators and x -> x^u
 (u among the generators of (Z/p^E)^*) permute those maximal generators,
-and the classes are the orbits of these permutations.  The local rows are
-folded into the basis of the cocycle rows, so the kernel is still exactly
+and the classes are the orbits of these permutations.  C at a
+representative is the sum of x E_g over the tree edges (x, g) from the
+identity to it (_CocycleSystem._coefficients).  The local rows are folded
+into the basis of the cocycle rows, so the kernel is still exactly
 Z^1_loc.
 Over Z/p^j a submodule is cut out by the linear forms vanishing on it
 (w in ker((s-1)^T) gives w . Z_s = 0), so Z^1_loc is again a kernel and
@@ -77,28 +80,30 @@ from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
 # constraint rows folded into a running Howell basis at a time; the basis
 # has at most k * rank rows, so the working set stays small
 _ROW_BLOCK = 4096
-# the cocycle fold starts from the rows of every (N // _SAMPLE)-th element
-_SAMPLE = 64
+# the candidate Z^1 takes the pairs of the first BFS layers holding at
+# least this many elements
+_FIRST = 64
 
 
-def _identity_holds(G: MatGroup, V: np.ndarray, q: int) -> bool:
-    """Whether V_{xg} = V_x + x V_g mod q for every element x and generator
-    g, where V[i] holds value columns at element i, shape (N, rank, r):
-    k * N pairs, each one gather from the right-multiplication table, taken
-    a block of elements at a time."""
-    X, R = G.element_array(), G.right_multiplication()
+def _residuals(G: MatGroup, V: np.ndarray, Vg: np.ndarray, x,
+               q: int) -> np.ndarray:
+    """(k, len(x), rank, r) array of the residuals V_x + x Vg[g] - V_{xg}
+    mod q of the cocycle identity at the pairs (x, g) for the element
+    positions x and every generator g, one gather per pair from the
+    right-multiplication table.  V[i] holds r value columns at element i,
+    and Vg[g] the (rank, r) values prescribed at generator g."""
+    res = G.element_array()[x][None] @ Vg[:, None] % q + V[x]
+    return (res - V[G.right_multiplication()[:, x]]) % q
+
+
+def _identity_holds(G: MatGroup, V: np.ndarray, Vg: np.ndarray,
+                    q: int) -> bool:
+    """Whether every residual (_residuals) vanishes, a block of elements
+    at a time.  At x = 1 the residual is V_1 + Vg[g] - V_g, so the
+    generator values are compared there too."""
     step = max(1, _ROW_BLOCK // G.spec.rank)
-    # the identity comes first, so right[g, 0] is generator g's position
-    for g, right in zip(R[:, 0], R):
-        for s in range(0, G.order, step):
-            x = slice(s, s + step)
-            rhs = X[x] @ V[g]
-            rhs %= q
-            rhs += V[x]
-            rhs %= q
-            if not np.array_equal(V[right[x]], rhs):
-                return False
-    return True
+    return not any(_residuals(G, V, Vg, slice(s, s + step), q).any()
+                   for s in range(0, G.order, step))
 
 
 def _fold(basis: np.ndarray, rows: np.ndarray, p: int, j: int) -> np.ndarray:
@@ -151,9 +156,11 @@ class Cocycle:
         in the generators (G is finite, so no inverses are needed).  At
         b = 1 it says Z_1 = 0, and if it holds at b then
         Z_{abg} = Z_{ab} + ab Z_g = Z_a + a (Z_b + b Z_g) = Z_a + a Z_{bg}."""
-        V = self.values
-        return not V[0].any() and _identity_holds(self.group, V[:, :, None],
-                                                  self.q)
+        G, V = self.group, self.values[:, :, None]
+        # the identity comes first, so right[g, 0] is generator g's
+        # position; with no generators only Z_1 = 0 is left to check
+        return not V[0].any() and _identity_holds(
+            G, V, V[G.right_multiplication()[:, 0]], self.q)
 
     def scale(self, c: int) -> "Cocycle":
         return Cocycle(self.group, (c % self.q) * self.values,
@@ -163,6 +170,8 @@ class Cocycle:
         if not np.array_equal(self.group.element_array(),
                               other.group.element_array()):
             raise InputError("cocycles on different groups")
+        if self.module_exponent != other.module_exponent:
+            raise InputError("cocycles with different module exponents")
         return Cocycle(self.group, self.values + other.values,
                        self.module_exponent)
 
@@ -209,43 +218,31 @@ class _CocycleSystem:
         self.acts = X if j == spec.n else X % self.q
         self.dim = self.k * self.m
 
-    @property
-    @_cached
-    def C(self) -> np.ndarray:
-        """C[sigma]: value of a cocycle at sigma as a linear map of z, the
-        expansion _values(I) of the identity, so C[x g] = C[x] + x E_g,
-        where E_g picks the block of generator g.  Cached for the cocycle
-        rows and the local rows; B^1 alone (is_coboundary, class_order)
-        does not need it."""
-        return self._values(np.eye(self.dim, dtype=np.int64))
+    def _blocks(self, K: np.ndarray) -> np.ndarray:
+        """(k, rank, len(K)) array whose [g] is generator g's block of the
+        rows of K, reduced mod p^j."""
+        K = np.asarray(K, dtype=np.int64) % self.q
+        return K.reshape(len(K), self.k, self.m).transpose(1, 2, 0)
 
-    def cocycle_rows(self, g: int, x: np.ndarray) -> np.ndarray:
-        """The constraint rows C[x g] - C[x] - x E_g of generator g at the
-        element positions x, unreduced: rank rows per element, and all
-        zero where x g is x's child along the closure tree."""
-        m = self.m
-        rows = self.C[self.G.right_multiplication()[g, x]] - self.C[x]
-        rows[:, :, g * m:(g + 1) * m] -= self.acts[x]
-        return rows.reshape(-1, self.dim)
-
-    def _values(self, K: np.ndarray) -> np.ndarray:
-        """(N, rank, len(K)) array of the values of the cocycles with
-        stacked generator values z, the rows of K, walking down the closure
-        tree: V_1 = 0 and V_{xg} = V_x + x K_g, where K_g is generator g's
-        block of K, one BFS layer (tree_layers) at a time, since a layer's
-        parents lie in the layer before it.  A layer is taken
-        _ROW_BLOCK // rank elements at a time, and each product is reduced
-        before the parent's values are added, so every int64 sum has at
-        most rank terms."""
+    def _values(self, K: np.ndarray, stop=None) -> np.ndarray:
+        """(stop, rank, len(K)) array of the values of the cocycles with
+        stacked generator values z, the rows of K, at the positions below
+        stop, a layer boundary (all of them by default), walking down the
+        closure tree: V_1 = 0 and V_{xg} = V_x + x K_g, where K_g is
+        generator g's block of K, one BFS layer (tree_layers) at a time,
+        since a layer's parents lie in the layer before it.  A layer is
+        taken _ROW_BLOCK // rank elements at a time, and each product is
+        reduced before the parent's values are added, so every int64 sum
+        has at most rank terms."""
         G, m, q = self.G, self.m, self.q
-        K = np.asarray(K, dtype=np.int64) % q
-        # Kg[g] is the (rank, len(K)) block of generator g
-        Kg = K.reshape(len(K), self.k, m).transpose(1, 2, 0)
-        V = np.zeros((self.size, m, len(K)), dtype=np.int64)
+        Kg = self._blocks(K)
+        V = np.zeros((stop or self.size, m, len(K)), dtype=np.int64)
         step = max(1, _ROW_BLOCK // m)
-        for start, stop in G.tree_layers():
-            for s in range(start, stop, step):
-                x = slice(s, min(s + step, stop))
+        for start, end in G.tree_layers():
+            if end > len(V):
+                break
+            for s in range(start, end, step):
+                x = slice(s, min(s + step, end))
                 par = G.tree_parent[x]
                 v = self.acts[par] @ Kg[G.tree_gen[x]]
                 v %= q
@@ -254,63 +251,84 @@ class _CocycleSystem:
                 V[x] = v
         return V
 
-    def _in_z1(self, K: np.ndarray, V: np.ndarray) -> bool:
-        """Whether every row z of K is in Z^1, given its expansion
-        V = _values(K): V_1 = 0, V takes the values z at the generators,
-        and V satisfies the cocycle identity (_identity_holds), checked for
-        all rows at once."""
-        gens = self.G.right_multiplication()[:, 0]
-        # a generator that labels no tree edge does not enter the
-        # expansion, so its value is compared here
-        return (not V[0].any()
-                and np.array_equal(V[gens], K.reshape(
-                    len(K), self.k, self.m).transpose(1, 2, 0))
-                and _identity_holds(self.G, V, self.q))
+    def _coefficients(self, pos: np.ndarray) -> np.ndarray:
+        """(len(pos), rank, k * rank) array of C[s] at the positions s in
+        pos, where C[s] @ z is the value at s of the cocycle with generator
+        values z: the sum of x E_g over the closure-tree edges (x, g) from
+        1 to s, E_g picking generator g's block, walked up one level at a
+        time for all of pos at once."""
+        G, m, q = self.G, self.m, self.q
+        C = np.zeros((len(pos), m, self.k, m), dtype=np.int64)
+        cur = np.array(pos, dtype=np.int64)
+        at = np.flatnonzero(cur)
+        while len(at):
+            par, g = G.tree_parent[cur[at]], G.tree_gen[cur[at]]
+            C[at, :, g] = (C[at, :, g] + self.acts[par]) % q
+            cur[at] = par
+            at = at[par > 0]
+        return C.reshape(len(pos), m, self.dim)
+
+    def _residual_basis(self, V: np.ndarray, Vg: np.ndarray, start: int,
+                        stop: int) -> np.ndarray:
+        """Howell basis of the nonzero rows of the residuals (_residuals)
+        at the pairs (x, g) with start <= x < stop, in the coordinates of
+        the columns of V, taken a block of elements at a time."""
+        basis = np.zeros((0, V.shape[2]), dtype=np.int64)
+        step = max(1, _ROW_BLOCK // self.m)
+        for s in range(start, stop, step):
+            rows = _residuals(self.G, V, Vg, slice(s, min(s + step, stop)),
+                              self.q)
+            basis = _fold(basis, rows[rows.any(axis=-1)], self.p, self.j)
+        return basis
+
+    @_cached
+    def _z1(self) -> tuple:
+        """(cocycle_basis, z1_gens), with None for z1_gens where it is not
+        at hand, so that only z1_gens takes the kernel of the basis.
+
+        With C the expansion of the identity, the residuals at a pair
+        (x, g) are the constraint rows C[x] + x E_g - C[x g], and Z^1 is
+        their kernel over all k * N pairs; the kernel of any subset of the
+        rows contains it.  The candidate K is the kernel at the pairs of
+        the first BFS layers holding at least _FIRST elements, whose
+        products lie at most one layer further, so the identity is expanded
+        only that far; when that layer is the last, every pair is taken and
+        nothing is left to check.  K is then expanded once, and the residuals of every
+        later pair, taken in K's coordinates (the residual of the cocycle
+        c K is R c, where column t of R is the residual of K's row t), cut
+        it down: Z^1 is exactly the kernel of those rows times K.  Over
+        Z/p^j a row span is the annihilator of its kernel, so with no cut
+        the candidate's Howell basis is the whole stack's, and after one
+        the stack's basis is the annihilator of Z^1."""
+        p, j = self.p, self.j
+        ends = [1] + [end for _, end in self.G.tree_layers()] + [self.size]
+        i = min(np.searchsorted(ends, _FIRST), len(ends) - 2)
+        # an expansion that reaches the last layer takes every pair
+        stop = ends[i + 1]
+        first = ends[i] if stop < self.size else stop
+        eye = np.eye(self.dim, dtype=np.int64)
+        basis = self._residual_basis(self._values(eye, stop),
+                                     self._blocks(eye), 0, first)
+        if first == self.size:
+            return basis, None
+        K = RowSystem(basis.T, p, j).kernel()
+        if len(cut := self._residual_basis(self._values(K), self._blocks(K),
+                                           first, self.size)):
+            # Z^1 by object products: a sum of len(K) terms near q^2 could
+            # leave int64
+            Z1 = RowSystem(cut.T, p, j).kernel().astype(object) @ K % self.q
+            return RowSystem(Z1.astype(np.int64).T, p, j).kernel(), None
+        return basis, K
 
     def cocycle_basis(self) -> np.ndarray:
         """Howell basis of the cocycle constraint rows for every generator
         and element."""
-        return self._fold_rows()[0]
-
-    @_cached
-    def _fold_rows(self) -> tuple:
-        """(cocycle_basis, its kernel Z^1 or None where it was not taken).
-
-        The kernel of any subset of the rows contains Z^1, so the rows of
-        a strided sample of element positions come first: every s-th one,
-        s = N // _SAMPLE.  If every generator of the sample's kernel
-        passes _in_z1, that kernel is Z^1, and since a row span over Z/p^j
-        is the annihilator of its kernel, the sample's Howell basis is that
-        of the whole stack.  Otherwise s is halved and only the new
-        positions are folded in.  At s = 1 every row is folded, with no
-        check, so the loop always ends with the basis of the whole stack.
-        Rows are made and folded a block of elements at a time, so the
-        k * N * rank stack is never held."""
-        basis = np.zeros((0, self.dim), dtype=np.int64)
-        step = max(1, _ROW_BLOCK // self.m)
-        todo = np.arange(self.size)
-        s = self.size // _SAMPLE
-        while True:
-            if s > 1:
-                new, todo = todo[todo % s == 0], todo[todo % s != 0]
-            else:
-                new, todo = todo, todo[:0]
-            for g in range(self.k):
-                for b in range(0, len(new), step):
-                    basis = _fold(basis, self.cocycle_rows(g, new[b:b + step]),
-                                  self.p, self.j)
-            if not len(todo):
-                return basis, None
-            z1 = RowSystem(basis.T, self.p, self.j).kernel()
-            if self._in_z1(z1, self._values(z1)):
-                return basis, z1
-            s //= 2
+        return self._z1()[0]
 
     @_cached
     def z1_gens(self) -> np.ndarray:
-        basis, z1 = self._fold_rows()
-        return (z1 if z1 is not None
-                else RowSystem(basis.T, self.p, self.j).kernel())
+        basis, K = self._z1()
+        return RowSystem(basis.T, self.p, self.j).kernel() if K is None else K
 
     @_cached
     def b1_gens(self) -> np.ndarray:
@@ -326,15 +344,15 @@ class _CocycleSystem:
         return RowSystem(self.b1_gens(), self.p, self.j)
 
     def local_constraints(self) -> np.ndarray:
-        """Rows w C[s] with w (s - 1) = 0 at each cyclic class
-        representative s, the kernels of all the s - 1 from one stacked
-        Howell call."""
+        """Rows w C[s] (_coefficients) with w (s - 1) = 0 at each cyclic
+        class representative s, the kernels of all the s - 1 from one
+        stacked Howell call."""
         reps = self.G.cyclic_class_representatives()
         B = (self.acts[reps] - np.eye(self.m, dtype=np.int64)) % self.q
         # w B = 0 makes w . v = 0 a test for v in Im(B); over Z/p^j the
         # double annihilator recovers the image exactly
         W, live = RowSystemStack(B, self.p, self.j).kernels()
-        return ((W @ self.C[reps]) % self.q)[live]
+        return ((W @ self._coefficients(reps)) % self.q)[live]
 
     @_cached
     def z1loc_gens(self) -> np.ndarray:
@@ -459,7 +477,7 @@ def cocycle_from_generator_values(G: MatGroup, gen_values: dict,
     z = np.array([[v for g in G.generators for v in gen_values[g.key()]]],
                  dtype=np.int64) % sys.q
     V = sys._values(z)
-    if not sys._in_z1(z, V):
+    if not _identity_holds(G, V, sys._blocks(z), sys.q):
         raise InputError("generator values do not extend to a cocycle")
     return Cocycle(G, V[:, :, 0], sys.j)
 

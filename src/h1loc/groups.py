@@ -518,10 +518,6 @@ class MatGroup:
         scalar = (X == X[:, :1, :1] * ident).all(axis=(1, 2))
         return [self.element(i) for i in np.flatnonzero(scalar)]
 
-    def sorted_by_order(self) -> np.ndarray:
-        """Element indices sorted by (element order, deterministic position)."""
-        return np.argsort(self.orders(), kind="stable")
-
 
 def element_order(A: Mat, cap: int = 10 ** 6) -> int:
     """Least k >= 1 with A^k = Id (direct iteration, capped)."""

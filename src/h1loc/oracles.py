@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapExceededError, InputError, certify
 from .groups import (DEFAULT_CAP, MatGroup, _batch_power, _factor, _find,
                      _keys, _stack)
-from .ringmat import Mat, RowSystem, _check_int64, _valuation
+from .ringmat import Mat, RowSystem, _check_int64, _howell_rows, _valuation
 
 
 def reference_closure(generators, spec, cap=None):
@@ -200,10 +200,11 @@ def reference_cyclic_class_representatives(G, p_elements=False) -> np.ndarray:
 
 
 def reference_coefficients(G, module_exponent) -> np.ndarray:
-    """The coefficient array C of the cocycle system of G mod p^j, one
-    element at a time along the closure tree, as a reference for the walk
-    down the tree layers that expands the identity to it:
-    C[x g] = C[x] + x E_g."""
+    """The coefficient array C of the cocycle system of G mod p^j, with
+    C[s] @ z the value at s of the cocycle with generator values z, one
+    element at a time along the closure tree: C[x g] = C[x] + x E_g.  A
+    reference for the walk down the tree layers that expands the identity
+    to it and for the walk up the tree from given positions."""
     q = G.spec.p ** module_exponent
     m, k = G.spec.rank, len(G.generators)
     acts = G.element_array() % q
@@ -220,18 +221,11 @@ def reference_coefficients(G, module_exponent) -> np.ndarray:
 
 
 def reference_cocycle_basis(G, module_exponent=None) -> np.ndarray:
-    """_CocycleSystem.cocycle_basis folding the rows of every generator and
-    element position, with no sample and no check, as a reference for the
-    sampled fold."""
-    from .cohomology import _ROW_BLOCK, _fold, _system
-    sys = _system(G, module_exponent)
-    basis = np.zeros((0, sys.dim), dtype=np.int64)
-    step = max(1, _ROW_BLOCK // sys.m)
-    for g in range(sys.k):
-        for s in range(0, sys.size, step):
-            x = np.arange(s, min(s + step, sys.size))
-            basis = _fold(basis, sys.cocycle_rows(g, x), sys.p, sys.j)
-    return basis
+    """_CocycleSystem.cocycle_basis as the Howell form of the whole stack
+    reference_cocycle_rows, in one elimination: a reference for the
+    candidate Z^1, its cut and the fold a block at a time."""
+    j = module_exponent if module_exponent is not None else G.spec.n
+    return _howell_rows(reference_cocycle_rows(G, j), G.spec.p, j)
 
 
 def reference_howell_rows(M, p: int, n: int) -> np.ndarray:
@@ -282,22 +276,25 @@ def reference_howell_rows(M, p: int, n: int) -> np.ndarray:
 
 def reference_cocycle_rows(G, module_exponent=None) -> np.ndarray:
     """The whole stack of cocycle constraint rows C[g x] - E_g - g C[x],
-    one generator g at a time over all elements x, as a reference for
-    folding them into a Howell basis block by block.  The rows are kept in
-    the left orientation Z_{gx} = Z_g + g Z_x, apart from the right-hand
-    rows C[x g] - C[x] - x E_g of _CocycleSystem.cocycle_rows: both have
-    Z^1 as their kernel, so their Howell forms agree."""
-    from .cohomology import _system
-    sys = _system(G, module_exponent)
-    m, blocks = sys.m, [np.zeros((0, sys.dim), dtype=np.int64)]
+    with C from reference_coefficients, one generator g at a time over all
+    elements x, as a reference for folding the residuals into a Howell
+    basis block by block.  The rows are kept in the left orientation
+    Z_{gx} = Z_g + g Z_x, apart from the right-hand residuals
+    C[x] + x E_g - C[x g] of cohomology._residuals: both have Z^1 as their
+    kernel, so their Howell forms agree."""
+    j = module_exponent if module_exponent is not None else G.spec.n
+    q, m = G.spec.p ** j, G.spec.rank
+    dim = len(G.generators) * m
+    C = reference_coefficients(G, j)
+    blocks = [np.zeros((0, dim), dtype=np.int64)]
     for gidx, gmat in enumerate(G.generators):
-        E = np.zeros((m, sys.dim), dtype=np.int64)
+        E = np.zeros((m, dim), dtype=np.int64)
         E[:, gidx * m:(gidx + 1) * m] = np.eye(m, dtype=np.int64)
         prod_idx = G.lookup((gmat.to_array() @ G.element_array())
                             % G.spec.modulus)
-        gact = sys.acts[G.index_of(gmat)]
-        rows = (sys.C[prod_idx] - E - gact @ sys.C) % sys.q
-        blocks.append(rows.reshape(-1, sys.dim))
+        gact = gmat.to_array() % q
+        rows = (C[prod_idx] - E - gact @ C) % q
+        blocks.append(rows.reshape(-1, dim))
     return np.concatenate(blocks)
 
 
@@ -310,10 +307,8 @@ def _unique_kernel(rows, p: int, j: int) -> np.ndarray:
 def reference_z1(G, module_exponent=None) -> np.ndarray:
     """Generators of Z^1 from the whole constraint stack, as a reference for
     the kernel of its folded Howell basis."""
-    from .cohomology import _system
-    sys = _system(G, module_exponent)
-    return _unique_kernel(reference_cocycle_rows(G, module_exponent),
-                          sys.p, sys.j)
+    j = module_exponent if module_exponent is not None else G.spec.n
+    return _unique_kernel(reference_cocycle_rows(G, j), G.spec.p, j)
 
 
 def reference_z1loc(G, module_exponent=None, elements=None) -> np.ndarray:
@@ -321,15 +316,18 @@ def reference_z1loc(G, module_exponent=None, elements=None) -> np.ndarray:
     condition w . Z_s = 0 imposed at each given element s (every element by
     default), as a reference for imposing it only at the cyclic class
     representatives and for folding the stack into a Howell basis."""
-    from .cohomology import _system
-    sys = _system(G, module_exponent)
-    blocks = [reference_cocycle_rows(G, module_exponent)]
-    ident = np.eye(sys.m, dtype=np.int64)
-    for idx in (range(sys.size) if elements is None else elements):
-        W = RowSystem((sys.acts[idx] - ident) % sys.q, sys.p, sys.j).kernel()
+    j = module_exponent if module_exponent is not None else G.spec.n
+    p, m = G.spec.p, G.spec.rank
+    q = p ** j
+    C = reference_coefficients(G, j)
+    blocks = [reference_cocycle_rows(G, j)]
+    ident = np.eye(m, dtype=np.int64)
+    for idx in (range(G.order) if elements is None else elements):
+        B = (G.element_array()[idx] - ident) % q
+        W = RowSystem(B, p, j).kernel()
         if W.shape[0]:
-            blocks.append((W @ sys.C[idx]) % sys.q)
-    return _unique_kernel(np.concatenate(blocks, axis=0), sys.p, sys.j)
+            blocks.append((W @ C[idx]) % q)
+    return _unique_kernel(np.concatenate(blocks, axis=0), p, j)
 
 
 def reference_qualifying_search(keys, G, p: int):
@@ -339,7 +337,7 @@ def reference_qualifying_search(keys, G, p: int):
     in keys, whose order divides p-1 and with det(x - 1) a unit; None if
     there is none."""
     orders = G.orders()
-    for i in G.sorted_by_order():
+    for i in np.argsort(orders, kind="stable"):
         x = G.elements[i]
         if (x.key() in keys and (p - 1) % orders[i] == 0
                 and gcd(x.minus_identity().det(), G.spec.modulus) == 1):

@@ -213,6 +213,19 @@ def test_cap_exit_code(tmp_path):
     assert run(["h1", path, "--cap", "10"]) == EXIT_CAP
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_an_input_error(tmp_path, capsys, cap):
+    # 0 must not fall back to the default cap, and -1 is no cap to exceed:
+    # the parser rejects both, with the exit code of an input error
+    path = write(tmp_path, "cyclic.grp", CYCLIC)
+    for argv in (["h1", path], ["decompose", path],
+                 ["gsp4", "--p", "3", "--enumerate"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--cap", cap])
+        assert exc.value.code == EXIT_INPUT
+        assert f"closure cap {cap} is below 1" in capsys.readouterr().err
+
+
 def test_huge_prime_header_exits_two(tmp_path, capsys):
     # 2^61 - 1 is prime, and the int64 bound of the closure refuses it
     text = "p=2305843009213693951 n=1 rank=2\ngen:\n1 1\n0 1\n"

@@ -93,10 +93,12 @@ def test_expansion_exact_at_the_largest_accepted_powers(p, n, a):
     at rank 2, so each product in the walk down the closure tree sums two
     terms near 2^62.  The group is a dihedral-type group of order 4 * 2^5
     or 4 * 3^3, conjugated by a dense matrix, so the tree is deep and its
-    entries large.  C and the expansion of random K are compared with
-    Python-int products with the per-element reference coefficients; for
-    p = 2 a wrapped int64 is still right mod 2^31, so only p = 3 catches a
-    missed reduction."""
+    entries large.  C, both as the expansion of the identity and as the
+    walk up the tree from every position, and the expansion of random K
+    are compared with Python-int products with the per-element reference
+    coefficients, and the cocycle basis with the full-stack fold (for
+    p = 2 the candidate Z^1 is cut); for p = 2 a wrapped int64 is still
+    right mod 2^31, so only p = 3 catches a missed reduction."""
     q = p ** n
     spec = ModuleSpec(p, n, 2)
     T = M([[1, q // 3], [0, 1]], q).mul(M([[1, 0], [q // 5, 1]], q))
@@ -107,7 +109,10 @@ def test_expansion_exact_at_the_largest_accepted_powers(p, n, a):
     assert G.order == (128 if p == 2 else 108)
     sys = _system(G, n)
     ref = oracles.reference_coefficients(G, n)
-    assert np.array_equal(sys.C, ref)
+    assert np.array_equal(sys._values(np.eye(sys.dim, dtype=np.int64)), ref)
+    assert np.array_equal(sys._coefficients(np.arange(G.order)), ref)
+    assert np.array_equal(sys.cocycle_basis(),
+                          oracles.reference_cocycle_basis(G, n))
     K = np.random.default_rng(n).integers(0, q, size=(4, sys.dim))
     assert np.array_equal(sys._values(K), (ref.astype(object)
                                            @ K.T.astype(object)) % q)
@@ -127,6 +132,18 @@ def test_cocycle_constructor_checks_shape_and_freezes():
     other = MatGroup.close([M([[1, 0], [1, 1]], 5)], ModuleSpec(5, 1, 2))
     with pytest.raises(InputError):
         Z.add(Cocycle(other, Z.values))
+
+
+def test_add_rejects_another_module_exponent():
+    """A cocycle mod 5 and one mod 25 on the same group: adding them as
+    values mod 25 gives no cocycle, so add refuses, either way round."""
+    G = MatGroup.close([M([[1, 5], [0, 1]], 25)], ModuleSpec(5, 2, 2))
+    Z1, Z2 = cocycle_space(G, 1)[0], cocycle_space(G, 2)[0]
+    assert not Cocycle(G, Z2.values + Z1.values, 2).is_valid()
+    for a, b in ((Z2, Z1), (Z1, Z2)):
+        with pytest.raises(InputError):
+            a.add(b)
+    assert Z2.add(Z2).is_valid() and Z1.add(Z1).is_valid()
 
 
 def test_restrict_rejects_non_subgroup():

@@ -88,7 +88,7 @@ def test_orders_and_inverses_match_per_element():
         for i, x in enumerate(G.elements):
             assert G.elements[inv[i]].key() == x.inv().key()
         order_key = [(element_order(G.elements[i]), i)
-                     for i in G.sorted_by_order()]
+                     for i in np.argsort(G.orders(), kind="stable")]
         assert order_key == sorted(order_key)
 
 

@@ -234,9 +234,12 @@ def test_z1loc_matches_all_elements_reference_random(data):
 
 @pytest.mark.parametrize("j", [2, 1])
 def test_coefficients_match_per_element_loop(j):
-    """C, the expansion of the identity, and the expansion _values(K) of
-    random K, against Python-int products with the per-element reference
-    coefficients, on every cohomology case at j and the family's G and H."""
+    """C, as the expansion of the identity (in whole and up to a layer
+    boundary) and as the walk up the closure tree from the class
+    representatives and from every position, and the expansion _values(K)
+    of random K, against Python-int products with the per-element
+    reference coefficients, on every cohomology case at j and the family's
+    G and H."""
     rng = np.random.default_rng(j)
     groups = [G for _, G, i in cohomology_cases() if i == j]
     groups += [G for inst in map(build, (5, 11, 17))
@@ -244,7 +247,13 @@ def test_coefficients_match_per_element_loop(j):
     for G in groups:
         sys = _system(G, j)
         ref = oracles.reference_coefficients(G, j)
-        assert np.array_equal(sys.C, ref)
+        eye = np.eye(sys.dim, dtype=np.int64)
+        assert np.array_equal(sys._values(eye), ref)
+        for _, stop in G.tree_layers()[:2]:
+            assert np.array_equal(sys._values(eye, stop), ref[:stop])
+        reps = G.cyclic_class_representatives()
+        assert np.array_equal(sys._coefficients(reps), ref[reps])
+        assert np.array_equal(sys._coefficients(np.arange(G.order)), ref)
         K = rng.integers(0, sys.q, size=(3, sys.dim))
         assert np.array_equal(sys._values(K), (ref.astype(object)
                                                @ K.T.astype(object)) % sys.q)
