@@ -44,6 +44,10 @@ from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows
 
 DEFAULT_CAP = 200_000
 
+# elements of N per block of the products n h that lift_normalizer looks up
+# in G: a block forms _LIFT_BLOCK * |H| matrices at once
+_LIFT_BLOCK = 512
+
 
 def _keys(arr: np.ndarray, q: int) -> np.ndarray:
     """Sort keys of the (N, r, r) matrices in arr, entries in [0, q), in the
@@ -79,12 +83,17 @@ def _code_keys(codes: np.ndarray, q: int) -> np.ndarray:
     return _keys(_decode_rows(codes, q, r), q)
 
 
+def _code_space(q: int, r: int) -> np.ndarray:
+    """The (q^r, r) rows of every code in [0, q^r), so the rows of any codes
+    are one gather from it."""
+    return _decode_rows(np.arange(q ** r, dtype=np.int64), q, r)
+
+
 def _row_table(garr: np.ndarray, q: int) -> np.ndarray:
     """table[g, c]: the code of (row with code c) @ generator g mod q, for
     every code c in [0, q^r) and each of the (k, r, r) generators garr."""
     r = garr.shape[1]
-    rows = _decode_rows(np.arange(q ** r, dtype=np.int64), q, r)
-    return ((rows @ garr) % q) @ _digit_weights(q, r)
+    return ((_code_space(q, r) @ garr) % q) @ _digit_weights(q, r)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -237,7 +246,8 @@ class MatGroup:
             # both runs are sorted, so the stable sort is one merge
             seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
         if code_chunks:
-            chunks.append(_decode_rows(np.concatenate(code_chunks), q, r))
+            chunks.append(np.take(_code_space(q, r),
+                                  np.concatenate(code_chunks), axis=0))
         array, all_keys, tree_parent, tree_gen = map(
             np.concatenate, (chunks, key_chunks, parents, labels))
         sorted_pos = np.argsort(all_keys, kind="stable")
@@ -892,19 +902,26 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     ga, gia = g.to_array(), gi.to_array()
     if _normalizing(ga[None], gia[None], H)[0]:
         return g  # already a normalizer element
-    # HN as a set of products, in key order
-    HN = (N.element_array()[:, None] @ H.element_array()[None]) % q
-    keys, first = np.unique(_keys(HN.reshape(-1, r, r), q), return_index=True)
-    HN = HN.reshape(-1, r, r)[first]
+    # HN as a mask over G's positions, filled one block of N at a time
+    NX, HX = N.element_array(), H.element_array()
+    in_HN = np.zeros(G.order, dtype=bool)
+    for s in range(0, N.order, _LIFT_BLOCK):
+        pos = G.lookup(((NX[s:s + _LIFT_BLOCK, None] @ HX[None]) % q)
+                       .reshape(-1, r, r))
+        certify((pos >= 0).all(), "product n h outside G (internal)")
+        in_HN[pos] = True
     conj = np.stack([h.to_array() for h in H.generators])
-    if not _find(keys, _keys((((ga @ conj) % q) @ gia) % q, q))[1].all():
+    pos = G.lookup((((ga @ conj) % q) @ gia) % q)
+    if not ((pos >= 0) & in_HN[pos]).all():
         raise PreconditionError("class of g normalizes HN/N")
-    # x H x^-1 = g H g^-1 exactly when g^-1 x normalizes H
-    HN_inv = X[inv[G.lookup(HN)]]
-    hits = np.flatnonzero(_normalizing((gia @ HN) % q, (HN_inv @ ga) % q, H))
+    # x H x^-1 = g H g^-1 exactly when g^-1 x normalizes H; HN in key order
+    hn = G._sorted_pos[in_HN[G._sorted_pos]]
+    HN = X[hn]
+    hits = np.flatnonzero(_normalizing((gia @ HN) % q, (X[inv[hn]] @ ga) % q,
+                                       H))
     certify(len(hits), "Sylow conjugator not found in HN (internal)")
     # x = n h: the first h in H's element order with x h^-1 in N
-    cands = (HN[hits[0]] @ H.element_array()[H.inverse_indices()]) % q
+    cands = (HN[hits[0]] @ HX[H.inverse_indices()]) % q
     in_N = np.flatnonzero(N.lookup(cands) >= 0)
     certify(len(in_N), "x does not factor as n h (internal)")
     out = (X[inv[G.lookup(cands[in_N[:1]])]] @ ga) % q    # n^-1 g

@@ -628,34 +628,85 @@ def _int_det(m) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of the (N, r, r) matrices in arr, entries in
-    [0, q), by Laplace expansion down the rows: the minor of rows 0..i on
-    the column set S is sum_t (-1)^(i+t) arr[i, S_t] times the minor of rows
-    0..i-1 on S without S_t, so r * 2^(r-1) products per matrix, not the
-    Leibniz r * r!.  Every product is reduced before it is added, so nothing
-    past (q-1)^2 + (q-1) is formed."""
-    _check_int64(q)
+# entries per block of the copy in _planes: one transposing copy of a
+# large (N, r, r) array strides across all of it, a block this size stays
+# in cache
+_PLANE_BLOCK = 1 << 16
+
+
+def _planes(arr: np.ndarray, q: int) -> np.ndarray:
+    """The (N, r, r) matrices arr as one entry-major (r, r, N) array with
+    entries in [0, q): planes[i, j] holds entry (i, j) of every matrix as
+    one contiguous N-vector.  The copy is reduced in place, and only when
+    some entry lies outside [0, q)."""
     arr = np.asarray(arr, dtype=np.int64)
-    r = arr.shape[1]
-    minors = {(): np.ones(len(arr), dtype=np.int64)}
-    for i in range(r):
-        nxt = {}
-        for cols in itertools.combinations(range(r), i + 1):
-            acc = np.zeros(len(arr), dtype=np.int64)
-            for t, c in enumerate(cols):
-                term = (arr[:, i, c] * minors[cols[:t] + cols[t + 1:]]) % q
-                acc = (acc - term if (i + t) % 2 else acc + term) % q
-            nxt[cols] = acc
-        minors = nxt
+    n, r = arr.shape[:2]
+    planes = np.empty((r, r, n), dtype=np.int64)
+    step = max(1, _PLANE_BLOCK // (r * r))
+    for s in range(0, n, step):
+        planes[:, :, s:s + step] = arr[s:s + step].transpose(1, 2, 0)
+    if planes.size and (planes.min() < 0 or planes.max() >= q):
+        planes %= q
+    return planes
+
+
+def _sum_of_products(terms, q: int) -> np.ndarray:
+    """sum of s * x * y mod q, in [0, q), over the (s, x, y) in terms with
+    s = +-1 and x, y int64 N-vectors with entries in [0, q).  Each product
+    is below (q-1)^2, so a running bound on the partial sum, as in _howell,
+    reduces it only when the next product could pass 2^63 - 1: once at the
+    end for small q, before every product near the int64 limit."""
+    limit, step = 2 ** 63 - 1, (q - 1) ** 2
+    acc = np.zeros(len(terms[0][1]), dtype=np.int64)
+    term = np.empty_like(acc)
+    bound = 0
+    for s, x, y in terms:
+        if bound > limit - step:
+            acc %= q
+            bound = q - 1
+        np.multiply(x, y, out=term)
+        if s < 0:
+            acc -= term
+        else:
+            acc += term
+        bound += step
+    acc %= q
+    return acc
+
+
+def _plane_det(planes, q: int) -> np.ndarray:
+    """Determinants mod q of the r x r matrices (r >= 1) whose entry (i, j)
+    is the N-vector planes[i][j], entries in [0, q), by Laplace expansion
+    down the rows: the minor of rows 0..i on the column set S is
+    sum_t (-1)^(i+t) planes[i][S_t] times the minor of rows 0..i-1 on S
+    without S_t, so r * 2^(r-1) products per matrix, not the Leibniz
+    r * r!.  Each minor is one _sum_of_products, so it lies in [0, q)."""
+    r = len(planes)
+    minors = {(c,): planes[0][c] for c in range(r)}
+    for i in range(1, r):
+        minors = {cols: _sum_of_products(
+            [((-1) ** (i + t), planes[i][c], minors[cols[:t] + cols[t + 1:]])
+             for t, c in enumerate(cols)], q)
+            for cols in itertools.combinations(range(r), i + 1)}
     return minors[tuple(range(r))]
 
 
+def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod q of the (N, r, r) matrices in arr (r >= 1), by
+    _plane_det on their _planes copy."""
+    _check_int64(q)
+    return _plane_det(_planes(arr, q), q)
+
+
 def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:
-    """Mask over the (N, r, r) matrices X with entries in [0, modulus):
-    x - 1 is bijective over (Z/modulus)^rank."""
-    shift = (X - np.eye(X.shape[1], dtype=np.int64)) % modulus
-    return np.gcd(batch_det(shift, modulus), modulus) == 1
+    """Mask over the (N, r, r) matrices X: x - 1 is bijective over
+    (Z/modulus)^rank."""
+    _check_int64(modulus)
+    shift = _planes(X, modulus)
+    for i in range(len(shift)):
+        shift[i, i] -= 1
+        shift[i, i] %= modulus
+    return np.gcd(_plane_det(shift, modulus), modulus) == 1
 
 
 class ExtensionField:

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
 from .groups import MatGroup
-from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows, batch_det
+from .ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, _planes,
+                      _plane_det, _sum_of_products)
 
 
 @dataclass(frozen=True)
@@ -73,26 +74,46 @@ def similitude_multipliers(arr: np.ndarray,
     """The multiplier nu of every matrix A in the (N, 2d, 2d) array arr, with
     A^T J A = nu J for a unit nu, or 0 where A is not a similitude; certifies
     det(A) = nu^d at every similitude."""
+    return _similitude_planes(arr, space)[1]
+
+
+def _similitude_planes(arr: np.ndarray, space: SymplecticSpace):
+    """(planes, nu): the ringmat._planes copy of arr, entries reduced mod q,
+    and similitude_multipliers(arr, space).
+
+    From the blocks of J, S = A^T J A has S[i, j] = sum_{k<d} A[k, i]
+    A[k+d, j] - A[k+d, i] A[k, j].  S and nu J are antisymmetric and S has
+    a zero diagonal, so the entries above the diagonal decide S = nu J:
+    nu = S[0, d], S[i, i+d] = nu and the others vanish.  Each entry is one
+    sum of 2d products below (q-1)^2, so the rank check keeps it in int64
+    and it is reduced once."""
     spec = space.spec
-    q, d = spec.modulus, space.d
-    if spec.rank * (q - 1) ** 2 >= 2 ** 63:
+    q, d, m = spec.modulus, space.d, spec.rank
+    if m * (q - 1) ** 2 >= 2 ** 63:
         raise InputError(f"modulus {q} too large for int64 similitude "
                          f"products (rank*(q-1)^2 >= 2^63)")
     arr = np.asarray(arr, dtype=np.int64)
-    if arr.shape[1:] != (spec.rank, spec.rank):
+    if arr.shape[1:] != (m, m):
         raise InputError("matrix size does not match the symplectic space")
-    J = space.J.to_array()
-    S = (((arr.transpose(0, 2, 1) @ J) % q) @ arr) % q
-    nu = S[:, 0, d]
-    ok = (np.gcd(nu, q) == 1) & (S == (nu[:, None, None] * J) % q).all(
-        axis=(1, 2))
-    nu = np.where(ok, nu, 0)
-    nu_d = np.ones(len(nu), dtype=np.int64)
-    for _ in range(d):
-        nu_d = (nu_d * nu) % q
-    certify((batch_det(arr[ok], q) == nu_d[ok]).all(),
+    P = _planes(arr, q)
+
+    def S(i, j):
+        return _sum_of_products(
+            [t for k in range(d) for t in ((1, P[k, i], P[k + d, j]),
+                                           (-1, P[k + d, i], P[k, j]))], q)
+    nu = S(0, d)
+    ok = nu % spec.p != 0
+    for i, j in itertools.combinations(range(m), 2):
+        if (i, j) != (0, d):
+            ok &= S(i, j) == (nu if j == i + d else 0)
+    nu[~ok] = 0
+    nu_d = nu
+    for _ in range(d - 1):
+        nu_d = nu_d * nu % q
+    sims = P if ok.all() else P[:, :, ok]
+    certify((_plane_det(sims, q) == nu_d[ok]).all(),
             "similitude with det != nu^d (internal)")
-    return nu
+    return P, nu
 
 
 def gsp4_order(p: int) -> int:
@@ -165,23 +186,24 @@ def eigenvalue_pairing_check(A: Mat, space: SymplecticSpace) -> bool:
 def eigenvalue_pairing_sweep(mats: np.ndarray, p: int) -> int:
     """Vectorized pairing check over a batch of 4x4 matrices mod p; returns
     the number of failures (0 expected).  Raises if a matrix in the batch is
-    not a similitude; c0 = det = nu^2 is certified by the multiplier."""
-    mats = np.asarray(mats, dtype=np.int64) % p
-    nu = similitude_multipliers(mats, SymplecticSpace(ModuleSpec(p, 1, 4)))
+    not a similitude; c0 = det = nu^2 is certified by the multiplier, and
+    c3, c1 come from the multiplier's plane copy."""
+    P, nu = _similitude_planes(mats, SymplecticSpace(ModuleSpec(p, 1, 4)))
     if not nu.all():
         raise PreconditionError("every matrix is a similitude")
-    # elementary symmetric functions from principal minors (exact integers)
-    a = mats
-    e1 = np.trace(a, axis1=1, axis2=2)
-    e3 = np.zeros(len(a), dtype=np.int64)
-    for idx in itertools.combinations(range(4), 3):
-        s = a[:, idx, :][:, :, idx]
-        e3 += (s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
-               - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
-               + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0]))
-    c3 = (-e1) % p
-    c1 = (-e3) % p
+    c3, c1 = _pairing_coefficients(P, p)
     return int((c1 != nu * c3 % p).sum())
+
+
+def _pairing_coefficients(P: np.ndarray, p: int):
+    """(c3, c1) of char(A) = x^4 + c3 x^3 + c2 x^2 + c1 x + c0 for every
+    matrix A of the (4, 4, N) planes P, entries in [0, p): c3 = -trace and
+    c1 = -(sum of the principal 3x3 minors), each minor a _plane_det on
+    views of P."""
+    c3 = -sum(P[i, i] for i in range(4)) % p
+    e3 = sum(_plane_det([[P[a, b] for b in idx] for a in idx], p)
+             for idx in itertools.combinations(range(4), 3))
+    return c3, -e3 % p
 
 
 def invariant_subspaces(G: MatGroup, dim: int, cap: int = 5000):

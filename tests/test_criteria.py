@@ -14,6 +14,7 @@ from h1loc.criteria import (fixed_point_free_criterion, fixed_point_spectrum,
                             lift_qualifying_element, similitude_criterion,
                             sylow_normalizer_criterion)
 from h1loc.errors import PreconditionError
+from h1loc import groups
 from h1loc.groups import MatGroup, element_order
 from h1loc.ringmat import Mat, ModuleSpec
 
@@ -103,6 +104,33 @@ def test_lift_qualifying_element_preconditions():
         lift_qualifying_element(borel, Mat.identity(2, 5))
     with pytest.raises(PreconditionError, match="element of"):
         lift_qualifying_element(borel, M([[0, 1], [1, 0]], 5))
+
+
+def test_lift_normalizer_blocks_give_the_same_element(monkeypatch):
+    """lift_normalizer fills HN one block of N at a time; with one element
+    of N per block it finds the same element as with the default block."""
+    GL2 = MatGroup.close([M([[2, 0], [0, 1]], 5), M([[4, 1], [4, 0]], 5)],
+                         ModuleSpec(5, 1, 2))
+    G = MatGroup.close([M([[2, 0], [0, 3]], 25), M([[1, 5], [0, 1]], 25)],
+                       ModuleSpec(5, 2, 2))
+
+    def witnesses():
+        rep = similitude_criterion(GL2)
+        lifted = lift_qualifying_element(G, M([[2, 0], [0, 3]], 5))
+        return [i.witness.key() for i in rep.items if i.witness] + [
+            lifted.key()]
+    default = witnesses()
+    looked_up = []
+    real = MatGroup.lookup
+
+    def lookup(self, arr):
+        looked_up.append(len(arr))
+        return real(self, arr)
+    monkeypatch.setattr(MatGroup, "lookup", lookup)
+    monkeypatch.setattr(groups, "_LIFT_BLOCK", 1)
+    assert witnesses() == default
+    # GL2(F_5) looks HN up as |N| = 120 blocks of |H| = 5 products
+    assert looked_up.count(5) >= 120
 
 
 def test_similitude_criterion_gl2():
