@@ -19,14 +19,15 @@ Most of those rows are redundant: Z^1 is the kernel of the relator rows
 the kernel of any subset of the rows contains it.  So the fold takes the
 rows of the pairs of the first BFS layers holding at least 64 elements,
 which need C only one layer further (every pair, when that layer is the
-last), and their kernel K is a candidate containing Z^1.  K is expanded once, and the residuals of every later pair
-are folded in K's coordinates: Z^1 is exactly their kernel times K, and
-when they all vanish, as they mostly do, K is Z^1.  Over Z/p^j a row span
-is the annihilator of its kernel, so the Howell basis of the whole stack
-is the candidate's, or after a cut the annihilator of Z^1; C itself, a
-k * rank column array per element, is never formed.  B^1 is the row span
-of one (rank, k * rank) matrix, the columns of g - 1 side by side, whose
-RowSystem decides coboundaries and class orders.
+last), and their kernel K is a candidate containing Z^1.  K is expanded
+once, and the residuals of every later pair are folded in K's coordinates:
+Z^1 is exactly their kernel times K (_cut), and when they all vanish, as
+they mostly do, K is Z^1.  Over Z/p^j a row span is the annihilator of
+its kernel, so the Howell basis of the whole stack is the candidate's, or
+after a cut the annihilator of Z^1; C itself, a k * rank column array per
+element, is never formed.  B^1 is the row span of one (rank, k * rank)
+matrix, the columns of g - 1 side by side, whose RowSystem decides
+coboundaries and class orders.
 
 The locally trivial cocycles satisfy Z_sigma in Im(sigma - 1) for every
 sigma: their restriction to every cyclic subgroup is a coboundary.  For a
@@ -43,15 +44,14 @@ p-elements.  Those classes need no walk over the group: a p-element
 x != 1 generates a maximal cyclic p-subgroup exactly when it is not the
 p-th power of a p-element, conjugation by the generators and x -> x^u
 (u among the generators of (Z/p^E)^*) permute those maximal generators,
-and the classes are the orbits of these permutations.  C at a
-representative is the sum of x E_g over the tree edges (x, g) from the
-identity to it (_CocycleSystem._coefficients).  The local rows are folded
-into the basis of the cocycle rows, so the kernel is still exactly
-Z^1_loc.
+and the classes are the orbits of these permutations.
 Over Z/p^j a submodule is cut out by the linear forms vanishing on it
-(w in ker((s-1)^T) gives w . Z_s = 0), so Z^1_loc is again a kernel and
-H^1_loc = Z^1_loc / B^1 is a finite abelian group with explicit invariant
-factors and representative cocycles.
+(w in ker((s-1)^T) gives w . Z_s = 0).  Z^1 is expanded down the closure
+tree to the last representative (_values), and the rows w . Z_s, in the
+coordinates of Z^1's generators, cut Z^1 to Z^1_loc the way the later
+pairs cut the candidate (_cut): Z^1_loc is their kernel times Z^1's
+generators, and H^1_loc = Z^1_loc / B^1 is a finite abelian group with
+explicit invariant factors and representative cocycles.
 
 The per-element certificates run on whole arrays.  The kernels of all the
 s - 1 at the class representatives, and the local witnesses v with
@@ -251,23 +251,6 @@ class _CocycleSystem:
                 V[x] = v
         return V
 
-    def _coefficients(self, pos: np.ndarray) -> np.ndarray:
-        """(len(pos), rank, k * rank) array of C[s] at the positions s in
-        pos, where C[s] @ z is the value at s of the cocycle with generator
-        values z: the sum of x E_g over the closure-tree edges (x, g) from
-        1 to s, E_g picking generator g's block, walked up one level at a
-        time for all of pos at once."""
-        G, m, q = self.G, self.m, self.q
-        C = np.zeros((len(pos), m, self.k, m), dtype=np.int64)
-        cur = np.array(pos, dtype=np.int64)
-        at = np.flatnonzero(cur)
-        while len(at):
-            par, g = G.tree_parent[cur[at]], G.tree_gen[cur[at]]
-            C[at, :, g] = (C[at, :, g] + self.acts[par]) % q
-            cur[at] = par
-            at = at[par > 0]
-        return C.reshape(len(pos), m, self.dim)
-
     def _residual_basis(self, V: np.ndarray, Vg: np.ndarray, start: int,
                         stop: int) -> np.ndarray:
         """Howell basis of the nonzero rows of the residuals (_residuals)
@@ -293,13 +276,14 @@ class _CocycleSystem:
         the first BFS layers holding at least _FIRST elements, whose
         products lie at most one layer further, so the identity is expanded
         only that far; when that layer is the last, every pair is taken and
-        nothing is left to check.  K is then expanded once, and the residuals of every
-        later pair, taken in K's coordinates (the residual of the cocycle
-        c K is R c, where column t of R is the residual of K's row t), cut
-        it down: Z^1 is exactly the kernel of those rows times K.  Over
-        Z/p^j a row span is the annihilator of its kernel, so with no cut
-        the candidate's Howell basis is the whole stack's, and after one
-        the stack's basis is the annihilator of Z^1."""
+        nothing is left to check.  K is then expanded once, and the
+        residuals of every later pair, taken in K's coordinates (the
+        residual of the cocycle c K is R c, where column t of R is the
+        residual of K's row t), cut it down: Z^1 is exactly the kernel of
+        those rows times K (_cut).  Over Z/p^j a row span is the
+        annihilator of its kernel, so with no cut the candidate's Howell
+        basis is the whole stack's, and after one the stack's basis is the
+        annihilator of Z^1."""
         p, j = self.p, self.j
         ends = [1] + [end for _, end in self.G.tree_layers()] + [self.size]
         i = min(np.searchsorted(ends, _FIRST), len(ends) - 2)
@@ -314,11 +298,19 @@ class _CocycleSystem:
         K = RowSystem(basis.T, p, j).kernel()
         if len(cut := self._residual_basis(self._values(K), self._blocks(K),
                                            first, self.size)):
-            # Z^1 by object products: a sum of len(K) terms near q^2 could
-            # leave int64
-            Z1 = RowSystem(cut.T, p, j).kernel().astype(object) @ K % self.q
-            return RowSystem(Z1.astype(np.int64).T, p, j).kernel(), None
+            return self._cut(K, cut), None
         return basis, K
+
+    def _cut(self, K: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Howell basis of the annihilator of Z, the span of the cocycles
+        c K with rows @ c = 0: the kernel of rows (in K's coordinates)
+        times K.  Over Z/p^j a row span is the annihilator of its kernel,
+        so this is the Howell basis of K's constraint rows stacked with
+        the rows that cut it, and its kernel is Z's canonical basis."""
+        p, j = self.p, self.j
+        # object products: a sum of len(K) terms near q^2 could leave int64
+        Z = RowSystem(rows.T, p, j).kernel().astype(object) @ K % self.q
+        return RowSystem(Z.astype(np.int64).T, p, j).kernel()
 
     def cocycle_basis(self) -> np.ndarray:
         """Howell basis of the cocycle constraint rows for every generator
@@ -344,21 +336,30 @@ class _CocycleSystem:
         return RowSystem(self.b1_gens(), self.p, self.j)
 
     def local_constraints(self) -> np.ndarray:
-        """Rows w C[s] (_coefficients) with w (s - 1) = 0 at each cyclic
-        class representative s, the kernels of all the s - 1 from one
-        stacked Howell call."""
+        """Rows w V[s] in the coordinates of z1_gens(), with w (s - 1) = 0
+        at each cyclic class representative s, where V[s] is the value at
+        s of the expansion of z1_gens() (_values) down to the end of the
+        BFS layer that holds the last representative.  The kernels of all
+        the s - 1 come from one stacked Howell call."""
         reps = self.G.cyclic_class_representatives()
         B = (self.acts[reps] - np.eye(self.m, dtype=np.int64)) % self.q
         # w B = 0 makes w . v = 0 a test for v in Im(B); over Z/p^j the
         # double annihilator recovers the image exactly
         W, live = RowSystemStack(B, self.p, self.j).kernels()
-        return ((W @ self._coefficients(reps)) % self.q)[live]
+        ends = [1] + [end for _, end in self.G.tree_layers()]
+        stop = ends[np.searchsorted(ends, reps.max(initial=0), side="right")]
+        V = self._values(self.z1_gens(), stop)[reps]
+        return ((W @ V) % self.q)[live]
 
     @_cached
     def z1loc_gens(self) -> np.ndarray:
-        basis = _fold(self.cocycle_basis(), self.local_constraints(),
-                      self.p, self.j)
-        return RowSystem(basis.T, self.p, self.j).kernel()
+        """Z^1_loc: z1_gens() when the local rows all vanish on Z^1, else
+        Z^1 cut by them (_cut), as _z1 cuts its candidate."""
+        rows = self.local_constraints()
+        if not rows.any():
+            return self.z1_gens()
+        return RowSystem(self._cut(self.z1_gens(), rows).T, self.p,
+                         self.j).kernel()
 
     @_cached
     def h1_structure(self) -> AbelianStructure:

@@ -44,10 +44,6 @@ from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows
 
 DEFAULT_CAP = 200_000
 
-# elements of N per block of the products n h that lift_normalizer looks up
-# in G: a block forms _LIFT_BLOCK * |H| matrices at once
-_LIFT_BLOCK = 512
-
 
 def _keys(arr: np.ndarray, q: int) -> np.ndarray:
     """Sort keys of the (N, r, r) matrices in arr, entries in [0, q), in the
@@ -511,7 +507,9 @@ class MatGroup:
         return int(self.orders()[self.index_of(mat)])
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
-        return (self.spec.rank == other.spec.rank
+        """Whether the elements lie in other, over the same Z/p^n and in
+        the same rank."""
+        return (self.spec == other.spec
                 and bool((other.lookup(self._array) >= 0).all()))
 
     def reduce_mod(self, j: int, cap: int = DEFAULT_CAP) -> "MatGroup":
@@ -557,18 +555,28 @@ def _factor(n: int) -> dict:
     return out
 
 
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p: the least g with
+    g^((p-1)/l) != 1 mod p for every prime l dividing p - 1."""
+    primes = list(_factor(p - 1))
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // ell, p) != 1 for ell in primes):
+            return g
+    raise InputError("no primitive root (p not prime?)")
+
+
 def _unit_generators(p: int, E: int) -> list:
     """Generators of the unit group (Z/p^E)^*, as residues other than 1 in
     [1, p^E): -1 and 5 for p = 2, whose units are the +-5^i, and for odd p
-    a primitive root mod p^2, which is a primitive root mod every p^E."""
+    a primitive root mod p^2, which is a primitive root mod every p^E: the
+    least primitive root g mod p, or g + p when g^(p-1) = 1 mod p^2."""
     q = p ** E
     if p == 2:
         gens = [q - 1, 5 % q]
     else:
-        n = p * (p - 1)
-        primes = list(_factor(n))
-        root = next(g for g in range(2, p * p)
-                    if all(pow(g, n // ell, p * p) != 1 for ell in primes))
+        root = _primitive_root(p)
+        if pow(root, p - 1, p * p) == 1:
+            root += p
         gens = [root % q]
     return [u for u in dict.fromkeys(gens) if u != 1]
 
@@ -891,7 +899,7 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     x = n h in HN with x H x^-1 = g H g^-1 and returns n^-1 g."""
     if not N.is_subgroup_of(G) or not H.is_subgroup_of(G):
         raise PreconditionError("N and H are subgroups of G")
-    q, r = G.spec.modulus, G.spec.rank
+    q = G.spec.modulus
     X, inv = G.element_array(), G.inverse_indices()
     gen_pos = [G.index_of(x) for x in G.generators]
     if not _normalizing(X[gen_pos], X[inv[gen_pos]], N).all():
@@ -902,14 +910,12 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     ga, gia = g.to_array(), gi.to_array()
     if _normalizing(ga[None], gia[None], H)[0]:
         return g  # already a normalizer element
-    # HN as a mask over G's positions, filled one block of N at a time
-    NX, HX = N.element_array(), H.element_array()
+    # N is normal, so HN = <N, H>: one closure, as a mask over G's positions
+    pos = G.lookup(MatGroup.close(N.generators + H.generators, G.spec,
+                                  cap=G.order).element_array())
+    certify((pos >= 0).all(), "product n h outside G (internal)")
     in_HN = np.zeros(G.order, dtype=bool)
-    for s in range(0, N.order, _LIFT_BLOCK):
-        pos = G.lookup(((NX[s:s + _LIFT_BLOCK, None] @ HX[None]) % q)
-                       .reshape(-1, r, r))
-        certify((pos >= 0).all(), "product n h outside G (internal)")
-        in_HN[pos] = True
+    in_HN[pos] = True
     conj = np.stack([h.to_array() for h in H.generators])
     pos = G.lookup((((ga @ conj) % q) @ gia) % q)
     if not ((pos >= 0) & in_HN[pos]).all():
@@ -921,7 +927,7 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
                                        H))
     certify(len(hits), "Sylow conjugator not found in HN (internal)")
     # x = n h: the first h in H's element order with x h^-1 in N
-    cands = (HN[hits[0]] @ HX[H.inverse_indices()]) % q
+    cands = (HN[hits[0]] @ H.element_array()[H.inverse_indices()]) % q
     in_N = np.flatnonzero(N.lookup(cands) >= 0)
     certify(len(in_N), "x does not factor as n h (internal)")
     out = (X[inv[G.lookup(cands[in_N[:1]])]] @ ga) % q    # n^-1 g

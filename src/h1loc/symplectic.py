@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
-from .groups import MatGroup
+from .groups import MatGroup, _primitive_root
 from .ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, _planes,
                       _plane_det, _sum_of_products)
 
@@ -158,18 +158,6 @@ def gsp4_generators(p: int):
     gens.append(Mat.from_rows([[nu, 0, 0, 0], [0, nu, 0, 0],
                                [0, 0, 1, 0], [0, 0, 0, 1]], p))
     return gens, space
-
-
-def _primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise InputError("no primitive root (p not prime?)")
 
 
 def eigenvalue_pairing_check(A: Mat, space: SymplecticSpace) -> bool:

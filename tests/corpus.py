@@ -14,6 +14,15 @@ def M(rows, q):
     return Mat.from_rows(rows, q)
 
 
+def representatives_stop(G):
+    """(reps, stop): G's cyclic class representatives and the end of the
+    BFS layer holding the last of them, 1 when there are none."""
+    reps = G.cyclic_class_representatives()
+    last = max(reps, default=0)
+    return reps, next((end for start, end in G.tree_layers()
+                       if start <= last < end), 1)
+
+
 @lru_cache(maxsize=None)
 def small_oracle_groups():
     """Groups of order <= 30 on modules of size <= 625, spanning

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import h1loc
-from corpus import M, twist_corpus
+from corpus import M, representatives_stop, twist_corpus
 from h1loc import oracles
 from h1loc.cli import EXIT_INTERNAL, run
 from h1loc.cohomology import (Cocycle, _system, coboundaries,
@@ -93,10 +93,11 @@ def test_expansion_exact_at_the_largest_accepted_powers(p, n, a):
     at rank 2, so each product in the walk down the closure tree sums two
     terms near 2^62.  The group is a dihedral-type group of order 4 * 2^5
     or 4 * 3^3, conjugated by a dense matrix, so the tree is deep and its
-    entries large.  C, both as the expansion of the identity and as the
-    walk up the tree from every position, and the expansion of random K
-    are compared with Python-int products with the per-element reference
-    coefficients, and the cocycle basis with the full-stack fold (for
+    entries large.  C as the expansion of the identity, the expansion of
+    Z^1's generators at the class representatives, down to the layer of
+    the last one, and the expansion of random K are compared with
+    Python-int products with the per-element reference coefficients, and
+    the cocycle basis with the full-stack fold (for
     p = 2 the candidate Z^1 is cut); for p = 2 a wrapped int64 is still
     right mod 2^31, so only p = 3 catches a missed reduction."""
     q = p ** n
@@ -110,7 +111,10 @@ def test_expansion_exact_at_the_largest_accepted_powers(p, n, a):
     sys = _system(G, n)
     ref = oracles.reference_coefficients(G, n)
     assert np.array_equal(sys._values(np.eye(sys.dim, dtype=np.int64)), ref)
-    assert np.array_equal(sys._coefficients(np.arange(G.order)), ref)
+    reps, stop = representatives_stop(G)
+    Z = sys.z1_gens()
+    assert np.array_equal(sys._values(Z, stop)[reps],
+                          (ref[reps].astype(object) @ Z.T.astype(object)) % q)
     assert np.array_equal(sys.cocycle_basis(),
                           oracles.reference_cocycle_basis(G, n))
     K = np.random.default_rng(n).integers(0, q, size=(4, sys.dim))

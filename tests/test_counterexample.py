@@ -1,8 +1,14 @@
 """The nonvanishing family: construction laws and full verification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import h1loc
 from h1loc import oracles
 from h1loc.counterexample import (_witness_sets_meet, build, cocycle_value,
                                   family_matrix, scan_orders, twist_matrix,
@@ -104,3 +110,22 @@ def test_scan_orders_rows():
     alone = by_label["<g^0, H>"]
     assert alone["group_order"] == 25
     assert "h1_loc" in alone
+
+
+def test_family_scan_sound_under_python_O():
+    """scripts/family_scan.py exits 0 only when every check passes, every
+    twist order not dividing p-1 keeps H^1_loc nonzero and the comparison
+    twist kills it; here at p = 5 and 11, with asserts stripped."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", str(root / "scripts" / "family_scan.py"),
+         "--max-p", "11"], capture_output=True, text=True, env=env,
+        timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "primes: [5, 11]" in proc.stdout
+    assert "0 failures (must be 0)" in proc.stdout
+    assert "FAIL" not in proc.stdout and "!!" not in proc.stdout

@@ -14,7 +14,7 @@ from h1loc.criteria import (fixed_point_free_criterion, fixed_point_spectrum,
                             lift_qualifying_element, similitude_criterion,
                             sylow_normalizer_criterion)
 from h1loc.errors import PreconditionError
-from h1loc import groups
+from h1loc import criteria, groups
 from h1loc.groups import MatGroup, element_order
 from h1loc.ringmat import Mat, ModuleSpec
 
@@ -106,31 +106,63 @@ def test_lift_qualifying_element_preconditions():
         lift_qualifying_element(borel, M([[0, 1], [1, 0]], 5))
 
 
-def test_lift_normalizer_blocks_give_the_same_element(monkeypatch):
-    """lift_normalizer fills HN one block of N at a time; with one element
-    of N per block it finds the same element as with the default block."""
+def lift_by_products(G, N, H, g):
+    """lift_normalizer over Mat elements, with HN the set of every product
+    n h: g itself when it normalizes H, else n^-1 g for the first x in HN,
+    in key order, with g^-1 x normalizing H, and the first h in H's element
+    order with n = x h^-1 in N."""
+    in_H = {h.key() for h in H.elements}
+    in_N = {n.key() for n in N.elements}
+
+    def normalizes(y):
+        yi = y.inv()
+        return all(y.mul(h).mul(yi).key() in in_H for h in H.generators)
+    if normalizes(g):
+        return g
+    HN = {x.key(): x for x in (n.mul(h) for n in N.elements
+                               for h in H.elements)}
+    gi = g.inv()
+    x = next(HN[k] for k in sorted(HN) if normalizes(gi.mul(HN[k])))
+    n = next(n for n in (x.mul(h.inv()) for h in H.elements)
+             if n.key() in in_N)
+    return n.inv().mul(g)
+
+
+def test_lift_normalizer_matches_products_of_n_and_h(monkeypatch):
+    """lift_normalizer builds HN as the closure <N, H>; every call the
+    criteria make on the GL2(F_5) similitude case and the mod-25
+    lift_qualifying_element case returns the element that HN built from
+    every product n h gives, as does a direct call with H outside N: the
+    quaternion N of GL2(F_3), the Sylow H of order 3 and g in N, where the
+    search runs since N moves H (HN = SL2(F_3) has four 3-Sylows)."""
+    calls = []
+    real = groups.lift_normalizer
+
+    def recorded(G, N, H, g):
+        calls.append((G, N, H, g, real(G, N, H, g)))
+        return calls[-1][-1]
+    monkeypatch.setattr(groups, "lift_normalizer", recorded)
+    monkeypatch.setattr(criteria, "lift_normalizer", recorded)
     GL2 = MatGroup.close([M([[2, 0], [0, 1]], 5), M([[4, 1], [4, 0]], 5)],
                          ModuleSpec(5, 1, 2))
+    assert similitude_criterion(GL2).certified
     G = MatGroup.close([M([[2, 0], [0, 3]], 25), M([[1, 5], [0, 1]], 25)],
                        ModuleSpec(5, 2, 2))
-
-    def witnesses():
-        rep = similitude_criterion(GL2)
-        lifted = lift_qualifying_element(G, M([[2, 0], [0, 3]], 5))
-        return [i.witness.key() for i in rep.items if i.witness] + [
-            lifted.key()]
-    default = witnesses()
-    looked_up = []
-    real = MatGroup.lookup
-
-    def lookup(self, arr):
-        looked_up.append(len(arr))
-        return real(self, arr)
-    monkeypatch.setattr(MatGroup, "lookup", lookup)
-    monkeypatch.setattr(groups, "_LIFT_BLOCK", 1)
-    assert witnesses() == default
-    # GL2(F_5) looks HN up as |N| = 120 blocks of |H| = 5 products
-    assert looked_up.count(5) >= 120
+    lift_qualifying_element(G, M([[2, 0], [0, 3]], 5))
+    assert len(calls) == 2
+    spec3 = ModuleSpec(3, 1, 2)
+    GL23 = MatGroup.close([M([[2, 0], [0, 1]], 3), M([[2, 1], [2, 0]], 3)],
+                          spec3)
+    Q8 = MatGroup.close([M([[0, 1], [2, 0]], 3), M([[1, 1], [1, 2]], 3)],
+                        spec3)
+    H = MatGroup.close([M([[1, 1], [0, 1]], 3)], spec3)
+    assert (GL23.order, Q8.order) == (48, 8)
+    assert not H.is_subgroup_of(Q8)
+    g = M([[0, 1], [2, 0]], 3)
+    assert g.mul(M([[1, 1], [0, 1]], 3)).mul(g.inv()) not in H
+    recorded(GL23, Q8, H, g)
+    for G, N, H, g, got in calls:
+        assert got == lift_by_products(G, N, H, g)
 
 
 def test_similitude_criterion_gl2():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import M, small_oracle_groups, twist_corpus
 from h1loc import groups as groups_module, oracles
+from h1loc.cohomology import coboundaries, restrict
 from h1loc.counterexample import family_matrix, twist_matrix
 from h1loc.errors import CapExceededError, InputError, PreconditionError
 from h1loc.groups import (MatGroup, _batch_power, _normalizer_mask,
@@ -132,6 +133,25 @@ def test_normalizer_brute_force():
     assert N.order == 12
     with pytest.raises(InputError):
         normalizer(H, G)
+
+
+def test_subgroup_of_a_group_over_another_modulus_is_refused():
+    """The swap mod 25 has the entries, and so the key, of an element of
+    GL2(F_5), but lives over Z/25: normalizer, restrict and lift_normalizer
+    refuse it, where comparing the rank alone gave a normalizer of order 2
+    (the swap's normalizer in GL2(F_5) has order 16)."""
+    GL2 = MatGroup.close([M([[2, 0], [0, 1]], 5), M([[4, 1], [4, 0]], 5)],
+                         ModuleSpec(5, 1, 2))
+    swap5 = MatGroup.close([M([[0, 1], [1, 0]], 5)], ModuleSpec(5, 1, 2))
+    swap25 = MatGroup.close([M([[0, 1], [1, 0]], 25)], ModuleSpec(5, 2, 2))
+    assert swap5.is_subgroup_of(GL2) and not swap25.is_subgroup_of(GL2)
+    assert normalizer(GL2, swap5).order == 16
+    with pytest.raises(InputError):
+        normalizer(GL2, swap25)
+    with pytest.raises(InputError):
+        restrict(coboundaries(GL2)[0], swap25)
+    with pytest.raises(PreconditionError, match="subgroups"):
+        lift_normalizer(GL2, GL2, swap25, GL2.identity)
 
 
 def test_lagrange_for_computed_subgroups():

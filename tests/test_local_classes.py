@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import M, cohomology_cases, small_oracle_groups, twist_corpus
+from corpus import (M, cohomology_cases, representatives_stop,
+                    small_oracle_groups, twist_corpus)
 from h1loc import oracles
 from h1loc.cohomology import _fold, _system
 from h1loc.counterexample import build
@@ -92,6 +93,21 @@ def test_unit_generators_generate_the_units(p):
                         if x * u % q not in span]
             span.update(frontier)
         assert span == {u for u in range(1, q) if u % p}, (p, E)
+
+
+def test_unit_generator_lifts_the_least_primitive_root_where_it_fails():
+    """40487 is the least prime whose least primitive root, 5, is no
+    primitive root mod p^2 (5^(p-1) = 1 mod p^2); the generator returned
+    there still has the order p^(E-1) (p - 1) of the whole unit group."""
+    p = 40487
+    assert all(any(pow(g, (p - 1) // ell, p) == 1 for ell in (2, 31, 653))
+               for g in (2, 3, 4))
+    assert pow(5, p - 1, p * p) == 1
+    for E in (2, 3):
+        q, n = p ** E, p ** (E - 1) * (p - 1)
+        [u] = _unit_generators(p, E)
+        assert u % p == 5 and pow(u, n, q) == 1
+        assert all(pow(u, n // ell, q) != 1 for ell in (2, 31, 653, p))
 
 
 def test_p_representatives_match_the_walk_on_edge_groups():
@@ -234,12 +250,12 @@ def test_z1loc_matches_all_elements_reference_random(data):
 
 @pytest.mark.parametrize("j", [2, 1])
 def test_coefficients_match_per_element_loop(j):
-    """C, as the expansion of the identity (in whole and up to a layer
-    boundary) and as the walk up the closure tree from the class
-    representatives and from every position, and the expansion _values(K)
-    of random K, against Python-int products with the per-element
-    reference coefficients, on every cohomology case at j and the family's
-    G and H."""
+    """C as the expansion of the identity (in whole and up to a layer
+    boundary), the expansion of Z^1's generators at the class
+    representatives, down to the layer of the last one, and the expansion
+    _values(K) of random K, against Python-int products with the
+    per-element reference coefficients, on every cohomology case at j and
+    the family's G and H."""
     rng = np.random.default_rng(j)
     groups = [G for _, G, i in cohomology_cases() if i == j]
     groups += [G for inst in map(build, (5, 11, 17))
@@ -251,9 +267,11 @@ def test_coefficients_match_per_element_loop(j):
         assert np.array_equal(sys._values(eye), ref)
         for _, stop in G.tree_layers()[:2]:
             assert np.array_equal(sys._values(eye, stop), ref[:stop])
-        reps = G.cyclic_class_representatives()
-        assert np.array_equal(sys._coefficients(reps), ref[reps])
-        assert np.array_equal(sys._coefficients(np.arange(G.order)), ref)
+        reps, stop = representatives_stop(G)
+        Z = sys.z1_gens()
+        assert np.array_equal(sys._values(Z, stop)[reps],
+                              (ref[reps].astype(object) @ Z.T.astype(object))
+                              % sys.q)
         K = rng.integers(0, sys.q, size=(3, sys.dim))
         assert np.array_equal(sys._values(K), (ref.astype(object)
                                                @ K.T.astype(object)) % sys.q)

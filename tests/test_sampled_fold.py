@@ -51,7 +51,7 @@ def test_sampled_fold_matches_full_stack():
         ref = oracles.reference_cocycle_basis(G, j)
         assert np.array_equal(sys.cocycle_basis(), ref), label
         assert np.array_equal(sys.z1_gens(), kernel(ref, sys.p, j)), label
-        loc = _fold(ref, sys.local_constraints(), sys.p, j)
+        loc = _fold(ref, oracles.reference_local_constraints(G, j), sys.p, j)
         assert np.array_equal(sys.z1loc_gens(), kernel(loc, sys.p, j)), label
 
 

@@ -116,10 +116,15 @@ def _corpus_groups(max_order=150):
 
 
 def test_local_constraints_match_per_representative_loop():
+    """The local rows in the coordinates of z1_gens() are the reference
+    rows, in the stacked generator values, times z1_gens()."""
     for G in _corpus_groups(max_order=700):
         for j in range(1, G.spec.n + 1):
-            got = _system(G, j).local_constraints()
-            want = oracles.reference_local_constraints(G, j)
+            sys = _system(G, j)
+            got = sys.local_constraints()
+            ref = oracles.reference_local_constraints(G, j)
+            want = (ref.astype(object) @ sys.z1_gens().T.astype(object)
+                    % sys.q).astype(np.int64)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
