@@ -507,8 +507,10 @@ def inflate(Zq: Cocycle, G: MatGroup,
     The kernel of project must act trivially on the coefficient module of
     Zq (automatic for reduction mod p^j with coefficients in the p^j-torsion)."""
     Q = Zq.group
-    idx = Q.lookup(_stack([project(x) for x in G.elements], Q.spec.rank))
-    if idx.min() < 0:
+    X = _stack([project(x) for x in G.elements], Q.spec.rank)
+    # entries outside [0, q) name no element of Q
+    if (X.min() < 0 or X.max() >= Q.spec.modulus
+            or (idx := Q.lookup(X)).min() < 0):
         raise InputError("projection leaves the quotient cocycle's group")
     W = Cocycle(G, Zq.values[idx], Zq.module_exponent)
     if not W.is_valid():

@@ -7,7 +7,9 @@ element = parent * generator; the cohomology module rides on that tree.
 Once a closure holds q^rank elements it works on row codes: each row of a
 matrix as one base-q integer, and a product with a generator as one
 lookup per row in that generator's table of row images, built at that
-point so it never costs more than the products already formed.
+point so it never costs more than the products already formed.  The
+keys of a layer's products are those lookups combined by Horner, with no
+array of the products; only the fresh ones, the next layer, are formed.
 
 Also here: element orders from prime power maps (one cached map per
 prime), the p-elements from the p-power map alone, and one generator per
@@ -52,7 +54,7 @@ def _keys(arr: np.ndarray, q: int) -> np.ndarray:
     r = arr.shape[1]
     flat = arr.reshape(len(arr), r * r)
     if q ** (r * r) < 2 ** 63:
-        return flat @ (q ** np.arange(r * r - 1, -1, -1, dtype=np.int64))
+        return flat @ _digit_weights(q, r * r)
     return np.ascontiguousarray(flat.astype(">i8")).view(
         np.dtype((np.void, 8 * r * r))).ravel()
 
@@ -63,33 +65,39 @@ def _digit_weights(q: int, r: int) -> np.ndarray:
     return q ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
 
-def _decode_rows(codes: np.ndarray, q: int, r: int) -> np.ndarray:
-    """The length-r rows with the given codes: (N,) codes give (N, r) rows,
-    (N, r) codes give (N, r, r) matrices."""
-    return (codes[..., None] // _digit_weights(q, r)) % q
-
-
-def _code_keys(codes: np.ndarray, q: int) -> np.ndarray:
-    """_keys of the (N, r) row-coded matrices: packing the row codes in
-    base q^r gives the base-q packing of the entries, so the keys are
-    identical; byte keys decode the entries first."""
-    r = codes.shape[1]
-    if q ** (r * r) < 2 ** 63:
-        return codes @ _digit_weights(q ** r, r)
-    return _keys(_decode_rows(codes, q, r), q)
-
-
 def _code_space(q: int, r: int) -> np.ndarray:
     """The (q^r, r) rows of every code in [0, q^r), so the rows of any codes
     are one gather from it."""
-    return _decode_rows(np.arange(q ** r, dtype=np.int64), q, r)
+    return np.arange(q ** r)[:, None] // _digit_weights(q, r) % q
 
 
-def _row_table(garr: np.ndarray, q: int) -> np.ndarray:
+def _row_table(garr: np.ndarray, space: np.ndarray) -> np.ndarray:
     """table[g, c]: the code of (row with code c) @ generator g mod q, for
-    every code c in [0, q^r) and each of the (k, r, r) generators garr."""
-    r = garr.shape[1]
-    return ((_code_space(q, r) @ garr) % q) @ _digit_weights(q, r)
+    every code c in [0, q^r) and each of the (k, r, r) generators garr.
+    space is _code_space(q, r); its last row, the code q^r - 1, has every
+    entry q - 1."""
+    q, r = int(space[-1, 0]) + 1, garr.shape[1]
+    return ((space @ garr) % q) @ _digit_weights(q, r)
+
+
+def _product_keys(table: np.ndarray, layer: np.ndarray,
+                  q: int) -> np.ndarray:
+    """_keys of the products x g, element-major (t = e * k + g), for the
+    (L, r) row-coded matrices x of layer and the k generators of the
+    code-major row table (the transpose of _row_table's).  Row i of x g
+    has code table[row i of x, g], and packing the row codes in base q^r
+    gives the base-q packing of the entries, so the int64 keys are r
+    gathers of (L, k) codes combined by Horner, with no (k * L, r) array
+    of the products.  Byte keys decode the gathered codes first."""
+    r = layer.shape[1]
+    if q ** (r * r) >= 2 ** 63:
+        codes = table[layer].transpose(0, 2, 1)[..., None]
+        return _keys((codes // _digit_weights(q, r) % q).reshape(-1, r, r), q)
+    keys = table[layer[:, 0]]
+    for i in range(1, r):
+        keys *= q ** r
+        keys += table[layer[:, i]]
+    return keys.ravel()
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -107,9 +115,11 @@ def _first_occurrences(keys: np.ndarray):
     np.unique(keys, return_index=True) gives them.  From 256 keys on, where
     (max key + 1) * n fits in int64 for the n keys, the packed values
     key * n + index are distinct, so the default sort orders them with no
-    stable argsort and each key's run starts at its first index.  Fewer
-    keys, where np.unique's fixed cost is the smaller, and byte keys go
-    through np.unique."""
+    stable argsort and each key's run starts at its first index: one
+    floor division gives the keys (packed codes, so never negative), a run
+    starts where they change, and its first packed value less key * n is
+    that index.  Fewer keys, where np.unique's fixed cost is the smaller,
+    and byte keys go through np.unique."""
     n = len(keys)
     if n < 256 or keys.dtype != np.int64 or \
             (int(keys.max()) + 1) * n > 2 ** 63:
@@ -117,10 +127,10 @@ def _first_occurrences(keys: np.ndarray):
     packed = keys * n
     packed += np.arange(n)
     packed.sort()
-    start = np.ones(n, dtype=bool)
-    np.not_equal(packed[1:] // n, packed[:-1] // n, out=start[1:])
-    packed = packed[start]
-    return packed // n, packed % n
+    keys = packed // n
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys = keys[start]
+    return keys, packed[start] - keys * n
 
 
 def _stack(mats, r: int) -> np.ndarray:
@@ -189,9 +199,12 @@ class MatGroup:
         A layer is the new products (previous layer) x (generators) in key
         order; an element's tree edge is its first such product.  Products
         are batched matmuls until the closure holds q^rank elements; from
-        then on a layer is kept as row codes and its products are gathers
-        from the generators' row tables (_row_table), so the table never
-        costs more than the products already formed."""
+        then on a layer is kept as row codes, the keys of its products are
+        gathers from the generators' row tables (_row_table, read
+        code-major by _product_keys), and only the fresh products are
+        gathered as codes, so the table never costs more than the products
+        already formed and no (k * L, r) product array exists.  The code
+        space is decoded once, for the table and for the element array."""
         q, r = spec.modulus, spec.rank
         if r * (q - 1) ** 2 >= 2 ** 63:
             raise InputError(f"modulus {q} too large for int64 group "
@@ -213,18 +226,17 @@ class MatGroup:
         parents, labels = [np.array([-1])], [np.array([-1])]
         layers = []
         garr = _stack(gens, r)
-        table = None
+        space = table = None
         while k:
             if table is None and len(seen) >= q ** r:
-                table = _row_table(garr, q)
+                space = _code_space(q, r)
+                table = np.ascontiguousarray(_row_table(garr, space).T)
                 layer = layer @ _digit_weights(q, r)
             if table is None:
                 prods = (layer[:, None] @ garr[None]).reshape(-1, r, r) % q
                 prod_keys = _keys(prods, q)
             else:
-                # row i of x g is (row i of x) g: k * L * r gathers
-                prods = table[:, layer].transpose(1, 0, 2).reshape(-1, r)
-                prod_keys = _code_keys(prods, q)
+                prod_keys = _product_keys(table, layer, q)
             keys, first = _first_occurrences(prod_keys)
             fresh = ~_find(seen, keys)[1]
             count = int(fresh.sum())
@@ -233,17 +245,19 @@ class MatGroup:
             if len(seen) + count > cap:
                 raise CapExceededError("group closure", cap)
             t = first[fresh]
-            parents.append(layer_idx[t // k])
-            labels.append(t % k)
+            e, g = np.divmod(t, k)
+            parents.append(layer_idx[e])
+            labels.append(g)
             layers.append((len(seen), len(seen) + count))
-            layer, layer_idx = prods[t], np.arange(*layers[-1])
+            # from the table on, only the fresh products are formed, as codes
+            layer = prods[t] if table is None else table[layer[e], g[:, None]]
+            layer_idx = np.arange(*layers[-1])
             (chunks if table is None else code_chunks).append(layer)
             key_chunks.append(keys[fresh])
             # both runs are sorted, so the stable sort is one merge
             seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
         if code_chunks:
-            chunks.append(np.take(_code_space(q, r),
-                                  np.concatenate(code_chunks), axis=0))
+            chunks.append(np.take(space, np.concatenate(code_chunks), axis=0))
         array, all_keys, tree_parent, tree_gen = map(
             np.concatenate, (chunks, key_chunks, parents, labels))
         sorted_pos = np.argsort(all_keys, kind="stable")
@@ -305,20 +319,24 @@ class MatGroup:
         return self._array
 
     def lookup(self, arr) -> np.ndarray:
-        """Positions of the (M, r, r) matrices in arr among the elements,
-        -1 for those not in the group."""
-        arr = np.asarray(arr, dtype=np.int64)
-        q = self.spec.modulus
-        pos, hit = _find(self._sorted_keys, _keys(arr % q, q))
-        # entries outside [0, q) would alias the key of another matrix
-        hit &= ((arr >= 0) & (arr < q)).all(axis=(1, 2))
-        return np.where(hit, self._sorted_pos[np.minimum(pos, self.order - 1)],
-                        -1)
+        """Positions of the (M, r, r) int64 matrices in arr, entries in
+        [0, q), among the elements, -1 for those not in the group.  An
+        entry outside [0, q) would alias the key of another matrix, so
+        callers reduce their products mod q; a Mat from outside goes
+        through _position, which checks the range."""
+        pos, hit = _find(self._sorted_keys, _keys(arr, self.spec.modulus))
+        out = self._sorted_pos[np.minimum(pos, self.order - 1)]
+        out[~hit] = -1
+        return out
 
     def _position(self, mat: Mat) -> int:
-        r = self.spec.rank
-        shaped = mat.rows == r and mat.cols == r
-        return int(self.lookup(mat.to_array()[None])[0]) if shaped else -1
+        """The position of mat, or -1 when it is not r x r with entries in
+        [0, q) or not in the group."""
+        arr = mat.to_array()
+        r, q = self.spec.rank, self.spec.modulus
+        if arr.shape != (r, r) or arr.min() < 0 or arr.max() >= q:
+            return -1
+        return int(self.lookup(arr[None])[0])
 
     def __contains__(self, mat: Mat) -> bool:
         return self._position(mat) >= 0
@@ -615,7 +633,10 @@ def coset_orders(G: MatGroup, N: MatGroup) -> np.ndarray:
     """For every element x of G the least t >= 1 with x^t in N, the order of
     xN when N is normal; {t : x^t in N} is an ideal containing ord(x).  The
     membership of G's elements in N is one lookup, the powers are gathers
-    through G's power maps."""
+    through G's power maps.  N must be over the same Z/p^n in the same
+    rank."""
+    if N.spec != G.spec:
+        raise InputError("N is not over the same Z/p^n and rank as G")
     return _strip_exponents(G, G.orders(), N.lookup(G.element_array()) >= 0)
 
 

@@ -655,14 +655,21 @@ def _sum_of_products(terms, q: int) -> np.ndarray:
     s = +-1 and x, y int64 N-vectors with entries in [0, q).  Each product
     is below (q-1)^2, so a running bound on the partial sum, as in _howell,
     reduces it only when the next product could pass 2^63 - 1: once at the
-    end for small q, before every product near the int64 limit."""
+    end for small q, before every product near the int64 limit.  A
+    reduction is acc - (acc // q) * q in place, through the product
+    buffer: floor division gives the residue in [0, q) of a negative sum
+    too, and numpy divides by a scalar several times faster in // than in
+    %.  The product (acc // q) * q may wrap past -2^63, but the difference
+    is exact, as it lies in [0, q)."""
     limit, step = 2 ** 63 - 1, (q - 1) ** 2
     acc = np.zeros(len(terms[0][1]), dtype=np.int64)
     term = np.empty_like(acc)
     bound = 0
     for s, x, y in terms:
         if bound > limit - step:
-            acc %= q
+            np.floor_divide(acc, q, out=term)
+            term *= q
+            acc -= term
             bound = q - 1
         np.multiply(x, y, out=term)
         if s < 0:
@@ -670,7 +677,9 @@ def _sum_of_products(terms, q: int) -> np.ndarray:
         else:
             acc += term
         bound += step
-    acc %= q
+    np.floor_divide(acc, q, out=term)
+    term *= q
+    acc -= term
     return acc
 
 
