@@ -26,8 +26,9 @@ p-groups, the constructive conjugation-eigenbasis decomposition of a
 normalized p-group, and coset-representative corrections into Sylow
 normalizers.
 These run on element arrays too: generating sets are the greedy
-positions of _greedy_generators, and _normalizing is the one test that
-elements normalize a group; Mat values appear only in arguments and
+positions of _greedy_generators, grown from a group already closed (the
+trivial group, or a Frattini subgroup), and _normalizing is the one test
+that elements normalize a group; Mat values appear only in arguments and
 results.
 """
 
@@ -283,7 +284,7 @@ class MatGroup:
     def _from_lex_sorted(cls, arr, spec: ModuleSpec, cap: int):
         """Group on the distinct, lexicographically sorted (N, r, r) matrices
         arr, closed from the greedy generators _greedy_generators picks."""
-        grp = _greedy_generators(arr, spec, cap)[1]
+        grp = _greedy_generators(arr, MatGroup.close([], spec), cap)[1]
         if grp.order != len(arr):
             raise InputError("element set is not closed under multiplication")
         return grp
@@ -438,7 +439,7 @@ class MatGroup:
         memory at one (len(pos), r, r) product."""
         q, r = self.spec.modulus, self.spec.rank
         gens = _stack(self.generators, r)
-        gens_inv = _batch_power(gens, self.order - 1, q)
+        gens_inv = _scalar_power(gens, self.order - 1, q)
         X = self._array[pos]
         conj = np.empty((len(gens), len(pos)), dtype=np.int64)
         for g, gi, row in zip(gens, gens_inv, conj):
@@ -484,8 +485,9 @@ class MatGroup:
         changes.  An orbit's least rank is the element the walk over the
         p-elements in that order picks for its class (skipping those in a
         conjugate of an earlier pick), so the result equals that walk's,
-        oracles.reference_cyclic_class_representatives(G, p_elements=True),
-        in the same order.  With no p-element but the identity it is [0]."""
+        the test suite's reference_cyclic_class_representatives(G,
+        p_elements=True), in the same order.  With no p-element but the
+        identity it is [0]."""
         P, e = self._p_elements()
         if len(P) == 1:
             reps = np.zeros(1, dtype=np.int64)
@@ -640,27 +642,6 @@ def coset_orders(G: MatGroup, N: MatGroup) -> np.ndarray:
     return _strip_exponents(G, G.orders(), N.lookup(G.element_array()) >= 0)
 
 
-def _batch_power(arr: np.ndarray, k, q: int) -> np.ndarray:
-    """arr[i]^k[i] mod q by binary powering; k is one exponent or one per
-    matrix, all >= 0.  A matrix leaves the squaring once its exponent is
-    used up.  One exponent for all needs no such bookkeeping: its products
-    go in place through one buffer, with no indexed copies."""
-    if np.ndim(k) == 0:
-        return _scalar_power(arr, int(k), q)
-    k = np.broadcast_to(np.asarray(k, dtype=np.int64), arr.shape[:1]).copy()
-    result = np.broadcast_to(np.eye(arr.shape[1], dtype=np.int64),
-                             arr.shape).copy()
-    base = arr % q
-    live = np.flatnonzero(k)
-    while len(live):
-        odd = live[(k[live] & 1).astype(bool)]
-        result[odd] = (result[odd] @ base[odd]) % q
-        k[live] >>= 1
-        live = live[k[live] > 0]
-        base[live] = (base[live] @ base[live]) % q
-    return result
-
-
 def _scalar_power(arr: np.ndarray, k: int, q: int) -> np.ndarray:
     """arr[i]^k mod q for every matrix by binary powering, k >= 0: the
     peak memory is the result, the squares and one product buffer."""
@@ -752,16 +733,13 @@ def is_p_group(H: MatGroup) -> bool:
     return len(f) <= 1 and (not f or H.spec.p in f)
 
 
-def _greedy_generators(arr, spec: ModuleSpec, cap: int = DEFAULT_CAP,
-                       base=()):
+def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP):
     """(positions, group): the greedy sublist of the (N, r, r) matrices arr
-    that with the Mat list base generates the same group as base and arr,
-    keeping a matrix only when it enlarges the closure so far, and that
-    group, closed from base and the kept matrices in order."""
-    q = spec.modulus
-    kept = []
-    grp = MatGroup.close(base, spec, cap=cap)
-    start = 0
+    that with the closed group base generates the same group as base and
+    arr, keeping a matrix only when it enlarges the closure so far, and
+    that group, closed from base's generators and the kept matrices in
+    order (base itself when nothing is kept)."""
+    spec, kept, grp, start = base.spec, [], base, 0
     while True:
         # the closure only grows, so matrices skipped so far stay inside it
         outside = np.flatnonzero(grp.lookup(arr[start:]) < 0)
@@ -769,28 +747,31 @@ def _greedy_generators(arr, spec: ModuleSpec, cap: int = DEFAULT_CAP,
             return kept, grp
         start += int(outside[0])
         kept.append(start)
-        grp = MatGroup.close(list(base) + [Mat.from_array(arr[i], q)
-                                           for i in kept], spec, cap=cap)
+        grp = MatGroup.close(list(base.generators)
+                             + [Mat.from_array(arr[i], spec.modulus)
+                                for i in kept], spec, cap=cap)
         start += 1
 
 
 def frattini(H: MatGroup) -> MatGroup:
     """Frattini subgroup of a p-group: generated by generator p-th powers and
     the commutator subgroup (equivalent to the maximal-subgroup intersection
-    for p-groups; that definition is kept as a test oracle)."""
+    for p-groups, which the test suite's maximal_subgroup_intersection
+    computes from that definition).  Every generating set is grown from
+    one trivial group, closed once per call."""
     if not is_p_group(H):
         raise PreconditionError("H is a p-group", f"|H| = {H.order}")
     p = H.spec.p
     if H.order == 1:
         return H
     q, r = H.spec.modulus, H.spec.rank
-    cap = H.order + 1
+    cap, trivial = H.order + 1, MatGroup.close([], H.spec)
 
     def generated(arr):
-        return _greedy_generators(arr, H.spec, cap)[1]
+        return _greedy_generators(arr, trivial, cap)[1]
 
     A = _stack(H.generators, r)
-    A = A[_greedy_generators(A, H.spec, cap)[0]]
+    A = A[_greedy_generators(A, trivial, cap)[0]]
     Ai = H.element_array()[H.inverse_indices()[H.lookup(A)]]
     # a b a^-1 b^-1 for a, b in gens, a-major
     ab = (A[:, None] @ A[None]) % q
@@ -805,7 +786,7 @@ def frattini(H: MatGroup) -> MatGroup:
         if not len(extra):
             break
         K = generated(np.concatenate([_stack(K.generators, r), extra]))
-    pth = _batch_power(A, p, q)
+    pth = _scalar_power(A, p, q)
     phi = generated(np.concatenate([_stack(K.generators, r), pth]))
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
@@ -851,7 +832,7 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
         phi = frattini(sub)
         X = sub.element_array()
         # greedy basis of sub/phi in the deterministic element order
-        basis = _greedy_generators(X, spec, sub.order + 1, phi.generators)[0]
+        basis = _greedy_generators(X, phi, sub.order + 1)[0]
         conj = (((ga @ X[basis]) % q) @ gia) % q    # g b g^-1 for each b
         k = len(basis)
         if k == 1:
@@ -889,8 +870,7 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
                 "(internal; hypotheses violated?)")
         cands = reps[eigenvecs @ digits]
         chosen = [Mat.from_array(cands[i], q) for i in
-                  _greedy_generators(cands, spec, sub.order + 1,
-                                     phi.generators)[0]]
+                  _greedy_generators(cands, phi, sub.order + 1)[0]]
         H1 = MatGroup.close(list(phi.generators) + chosen[:1], spec,
                             cap=sub.order + 1)
         H2 = MatGroup.close(list(phi.generators) + chosen[1:], spec,
@@ -907,8 +887,11 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
     regen = MatGroup.close([h for h, _ in pairs], spec, cap=H.order + 1)
     certify(regen.order == H.order and regen.is_subgroup_of(H),
             "decomposition does not regenerate H (internal)")
-    certify(np.array_equal((((ga @ hs) % q) @ gia) % q,
-                           _batch_power(hs, lams, q)),
+    powers = np.empty_like(hs)
+    for lam in _distinct(lams).tolist():
+        at = lams == lam
+        powers[at] = _scalar_power(hs[at], lam, q)
+    certify(np.array_equal((((ga @ hs) % q) @ gia) % q, powers),
             "conjugation identity failed (internal)")
     return Decomposition(pairs)
 

@@ -24,7 +24,7 @@ from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
 from .groups import MatGroup, _primitive_root
 from .ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, _planes,
-                      _plane_det, _sum_of_products)
+                      _plane_det, _sum_of_products, is_prime)
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,9 @@ def _similitude_planes(arr: np.ndarray, space: SymplecticSpace):
 
 
 def gsp4_order(p: int) -> int:
-    """|GSp_4(F_p)| = p^4 (p-1)^3 (p+1)^2 (p^2+1)."""
-    if p < 3:
-        raise InputError("gsp4_order requires p >= 3")
+    """|GSp_4(F_p)| = p^4 (p-1)^3 (p+1)^2 (p^2+1), for a prime p >= 3."""
+    if p < 3 or not is_prime(p):
+        raise InputError(f"gsp4_order requires a prime p >= 3, not {p}")
     return p ** 4 * (p - 1) ** 3 * (p + 1) ** 2 * (p * p + 1)
 
 

@@ -167,6 +167,18 @@ def test_gsp4_formula_only(capsys):
     assert "103680" in capsys.readouterr().out
 
 
+def test_gsp4_needs_a_prime(capsys):
+    """GSp_4(F_6) does not exist: the formula alone refuses p = 6 as
+    --enumerate does, and p = 3 still prints its order."""
+    for argv in (["gsp4", "--p", "6", "--json"],
+                 ["gsp4", "--p", "6", "--enumerate", "--json"]):
+        assert run(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "prime" in captured.err
+    assert run(["gsp4", "--p", "3", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["order_formula"] == 103680
+
+
 def test_gsp4_enumerate(capsys):
     assert run(["gsp4", "--p", "3", "--enumerate", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

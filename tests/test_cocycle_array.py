@@ -13,7 +13,7 @@ import pytest
 
 import h1loc
 from corpus import M, representatives_stop, twist_corpus
-from h1loc import oracles
+import oracles
 from h1loc.cli import EXIT_INTERNAL, run
 from h1loc.cohomology import (Cocycle, _system, coboundaries,
                               cocycle_from_generator_values, cocycle_space,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import h1loc
-from h1loc import oracles
+import oracles
 from h1loc.counterexample import (_witness_sets_meet, build, cocycle_value,
                                   family_matrix, scan_orders, twist_matrix,
                                   verify)

@@ -10,7 +10,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from h1loc import oracles
+import oracles
 from h1loc.errors import InputError
 from h1loc.groups import MatGroup
 from h1loc.ringmat import Mat, ModuleSpec, _planes, batch_det, char_poly

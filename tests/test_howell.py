@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import small_oracle_groups, twist_corpus
-from h1loc import cohomology, oracles
+import oracles
+from h1loc import cohomology
 from h1loc.cohomology import (_CocycleSystem, _system, cocycle_space,
                               satisfies_local_conditions)
 from h1loc.counterexample import build

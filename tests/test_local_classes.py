@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import (M, cohomology_cases, representatives_stop,
                     small_oracle_groups, twist_corpus)
-from h1loc import oracles
+import oracles
 from h1loc.cohomology import _fold, _system
 from h1loc.counterexample import build
 from h1loc.errors import CapExceededError
-from h1loc.groups import MatGroup, _batch_power, _unit_generators
+from h1loc.groups import MatGroup, _unit_generators
 from h1loc.ringmat import Mat, ModuleSpec, RowSystem
 
 
@@ -28,8 +28,8 @@ def covered_by_conjugate_powers(G, reps):
     covered = np.zeros(G.order, dtype=bool)
     for s in reps:
         o = int(G.orders()[s])
-        powers = _batch_power(np.repeat(X[s][None], o, axis=0),
-                              np.arange(o), q)
+        powers = oracles.reference_power(np.repeat(X[s][None], o, axis=0),
+                                         np.arange(o), q)
         conj = (((X[:, None] @ powers[None]) % q) @ Xi[:, None]) % q
         idx = G.lookup(conj.reshape(-1, G.spec.rank, G.spec.rank))
         assert (idx >= 0).all()
@@ -46,7 +46,7 @@ def maximal_cyclic_class_count(G, p_elements=False):
     Xi = X[G.inverse_indices()]
     walk = (oracles.reference_p_element_mask(G) if p_elements
             else np.ones(G.order, dtype=bool))
-    cyclic = {frozenset(G.lookup(_batch_power(
+    cyclic = {frozenset(G.lookup(oracles.reference_power(
         np.repeat(X[s][None], o, axis=0), np.arange(o), q)).tolist())
         for s, o in enumerate(G.orders().tolist()) if walk[s]}
     maximal = [c for c in cyclic if not any(c < d for d in cyclic)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import M, small_oracle_groups, twist_corpus
-from h1loc import oracles
+import oracles
 from h1loc.errors import InputError
 from h1loc.cohomology import _system, h1_loc
 from h1loc.criteria import (_qualifying_search, fixed_point_free_criterion,

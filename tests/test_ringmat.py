@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h1loc import oracles
+import oracles
 from h1loc.errors import InputError
 from h1loc.ringmat import (ExtensionField, Mat, ModuleSpec, _howell_rows,
                            char_poly, eigenvalues_in_ext, is_prime, kernel,

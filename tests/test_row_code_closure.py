@@ -1,6 +1,6 @@
-"""MatGroup.close on row codes against the matmul closure it replaced
-(oracles.reference_close): the same element array, tree, BFS layers,
-sorted keys and key positions, on groups where the row table is never
+"""MatGroup.close on row codes against the reference closure
+(oracles.reference_closure, batched matmuls and a dict of entry bytes):
+the same element array, tree, BFS layers, sorted keys and key positions, on groups where the row table is never
 built, built mid-closure and built for the last step only; and batch_det
 against the Leibniz reference on the same groups."""
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from corpus import byte_key_group, twist_corpus
-from h1loc import groups, oracles
+import oracles
+from h1loc import groups
 from h1loc.counterexample import build
 from h1loc.errors import CapExceededError
 from h1loc.groups import MatGroup, _keys
@@ -34,15 +35,7 @@ def assert_same_closure(G, label=""):
     """G equals the reference closure of its generators, array for array
     and layer for layer, and batch_det agrees with the Leibniz reference on
     its elements."""
-    R = oracles.reference_close(G.generators, G.spec, cap=G.order)
-    for got, want in ((G.element_array(), R.element_array()),
-                      (G.tree_parent, R.tree_parent),
-                      (G.tree_gen, R.tree_gen),
-                      (G._sorted_keys, R._sorted_keys),
-                      (G._sorted_pos, R._sorted_pos)):
-        assert got.dtype == want.dtype, label
-        assert np.array_equal(got, want), label
-    assert G.tree_layers() == R.tree_layers(), label
+    oracles.assert_same_closure(G, label)
     q = G.spec.modulus
     X = G.element_array()
     assert np.array_equal(batch_det(X, q), oracles.reference_batch_det(X, q))
@@ -137,7 +130,7 @@ def test_random_rank3_mod49_match_reference(seed, tables):
     except CapExceededError:
         assert len(tables) == 1
         with pytest.raises(CapExceededError):
-            oracles.reference_close(gens, spec, cap=cap)
+            oracles.reference_closure(gens, spec, cap=cap)
         return
     assert (len(tables) == 1) == _table_expected(G)
     assert_same_closure(G, f"mod 49 seed {seed}")
@@ -211,7 +204,7 @@ def test_cap_overflow_raises_at_the_same_layer(tables):
     for size in boundaries:
         for cap in (int(size) - 1, int(size)):
             try:
-                ref = oracles.reference_close(gens, spec, cap=cap)
+                ref = oracles.reference_closure(gens, spec, cap=cap)
             except CapExceededError:
                 overflows += 1
                 with pytest.raises(CapExceededError):

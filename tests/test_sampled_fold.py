@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corpus import M, cohomology_cases, twist_corpus
-from h1loc import oracles
+import oracles
 from h1loc.cohomology import (_CocycleSystem, _fold, _identity_holds,
                               _system, h1)
 from h1loc.counterexample import build

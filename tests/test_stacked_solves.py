@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from corpus import M, byte_key_group, small_oracle_groups, twist_corpus
-from h1loc import oracles
+import oracles
 from h1loc.cohomology import Cocycle, _system, cocycle_space
 from h1loc.counterexample import build
 from h1loc.criteria import fixed_point_spectrum

@@ -39,8 +39,9 @@ def test_gsp4_order_values():
     assert gsp4_order(3) == 103680
     assert gsp4_order(5) == 37440000
     assert gsp4_order(7) == 7 ** 4 * 6 ** 3 * 8 ** 2 * 50
-    with pytest.raises(InputError):
-        gsp4_order(2)
+    for p in (2, 6, 9):
+        with pytest.raises(InputError):
+            gsp4_order(p)
 
 
 def test_transvections_are_multiplier_one():
