@@ -46,12 +46,16 @@ p-th power of a p-element, conjugation by the generators and x -> x^u
 (u among the generators of (Z/p^E)^*) permute those maximal generators,
 and the classes are the orbits of these permutations.
 Over Z/p^j a submodule is cut out by the linear forms vanishing on it
-(w in ker((s-1)^T) gives w . Z_s = 0).  Z^1 is expanded down the closure
-tree to the last representative (_values), and the rows w . Z_s, in the
-coordinates of Z^1's generators, cut Z^1 to Z^1_loc the way the later
-pairs cut the candidate (_cut): Z^1_loc is their kernel times Z^1's
-generators, and H^1_loc = Z^1_loc / B^1 is a finite abelian group with
-explicit invariant factors and representative cocycles.
+(w in ker((s-1)^T) gives w . Z_s = 0).  The local rows w . Z_s come from
+the same walk as Z^1 (_CocycleSystem._z1), with no walk of their own.
+When the candidate takes every pair they are read off the identity's
+expansion, in the z coordinates, and folded into the residual basis.
+Otherwise they are read off K's expansion, in K's coordinates, and one
+_cut takes them together with the later pairs' rows.  Either way Z^1_loc
+is the kernel of the Howell basis of ann(Z^1) + ann(local rows), and
+H^1_loc = Z^1_loc / B^1 is a finite abelian group with explicit invariant
+factors and representative cocycles.  The class representatives are
+found only when Z^1_loc is asked for: the mod-p image needs H^1 alone.
 
 The per-element certificates run on whole arrays.  The kernels of all the
 s - 1 at the class representatives, and the local witnesses v with
@@ -264,42 +268,57 @@ class _CocycleSystem:
             basis = _fold(basis, rows[rows.any(axis=-1)], self.p, self.j)
         return basis
 
-    @_cached
-    def _z1(self) -> tuple:
-        """(cocycle_basis, z1_gens), with None for z1_gens where it is not
-        at hand, so that only z1_gens takes the kernel of the basis.
+    def _z1(self, local: bool = False) -> tuple:
+        """(basis, K, cut, rows): Z^1, and with local the local rows, from
+        one walk per expansion.  The pass is kept; a call with local after
+        one without runs it again, since the expansions are not kept.
 
         With C the expansion of the identity, the residuals at a pair
         (x, g) are the constraint rows C[x] + x E_g - C[x g], and Z^1 is
         their kernel over all k * N pairs; the kernel of any subset of the
-        rows contains it.  The candidate K is the kernel at the pairs of
-        the first BFS layers holding at least _FIRST elements, whose
-        products lie at most one layer further, so the identity is expanded
-        only that far; when that layer is the last, every pair is taken and
-        nothing is left to check.  K is then expanded once, and the
-        residuals of every later pair, taken in K's coordinates (the
-        residual of the cocycle c K is R c, where column t of R is the
-        residual of K's row t), cut it down: Z^1 is exactly the kernel of
-        those rows times K (_cut).  Over Z/p^j a row span is the
-        annihilator of its kernel, so with no cut the candidate's Howell
-        basis is the whole stack's, and after one the stack's basis is the
-        annihilator of Z^1."""
-        p, j = self.p, self.j
-        ends = [1] + [end for _, end in self.G.tree_layers()] + [self.size]
-        i = min(np.searchsorted(ends, _FIRST), len(ends) - 2)
-        # an expansion that reaches the last layer takes every pair
-        stop = ends[i + 1]
-        first = ends[i] if stop < self.size else stop
-        eye = np.eye(self.dim, dtype=np.int64)
-        basis = self._residual_basis(self._values(eye, stop),
-                                     self._blocks(eye), 0, first)
-        if first == self.size:
-            return basis, None
-        K = RowSystem(basis.T, p, j).kernel()
-        if len(cut := self._residual_basis(self._values(K), self._blocks(K),
-                                           first, self.size)):
-            return self._cut(K, cut), None
-        return basis, K
+        rows contains it.  The candidate is the kernel at the pairs of the
+        first BFS layers holding at least _FIRST elements, whose products
+        lie at most one layer further, so the identity is expanded only
+        that far, and basis is their Howell basis.  When that layer is the
+        last, every pair is taken: K is None, cut is empty and basis is
+        the annihilator of Z^1.  Otherwise K is the candidate's kernel,
+        expanded once, and cut is the Howell basis of the residuals of
+        every later pair in K's coordinates (the residual of the cocycle
+        c K is R c, where column t of R is the residual of K's row t), so
+        that Z^1 is the kernel of cut times K (_cut).
+
+        rows, when asked for, are the local rows w V[s] with w (s - 1) = 0
+        at each cyclic class representative s, read off the same expansion
+        V (C, or K's): in the z coordinates when K is None, else in K's.
+        The kernels of all the s - 1 come from one stacked Howell call."""
+        with self._lock:
+            done = self.__dict__.get("_z1_pass")
+            if done is not None and (done[3] is not None or not local):
+                return done
+            p, j, q = self.p, self.j, self.q
+            if local:
+                reps = self.G.cyclic_class_representatives()
+                B = (self.acts[reps] - np.eye(self.m, dtype=np.int64)) % q
+                # w B = 0 makes w . v = 0 a test for v in Im(B); over Z/p^j
+                # the double annihilator recovers the image exactly
+                W, live = RowSystemStack(B, p, j).kernels()
+            ends = [1] + [end for _, end in self.G.tree_layers()] + [self.size]
+            i = min(np.searchsorted(ends, _FIRST), len(ends) - 2)
+            # an expansion that reaches the last layer takes every pair
+            stop = ends[i + 1]
+            first = ends[i] if stop < self.size else stop
+            eye = np.eye(self.dim, dtype=np.int64)
+            V = self._values(eye, stop)
+            basis = self._residual_basis(V, self._blocks(eye), 0, first)
+            K, cut = None, basis[:0]
+            if first < self.size:
+                K = RowSystem(basis.T, p, j).kernel()
+                V = self._values(K)
+                cut = self._residual_basis(V, self._blocks(K), first,
+                                           self.size)
+            rows = ((W @ V[reps]) % q)[live] if local else None
+            self._z1_pass = basis, K, cut, rows
+            return self._z1_pass
 
     def _cut(self, K: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Howell basis of the annihilator of Z, the span of the cocycles
@@ -312,54 +331,52 @@ class _CocycleSystem:
         Z = RowSystem(rows.T, p, j).kernel().astype(object) @ K % self.q
         return RowSystem(Z.astype(np.int64).T, p, j).kernel()
 
+    @_cached
     def cocycle_basis(self) -> np.ndarray:
         """Howell basis of the cocycle constraint rows for every generator
-        and element."""
-        return self._z1()[0]
+        and element: the candidate's, or after a cut the annihilator of
+        Z^1.  Over Z/p^j a row span is the annihilator of its kernel, so
+        it is the whole stack's either way."""
+        basis, K, cut, _ = self._z1()
+        return self._cut(K, cut) if len(cut) else basis
 
     @_cached
     def z1_gens(self) -> np.ndarray:
-        basis, K = self._z1()
-        return RowSystem(basis.T, self.p, self.j).kernel() if K is None else K
+        """Z^1: the candidate K when no later pair cuts it, else the kernel
+        of cocycle_basis()."""
+        _, K, cut, _ = self._z1()
+        if K is not None and not len(cut):
+            return K
+        return RowSystem(self.cocycle_basis().T, self.p, self.j).kernel()
 
     @_cached
     def b1_gens(self) -> np.ndarray:
         """Rows spanning B^1 in the z coordinates: row t is the coboundary
         of the basis vector e_t, column t of g - 1 at each generator g, so
         v @ b1_gens() is the coboundary of v."""
-        gens = self.acts[[self.G.index_of(g) for g in self.G.generators]]
-        D = (gens - np.eye(self.m, dtype=np.int64)) % self.q
+        D = (_stack(self.G.generators, self.m)
+             - np.eye(self.m, dtype=np.int64)) % self.q
         return D.transpose(2, 0, 1).reshape(self.m, self.dim)
 
     @_cached
     def b1_system(self) -> RowSystem:
         return RowSystem(self.b1_gens(), self.p, self.j)
 
-    def local_constraints(self) -> np.ndarray:
-        """Rows w V[s] in the coordinates of z1_gens(), with w (s - 1) = 0
-        at each cyclic class representative s, where V[s] is the value at
-        s of the expansion of z1_gens() (_values) down to the end of the
-        BFS layer that holds the last representative.  The kernels of all
-        the s - 1 come from one stacked Howell call."""
-        reps = self.G.cyclic_class_representatives()
-        B = (self.acts[reps] - np.eye(self.m, dtype=np.int64)) % self.q
-        # w B = 0 makes w . v = 0 a test for v in Im(B); over Z/p^j the
-        # double annihilator recovers the image exactly
-        W, live = RowSystemStack(B, self.p, self.j).kernels()
-        ends = [1] + [end for _, end in self.G.tree_layers()]
-        stop = ends[np.searchsorted(ends, reps.max(initial=0), side="right")]
-        V = self._values(self.z1_gens(), stop)[reps]
-        return ((W @ V) % self.q)[live]
-
     @_cached
     def z1loc_gens(self) -> np.ndarray:
         """Z^1_loc: z1_gens() when the local rows all vanish on Z^1, else
-        Z^1 cut by them (_cut), as _z1 cuts its candidate."""
-        rows = self.local_constraints()
+        the kernel of the Howell basis of Z^1's constraint rows stacked
+        with the local rows.  Without K that is basis with the local rows
+        folded in; with K it is K cut once by the later pairs' rows and
+        the local rows together (_cut)."""
+        basis, K, cut, rows = self._z1(local=True)
         if not rows.any():
             return self.z1_gens()
-        return RowSystem(self._cut(self.z1_gens(), rows).T, self.p,
-                         self.j).kernel()
+        if K is None:
+            basis = _fold(basis, rows, self.p, self.j)
+        else:
+            basis = self._cut(K, np.concatenate([cut, rows]))
+        return RowSystem(basis.T, self.p, self.j).kernel()
 
     @_cached
     def h1_structure(self) -> AbelianStructure:
@@ -430,10 +447,10 @@ def h1_loc(G: MatGroup, module_exponent=None) -> CohomGroup:
 def sizes(G: MatGroup, module_exponent=None):
     """(|Z^1|, |B^1|, |H^1|, |H^1_loc|) from the linear-algebra path."""
     sys = _system(G, module_exponent)
-    z1 = span_order(sys.z1_gens(), sys.p, sys.j) if len(sys.z1_gens()) else 1
-    b1 = span_order(sys.b1_gens(), sys.p, sys.j) if len(sys.b1_gens()) else 1
-    zl = span_order(sys.z1loc_gens(), sys.p, sys.j) \
-        if len(sys.z1loc_gens()) else 1
+    # Z^1_loc first: the walk that gives it serves Z^1 too
+    zl, z1, b1 = (span_order(gens, sys.p, sys.j) if len(gens) else 1
+                  for gens in (sys.z1loc_gens(), sys.z1_gens(),
+                               sys.b1_gens()))
     return z1, b1, z1 // b1, zl // b1
 
 

@@ -533,10 +533,16 @@ class MatGroup:
                 and bool((other.lookup(self._array) >= 0).all()))
 
     def reduce_mod(self, j: int, cap: int = DEFAULT_CAP) -> "MatGroup":
-        """Image of the group under entrywise reduction mod p^j."""
+        """Image of the group under entrywise reduction mod p^j, closed from
+        the distinct reduced generators other than the identity, in their
+        first order.  A product with the identity or a repeated generator
+        is never fresh, so the elements, tree_parent and layers are those
+        of closing every reduced generator; tree_gen indexes the kept ones."""
         sub = self.spec.with_exponent(j)
-        return MatGroup.close([g.reduce_mod(sub.modulus) for g in self.generators],
-                              sub, cap=cap)
+        gens = dict.fromkeys(g.reduce_mod(sub.modulus).key()
+                             for g in self.generators)
+        gens.pop(Mat.identity(sub.rank, sub.modulus).key(), None)
+        return MatGroup.close(list(gens), sub, cap=cap)
 
     def scalar_elements(self):
         """The scalar elements c * Id, found with one mask over the element

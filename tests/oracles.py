@@ -365,9 +365,10 @@ def reference_is_valid(Z) -> bool:
 
 def reference_local_constraints(G, module_exponent=None,
                                 reps=None) -> np.ndarray:
-    """_CocycleSystem.local_constraints with one RowSystem kernel per cyclic
-    class representative (or per element position in reps), as a
-    reference for the stacked kernels."""
+    """The local rows of _CocycleSystem._z1 in the stacked generator
+    values, with one RowSystem kernel per cyclic class representative (or
+    per element position in reps), as a reference for the stacked
+    kernels."""
     j = module_exponent if module_exponent is not None else G.spec.n
     p, m = G.spec.p, G.spec.rank
     q = p ** j

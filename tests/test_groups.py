@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from corpus import M, small_oracle_groups, twist_corpus
 import oracles
 from h1loc import groups as groups_module
-from h1loc.cohomology import coboundaries, restrict
-from h1loc.counterexample import family_matrix, twist_matrix
+from h1loc.cohomology import _system, coboundaries, restrict
+from h1loc.counterexample import build, family_matrix, twist_matrix
 from h1loc.errors import CapExceededError, InputError, PreconditionError
-from h1loc.groups import (MatGroup, _normalizer_mask, _scalar_power,
+from h1loc.groups import (MatGroup, _normalizer_mask, _scalar_power, _stack,
                           decompose_generators, element_order,
                           find_normalized_sylow, frattini, lift_normalizer,
                           normalizer, p_sylow, sylow_normalizer_element,
@@ -134,6 +134,37 @@ def test_normalizer_brute_force():
     assert N.order == 12
     with pytest.raises(InputError):
         normalizer(H, G)
+
+
+def test_reduce_mod_drops_identity_and_repeated_generators():
+    """The mod-p image closes from the distinct reduced generators other
+    than the identity, and keeps every position of closing them all: the
+    element array, tree_parent, the layers, the sorted keys and the tree
+    edges' matrices.  H^1 at j = 1 does not change."""
+    groups = [G for _label, _p, _g, G in twist_corpus()]
+    groups += [build(p).G2 for p in (5, 11, 17)]
+    dropped = 0
+    for G in groups:
+        spec = G.spec.with_exponent(1)
+        Q = G.reduce_mod(1)
+        ref = MatGroup.close([g.reduce_mod(spec.modulus)
+                              for g in G.generators], spec)
+        for a, b in ((Q.element_array(), ref.element_array()),
+                     (Q.tree_parent, ref.tree_parent),
+                     (Q._sorted_keys, ref._sorted_keys),
+                     (Q._sorted_pos, ref._sorted_pos)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert Q.tree_layers() == ref.tree_layers()
+        edge = [_stack(H.generators, 2)[H.tree_gen[1:]] for H in (Q, ref)]
+        assert np.array_equal(*edge)
+        kept = [g.key() for g in Q.generators]
+        assert len(set(kept)) == len(kept)
+        assert set(kept) == {g.key() for g in ref.generators} - {
+            Q.identity.key()}
+        dropped += len(kept) < len(G.generators)
+        assert (_system(Q).h1_structure().invariant_factors
+                == _system(ref).h1_structure().invariant_factors)
+    assert dropped == 98 + 3
 
 
 def test_subgroup_of_a_group_over_another_modulus_is_refused():

@@ -4,6 +4,7 @@ residuals of every later pair in its own coordinates, against the
 full-stack fold oracles.reference_cocycle_basis; and the Sylow ascent over
 p-elements."""
 
+import collections
 import hashlib
 import json
 import tracemalloc
@@ -109,13 +110,64 @@ def test_failed_sample_is_refined(monkeypatch, p, n, gens, checks):
 
 def test_certified_kernel_is_kept_as_z1_gens():
     """On <u> mod 7^3 every residual of the later pairs vanishes, since
-    1 + u + ... + u^342 = 0 mod 343: the candidate is Z^1 and is kept."""
+    1 + u + ... + u^342 = 0 mod 343: the candidate K is Z^1 and is kept."""
     G = MatGroup.close([M([[1, 1], [0, 1]], 343)], ModuleSpec(7, 3, 2))
     sys = _system(G, 3)
-    basis, z1 = sys._z1()
-    assert sys.z1_gens() is z1 and sys.cocycle_basis() is basis
-    assert np.array_equal(z1, kernel(basis, 7, 3))
+    basis, K, cut, rows = sys._z1()
+    assert K is not None and not len(cut) and rows is None
+    assert sys.z1_gens() is K and sys.cocycle_basis() is basis
+    assert np.array_equal(K, kernel(basis, 7, 3))
     assert np.array_equal(basis, oracles.reference_cocycle_basis(G, 3))
+
+
+def _fresh(label):
+    """The twist-corpus group labelled label, closed again, so that no
+    cohomology of it is cached yet."""
+    G = next(G for name, _p, _g, G in twist_corpus() if name == label)
+    return MatGroup.close(G.generators, G.spec)
+
+
+@pytest.mark.parametrize("label, walks, cuts, later", [
+    # 25 elements: the candidate takes every pair, and the local rows are
+    # read off the identity's expansion
+    ("p5 g=id H=H2", 1, 0, False),
+    # 375 elements: the local rows are read off K's expansion, the walk
+    # that checks the later pairs; these leave K whole, the local rows cut
+    # it
+    ("p5 g=order3 H=pE12", 2, 1, False),
+    # 343 elements: the later pairs and the local rows both cut K, and
+    # one _cut takes them together
+    ("p7 g=unipotent H=h(1,0)", 2, 1, True),
+])
+def test_h1loc_walks_once_per_expansion(monkeypatch, label, walks, cuts,
+                                        later):
+    """h1loc_structure() on a fresh system walks _values once per
+    expansion it needs, and cuts K at most once; later says whether the
+    later pairs cut K."""
+    calls = collections.Counter()
+    values, cut = _CocycleSystem._values, _CocycleSystem._cut
+
+    def count_values(self, K, stop=None):
+        calls["_values"] += 1
+        return values(self, K, stop)
+
+    def count_cut(self, K, rows):
+        calls["_cut"] += 1
+        return cut(self, K, rows)
+
+    monkeypatch.setattr(_CocycleSystem, "_values", count_values)
+    monkeypatch.setattr(_CocycleSystem, "_cut", count_cut)
+    G = _fresh(label)
+    sys = _system(G, 2)
+    sys.h1loc_structure()
+    assert (calls["_values"], calls["_cut"]) == (walks, cuts)
+    monkeypatch.undo()
+    _basis, K, cut_rows, rows = sys._z1(local=True)
+    assert (K is None) == (walks == 1)
+    assert rows.any() and bool(len(cut_rows)) == later
+    ref = oracles.reference_cocycle_basis(G, 2)
+    loc = _fold(ref, oracles.reference_local_constraints(G, 2), sys.p, 2)
+    assert np.array_equal(sys.z1loc_gens(), kernel(loc, sys.p, 2))
 
 
 def test_in_z1_compares_the_generator_values():

@@ -116,14 +116,16 @@ def _corpus_groups(max_order=150):
 
 
 def test_local_constraints_match_per_representative_loop():
-    """The local rows in the coordinates of z1_gens() are the reference
-    rows, in the stacked generator values, times z1_gens()."""
+    """The local rows are the reference rows, in the stacked generator
+    values, times the coordinates they are taken in: the candidate K's,
+    or the stacked generator values themselves when there is no K."""
     for G in _corpus_groups(max_order=700):
         for j in range(1, G.spec.n + 1):
             sys = _system(G, j)
-            got = sys.local_constraints()
+            _basis, K, _cut, got = sys._z1(local=True)
+            coords = np.eye(sys.dim, dtype=np.int64) if K is None else K
             ref = oracles.reference_local_constraints(G, j)
-            want = (ref.astype(object) @ sys.z1_gens().T.astype(object)
+            want = (ref.astype(object) @ coords.T.astype(object)
                     % sys.q).astype(np.int64)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
