@@ -25,7 +25,8 @@ from .cohomology import h1, h1_loc
 from .criteria import (fixed_point_free_criterion, similitude_criterion,
                        sylow_normalizer_criterion)
 from .errors import CapExceededError, InputError, InternalError
-from .groups import DEFAULT_CAP, MatGroup, decompose_generators
+from .groups import (DEFAULT_CAP, MatGroup, _refuse_singular,
+                     decompose_generators)
 from .ringmat import Mat, ModuleSpec
 from .symplectic import (eigenvalue_pairing_sweep, gsp4_generators,
                          gsp4_order)
@@ -129,10 +130,9 @@ def parse_group(text: str) -> GroupDescription:
                                  f"entries, expected {spec.rank} "
                                  f"(non-square matrix)")
             rows.append(vals)
-        mat = Mat.from_rows(rows, q)
-        if not mat.is_invertible():
-            raise InputError(f"generator {len(gens) + 1} not invertible")
         gens.append(rows)
+    if gens:
+        _refuse_singular(gens, q)
     return GroupDescription(spec.p, spec.n, spec.rank, gens, symplectic)
 
 

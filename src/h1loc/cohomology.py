@@ -69,7 +69,6 @@ coefficients in the p^j-torsion (the action factors through reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Optional
 
 import numpy as np
@@ -566,7 +565,7 @@ def torsion_isomorphism_check(G: MatGroup, delta: Mat) -> TorsionIsomorphismRepo
     spec = G.spec
     if delta not in G:
         raise PreconditionError("delta is an element of G")
-    if gcd(delta.minus_identity().det(), spec.modulus) != 1:
+    if not _bijective_shifts(delta.to_array()[None], spec.modulus)[0]:
         raise PreconditionError("delta - 1 is bijective",
                                 "determinant is not a unit")
     lhs = h1(G, module_exponent=1)

@@ -12,9 +12,10 @@ keys of a layer's products are those lookups combined by Horner, with no
 array of the products; only the fresh ones, the next layer, are formed.
 
 Also here: element orders from prime power maps (one cached map per
-prime), the p-elements from the p-power map alone, and one generator per
-conjugacy class of maximal cyclic p-subgroups, where cohomology.h1_loc
-imposes its local conditions.  A p-element x != 1 generates a maximal
+prime), inverses by adjugate (ringmat.batch_inv), the p-elements from the
+p-power map alone, and one generator per conjugacy class of maximal
+cyclic p-subgroups, where cohomology.h1_loc imposes its local
+conditions.  A p-element x != 1 generates a maximal
 cyclic p-subgroup exactly when it is not the p-th power of a p-element;
 conjugation by the generators and x -> x^u, for u among the generators
 of (Z/p^E)^*, permute those maximal generators; so the classes are the
@@ -43,7 +44,8 @@ import numpy as np
 
 from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
-from .ringmat import Mat, ModuleSpec, RowSystem, _howell_rows
+from .ringmat import (Mat, ModuleSpec, RowSystem, _factor, _howell_rows,
+                      batch_det, batch_inv)
 
 DEFAULT_CAP = 200_000
 
@@ -142,6 +144,14 @@ def _stack(mats, r: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(mats), r, r)
 
 
+def _refuse_singular(gens, q: int) -> None:
+    """InputError naming the first of the (k, r, r) generators gens, k >= 1,
+    whose determinant is not a unit mod q: one batch_det for all of them."""
+    unit = np.gcd(batch_det(gens, q), q) == 1
+    if not unit.all():
+        raise InputError(f"generator {unit.argmin() + 1} not invertible")
+
+
 def _cached(fill):
     """Method decorator for a lazy cache: the first call runs fill under the
     owner's lock (self._lock, reentrant) and later calls reuse its value, so
@@ -215,10 +225,11 @@ class MatGroup:
             g = Mat.from_rows(g.entries if isinstance(g, Mat) else g, q)
             if g.rows != r or g.cols != r:
                 raise InputError(f"generator {i + 1} is not {r}x{r}")
-            if not g.is_invertible():
-                raise InputError(f"generator {i + 1} not invertible")
             gens.append(g)
         k = len(gens)
+        garr = _stack(gens, r)
+        if k:
+            _refuse_singular(garr, q)
         layer = np.eye(r, dtype=np.int64)[None]
         layer_idx = np.zeros(1, dtype=np.int64)
         seen = _keys(layer, q)
@@ -226,7 +237,6 @@ class MatGroup:
         chunks, code_chunks, key_chunks = [layer], [], [seen]
         parents, labels = [np.array([-1])], [np.array([-1])]
         layers = []
-        garr = _stack(gens, r)
         space = table = None
         while k:
             if table is None and len(seen) >= q ** r:
@@ -398,15 +408,9 @@ class MatGroup:
 
     @_cached
     def inverse_indices(self) -> np.ndarray:
-        """Position of the inverse of every element: x^-1 = x^(t-1) for its
-        order t, one scalar power over the elements of each distinct
-        order."""
-        o = self.orders()
-        inv = np.empty(self.order, dtype=np.int64)
-        for t in _distinct(o).tolist():
-            at = np.flatnonzero(o == t)
-            inv[at] = self.lookup(_scalar_power(self._array[at], t - 1,
-                                                self.spec.modulus))
+        """Position of the inverse of every element: one lookup of the
+        adjugates batch_inv forms, with no element order."""
+        inv = self.lookup(batch_inv(self._array, self.spec.modulus))
         inv.flags.writeable = False
         return inv
 
@@ -439,7 +443,7 @@ class MatGroup:
         memory at one (len(pos), r, r) product."""
         q, r = self.spec.modulus, self.spec.rank
         gens = _stack(self.generators, r)
-        gens_inv = _scalar_power(gens, self.order - 1, q)
+        gens_inv = batch_inv(gens, q)
         X = self._array[pos]
         conj = np.empty((len(gens), len(pos)), dtype=np.int64)
         for g, gi, row in zip(gens, gens_inv, conj):
@@ -566,19 +570,6 @@ def element_order(A: Mat, cap: int = 10 ** 6) -> int:
         if k > cap:
             raise CapExceededError("element order iteration", cap)
     return k
-
-
-def _factor(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _primitive_root(p: int) -> int:
@@ -778,7 +769,7 @@ def frattini(H: MatGroup) -> MatGroup:
 
     A = _stack(H.generators, r)
     A = A[_greedy_generators(A, trivial, cap)[0]]
-    Ai = H.element_array()[H.inverse_indices()[H.lookup(A)]]
+    Ai = batch_inv(A, q)
     # a b a^-1 b^-1 for a, b in gens, a-major
     ab = (A[:, None] @ A[None]) % q
     comm_arr = ((((ab @ Ai[:, None]) % q) @ Ai[None]) % q).reshape(-1, r, r)
@@ -855,7 +846,7 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
             reps = ((reps[:, None] @ powers[None]) % q).reshape(-1, r, r)
         # g b_j g^-1 lies in the coset reps[c] phi with c its coordinates:
         # exactly one (g b_j g^-1)^-1 reps[c] is in phi
-        conj_inv = X[sub.inverse_indices()[sub.lookup(conj)]]
+        conj_inv = batch_inv(conj, q)
         hits = phi.lookup(((conj_inv[:, None] @ reps[None]) % q)
                           .reshape(-1, r, r)).reshape(k, -1) >= 0
         certify((hits.sum(axis=1) == 1).all(),

@@ -10,11 +10,19 @@ All matrices are dense, entries are canonical representatives in [0, p^n),
 and every operation is a pure function.  Many small systems over the same
 ring are solved as one stack (RowSystemStack), with the same answers as one
 RowSystem each.
+
+Determinants and inverses have one routine each, on entry planes (_planes:
+entry (i, j) of N matrices as one contiguous N-vector).  _plane_det, a
+Laplace expansion down the rows, gives batch_det, Mat.det, the principal
+minors of char_poly and the bijective-shift test; batch_inv, adj(x)
+det(x)^-1 with each cofactor a _plane_det, gives Mat.inv and the group
+inverses.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
@@ -130,13 +138,17 @@ class Mat:
             for i in range(self.rows)), q)
 
     def add(self, other: "Mat") -> "Mat":
-        q = self.modulus
-        return Mat(tuple(tuple((x + y) % q for x, y in zip(r, s))
-                         for r, s in zip(self.entries, other.entries)), q)
+        return self._entrywise(other, operator.add)
 
     def sub(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "Mat", op) -> "Mat":
+        if (self.rows, self.cols, self.modulus) != \
+                (other.rows, other.cols, other.modulus):
+            raise InputError("dimension/modulus mismatch in matrix sum")
         q = self.modulus
-        return Mat(tuple(tuple((x - y) % q for x, y in zip(r, s))
+        return Mat(tuple(tuple(op(x, y) % q for x, y in zip(r, s))
                          for r, s in zip(self.entries, other.entries)), q)
 
     def scale(self, c: int) -> "Mat":
@@ -170,34 +182,24 @@ class Mat:
         return result
 
     def det(self) -> int:
-        """Determinant as an element of Z/modulus (exact integer Bareiss, then reduce)."""
+        """Determinant as an element of Z/modulus (batch_det; 1 for 0 x 0)."""
         if self.rows != self.cols:
             raise InputError("determinant of non-square matrix")
-        return _int_det(self.entries) % self.modulus
+        if not self.rows:
+            return 1 % self.modulus
+        return int(batch_det([self.entries], self.modulus)[0])
 
     def is_invertible(self) -> bool:
         return gcd(self.det(), self.modulus) == 1
 
     def inv(self) -> "Mat":
-        """Inverse by Gauss-Jordan with unit pivots (works over Z/q)."""
+        """Inverse as adj(A) det(A)^-1 (batch_inv; itself for 0 x 0)."""
         if self.rows != self.cols:
             raise InputError("inverse of non-square matrix")
-        q = self.modulus
-        size = self.rows
-        a = [list(r) + [1 if i == j else 0 for j in range(size)]
-             for i, r in enumerate(self.entries)]
-        for col in range(size):
-            piv = next((i for i in range(col, size) if gcd(a[i][col], q) == 1), None)
-            if piv is None:
-                raise InputError("matrix is not invertible")
-            a[col], a[piv] = a[piv], a[col]
-            inv_p = pow(a[col][col], -1, q)
-            a[col] = [(x * inv_p) % q for x in a[col]]
-            for i in range(size):
-                if i != col and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [(x - f * y) % q for x, y in zip(a[i], a[col])]
-        return Mat(tuple(tuple(row[size:]) for row in a), q)
+        if not self.rows:
+            return self
+        return Mat.from_array(batch_inv([self.entries], self.modulus)[0],
+                              self.modulus)
 
     def minus_identity(self) -> "Mat":
         return self.sub(Mat.identity(self.rows, self.modulus))
@@ -305,10 +307,11 @@ def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
     return _howell(M, p, n)[0]
 
 
-def _unit_inverses(u: np.ndarray, p: int, q: int) -> np.ndarray:
-    """u^-1 mod q = u^(phi(q) - 1) for every unit in u, by binary powering
-    on the whole array; entries that are not units give no inverse."""
-    e = q - q // p - 1
+def _unit_inverses(u: np.ndarray, phi: int, q: int) -> np.ndarray:
+    """u^-1 mod q = u^(phi - 1), phi = phi(q) Euler's totient, for every
+    unit in u, by binary powering on the whole array; entries that are not
+    units give no inverse."""
+    e = phi - 1
     result = np.ones_like(u)
     base = u % q
     while e:
@@ -317,6 +320,21 @@ def _unit_inverses(u: np.ndarray, p: int, q: int) -> np.ndarray:
         base = base * base % q
         e >>= 1
     return result
+
+
+def _factor(n: int) -> dict:
+    """The prime factorization {prime: exponent} of n >= 1, by trial
+    division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _howell_stack(M: np.ndarray, p: int, n: int):
@@ -348,7 +366,8 @@ def _howell_stack(M: np.ndarray, p: int, n: int):
         f = c // d[:, None]
         best = (f % p != 0).argmax(axis=1)
         piv = (W[systems, best] % q
-               * _unit_inverses(f[systems, best], p, q)[:, None] % q)
+               * _unit_inverses(f[systems, best], q - q // p, q)[:, None]
+               % q)
         if bound > 2 ** 63 - 1 - step:
             W %= q
             bound = q - 1
@@ -495,13 +514,7 @@ def quotient_structure(ambient_gens, sub_gens, spec: ModuleSpec,
     """
     p = spec.p
     q = modulus if modulus is not None else spec.modulus
-    n = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        n += 1
-    if p ** n != q:
-        raise InputError("modulus must be a power of spec.p")
+    n = _p_exponent(q, p)
     ambient = [tuple(int(x) % q for x in v) for v in ambient_gens]
     sub = [tuple(int(x) % q for x in v) for v in sub_gens]
     if not ambient:
@@ -536,6 +549,17 @@ def quotient_structure(ambient_gens, sub_gens, spec: ModuleSpec,
     certify(struct.order * sub_order == sys.span_order(),
             "quotient order mismatch (internal)")
     return struct
+
+
+def _p_exponent(q: int, p: int) -> int:
+    """n with q = p^n; InputError when q is no power of p."""
+    n = 0
+    while q > 1 and q % p == 0:
+        q //= p
+        n += 1
+    if q != 1:
+        raise InputError("modulus must be a power of spec.p")
+    return n
 
 
 def _smith_with_inverse(M: np.ndarray, p: int, n: int):
@@ -589,43 +613,16 @@ def _smith_with_inverse(M: np.ndarray, p: int, n: int):
 
 def char_poly(A: Mat, spec: ModuleSpec) -> tuple:
     """Monic characteristic polynomial of A mod p, coefficients from the
-    leading term down: (1, c_{m-1}, ..., c_0)."""
+    leading term down: (1, c_{m-1}, ..., c_0), with c_{m-k} = (-1)^k times
+    the sum of the principal k x k minors (_principal_minors)."""
     if A.rows != A.cols:
         raise InputError("characteristic polynomial of non-square matrix")
+    _p_exponent(A.modulus, spec.p)      # refuses a modulus not a power of p
     p = spec.p
-    m = A.rows
-    lift = [[int(x) for x in row] for row in A.entries]
-    coeffs = [0] * (m + 1)
-    coeffs[0] = 1
-    for kk in range(1, m + 1):
-        e = 0
-        for subset in itertools.combinations(range(m), kk):
-            e += _int_det([[lift[i][j] for j in subset] for i in subset])
-        coeffs[kk] = ((-1) ** kk * e) % p
-    return tuple(coeffs)
-
-
-def _int_det(m) -> int:
-    """Exact integer determinant (Bareiss)."""
-    m = [list(r) for r in m]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign, prev = 1, 1
-    for kk in range(size - 1):
-        if m[kk][kk] == 0:
-            for i in range(kk + 1, size):
-                if m[i][kk] != 0:
-                    m[kk], m[i] = m[i], m[kk]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(kk + 1, size):
-            for j in range(kk + 1, size):
-                m[i][j] = (m[i][j] * m[kk][kk] - m[i][kk] * m[kk][j]) // prev
-        prev = m[kk][kk]
-    return sign * m[size - 1][size - 1]
+    _check_int64(p)
+    P = _planes(A.reduce_mod(p).to_array()[None], p)
+    return (1,) + tuple(int((-1) ** k * _principal_minors(P, k, p)[0] % p)
+                        for k in range(1, A.rows + 1))
 
 
 # entries per block of the copy in _planes: one transposing copy of a
@@ -642,7 +639,7 @@ def _planes(arr: np.ndarray, q: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.int64)
     n, r = arr.shape[:2]
     planes = np.empty((r, r, n), dtype=np.int64)
-    step = max(1, _PLANE_BLOCK // (r * r))
+    step = max(1, _PLANE_BLOCK // (r * r or 1))
     for s in range(0, n, step):
         planes[:, :, s:s + step] = arr[s:s + step].transpose(1, 2, 0)
     if planes.size and (planes.min() < 0 or planes.max() >= q):
@@ -705,6 +702,44 @@ def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
     _plane_det on their _planes copy."""
     _check_int64(q)
     return _plane_det(_planes(arr, q), q)
+
+
+def _principal_minors(P, k: int, q: int) -> np.ndarray:
+    """The sum of the principal k x k minors of the matrices whose entry
+    (i, j) is the N-vector P[i][j], entries in [0, q): one _plane_det on
+    views of P per k-subset of the rows, each minor in [0, q); callers
+    reduce the sum."""
+    return sum(_plane_det([[P[a][b] for b in rows] for a in rows], q)
+               for rows in itertools.combinations(range(len(P)), k))
+
+
+def batch_inv(arr, q: int) -> np.ndarray:
+    """Inverses mod q of the (N, r, r) matrices in arr (r >= 1), as
+    adj(x) det(x)^-1.  Each minor is a _plane_det on views of the _planes
+    copy, det(x) the expansion of row 0 by its cofactors, and det(x)^-1
+    comes from _unit_inverses.  Raises InputError when some det(x) is not a
+    unit, and, through _check_int64, for a modulus past the int64 bound."""
+    _check_int64(q)
+    P = _planes(arr, q)
+    r = len(P)
+    # adj[j, i]: the minor without row i and column j, 1 when r = 1
+    adj = np.ones_like(P)
+    if r > 1:
+        for i, j in itertools.product(range(r), repeat=2):
+            adj[j, i] = _plane_det([[P[a, b] for b in range(r) if b != j]
+                                    for a in range(r) if a != i], q)
+    det = _sum_of_products([((-1) ** j, P[0, j], adj[j, 0])
+                            for j in range(r)], q)
+    if (np.gcd(det, q) != 1).any():
+        raise InputError("matrix is not invertible")
+    phi = q
+    for ell in _factor(q):
+        phi -= phi // ell
+    # minors and det^-1 lie in [0, q), so each product stays below 2^63
+    adj *= (-1) ** np.add.outer(np.arange(r), np.arange(r))[:, :, None]
+    adj *= _unit_inverses(det, phi, q)
+    adj %= q
+    return np.ascontiguousarray(adj.transpose(2, 0, 1))
 
 
 def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:

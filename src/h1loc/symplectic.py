@@ -24,7 +24,8 @@ from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
 from .groups import MatGroup, _primitive_root
 from .ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, _planes,
-                      _plane_det, _sum_of_products, is_prime)
+                      _plane_det, _principal_minors, _sum_of_products,
+                      is_prime)
 
 
 @dataclass(frozen=True)
@@ -186,12 +187,10 @@ def eigenvalue_pairing_sweep(mats: np.ndarray, p: int) -> int:
 def _pairing_coefficients(P: np.ndarray, p: int):
     """(c3, c1) of char(A) = x^4 + c3 x^3 + c2 x^2 + c1 x + c0 for every
     matrix A of the (4, 4, N) planes P, entries in [0, p): c3 = -trace and
-    c1 = -(sum of the principal 3x3 minors), each minor a _plane_det on
-    views of P."""
-    c3 = -sum(P[i, i] for i in range(4)) % p
-    e3 = sum(_plane_det([[P[a, b] for b in idx] for a in idx], p)
-             for idx in itertools.combinations(range(4), 3))
-    return c3, -e3 % p
+    c1 = -(sum of the principal 3x3 minors), both ringmat._principal_minors
+    on P, as char_poly takes them."""
+    return (-_principal_minors(P, 1, p) % p,
+            -_principal_minors(P, 3, p) % p)
 
 
 def invariant_subspaces(G: MatGroup, dim: int, cap: int = 5000):

@@ -1,8 +1,9 @@
 """The entry-plane kernels against per-matrix references: the similitude
 multipliers against Mat products and Mat.det, batch_det against the
 Leibniz expansion on both sides of the moduli where one reduction per
-minor stops fitting in int64, and the pairing sweep's c3 and c1 against
-char_poly, up to the largest prime the multiplier accepts."""
+minor stops fitting in int64, and the pairing sweep's c3 and c1, and
+char_poly's, against the trace and principal minors by the Leibniz
+expansion, up to the largest prime the multiplier accepts."""
 
 import itertools
 from math import isqrt
@@ -105,6 +106,15 @@ def _borel_p5():
     return MatGroup.close(gens, space.spec)
 
 
+def _reference_c3_c1(X: np.ndarray, p: int):
+    """c3 = -trace and c1 = -(sum of the principal 3x3 minors) of the
+    (N, 4, 4) matrices X mod p, each minor by the Leibniz expansion."""
+    c3 = -np.trace(X, axis1=1, axis2=2) % p
+    e3 = sum(oracles.reference_batch_det(X[:, idx][:, :, idx], p)
+             for idx in map(list, itertools.combinations(range(4), 3)))
+    return c3.tolist(), (-e3 % p).tolist()
+
+
 def test_pairing_coefficients_match_char_poly():
     gens, space = gsp4_generators(3)
     B = _borel_p5()
@@ -115,10 +125,13 @@ def test_pairing_coefficients_match_char_poly():
         rng = np.random.default_rng(p)
         X = G.element_array()[rng.choice(G.order, size=500, replace=False)]
         c3, c1 = _pairing_coefficients(_planes(X, p), p)
-        want = [char_poly(Mat.from_array(a, p), ModuleSpec(p, 1, 4))
-                for a in X]
-        assert c3.tolist() == [c[1] for c in want]
-        assert c1.tolist() == [c[3] for c in want]
+        want_c3, want_c1 = _reference_c3_c1(X, p)
+        assert c3.tolist() == want_c3
+        assert c1.tolist() == want_c1
+        cps = [char_poly(Mat.from_array(a, p), ModuleSpec(p, 1, 4))
+               for a in X]
+        assert [c[1] for c in cps] == want_c3
+        assert [c[3] for c in cps] == want_c1
         assert eigenvalue_pairing_sweep(X, p) == 0
 
 
@@ -137,9 +150,12 @@ def test_pairing_exact_at_the_largest_accepted_prime():
         assert eigenvalue_pairing_check(A, space)
     X = np.stack([A.to_array() for A in mats])
     c3, c1 = _pairing_coefficients(_planes(X, p), p)
-    want = [char_poly(A, space.spec) for A in mats]
-    assert c3.tolist() == [c[1] for c in want]
-    assert c1.tolist() == [c[3] for c in want]
+    want_c3, want_c1 = _reference_c3_c1(X, p)
+    assert c3.tolist() == want_c3
+    assert c1.tolist() == want_c1
+    cps = [char_poly(A, space.spec) for A in mats]
+    assert [c[1] for c in cps] == want_c3
+    assert [c[3] for c in cps] == want_c1
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 4, 3), (3, 6, 6), (4, 4),

@@ -78,8 +78,10 @@ def test_orders_and_inverses_match_per_element():
     for G in small_groups():
         assert G.orders().tolist() == [element_order(x) for x in G.elements]
         inv = G.inverse_indices()
-        for i, x in enumerate(G.elements):
-            assert G.elements[inv[i]].key() == x.inv().key()
+        assert inv.tolist() == oracles.reference_inverse_indices(G).tolist()
+        X = G.element_array()
+        assert ((X @ X[inv]) % G.spec.modulus
+                == np.eye(G.spec.rank, dtype=np.int64)).all()
         order_key = [(element_order(G.elements[i]), i)
                      for i in np.argsort(G.orders(), kind="stable")]
         assert order_key == sorted(order_key)

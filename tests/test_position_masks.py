@@ -1,7 +1,8 @@
 """The vanishing criteria on boolean masks over a group's element positions
 against the normalizer subgroup and key-set search they replaced, the Mat
 lists they must not build, subgroups closed from positions, the batched
-determinant and multiplier, and the lazy group caches under threads."""
+determinant, inverse and multiplier, and the lazy group caches under
+threads."""
 
 import sys
 import threading
@@ -18,7 +19,7 @@ from h1loc.criteria import (_qualifying_search, fixed_point_free_criterion,
                             sylow_normalizer_criterion)
 from h1loc.groups import (MatGroup, _normalizer_mask, element_order,
                           normalizer, p_sylow)
-from h1loc.ringmat import Mat, ModuleSpec, batch_det
+from h1loc.ringmat import Mat, ModuleSpec, batch_det, batch_inv
 from h1loc.symplectic import (SymplecticSpace, gsp4_generators,
                               similitude_multiplier, similitude_multipliers)
 
@@ -198,8 +199,9 @@ def test_batch_det_matches_mat_det(pn, r, seed, singular):
     A = rng.integers(0, q, size=(8, r, r))
     if singular:
         A[:, -1] = (A[:, 0] * p ** rng.integers(0, n + 1)) % q
-    got = batch_det(A, q)
-    assert got.tolist() == [Mat.from_array(a, q).det() for a in A]
+    want = oracles.reference_batch_det(A, q).tolist()
+    assert batch_det(A, q).tolist() == want
+    assert [Mat.from_array(a, q).det() for a in A] == want
 
 
 # the largest modulus batch_det accepts: q (q - 1) < 2^63
@@ -217,15 +219,55 @@ def test_batch_det_laplace_matches_leibniz(r, q):
     A[10] = q - 1
     A[11] = np.eye(r, dtype=np.int64) * (q - 1)
     A[12] = np.eye(r, dtype=np.int64)[::-1]
-    got = batch_det(A, q)
-    assert got.tolist() == oracles.reference_batch_det(A, q).tolist()
+    got, want = batch_det(A, q), oracles.reference_batch_det(A, q).tolist()
+    assert got.tolist() == want
     assert (got[:10] == 0).all()
     assert got[11] == pow(q - 1, r, q)
     assert got[12] == (-1) ** (r * (r - 1) // 2) % q
-    assert batch_det(A[:2], q).tolist() == [Mat.from_array(a, q).det()
-                                            for a in A[:2]]
+    assert [Mat.from_array(a, q).det() for a in A[:13]] == want[:13]
     with pytest.raises(InputError):
         batch_det(A[:1], NEAR_INT64_BOUND + 1)
+
+
+@pytest.mark.parametrize("q", [3, 25, 2 ** 31 - 1, 3 ** 19, NEAR_INT64_BOUND])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_batch_inv_times_matrix_is_identity(r, q):
+    """x x^-1 = I in Python integers at every rank 1 to 5, on random and
+    worst-case matrices (entries q - 3 to q - 1, and every entry q - 1)
+    whose Leibniz determinant is a unit; Mat.inv agrees."""
+    rng = np.random.default_rng(r)
+    A = np.concatenate([rng.integers(0, q, size=(30, r, r)),
+                        q - 1 - rng.integers(0, 3, size=(30, r, r))])
+    A[30] = q - 1
+    X = A[np.gcd(oracles.reference_batch_det(A, q), q) == 1]
+    assert len(X) >= 3 and (X >= q - 3).all(axis=(1, 2)).any()
+    Y = batch_inv(X, q)
+    assert Y.shape == X.shape and Y.min() >= 0 and Y.max() < q
+    ident = np.eye(r, dtype=np.int64)
+    assert ((X.astype(object) @ Y.astype(object)) % q == ident).all()
+    assert [Mat.from_array(x, q).inv().to_array().tolist()
+            for x in X[:3]] == Y[:3].tolist()
+
+
+def test_batch_inv_refuses_a_non_unit_det_and_a_large_modulus():
+    A = np.array([[[1, 0], [0, 1]], [[5, 0], [0, 1]]])    # det 5 mod 25
+    with pytest.raises(InputError, match="not invertible"):
+        batch_inv(A, 25)
+    with pytest.raises(InputError, match="not invertible"):
+        Mat.from_array(A[1], 25).inv()
+    assert not Mat.from_array(A[1], 25).is_invertible()
+    with pytest.raises(InputError, match=r"2\^63"):
+        batch_inv(A[:1], NEAR_INT64_BOUND + 1)
+    # Mat.det, Mat.inv and is_invertible refuse the moduli batch_det does,
+    # also past int64 itself
+    for q in (NEAR_INT64_BOUND + 1, 2 ** 61 - 1, 2 ** 70):
+        B = Mat.from_rows([[q - 1, 1], [0, 1]], q)
+        for call in (B.det, B.inv, B.is_invertible):
+            with pytest.raises(InputError, match=r"2\^63"):
+                call()
+    # the 0 x 0 matrix keeps det 1 and is its own inverse
+    E = Mat.identity(0, 5)
+    assert E.det() == 1 and E.is_invertible() and E.inv() == E
 
 
 def test_batch_det_on_gsp4_f3_matches_leibniz():
@@ -271,7 +313,8 @@ def test_large_moduli_are_refused_not_wrapped():
     A = M([[a, 0, 0, 0], [0, a, 0, 0], [0, 0, b, 0], [0, 0, 0, b]], p)
     assert similitude_multiplier(A, space) == a * b % p
     assert similitude_multiplier(A, space) == _reference_multiplier(A, space)
-    assert batch_det(A.to_array()[None], p).tolist() == [A.det()]
+    want = oracles.reference_batch_det(A.to_array()[None], p).tolist()
+    assert batch_det(A.to_array()[None], p).tolist() == want == [A.det()]
     # past the bound the int64 products could wrap: refused, not answered
     p = 2 ** 31 - 1
     space = SymplecticSpace(ModuleSpec(p, 1, 4))

@@ -127,6 +127,59 @@ def test_char_poly_examples():
     assert eig2 == [((1,), 2)]
 
 
+def test_char_poly_refuses_a_modulus_not_a_power_of_p():
+    A = Mat.from_rows([[6, 1], [0, 6]], 7)
+    spec5 = ModuleSpec(5, 1, 2)
+    with pytest.raises(InputError, match="power of spec.p"):
+        char_poly(A, spec5)
+    with pytest.raises(InputError, match="power of spec.p"):
+        eigenvalues_in_ext(A, spec5, 1)
+    # (x - 6)^2 = x^2 + 2x + 1 mod 7, from a matrix mod 7 or mod 49
+    assert char_poly(A, ModuleSpec(7, 1, 2)) == (1, 2, 1)
+    assert char_poly(Mat.from_rows([[13, 8], [0, 6]], 49),
+                     ModuleSpec(7, 2, 2)) == (1, 2, 1)
+    assert char_poly(Mat.identity(0, 7), ModuleSpec(7, 1, 1)) == (1,)
+    # entries past int64 are reduced mod p first; a p past the int64
+    # bound of the minors is refused, not answered
+    assert char_poly(Mat.from_rows([[3 ** 40 - 1, 0], [0, 1]], 3 ** 40),
+                     ModuleSpec(3, 40, 2)) == (1, 0, 2)
+    with pytest.raises(InputError, match=r"2\^63"):
+        char_poly(Mat.identity(2, 2 ** 61 - 1), ModuleSpec(2 ** 61 - 1, 1, 2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_char_poly_satisfies_cayley_hamilton(r):
+    """p(A) = 0 mod p for the characteristic polynomial p of A, by Horner
+    in Python integers."""
+    rng = np.random.default_rng(r)
+    for p, n in ((2, 1), (5, 2), (7, 1), (1518499999, 1)):
+        q = p ** n
+        for a in rng.integers(0, q, size=(10, r, r)):
+            coeffs = char_poly(Mat.from_array(a, q), ModuleSpec(p, n, r))
+            assert len(coeffs) == r + 1 and coeffs[0] == 1
+            A = a.astype(object) % p
+            acc = np.zeros((r, r), dtype=object)
+            for c in coeffs:
+                acc = (acc @ A + c * np.eye(r, dtype=np.int64)) % p
+            assert (acc == 0).all()
+
+
+def test_add_and_sub_refuse_a_shape_or_modulus_mismatch():
+    A = Mat.from_rows([[1, 2, 3], [4, 5, 6]], 7)
+    for B in (Mat.identity(2, 5), Mat.identity(2, 7),
+              Mat.from_rows([[1, 2, 3], [4, 5, 6]], 5),
+              Mat.from_rows([[1, 2], [3, 4], [5, 6]], 7)):
+        for op in (A.add, A.sub):
+            with pytest.raises(InputError, match="mismatch"):
+                op(B)
+    with pytest.raises(InputError, match="mismatch"):
+        A.minus_identity()
+    assert A.add(A).entries == ((2, 4, 6), (1, 3, 5))
+    assert A.sub(A) == Mat.zeros(2, 3, 7)
+    B = Mat.from_rows([[3, 1], [4, 1]], 7)
+    assert B.minus_identity().entries == ((2, 1), (4, 0))
+
+
 def test_eigenvalues_in_quadratic_extension():
     spec7 = ModuleSpec(7, 1, 2)
     A = Mat.from_rows([[0, -1], [1, 0]], 7)
