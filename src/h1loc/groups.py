@@ -116,24 +116,27 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 def _first_occurrences(keys: np.ndarray):
     """(distinct keys sorted, index of the first occurrence of each), as
     np.unique(keys, return_index=True) gives them.  From 256 keys on, where
-    (max key + 1) * n fits in int64 for the n keys, the packed values
-    key * n + index are distinct, so the default sort orders them with no
-    stable argsort and each key's run starts at its first index: one
-    floor division gives the keys (packed codes, so never negative), a run
-    starts where they change, and its first packed value less key * n is
-    that index.  Fewer keys, where np.unique's fixed cost is the smaller,
-    and byte keys go through np.unique."""
+    the n keys' indices fit in b bits and (max key + 1) << b fits in int64,
+    the packed values key << b | index are distinct, so the default sort
+    orders them with no stable argsort and each key's run starts at its
+    first index: a shift gives the keys (packed codes, so never negative),
+    a run starts where they change, and the low b bits of its first packed
+    value are that index.  Fewer keys, where np.unique's fixed cost is the
+    smaller, and byte keys go through np.unique."""
     n = len(keys)
+    b = (n - 1).bit_length()
     if n < 256 or keys.dtype != np.int64 or \
-            (int(keys.max()) + 1) * n > 2 ** 63:
+            (int(keys.max()) + 1) << b > 2 ** 63:
         return np.unique(keys, return_index=True)
-    packed = keys * n
-    packed += np.arange(n)
+    packed = keys << b
+    packed |= np.arange(n)
     packed.sort()
-    keys = packed // n
-    start = np.flatnonzero(np.diff(keys, prepend=-1))
-    keys = keys[start]
-    return keys, packed[start] - keys * n
+    run = packed >> b
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(run[1:], run[:-1], out=start[1:])
+    start = np.flatnonzero(start)
+    return run[start], packed[start] & ((1 << b) - 1)
 
 
 def _stack(mats, r: int) -> np.ndarray:
@@ -267,10 +270,17 @@ class MatGroup:
             key_chunks.append(keys[fresh])
             # both runs are sorted, so the stable sort is one merge
             seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
+        # the element array is filled in place, the coded layers by one
+        # gather; every code lies in [0, q^r), so mode="clip" clips
+        # nothing and spares the copy np.take buffers out= in by default
+        array = np.empty((len(seen), r, r), dtype=np.int64)
+        n_mat = sum(map(len, chunks))
+        np.concatenate(chunks, out=array[:n_mat])
         if code_chunks:
-            chunks.append(np.take(space, np.concatenate(code_chunks), axis=0))
-        array, all_keys, tree_parent, tree_gen = map(
-            np.concatenate, (chunks, key_chunks, parents, labels))
+            np.take(space, np.concatenate(code_chunks), axis=0,
+                    out=array[n_mat:], mode="clip")
+        all_keys, tree_parent, tree_gen = map(
+            np.concatenate, (key_chunks, parents, labels))
         sorted_pos = np.argsort(all_keys, kind="stable")
         for a in (array, sorted_pos, tree_parent, tree_gen):
             a.flags.writeable = False

@@ -16,11 +16,15 @@ entry (i, j) of N matrices as one contiguous N-vector).  _plane_det, a
 Laplace expansion down the rows, gives batch_det, Mat.det, the principal
 minors of char_poly and the bijective-shift test; batch_inv, adj(x)
 det(x)^-1 with each cofactor a _plane_det, gives Mat.inv and the group
-inverses.
+inverses.  The planes are in the narrowest of int16, int32 and int64 that
+holds (q-1)^2 + (q-1) (_entry_dtype, the bound the Howell code checks for
+int64), and the plane kernels reduce against that dtype's maximum; what
+leaves the module is int64.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from bisect import bisect_left
@@ -247,12 +251,21 @@ def _valuation(x: int, p: int, n: int) -> int:
     return v
 
 
+def _entry_dtype(q: int):
+    """The narrowest of int16, int32 and int64 that holds (q-1)^2 + (q-1),
+    a residue plus one product of two residues mod q; InputError past
+    int64 instead of wrapping around silently."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if (q - 1) ** 2 + (q - 1) <= np.iinfo(dtype).max:
+            return dtype
+    raise InputError(f"modulus {q} too large for int64 linear algebra "
+                     f"((q-1)^2 + (q-1) >= 2^63)")
+
+
 def _check_int64(q: int) -> None:
     """Elimination forms x - f * y with x, f, y in [0, q); refuse moduli
-    where that can leave int64 instead of wrapping around silently."""
-    if (q - 1) ** 2 + (q - 1) >= 2 ** 63:
-        raise InputError(f"modulus {q} too large for int64 linear algebra "
-                         f"((q-1)^2 + (q-1) >= 2^63)")
+    where that can leave int64 (_entry_dtype's bound)."""
+    _entry_dtype(q)
 
 
 def _howell(M: np.ndarray, p: int, n: int):
@@ -335,6 +348,15 @@ def _factor(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _totient(q: int) -> int:
+    """Euler's phi(q), from _factor once per modulus."""
+    phi = q
+    for ell in _factor(q):
+        phi -= phi // ell
+    return phi
 
 
 def _howell_stack(M: np.ndarray, p: int, n: int):
@@ -634,32 +656,36 @@ _PLANE_BLOCK = 1 << 16
 def _planes(arr: np.ndarray, q: int) -> np.ndarray:
     """The (N, r, r) matrices arr as one entry-major (r, r, N) array with
     entries in [0, q): planes[i, j] holds entry (i, j) of every matrix as
-    one contiguous N-vector.  The copy is reduced in place, and only when
-    some entry lies outside [0, q)."""
+    one contiguous N-vector.  The copy has the _entry_dtype of q, so int16
+    up to q = 181 and int32 up to q = 46341; entries outside [0, q) are
+    reduced in int64 before it, as the narrowing cast would wrap them."""
+    dtype = _entry_dtype(q)
     arr = np.asarray(arr, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= q):
+        arr = arr % q
     n, r = arr.shape[:2]
-    planes = np.empty((r, r, n), dtype=np.int64)
+    planes = np.empty((r, r, n), dtype=dtype)
     step = max(1, _PLANE_BLOCK // (r * r or 1))
     for s in range(0, n, step):
         planes[:, :, s:s + step] = arr[s:s + step].transpose(1, 2, 0)
-    if planes.size and (planes.min() < 0 or planes.max() >= q):
-        planes %= q
     return planes
 
 
 def _sum_of_products(terms, q: int) -> np.ndarray:
     """sum of s * x * y mod q, in [0, q), over the (s, x, y) in terms with
-    s = +-1 and x, y int64 N-vectors with entries in [0, q).  Each product
-    is below (q-1)^2, so a running bound on the partial sum, as in _howell,
-    reduces it only when the next product could pass 2^63 - 1: once at the
-    end for small q, before every product near the int64 limit.  A
-    reduction is acc - (acc // q) * q in place, through the product
-    buffer: floor division gives the residue in [0, q) of a negative sum
-    too, and numpy divides by a scalar several times faster in // than in
-    %.  The product (acc // q) * q may wrap past -2^63, but the difference
-    is exact, as it lies in [0, q)."""
-    limit, step = 2 ** 63 - 1, (q - 1) ** 2
-    acc = np.zeros(len(terms[0][1]), dtype=np.int64)
+    s = +-1 and x, y N-vectors of one integer dtype (the _planes copy's)
+    with entries in [0, q).  Each product is below (q-1)^2, so a running
+    bound on the partial sum, as in _howell, reduces it only when the next
+    product could pass the dtype's maximum: once at the end for small q,
+    before every product near the dtype's limit.  A reduction is
+    acc - (acc // q) * q in place, through the product buffer: floor
+    division gives the residue in [0, q) of a negative sum too, and numpy
+    divides by a scalar several times faster in // than in %.  The product
+    (acc // q) * q may wrap past the dtype's minimum, but the difference is
+    exact, as it lies in [0, q)."""
+    x = terms[0][1]
+    limit, step = np.iinfo(x.dtype).max, (q - 1) ** 2
+    acc = np.zeros(len(x), dtype=x.dtype)
     term = np.empty_like(acc)
     bound = 0
     for s, x, y in terms:
@@ -698,28 +724,36 @@ def _plane_det(planes, q: int) -> np.ndarray:
 
 
 def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of the (N, r, r) matrices in arr (r >= 1), by
-    _plane_det on their _planes copy."""
-    _check_int64(q)
-    return _plane_det(_planes(arr, q), q)
+    """Determinants mod q of the (N, r, r) matrices in arr (r >= 1), as
+    int64, by _plane_det on their _planes copy."""
+    return _plane_det(_planes(arr, q), q).astype(np.int64)
 
 
 def _principal_minors(P, k: int, q: int) -> np.ndarray:
     """The sum of the principal k x k minors of the matrices whose entry
     (i, j) is the N-vector P[i][j], entries in [0, q): one _plane_det on
-    views of P per k-subset of the rows, each minor in [0, q); callers
-    reduce the sum."""
-    return sum(_plane_det([[P[a][b] for b in rows] for a in rows], q)
-               for rows in itertools.combinations(range(len(P)), k))
+    views of P per k-subset of the rows, each minor in [0, q).  The sum is
+    reduced only when the next minor could pass the maximum of P's dtype,
+    so it stays nonnegative and congruent to the true sum; callers reduce
+    it."""
+    limit = np.iinfo(P[0][0].dtype).max - (q - 1)
+    total = bound = 0
+    for rows in itertools.combinations(range(len(P)), k):
+        if bound > limit:
+            total %= q
+            bound = q - 1
+        total = total + _plane_det([[P[a][b] for b in rows] for a in rows], q)
+        bound += q - 1
+    return total
 
 
 def batch_inv(arr, q: int) -> np.ndarray:
     """Inverses mod q of the (N, r, r) matrices in arr (r >= 1), as
     adj(x) det(x)^-1.  Each minor is a _plane_det on views of the _planes
     copy, det(x) the expansion of row 0 by its cofactors, and det(x)^-1
-    comes from _unit_inverses.  Raises InputError when some det(x) is not a
-    unit, and, through _check_int64, for a modulus past the int64 bound."""
-    _check_int64(q)
+    comes from _unit_inverses; all of it in the _planes copy's dtype, the
+    result as int64.  Raises InputError when some det(x) is not a unit,
+    and, through _entry_dtype, for a modulus past the int64 bound."""
     P = _planes(arr, q)
     r = len(P)
     # adj[j, i]: the minor without row i and column j, 1 when r = 1
@@ -732,20 +766,17 @@ def batch_inv(arr, q: int) -> np.ndarray:
                             for j in range(r)], q)
     if (np.gcd(det, q) != 1).any():
         raise InputError("matrix is not invertible")
-    phi = q
-    for ell in _factor(q):
-        phi -= phi // ell
-    # minors and det^-1 lie in [0, q), so each product stays below 2^63
-    adj *= (-1) ** np.add.outer(np.arange(r), np.arange(r))[:, :, None]
-    adj *= _unit_inverses(det, phi, q)
+    # minors and det^-1 lie in [0, q), so each product fits the dtype
+    sign = (-1) ** np.add.outer(np.arange(r), np.arange(r))
+    adj *= sign.astype(adj.dtype)[:, :, None]
+    adj *= _unit_inverses(det, _totient(q), q)
     adj %= q
-    return np.ascontiguousarray(adj.transpose(2, 0, 1))
+    return np.ascontiguousarray(adj.transpose(2, 0, 1), dtype=np.int64)
 
 
 def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:
     """Mask over the (N, r, r) matrices X: x - 1 is bijective over
     (Z/modulus)^rank."""
-    _check_int64(modulus)
     shift = _planes(X, modulus)
     for i in range(len(shift)):
         shift[i, i] -= 1

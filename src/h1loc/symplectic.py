@@ -75,19 +75,22 @@ def similitude_multipliers(arr: np.ndarray,
     """The multiplier nu of every matrix A in the (N, 2d, 2d) array arr, with
     A^T J A = nu J for a unit nu, or 0 where A is not a similitude; certifies
     det(A) = nu^d at every similitude."""
-    return _similitude_planes(arr, space)[1]
+    return _similitude_planes(arr, space)[1].astype(np.int64)
 
 
 def _similitude_planes(arr: np.ndarray, space: SymplecticSpace):
-    """(planes, nu): the ringmat._planes copy of arr, entries reduced mod q,
-    and similitude_multipliers(arr, space).
+    """(planes, nu): the ringmat._planes copy of arr, entries reduced mod q
+    in the narrowest integer dtype q allows, and similitude_multipliers(arr,
+    space) in that dtype.
 
     From the blocks of J, S = A^T J A has S[i, j] = sum_{k<d} A[k, i]
     A[k+d, j] - A[k+d, i] A[k, j].  S and nu J are antisymmetric and S has
     a zero diagonal, so the entries above the diagonal decide S = nu J:
     nu = S[0, d], S[i, i+d] = nu and the others vanish.  Each entry is one
-    sum of 2d products below (q-1)^2, so the rank check keeps it in int64
-    and it is reduced once."""
+    _sum_of_products of 2d products below (q-1)^2, reduced when the next
+    product could pass the dtype's maximum: once, at the end, for small q
+    (at q = 3 the int16 sum of 2d products of at most 4 never comes near
+    it)."""
     spec = space.spec
     q, d, m = spec.modulus, space.d, spec.rank
     if m * (q - 1) ** 2 >= 2 ** 63:

@@ -3,9 +3,12 @@ multipliers against Mat products and Mat.det, batch_det against the
 Leibniz expansion on both sides of the moduli where one reduction per
 minor stops fitting in int64, and the pairing sweep's c3 and c1, and
 char_poly's, against the trace and principal minors by the Leibniz
-expansion, up to the largest prime the multiplier accepts."""
+expansion, up to the largest prime the multiplier accepts.  Each kernel
+also runs on both sides of the int16 and int32 plane widths, against the
+Leibniz expansion and Python integers."""
 
 import itertools
+import math
 from math import isqrt
 
 import numpy as np
@@ -14,7 +17,9 @@ import pytest
 import oracles
 from h1loc.errors import InputError
 from h1loc.groups import MatGroup
-from h1loc.ringmat import Mat, ModuleSpec, _planes, batch_det, char_poly
+from h1loc import ringmat
+from h1loc.ringmat import (Mat, ModuleSpec, _bijective_shifts, _planes,
+                           _sum_of_products, batch_det, batch_inv, char_poly)
 from h1loc.symplectic import (SymplecticSpace, _pairing_coefficients,
                               eigenvalue_pairing_check,
                               eigenvalue_pairing_sweep, gsp4_generators,
@@ -172,3 +177,150 @@ def test_planes_hold_each_entry_as_one_reduced_vector():
         P = _planes(A, 7)
         assert P.shape == (r, r, n) and P.flags.c_contiguous
         assert np.array_equal(P, A.transpose(1, 2, 0) % 7)
+
+
+# moduli on both sides of each plane-width switch: int16 holds
+# (q-1)^2 + (q-1) up to q = 181, int32 up to q = 46341
+WIDTHS = [(169, np.int16), (181, np.int16), (191, np.int32),
+          (243, np.int32), (46337, np.int32), (46349, np.int64)]
+
+
+def _near_top(q: int, r: int, seed: int) -> np.ndarray:
+    """60 r x r matrices mod q, the worst cases of the width rule first:
+    every entry q - 1, every entry q - 1 off a diagonal of 1, entries in
+    q - 3..q - 1, then random ones."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, q, size=(60, r, r))
+    A[0] = q - 1
+    A[1] = q - 1
+    A[1][np.diag_indices(r)] = 1
+    A[2:30] = q - 1 - rng.integers(0, 3, size=(28, r, r))
+    return A
+
+
+def _as_python(A: np.ndarray) -> np.ndarray:
+    return np.asarray(A).astype(object)
+
+
+@pytest.mark.parametrize("q, dtype", WIDTHS)
+def test_planes_take_the_narrowest_width_of_the_modulus(q, dtype):
+    assert _planes(np.zeros((2, 3, 3), dtype=np.int64), q).dtype == dtype
+
+
+@pytest.mark.parametrize("q, dtype", WIDTHS)
+def test_sum_of_products_exact_at_each_width(q, dtype):
+    """Up to 36 signed products of entries q - 1, q - 2, q - 3 and random
+    ones, against the same sums in Python integers."""
+    A = _near_top(q, 6, q)
+    P = _planes(A, q)
+    pairs = list(itertools.product(range(6), repeat=2))
+    for count in (1, 2, 7, 36):
+        terms = [((-1) ** (i * j + i), P[i, j], P[j, (i + 1) % 6])
+                 for i, j in pairs[:count]]
+        got = _sum_of_products(terms, q)
+        want = sum(s * _as_python(x) * _as_python(y)
+                   for s, x, y in terms) % q
+        assert got.dtype == dtype
+        assert got.tolist() == want.tolist(), count
+
+
+@pytest.mark.parametrize("q, dtype", WIDTHS)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_det_inverse_and_shifts_exact_at_each_width(q, dtype, r):
+    """batch_det against the Leibniz reference, batch_inv by x x^-1 = I in
+    Python integers on every matrix with a unit determinant, and the
+    bijective-shift mask against gcd(det(x - 1), q) = 1; int64 out."""
+    A = _near_top(q, r, q * 10 + r)
+    det = batch_det(A, q)
+    want = oracles.reference_batch_det(A, q)
+    assert det.dtype == np.int64 and det.tolist() == want.tolist()
+    unit = np.gcd(want, q) == 1
+    assert unit.sum() >= 20
+    X = A[unit]
+    inv = batch_inv(X, q)
+    assert inv.dtype == np.int64
+    assert ((inv >= 0) & (inv < q)).all()
+    prods = np.einsum("nij,njk->nik", _as_python(X), _as_python(inv)) % q
+    assert (prods == np.eye(r, dtype=np.int64)).all()
+    shifted = oracles.reference_batch_det(A - np.eye(r, dtype=np.int64), q)
+    assert _bijective_shifts(A, q).tolist() == \
+        (np.gcd(shifted, q) == 1).tolist()
+
+
+@pytest.mark.parametrize("q", [q for q, _ in WIDTHS])
+def test_similitude_multipliers_exact_at_each_width(q):
+    """Similitudes, their multiples by q - 1 (the same multiplier, entries
+    near q - 1), -I and the all-(q-1) matrix, which is no similitude."""
+    p = next(ell for ell in range(2, q + 1) if q % ell == 0)
+    space = SymplecticSpace(ModuleSpec(p, round(math.log(q, p)), 4))
+    sims = _similitudes(space, np.random.default_rng(q), 20)
+    mats = np.stack(sims + [(q - 1) * s % q for s in sims]
+                    + [np.eye(4, dtype=np.int64) * (q - 1),
+                       np.full((4, 4), q - 1)])
+    got = similitude_multipliers(mats, space)
+    want = [_reference_multiplier(Mat.from_array(a, q), space) for a in mats]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert want[-2] == 1 and want[-1] == 0
+
+
+def _reference_char_poly(A: np.ndarray, p: int) -> tuple:
+    """(1, c_{m-1}, ..., c_0) of A mod p from the principal minors, each by
+    the Leibniz reference, summed in Python integers."""
+    m = len(A)
+    return (1,) + tuple(
+        (-1) ** k * sum(int(oracles.reference_batch_det(
+            A[np.ix_(rows, rows)][None], p)[0])
+            for rows in map(list, itertools.combinations(range(m), k))) % p
+        for k in range(1, m + 1))
+
+
+@pytest.mark.parametrize("p", [181, 191, 46337, 46349])
+def test_char_poly_exact_at_each_width(p):
+    for A in _near_top(p, 4, p)[:6]:
+        assert char_poly(Mat.from_array(A, p), ModuleSpec(p, 1, 4)) == \
+            _reference_char_poly(A, p)
+
+
+def test_char_poly_principal_minor_sums_stay_bounded():
+    """At rank 10 and p = 181 (int16 planes) each principal 5x5 minor of
+    -I plus a strictly upper triangular part is -1 = 180, and their sum
+    252 * 180 = 45,360 is past the int16 maximum: char_poly must still be
+    (x + 1)^10."""
+    p, m = 181, 10
+    rng = np.random.default_rng(10)
+    A = np.triu(rng.integers(0, p, size=(m, m)), 1) + (p - 1) * np.eye(
+        m, dtype=np.int64)
+    assert char_poly(Mat.from_array(A, p), ModuleSpec(p, 1, m)) == \
+        tuple(math.comb(m, k) % p for k in range(m + 1))
+
+
+def test_planes_reduce_before_narrowing():
+    """Entries at and past 2^15, 2^16 and 2^31, and negative ones, reduce
+    in int64 first: a cast to int16 would wrap them before the reduction."""
+    q = 181
+    rng = np.random.default_rng(15)
+    A = rng.integers(-2 ** 40, 2 ** 40, size=(50, 3, 3))
+    A[0] = [[2 ** 15, 2 ** 15 + 1, 2 ** 16 + 5], [2 ** 31, -1, -2 ** 15],
+            [-2 ** 16 - 5, 65536 * 181, 2 ** 62]]
+    P = _planes(A, q)
+    assert P.dtype == np.int16
+    assert np.array_equal(P, A.transpose(1, 2, 0) % q)
+
+
+def test_inverse_factors_each_modulus_once(monkeypatch):
+    """Mat.inv at the prime 2^31 - 1 needs phi(q); trial division of q
+    takes milliseconds there, so two inverses factor it at most once."""
+    calls = []
+    factor = ringmat._factor
+
+    def counting_factor(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(ringmat, "_factor", counting_factor)
+    ringmat._totient.cache_clear()
+    q = 2 ** 31 - 1
+    for rows in ([[3, 5], [7, 2]], [[q - 1, q - 2], [q - 3, 1]]):
+        A = Mat.from_rows(rows, q)
+        assert A.mul(A.inv()) == Mat.identity(2, q)
+    assert len(calls) <= 1
