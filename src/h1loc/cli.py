@@ -51,8 +51,7 @@ class GroupDescription:
         return ModuleSpec(self.p, self.n, self.rank)
 
     def group(self, cap=DEFAULT_CAP) -> MatGroup:
-        return MatGroup.close([Mat.from_rows(g, self.spec.modulus)
-                               for g in self.generators], self.spec, cap=cap)
+        return MatGroup.close(self.generators, self.spec, cap=cap)
 
     def serialize(self) -> str:
         head = f"p={self.p} n={self.n} rank={self.rank}"
@@ -199,14 +198,12 @@ def _cmd_cohomology(args) -> int:
 def _cmd_criteria(args) -> int:
     desc = _read_description(args)
     G = desc.group(cap=args.cap)
-    reports = [sylow_normalizer_criterion(G)]
-    if desc.n == 1:
-        reports.append(fixed_point_free_criterion(G))
-    else:
-        reports.append(fixed_point_free_criterion(G.reduce_mod(1), G))
+    # the mod-p image, closed once for both mod-p criteria
+    G1 = G if desc.n == 1 else G.reduce_mod(1)
+    reports = [sylow_normalizer_criterion(G),
+               fixed_point_free_criterion(G1, None if desc.n == 1 else G)]
     if desc.symplectic:
-        target = G if desc.n == 1 else G.reduce_mod(1)
-        reports.append(similitude_criterion(target))
+        reports.append(similitude_criterion(G1))
     lines = []
     for rep in reports:
         lines.extend(rep.lines())
@@ -269,9 +266,7 @@ def _cmd_decompose(args) -> int:
         raise InputError("decompose needs at least one generator (the twist)")
     q = desc.spec.modulus
     g = Mat.from_rows(desc.generators[0], q)
-    H = MatGroup.close([Mat.from_rows(rows, q)
-                        for rows in desc.generators[1:]], desc.spec,
-                       cap=args.cap)
+    H = MatGroup.close(desc.generators[1:], desc.spec, cap=args.cap)
     dec = decompose_generators(g, H)
     payload = {
         "command": "decompose",

@@ -148,7 +148,7 @@ class Cocycle:
     def generator_vector(self) -> np.ndarray:
         """Values on the group generators, stacked (the z coordinates)."""
         G = self.group
-        return self.values[[G.index_of(g) for g in G.generators]].reshape(-1)
+        return self.values[G.lookup(G.generator_array())].reshape(-1)
 
     def is_valid(self) -> bool:
         """Whether Z_ab = Z_a + a Z_b for all pairs, from Z_1 = 0 and
@@ -213,7 +213,7 @@ class _CocycleSystem:
         self.p = spec.p
         self.q = spec.p ** j
         self.m = spec.rank
-        self.k = len(G.generators)
+        self.k = len(G.generator_array())
         self.size = G.order
         # size x m x m; the elements are already reduced mod p^n, so at
         # j = n the read-only element array serves without a copy
@@ -353,7 +353,7 @@ class _CocycleSystem:
         """Rows spanning B^1 in the z coordinates: row t is the coboundary
         of the basis vector e_t, column t of g - 1 at each generator g, so
         v @ b1_gens() is the coboundary of v."""
-        D = (_stack(self.G.generators, self.m)
+        D = (self.G.generator_array()
              - np.eye(self.m, dtype=np.int64)) % self.q
         return D.transpose(2, 0, 1).reshape(self.m, self.dim)
 

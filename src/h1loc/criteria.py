@@ -98,14 +98,17 @@ def _qualifying_search(mask, G: MatGroup, p: int):
     all of them at once.  Among the hits, the least divisor d of p-1 with
     some hit x^d = 1 is the least order, and the hits with x^d = 1 are
     those of order d, so the first of them in position order is the
-    element sought."""
+    element sought.  The identity has no bijective g - 1, so no hit has
+    order 1 and d starts past 1; with no hits nothing is powered."""
     q = G.spec.modulus
     X = G.element_array()
     ident = np.eye(G.spec.rank, dtype=np.int64)
     cand = np.flatnonzero(mask)
     cand = cand[(_scalar_power(X[cand], p - 1, q) == ident).all(axis=(1, 2))]
     hits = X[cand[_bijective_shifts(X[cand], q)]]
-    for d in _divisors(p - 1):
+    if not len(hits):
+        return None
+    for d in _divisors(p - 1)[1:]:
         first = np.flatnonzero(
             (_scalar_power(hits, d, q) == ident).all(axis=(1, 2)))
         if len(first):

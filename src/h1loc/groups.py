@@ -29,8 +29,10 @@ normalizers.
 These run on element arrays too: generating sets are the greedy
 positions of _greedy_generators, grown from a group already closed (the
 trivial group, or a Frattini subgroup), and _normalizing is the one test
-that elements normalize a group; Mat values appear only in arguments and
-results.
+that elements normalize a group.  A group holds its generators as one
+(k, r, r) array, and close takes such an array as well as Mat values or
+row lists (_generator_array), so every internal closure concatenates
+generator arrays; Mat values appear only in arguments and results.
 """
 
 from __future__ import annotations
@@ -147,9 +149,29 @@ def _stack(mats, r: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(mats), r, r)
 
 
+def _generator_array(generators, spec: ModuleSpec) -> np.ndarray:
+    """The generators, Mat values, row lists or one (k, r, r) integer array,
+    as a (k, r, r) int64 array of entries reduced mod q.  InputError when
+    q is too large for int64 products, a generator is not r x r, or one is
+    not invertible."""
+    q, r = spec.modulus, spec.rank
+    if r * (q - 1) ** 2 >= 2 ** 63:
+        raise InputError(f"modulus {q} too large for int64 group "
+                         f"arithmetic (rank*(q-1)^2 >= 2^63)")
+    gens = []
+    for i, g in enumerate(generators):
+        g = Mat.from_rows(g.entries if isinstance(g, Mat) else g, q)
+        if g.rows != r or g.cols != r:
+            raise InputError(f"generator {i + 1} is not {r}x{r}")
+        gens.append(g.entries)
+    garr = np.array(gens, dtype=np.int64).reshape(len(gens), r, r)
+    _refuse_singular(garr, q)
+    return garr
+
+
 def _refuse_singular(gens, q: int) -> None:
-    """InputError naming the first of the (k, r, r) generators gens, k >= 1,
-    whose determinant is not a unit mod q: one batch_det for all of them."""
+    """InputError naming the first of the (k, r, r) generators gens whose
+    determinant is not a unit mod q: one batch_det for all of them."""
     unit = np.gcd(batch_det(gens, q), q) == 1
     if not unit.all():
         raise InputError(f"generator {unit.argmin() + 1} not invertible")
@@ -184,15 +206,16 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray):
 class MatGroup:
     """A closed finite matrix group; construct through MatGroup.close().
 
-    The elements are one read-only (N, r, r) int64 array in BFS-lex order,
-    identity first, searched through their sorted keys; the Mat list,
-    prime power maps, element orders and inverses are computed on first
-    use, under the group's lock."""
+    The generators are one read-only (k, r, r) int64 array and the
+    elements another, (N, r, r) in BFS-lex order, identity first, searched
+    through their sorted keys; the Mat tuples, prime power maps, element
+    orders and inverses are computed on first use, under the group's
+    lock."""
 
-    def __init__(self, spec, generators, array, sorted_keys, sorted_pos,
+    def __init__(self, spec, gens, array, sorted_keys, sorted_pos,
                  tree_parent, tree_gen, layers):
         self.spec = spec
-        self.generators = tuple(generators)
+        self._gens = gens                   # (k, r, r) generator array
         self._array = array
         self._sorted_keys = sorted_keys     # keys of the elements, sorted
         self._sorted_pos = sorted_pos       # element position of each key
@@ -218,21 +241,12 @@ class MatGroup:
         code-major by _product_keys), and only the fresh products are
         gathered as codes, so the table never costs more than the products
         already formed and no (k * L, r) product array exists.  The code
-        space is decoded once, for the table and for the element array."""
+        space is decoded once, for the table and for the element array.
+        The generators are Mat values, row lists or one (k, r, r) integer
+        array (_generator_array)."""
         q, r = spec.modulus, spec.rank
-        if r * (q - 1) ** 2 >= 2 ** 63:
-            raise InputError(f"modulus {q} too large for int64 group "
-                             f"arithmetic (rank*(q-1)^2 >= 2^63)")
-        gens = []
-        for i, g in enumerate(generators):
-            g = Mat.from_rows(g.entries if isinstance(g, Mat) else g, q)
-            if g.rows != r or g.cols != r:
-                raise InputError(f"generator {i + 1} is not {r}x{r}")
-            gens.append(g)
-        k = len(gens)
-        garr = _stack(gens, r)
-        if k:
-            _refuse_singular(garr, q)
+        garr = _generator_array(generators, spec)
+        k = len(garr)
         layer = np.eye(r, dtype=np.int64)[None]
         layer_idx = np.zeros(1, dtype=np.int64)
         seen = _keys(layer, q)
@@ -282,22 +296,19 @@ class MatGroup:
         all_keys, tree_parent, tree_gen = map(
             np.concatenate, (key_chunks, parents, labels))
         sorted_pos = np.argsort(all_keys, kind="stable")
-        for a in (array, sorted_pos, tree_parent, tree_gen):
+        for a in (garr, array, sorted_pos, tree_parent, tree_gen):
             a.flags.writeable = False
-        return cls(spec, gens, array, all_keys[sorted_pos], sorted_pos,
+        return cls(spec, garr, array, all_keys[sorted_pos], sorted_pos,
                    tree_parent, tree_gen, layers)
 
     @classmethod
     def from_elements(cls, elements, spec: ModuleSpec, cap: int = DEFAULT_CAP):
         """Group from a set already closed under the operations: picks a small
-        generating set greedily (lexicographic element order) and re-closes."""
-        q = spec.modulus
-        mats = [e if isinstance(e, Mat) and e.modulus == q
-                else Mat.from_rows(e.entries if isinstance(e, Mat) else e, q)
-                for e in elements]
-        arr = _stack(mats, spec.rank)
+        generating set greedily (lexicographic element order) and re-closes.
+        The elements are normalized as close normalizes generators."""
+        arr = _generator_array(elements, spec)
         # distinct elements in lexicographic order
-        _, first = np.unique(_keys(arr, q), return_index=True)
+        _, first = np.unique(_keys(arr, spec.modulus), return_index=True)
         return cls._from_lex_sorted(arr[first], spec, cap)
 
     @classmethod
@@ -322,6 +333,18 @@ class MatGroup:
     @property
     def identity(self) -> Mat:
         return Mat.identity(self.spec.rank, self.spec.modulus)
+
+    @property
+    @_cached
+    def generators(self) -> tuple:
+        """The generators as Mat values, in order: for callers at the API
+        edge; the library itself reads generator_array()."""
+        return tuple(Mat(tuple(map(tuple, g)), self.spec.modulus)
+                     for g in self._gens.tolist())
+
+    def generator_array(self) -> np.ndarray:
+        """The read-only (k, r, r) generator array."""
+        return self._gens
 
     @property
     @_cached
@@ -378,9 +401,9 @@ class MatGroup:
         """right[g, i]: the position of x_i g for the generator g and the
         element x_i, one lookup per generator; read-only."""
         q = self.spec.modulus
-        right = np.empty((len(self.generators), self.order), dtype=np.int64)
-        for g, row in zip(self.generators, right):
-            row[:] = self.lookup((self._array @ g.to_array()) % q)
+        right = np.empty((len(self._gens), self.order), dtype=np.int64)
+        for g, row in zip(self._gens, right):
+            row[:] = self.lookup((self._array @ g) % q)
         right.flags.writeable = False
         return right
 
@@ -451,12 +474,10 @@ class MatGroup:
         """conj[g, t]: the position of g x g^-1 for the generator g and the
         element x at pos[t], built one generator at a time to keep the peak
         memory at one (len(pos), r, r) product."""
-        q, r = self.spec.modulus, self.spec.rank
-        gens = _stack(self.generators, r)
-        gens_inv = batch_inv(gens, q)
+        q, gens = self.spec.modulus, self._gens
         X = self._array[pos]
         conj = np.empty((len(gens), len(pos)), dtype=np.int64)
-        for g, gi, row in zip(gens, gens_inv, conj):
+        for g, gi, row in zip(gens, batch_inv(gens, q), conj):
             y = g @ X
             y %= q
             y = y @ gi
@@ -553,10 +574,11 @@ class MatGroup:
         is never fresh, so the elements, tree_parent and layers are those
         of closing every reduced generator; tree_gen indexes the kept ones."""
         sub = self.spec.with_exponent(j)
-        gens = dict.fromkeys(g.reduce_mod(sub.modulus).key()
-                             for g in self.generators)
-        gens.pop(Mat.identity(sub.rank, sub.modulus).key(), None)
-        return MatGroup.close(list(gens), sub, cap=cap)
+        # the identity first, so a generator reduced to it is a repeat
+        gens = np.concatenate([np.eye(sub.rank, dtype=np.int64)[None],
+                               self._gens]) % sub.modulus
+        first = np.sort(_first_occurrences(_keys(gens, sub.modulus))[1])
+        return MatGroup.close(gens[first[1:]], sub, cap=cap)
 
     def scalar_elements(self):
         """The scalar elements c * Id, found with one mask over the element
@@ -681,16 +703,16 @@ def p_sylow(G: MatGroup) -> MatGroup:
     if target == 1:
         return MatGroup.close([], spec)
     P, e = G._p_elements()
-    # argmax takes the first position among the largest p-element orders
-    current = MatGroup.close([G.element(int(P[np.argmax(e)]))], spec)
     X = G.element_array()
+    # argmax takes the first position among the largest p-element orders
+    current = MatGroup.close(X[P[np.argmax(e)], None], spec)
     while current.order < target:
         XP = X[P]
         ext = P[_normalizing(XP, X[G.inverse_indices()[P]], current)
                 & (current.lookup(XP) < 0)]
         certify(len(ext), "Sylow ascent stalled (internal)")
-        current = MatGroup.close(list(current.generators)
-                                 + [G.element(ext[0])], spec)
+        current = MatGroup.close(
+            np.concatenate([current.generator_array(), X[ext[:1]]]), spec)
     return current
 
 
@@ -699,8 +721,8 @@ def _normalizing(X: np.ndarray, Xi: np.ndarray, H: MatGroup) -> np.ndarray:
     every generator h of H, which for finite H means x H x^-1 = H."""
     q = H.spec.modulus
     mask = np.ones(len(X), dtype=bool)
-    for h in H.generators:
-        mask &= H.lookup((((X @ h.to_array()) % q) @ Xi) % q) >= 0
+    for h in H.generator_array():
+        mask &= H.lookup((((X @ h) % q) @ Xi) % q) >= 0
     return mask
 
 
@@ -746,7 +768,7 @@ def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP):
     arr, keeping a matrix only when it enlarges the closure so far, and
     that group, closed from base's generators and the kept matrices in
     order (base itself when nothing is kept)."""
-    spec, kept, grp, start = base.spec, [], base, 0
+    kept, grp, start = [], base, 0
     while True:
         # the closure only grows, so matrices skipped so far stay inside it
         outside = np.flatnonzero(grp.lookup(arr[start:]) < 0)
@@ -754,9 +776,9 @@ def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP):
             return kept, grp
         start += int(outside[0])
         kept.append(start)
-        grp = MatGroup.close(list(base.generators)
-                             + [Mat.from_array(arr[i], spec.modulus)
-                                for i in kept], spec, cap=cap)
+        grp = MatGroup.close(
+            np.concatenate([base.generator_array(), arr[kept]]), base.spec,
+            cap=cap)
         start += 1
 
 
@@ -777,7 +799,7 @@ def frattini(H: MatGroup) -> MatGroup:
     def generated(arr):
         return _greedy_generators(arr, trivial, cap)[1]
 
-    A = _stack(H.generators, r)
+    A = H.generator_array()
     A = A[_greedy_generators(A, trivial, cap)[0]]
     Ai = batch_inv(A, q)
     # a b a^-1 b^-1 for a, b in gens, a-major
@@ -786,15 +808,15 @@ def frattini(H: MatGroup) -> MatGroup:
     # normal closure of the commutators inside H
     K = generated(comm_arr)
     while True:
-        # x k x^-1 for x in gens and k in K.generators, x-major
-        conj = ((((A[:, None] @ _stack(K.generators, r)[None]) % q)
+        # x k x^-1 for x in gens and k among K's generators, x-major
+        conj = ((((A[:, None] @ K.generator_array()[None]) % q)
                  @ Ai[:, None]) % q).reshape(-1, r, r)
         extra = conj[K.lookup(conj) < 0]
         if not len(extra):
             break
-        K = generated(np.concatenate([_stack(K.generators, r), extra]))
+        K = generated(np.concatenate([K.generator_array(), extra]))
     pth = _scalar_power(A, p, q)
-    phi = generated(np.concatenate([_stack(K.generators, r), pth]))
+    phi = generated(np.concatenate([K.generator_array(), pth]))
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
     certify((phi.lookup(pth) >= 0).all(), "H/phi not exponent p (internal)")
@@ -876,12 +898,10 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
                 "conjugation action not diagonalizable "
                 "(internal; hypotheses violated?)")
         cands = reps[eigenvecs @ digits]
-        chosen = [Mat.from_array(cands[i], q) for i in
-                  _greedy_generators(cands, phi, sub.order + 1)[0]]
-        H1 = MatGroup.close(list(phi.generators) + chosen[:1], spec,
-                            cap=sub.order + 1)
-        H2 = MatGroup.close(list(phi.generators) + chosen[1:], spec,
-                            cap=sub.order + 1)
+        chosen = cands[_greedy_generators(cands, phi, sub.order + 1)[0]]
+        H1, H2 = (MatGroup.close(np.concatenate([phi.generator_array(), part]),
+                                 spec, cap=sub.order + 1)
+                  for part in (chosen[:1], chosen[1:]))
         return recurse(H1) + recurse(H2)
 
     unique = {}
@@ -890,8 +910,7 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
     hs = np.array([h for h, _ in unique.values()],
                   dtype=np.int64).reshape(-1, r, r)
     lams = np.array([lam for _, lam in unique.values()], dtype=np.int64)
-    pairs = tuple((Mat.from_array(h, q), lam) for h, lam in unique.values())
-    regen = MatGroup.close([h for h, _ in pairs], spec, cap=H.order + 1)
+    regen = MatGroup.close(hs, spec, cap=H.order + 1)
     certify(regen.order == H.order and regen.is_subgroup_of(H),
             "decomposition does not regenerate H (internal)")
     powers = np.empty_like(hs)
@@ -900,7 +919,8 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
         powers[at] = _scalar_power(hs[at], lam, q)
     certify(np.array_equal((((ga @ hs) % q) @ gia) % q, powers),
             "conjugation identity failed (internal)")
-    return Decomposition(pairs)
+    return Decomposition(tuple((Mat.from_array(h, q), lam)
+                               for h, lam in unique.values()))
 
 
 def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
@@ -912,7 +932,7 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
         raise PreconditionError("N and H are subgroups of G")
     q = G.spec.modulus
     X, inv = G.element_array(), G.inverse_indices()
-    gen_pos = [G.index_of(x) for x in G.generators]
+    gen_pos = G.lookup(G.generator_array())
     if not _normalizing(X[gen_pos], X[inv[gen_pos]], N).all():
         raise PreconditionError("N is normal in G")
     if g not in G:
@@ -922,13 +942,13 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
     if _normalizing(ga[None], gia[None], H)[0]:
         return g  # already a normalizer element
     # N is normal, so HN = <N, H>: one closure, as a mask over G's positions
-    pos = G.lookup(MatGroup.close(N.generators + H.generators, G.spec,
-                                  cap=G.order).element_array())
+    pos = G.lookup(MatGroup.close(
+        np.concatenate([N.generator_array(), H.generator_array()]), G.spec,
+        cap=G.order).element_array())
     certify((pos >= 0).all(), "product n h outside G (internal)")
     in_HN = np.zeros(G.order, dtype=bool)
     in_HN[pos] = True
-    conj = np.stack([h.to_array() for h in H.generators])
-    pos = G.lookup((((ga @ conj) % q) @ gia) % q)
+    pos = G.lookup((((ga @ H.generator_array()) % q) @ gia) % q)
     if not ((pos >= 0) & in_HN[pos]).all():
         raise PreconditionError("class of g normalizes HN/N")
     # x H x^-1 = g H g^-1 exactly when g^-1 x normalizes H; HN in key order
@@ -1005,6 +1025,5 @@ def find_normalized_sylow(G: MatGroup, g: Mat):
     if not len(hits):
         return None
     x, xi = X[hits[0]], Xi[hits[0]]
-    conj = (((x @ _stack(H.generators, spec.rank)) % q) @ xi) % q
-    return MatGroup.close([Mat.from_array(h, q) for h in conj], spec,
-                          cap=target + 1)
+    conj = (((x @ H.generator_array()) % q) @ xi) % q
+    return MatGroup.close(conj, spec, cap=target + 1)

@@ -90,12 +90,11 @@ def _similitude_planes(arr: np.ndarray, space: SymplecticSpace):
     _sum_of_products of 2d products below (q-1)^2, reduced when the next
     product could pass the dtype's maximum: once, at the end, for small q
     (at q = 3 the int16 sum of 2d products of at most 4 never comes near
-    it)."""
+    it).  So the one modulus bound is _planes' (_entry_dtype's): q with
+    (q-1)^2 + (q-1) >= 2^63 is refused with InputError, and every smaller
+    q is exact."""
     spec = space.spec
     q, d, m = spec.modulus, space.d, spec.rank
-    if m * (q - 1) ** 2 >= 2 ** 63:
-        raise InputError(f"modulus {q} too large for int64 similitude "
-                         f"products (rank*(q-1)^2 >= 2^63)")
     arr = np.asarray(arr, dtype=np.int64)
     if arr.shape[1:] != (m, m):
         raise InputError("matrix size does not match the symplectic space")
@@ -264,8 +263,7 @@ def is_stable(V: Mat, G: MatGroup) -> bool:
     p = G.spec.p
     B = V.to_array() % p
     sys = RowSystem(B, p, 1)
-    for g in G.generators:
-        garr = g.to_array() % p
+    for garr in G.generator_array() % p:
         for row in B:
             if not sys.contains((garr @ row) % p):
                 return False

@@ -66,7 +66,7 @@ def reference_closure(generators, spec, cap=DEFAULT_CAP):
     array = np.concatenate(chunks)
     sorted_pos = np.array([index[key] for key in sorted(index)],
                           dtype=np.int64)
-    return MatGroup(spec, gens, array, _keys(array, q)[sorted_pos],
+    return MatGroup(spec, garr, array, _keys(array, q)[sorted_pos],
                     sorted_pos, np.array(parent, dtype=np.int64),
                     np.array(label, dtype=np.int64), layers)
 

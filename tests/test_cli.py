@@ -16,6 +16,7 @@ from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK,
                        GroupDescription, parse_group, run)
 from h1loc.criteria import sylow_normalizer_criterion
 from h1loc.errors import InputError
+from h1loc.groups import MatGroup
 
 CYCLIC = """\
 # a cyclic group mod 25
@@ -116,6 +117,28 @@ def test_criteria_command(tmp_path, capsys):
     assert code2 == EXIT_OK
     payload2 = json.loads(capsys.readouterr().out)
     assert any(r["conclusion"] == "certified" for r in payload2["reports"])
+
+
+def test_criteria_closes_the_mod_p_image_once(tmp_path, monkeypatch,
+                                              capsys):
+    """On a symplectic file with n >= 2 the fixed-point-free and the
+    similitude criteria read the same mod-p image, closed once."""
+    calls = []
+    reduce_mod = MatGroup.reduce_mod
+
+    def counting(self, j, *args, **kwargs):
+        calls.append(j)
+        return reduce_mod(self, j, *args, **kwargs)
+
+    monkeypatch.setattr(MatGroup, "reduce_mod", counting)
+    path = write(tmp_path, "family_sym.grp",
+                 FAMILY.replace("rank=2", "rank=2 symplectic"))
+    run(["criteria", path, "--json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["criterion"] for r in reports][1:] == [
+        "fixed-point-free element mod p with trivial H^1",
+        "surjective similitude multiplier"]
+    assert calls == [1]
 
 
 def test_criteria_outputs_frozen(tmp_path, capsys):

@@ -3,9 +3,10 @@ multipliers against Mat products and Mat.det, batch_det against the
 Leibniz expansion on both sides of the moduli where one reduction per
 minor stops fitting in int64, and the pairing sweep's c3 and c1, and
 char_poly's, against the trace and principal minors by the Leibniz
-expansion, up to the largest prime the multiplier accepts.  Each kernel
-also runs on both sides of the int16 and int32 plane widths, against the
-Leibniz expansion and Python integers."""
+expansion, up to 1518499999, the largest prime the multiplier accepted
+under its old bound.  Each kernel also runs on both sides of the int16
+and int32 plane widths, against the Leibniz expansion and Python
+integers, and the multipliers also at 2^31 - 1 and 3037000493."""
 
 import itertools
 import math
@@ -40,7 +41,8 @@ def _reference_multiplier(A: Mat, space: SymplecticSpace) -> int:
 
 def _similitudes(space: SymplecticSpace, rng, count: int) -> list:
     """Random words in transvections and one torus similitude diag(nu I_d,
-    I_d), so their multipliers run over the powers of nu."""
+    I_d), so their multipliers run over the powers of nu; multiplied in
+    Python integers, as the entries may reach past 2^31."""
     q, m, d = space.spec.modulus, space.spec.rank, space.d
     gens = [transvection(v, 1, space).to_array()
             for v in np.eye(m, dtype=np.int64).tolist()
@@ -48,10 +50,10 @@ def _similitudes(space: SymplecticSpace, rng, count: int) -> list:
     gens.append(np.diag([2] * d + [1] * d))
     out = []
     for _ in range(count):
-        acc = np.eye(m, dtype=np.int64)
+        acc = _as_python(np.eye(m, dtype=np.int64))
         for j in rng.integers(0, len(gens), size=8):
             acc = acc @ gens[j] % q
-        out.append(acc)
+        out.append(acc.astype(np.int64))
     return out
 
 
@@ -141,9 +143,10 @@ def test_pairing_coefficients_match_char_poly():
 
 
 def test_pairing_exact_at_the_largest_accepted_prime():
-    """4 (p-1)^2 < 2^63, so the multiplier accepts p = 1518499999; its
-    principal 3x3 minors reach 6 (p-1)^3, past int64, so each is reduced
-    as it is formed."""
+    """p = 1518499999, the largest prime the multiplier accepted while it
+    refused rank*(q-1)^2 >= 2^63 (it now takes every q with (q-1)^2 +
+    (q-1) < 2^63); the principal 3x3 minors reach 6 (p-1)^3, past int64,
+    so each is reduced as it is formed."""
     p = 1518499999
     space = SymplecticSpace(ModuleSpec(p, 1, 4))
     a, b, nu = p - 1, p - 2, p - 3
@@ -247,11 +250,14 @@ def test_det_inverse_and_shifts_exact_at_each_width(q, dtype, r):
         (np.gcd(shifted, q) == 1).tolist()
 
 
-@pytest.mark.parametrize("q", [q for q, _ in WIDTHS])
+# the primes 2^31 - 1 and 3037000493, the largest below the int64 bound
+# (q-1)^2 + (q-1) < 2^63, which the similitude code shares with _planes
+@pytest.mark.parametrize("q", [q for q, _ in WIDTHS]
+                         + [2 ** 31 - 1, 3037000493])
 def test_similitude_multipliers_exact_at_each_width(q):
     """Similitudes, their multiples by q - 1 (the same multiplier, entries
     near q - 1), -I and the all-(q-1) matrix, which is no similitude."""
-    p = next(ell for ell in range(2, q + 1) if q % ell == 0)
+    p = min(ringmat._factor(q))
     space = SymplecticSpace(ModuleSpec(p, round(math.log(q, p)), 4))
     sims = _similitudes(space, np.random.default_rng(q), 20)
     mats = np.stack(sims + [(q - 1) * s % q for s in sims]

@@ -156,7 +156,7 @@ def test_lazy_caches_fill_once_across_threads():
         return [grp.elements, grp.power_maps(), grp.orders(),
                 grp.inverse_indices(), grp.cyclic_class_representatives(),
                 system, system.cocycle_basis(), system.z1_gens(),
-                system.b1_gens(), system.z1loc_gens()]
+                system.b1_gens(), system.z1loc_gens(), grp.generators]
 
     results = [None] * 4
     barrier = threading.Barrier(4)
@@ -184,8 +184,9 @@ def test_lazy_caches_fill_once_across_threads():
     maps, ref_maps = results[0][1], ref[1]
     assert list(maps) == list(ref_maps)
     assert all(np.array_equal(maps[ell], ref_maps[ell]) for ell in ref_maps)
-    for a, b in zip(results[0][2:5] + results[0][6:], ref[2:5] + ref[6:]):
+    for a, b in zip(results[0][2:5] + results[0][6:-1], ref[2:5] + ref[6:-1]):
         assert np.array_equal(a, b)
+    assert results[0][-1] == ref[-1] == G0.generators
     assert h1_loc(G).structure == h1_loc(G0).structure
 
 
@@ -306,7 +307,7 @@ def test_similitude_multipliers_match_mat_products():
 
 
 def test_large_moduli_are_refused_not_wrapped():
-    # 4 (p-1)^2 < 2^63 here: the largest entries still give exact products
+    # (p-1)^2 + (p-1) < 2^63 here: the largest entries give exact products
     p = 1518499999
     space = SymplecticSpace(ModuleSpec(p, 1, 4))
     a, b = p - 1, p - 2
@@ -315,8 +316,15 @@ def test_large_moduli_are_refused_not_wrapped():
     assert similitude_multiplier(A, space) == _reference_multiplier(A, space)
     want = oracles.reference_batch_det(A.to_array()[None], p).tolist()
     assert batch_det(A.to_array()[None], p).tolist() == want == [A.det()]
-    # past the bound the int64 products could wrap: refused, not answered
+    # at 2^31 - 1 every entry of A^T J A is still one exact sum of products
     p = 2 ** 31 - 1
+    space = SymplecticSpace(ModuleSpec(p, 1, 4))
+    A = M([[p - 1, 0, 0, 0], [0, p - 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+    assert similitude_multiplier(A, space) == p - 1
+    assert similitude_multiplier(A, space) == _reference_multiplier(A, space)
+    # past (q-1)^2 + (q-1) < 2^63 the products could wrap: refused, not
+    # answered
+    p = 3037000507
     space = SymplecticSpace(ModuleSpec(p, 1, 4))
     A = M([[p - 1, 0, 0, 0], [0, p - 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
     with pytest.raises(InputError):
