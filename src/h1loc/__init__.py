@@ -20,11 +20,10 @@ from .groups import (Decomposition, MatGroup, decompose_generators,
 from .ringmat import (AbelianStructure, ExtensionField, Mat, ModuleSpec,
                       char_poly, eigenvalues_in_ext, kernel,
                       quotient_structure, solve)
-from .symplectic import (SimilitudeWitness, SymplecticSpace,
-                         eigenvalue_pairing_check, eigenvalue_pairing_sweep,
-                         gsp4_generators, gsp4_order, invariant_subspaces,
-                         perp, projective_order, similitude_multiplier,
-                         transvection)
+from .symplectic import (SymplecticSpace, eigenvalue_pairing_check,
+                         eigenvalue_pairing_sweep, gsp4_generators,
+                         gsp4_order, invariant_subspaces, perp,
+                         projective_order, similitude_multiplier, transvection)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

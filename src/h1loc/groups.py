@@ -28,8 +28,13 @@ normalized p-group, and coset-representative corrections into Sylow
 normalizers.
 These run on element arrays too: generating sets are the greedy
 positions of _greedy_generators, grown from a group already closed (the
-trivial group, or a Frattini subgroup), and _normalizing is the one test
-that elements normalize a group.  A group holds its generators as one
+trivial group, the commutator closure so far, or a Frattini subgroup),
+and _normalizing is the one test that elements normalize a group.  A
+decomposition closes one trivial group, and each subgroup it splits off
+once: such a subgroup's generators are a greedy-kept Frattini generating
+set and representatives independent modulo it, so its Frattini subgroup
+(_frattini) starts from them with no greedy reduction, and no greedy
+runs over the representatives.  A group holds its generators as one
 (k, r, r) array, and close takes such an array as well as Mat values or
 row lists (_generator_array), so every internal closure concatenates
 generator arrays; Mat values appear only in arguments and results.
@@ -485,12 +490,11 @@ class MatGroup:
             row[:] = self.lookup(y)
         return conj
 
-    def _cyclic_positions(self, s: int, o=None) -> np.ndarray:
-        """Positions of s^0, ..., s^(o-1) for the order o of s (read from
-        orders() when not given): the powers by doubling, then one
-        lookup."""
+    def _cyclic_positions(self, s: int) -> np.ndarray:
+        """Positions of s^0, ..., s^(o-1) for the order o of s, read from
+        orders(): the powers by doubling, then one lookup."""
         q, r = self.spec.modulus, self.spec.rank
-        o = int(self.orders()[s]) if o is None else int(o)
+        o = int(self.orders()[s])
         powers = np.eye(r, dtype=np.int64)[None]
         step = self._array[s]        # s^len(powers)
         while len(powers) < o:
@@ -716,6 +720,14 @@ def p_sylow(G: MatGroup) -> MatGroup:
     return current
 
 
+def _element_arrays(g: Mat, spec: ModuleSpec):
+    """(g, g^-1) as (r, r) arrays; InputError unless g is r x r over the
+    group's Z/p^n."""
+    if g.modulus != spec.modulus or (g.rows, g.cols) != (spec.rank,) * 2:
+        raise InputError("g is not over the same Z/p^n and rank as the group")
+    return g.to_array(), g.inv().to_array()
+
+
 def _normalizing(X: np.ndarray, Xi: np.ndarray, H: MatGroup) -> np.ndarray:
     """Mask over the matrices x in X (inverses in Xi) with x h x^-1 in H for
     every generator h of H, which for finite H means x H x^-1 = H."""
@@ -786,27 +798,32 @@ def frattini(H: MatGroup) -> MatGroup:
     """Frattini subgroup of a p-group: generated by generator p-th powers and
     the commutator subgroup (equivalent to the maximal-subgroup intersection
     for p-groups, which the test suite's maximal_subgroup_intersection
-    computes from that definition).  Every generating set is grown from
-    one trivial group, closed once per call."""
+    computes from that definition).  H's generators are first reduced by
+    _greedy_generators from the trivial group, closed once per call, and
+    _frattini runs on the kept ones."""
     if not is_p_group(H):
         raise PreconditionError("H is a p-group", f"|H| = {H.order}")
-    p = H.spec.p
     if H.order == 1:
         return H
-    q, r = H.spec.modulus, H.spec.rank
-    cap, trivial = H.order + 1, MatGroup.close([], H.spec)
+    A, trivial = H.generator_array(), MatGroup.close([], H.spec)
+    return _frattini(H, A[_greedy_generators(A, trivial, H.order + 1)[0]],
+                     trivial)
 
-    def generated(arr):
-        return _greedy_generators(arr, trivial, cap)[1]
 
-    A = H.generator_array()
-    A = A[_greedy_generators(A, trivial, cap)[0]]
+def _frattini(H: MatGroup, A: np.ndarray, trivial: MatGroup) -> MatGroup:
+    """The Frattini subgroup of the p-group H from the (k, r, r) generators A
+    of H, each outside the closure of those before it, so no greedy would
+    drop one.  The commutators' greedy starts from the closed trivial
+    group and every later greedy from the group before it, whose
+    generators come first in the one it returns."""
+    p, q, r = H.spec.p, H.spec.modulus, H.spec.rank
+    cap = H.order + 1
     Ai = batch_inv(A, q)
     # a b a^-1 b^-1 for a, b in gens, a-major
     ab = (A[:, None] @ A[None]) % q
     comm_arr = ((((ab @ Ai[:, None]) % q) @ Ai[None]) % q).reshape(-1, r, r)
     # normal closure of the commutators inside H
-    K = generated(comm_arr)
+    K = _greedy_generators(comm_arr, trivial, cap)[1]
     while True:
         # x k x^-1 for x in gens and k among K's generators, x-major
         conj = ((((A[:, None] @ K.generator_array()[None]) % q)
@@ -814,9 +831,9 @@ def frattini(H: MatGroup) -> MatGroup:
         extra = conj[K.lookup(conj) < 0]
         if not len(extra):
             break
-        K = generated(np.concatenate([K.generator_array(), extra]))
+        K = _greedy_generators(extra, K, cap)[1]
     pth = _scalar_power(A, p, q)
-    phi = generated(np.concatenate([K.generator_array(), pth]))
+    phi = _greedy_generators(pth, K, cap)[1]
     # H/phi must be elementary abelian: generator images commute and have
     # exponent p; generators of H suffice for both checks
     certify((phi.lookup(pth) >= 0).all(), "H/phi not exponent p (internal)")
@@ -839,13 +856,14 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
     p-group, g normalizes H, and the order of g divides p-1.  The recursion
     mirrors the existence proof: diagonalize the conjugation action on
     H/phi(H) over F_p and split off one eigenvector at a time.  It runs on
-    element arrays; the h_i become Mat values only in the result.
+    element arrays; the h_i become Mat values only in the result, and one
+    trivial group is closed for all its Frattini subgroups.
     """
     spec = H.spec
     p, q, r = spec.p, spec.modulus, spec.rank
     if not is_p_group(H):
         raise PreconditionError("H is a p-group", f"|H| = {H.order}")
-    ga, gia = g.to_array(), g.inv().to_array()
+    ga, gia = _element_arrays(g, spec)
     if not _normalizing(ga[None], gia[None], H)[0]:
         raise PreconditionError("H is normal in <g, H>",
                                 "g does not normalize H")
@@ -854,11 +872,14 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
         raise PreconditionError("order of g divides p-1",
                                 f"order(g) = {og}, p-1 = {p - 1}")
 
-    def recurse(sub: MatGroup):
-        """(h, lambda) pairs for the g-stable p-group sub, h as arrays."""
+    trivial = MatGroup.close([], spec)
+
+    def recurse(sub: MatGroup, A: np.ndarray):
+        """(h, lambda) pairs for the g-stable p-group sub, h as arrays, from
+        generators A of sub each outside the closure of those before it."""
         if sub.order == 1:
             return []
-        phi = frattini(sub)
+        phi = _frattini(sub, A, trivial)
         X = sub.element_array()
         # greedy basis of sub/phi in the deterministic element order
         basis = _greedy_generators(X, phi, sub.order + 1)[0]
@@ -894,18 +915,21 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
             eigenvecs.extend(vec for vec in ker if vec.any())
         eigenvecs = np.array(eigenvecs, dtype=np.int64).reshape(-1, k)
         # semisimplicity (order of the action divides p-1) guarantees a basis
-        certify(_howell_rows(eigenvecs, p, 1).shape[0] == k,
+        certify(_howell_rows(eigenvecs, p, 1).shape[0] == k == len(eigenvecs),
                 "conjugation action not diagonalizable "
                 "(internal; hypotheses violated?)")
+        # the k representatives are independent mod phi, so after phi's
+        # generators each lies outside the closure of those before it
         cands = reps[eigenvecs @ digits]
-        chosen = cands[_greedy_generators(cands, phi, sub.order + 1)[0]]
-        H1, H2 = (MatGroup.close(np.concatenate([phi.generator_array(), part]),
-                                 spec, cap=sub.order + 1)
-                  for part in (chosen[:1], chosen[1:]))
-        return recurse(H1) + recurse(H2)
+        parts = [np.concatenate([phi.generator_array(), part])
+                 for part in (cands[:1], cands[1:])]
+        return [pair for A in parts for pair in
+                recurse(MatGroup.close(A, spec, cap=sub.order + 1), A)]
 
+    A = H.generator_array()
     unique = {}
-    for h, lam in recurse(H):
+    for h, lam in recurse(H, A[_greedy_generators(A, trivial,
+                                                  H.order + 1)[0]]):
         unique.setdefault(h.tobytes(), (h, lam))
     hs = np.array([h for h, _ in unique.values()],
                   dtype=np.int64).reshape(-1, r, r)
@@ -937,8 +961,7 @@ def lift_normalizer(G: MatGroup, N: MatGroup, H: MatGroup, g: Mat) -> Mat:
         raise PreconditionError("N is normal in G")
     if g not in G:
         raise PreconditionError("g is an element of G")
-    gi = G.inverse(g)
-    ga, gia = g.to_array(), gi.to_array()
+    ga, gia = _element_arrays(g, G.spec)
     if _normalizing(ga[None], gia[None], H)[0]:
         return g  # already a normalizer element
     # N is normal, so HN = <N, H>: one closure, as a mask over G's positions
@@ -1013,13 +1036,13 @@ def find_normalized_sylow(G: MatGroup, g: Mat):
     question; this only reports what the search finds on one input."""
     spec = G.spec
     q = spec.modulus
+    ga, gia = _element_arrays(g, spec)
     H = p_sylow(G)
     target = spec.p ** _factor(G.order).get(spec.p, 0)
     # all Sylows are conjugate: take x H x^-1 for the first x in G's order
     # with g normalizing it, that is with x^-1 g x normalizing H
     X = G.element_array()
     Xi = X[G.inverse_indices()]
-    ga, gia = g.to_array(), g.inv().to_array()
     hits = np.flatnonzero(_normalizing((((Xi @ ga) % q) @ X) % q,
                                        (((Xi @ gia) % q) @ X) % q, H))
     if not len(hits):

@@ -56,12 +56,6 @@ class SymplecticSpace:
         return sum(int(a) * int(b) for a, b in zip(v, Jv)) % q
 
 
-@dataclass(frozen=True)
-class SimilitudeWitness:
-    element: Mat
-    multiplier: int
-
-
 def similitude_multiplier(A: Mat, space: SymplecticSpace) -> Optional[int]:
     """nu with A^T J A = nu J, or None; asserts det(A) = nu^d when found."""
     if A.modulus != space.spec.modulus:

@@ -18,10 +18,11 @@ from h1loc.cohomology import (class_order, h1_loc,
 from h1loc.counterexample import build, family_matrix, verify
 from h1loc.criteria import (fixed_point_free_criterion,
                             sylow_normalizer_criterion)
-from h1loc.errors import PreconditionError
-from h1loc.groups import MatGroup, decompose_generators, element_order
+from h1loc.errors import CapExceededError, PreconditionError
+from h1loc.groups import (MatGroup, decompose_generators, element_order,
+                          frattini)
 from h1loc.oracles import cocycle_counts
-from h1loc.ringmat import ModuleSpec, is_prime, kernel
+from h1loc.ringmat import Mat, ModuleSpec, is_prime, kernel
 from h1loc.symplectic import eigenvalue_pairing_sweep, gsp4_generators, \
     gsp4_order
 
@@ -233,6 +234,70 @@ def test_decomposition_outputs_frozen():
     assert len(pairs) == 53
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
         "a0f454df6a676c8138685e19c417bf1cd925c7b43aa8f6fcbbd73e85be6c7218"
+
+
+def test_decompositions_close_each_group_once(monkeypatch):
+    # no closure whose group is already known: no greedy over the
+    # eigenvector representatives, no re-reduced subgroup generators, one
+    # trivial group per decomposition (630 closes before, 405 after)
+    instances = _decomposition_instances()
+    close = MatGroup.close.__func__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return close(cls, *args, **kwargs)
+
+    monkeypatch.setattr(MatGroup, "close", classmethod(counting))
+    for g, H in instances:
+        decompose_generators(g, H)
+    assert len(calls) <= 405
+
+
+def _unipotent_instances():
+    """(g, H) pairs the 53 instances do not cover, from a fixed seed: for p
+    in 3, 5, 7, n in 1, 2 and rank 2 to 4, H is generated by three
+    elementary unipotents I + c E_ij (i < j), drawn again while H has more
+    than 2,000 elements, with the first repeated and the product of the
+    first two put among them; g is diagonal with entries a^(p^(n-1)), so
+    its order divides p - 1 and it maps each generator to a power."""
+    rng = np.random.default_rng(20261019)
+    out = []
+    for p in (3, 5, 7):
+        for n in (1, 2):
+            q = p ** n
+            for r in (2, 3, 4):
+                cells = [(i, j) for i in range(r) for j in range(i + 1, r)]
+                while True:
+                    gens = []
+                    for c in rng.integers(len(cells), size=3):
+                        a = np.eye(r, dtype=np.int64)
+                        a[cells[c]] = rng.integers(1, q)
+                        gens.append(a)
+                    gens[2:2] = [gens[0], gens[0] @ gens[1] % q]
+                    try:
+                        H = MatGroup.close(gens, ModuleSpec(p, n, r),
+                                           cap=2000)
+                        break
+                    except CapExceededError:
+                        pass
+                d = [pow(int(a), p ** (n - 1), q)
+                     for a in rng.integers(1, p, size=r)]
+                out.append((Mat.from_array(np.diag(d), q), H))
+    return out
+
+
+def test_unipotent_decompositions_and_frattini_frozen():
+    # sha256 of the decomposition pairs and the Frattini generators on
+    # seeded inputs with redundant generators, so a change of the greedy
+    # reductions the decomposition and frattini keep shows here
+    instances = _unipotent_instances()
+    assert len(instances) == 18
+    pairs = [[(h.entries, lam) for h, lam in decompose_generators(g, H).pairs]
+             for g, H in instances]
+    phis = [[m.entries for m in frattini(H).generators] for _, H in instances]
+    assert hashlib.sha256(repr((pairs, phis)).encode()).hexdigest() == \
+        "eacd965f2e2073d818aefbc87b1cbaaf957df4639b7ae3cad3002afe8d144dee"
 
 
 def test_criterion_7_torsion_isomorphism_sweep():

@@ -472,6 +472,42 @@ def test_find_normalized_sylow_search_harness():
     assert all(g.mul(h).mul(gi) in S for h in S.generators)
 
 
+def _borel_5():
+    spec = ModuleSpec(5, 1, 2)
+    return (MatGroup.close([M([[1, 1], [0, 1]], 5)], spec),
+            MatGroup.close([M([[1, 1], [0, 1]], 5), M([[2, 0], [0, 3]], 5)],
+                           spec))
+
+
+def test_g_of_another_rank_is_refused():
+    # a 3x3 g against 2x2 groups reached numpy's matmul ValueError
+    H, G = _borel_5()
+    g = M([[2, 0, 0], [0, 3, 0], [0, 0, 1]], 5)
+    with pytest.raises(InputError, match="same Z/p\\^n and rank"):
+        decompose_generators(g, H)
+    with pytest.raises(InputError, match="same Z/p\\^n and rank"):
+        find_normalized_sylow(G, g)
+
+
+def test_g_over_another_modulus_is_refused():
+    # diag(2, 3) mod 25 went through as its entries mod 5: the
+    # decomposition refused it for its order mod 25, 20, and the search
+    # returned a Sylow for it
+    H, G = _borel_5()
+    g = M([[2, 0], [0, 3]], 25)
+    with pytest.raises(InputError, match="same Z/p\\^n and rank"):
+        decompose_generators(g, H)
+    with pytest.raises(InputError, match="same Z/p\\^n and rank"):
+        find_normalized_sylow(G, g)
+    # the Sylow lift reads g as an element of G only over G's ring
+    spec3 = ModuleSpec(3, 1, 2)
+    G3 = MatGroup.close([M([[1, 1], [0, 1]], 3), M([[0, 1], [1, 0]], 3)],
+                        spec3)
+    S3 = MatGroup.close([M([[1, 1], [0, 1]], 3)], spec3)
+    with pytest.raises(InputError, match="same Z/p\\^n and rank"):
+        lift_normalizer(G3, G3, S3, M([[1, 0], [1, 1]], 9))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_order_divides_group_order(data):
