@@ -92,6 +92,8 @@ def parse_group(text: str) -> GroupDescription:
         if "=" not in token:
             raise InputError(f"line {lineno}: malformed header token {token!r}")
         k, _, v = token.partition("=")
+        if k in fields:
+            raise InputError(f"line {lineno}: repeated header key {k!r}")
         try:
             fields[k] = int(v)
         except ValueError:
@@ -167,8 +169,15 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 
 def _read_description(args) -> GroupDescription:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_group(fh.read())
+    """The group file args.input, parsed; InputError when it cannot be
+    read (missing, a directory, unreadable) or is not UTF-8 text."""
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read group file {args.input}: {err}") \
+            from None
+    return parse_group(text)
 
 
 def _rep_lines(res):
@@ -239,21 +248,31 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_gsp4(args) -> int:
+    """gsp4: |GSp_4(F_p)| by its formula; with --enumerate, every element
+    of the group the transvection generators generate, and the eigenvalue
+    pairing on each.  The elements come from a stabilizer chain (chain.py)
+    as the products U_4 U_3 U_2 U_1 of its transversals, which list each
+    element exactly once, so the enumerated order is the number of
+    distinct elements with no closure table; the chain refuses with the
+    closure's cap error once the product of its orbit lengths passes
+    --cap."""
     order = gsp4_order(args.p)
     payload = {"command": "gsp4", "p": args.p, "order_formula": order}
     lines = [f"|GSp4(F_{args.p})| = {order}"]
     if args.enumerate:
+        # imported here: no other command compiles the chain module
+        from .chain import StabChain
         gens, _space = gsp4_generators(args.p)
-        spec = ModuleSpec(args.p, 1, 4)
-        G = MatGroup.close(gens, spec, cap=args.cap)
-        failures = eigenvalue_pairing_sweep(G.element_array(), args.p)
-        payload.update({"order_enumerated": G.order,
+        chain = StabChain.build(gens, ModuleSpec(args.p, 1, 4), cap=args.cap)
+        failures = eigenvalue_pairing_sweep(chain.elements(), args.p)
+        enumerated = chain.order
+        payload.update({"order_enumerated": enumerated,
                         "pairing_failures": failures,
-                        "match": G.order == order})
-        lines.append(f"enumerated order: {G.order} "
-                     f"({'match' if G.order == order else 'MISMATCH'})")
+                        "match": enumerated == order})
+        lines.append(f"enumerated order: {enumerated} "
+                     f"({'match' if enumerated == order else 'MISMATCH'})")
         lines.append(f"eigenvalue pairing failures: {failures}")
-        if G.order != order or failures:
+        if enumerated != order or failures:
             _emit(payload, args.json, lines)
             return EXIT_NEGATIVE
     _emit(payload, args.json, lines)
@@ -349,9 +368,6 @@ def run(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
     except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as err:

@@ -58,15 +58,16 @@ DEFAULT_CAP = 200_000
 
 
 def _keys(arr: np.ndarray, q: int) -> np.ndarray:
-    """Sort keys of the (N, r, r) matrices in arr, entries in [0, q), in the
-    lexicographic order of the flattened entries: base-q packed int64 codes
-    while q^(r*r) < 2^63, big-endian byte strings past that."""
-    r = arr.shape[1]
-    flat = arr.reshape(len(arr), r * r)
-    if q ** (r * r) < 2 ** 63:
-        return flat @ _digit_weights(q, r * r)
+    """Sort keys of the N matrices (N, r, r) or row vectors (N, r) in arr,
+    entries in [0, q), in the lexicographic order of the flattened entries:
+    base-q packed int64 codes while q^m < 2^63 for the m entries of each,
+    big-endian byte strings past that."""
+    m = arr.shape[1] ** (arr.ndim - 1)
+    flat = arr.reshape(len(arr), m)
+    if q ** m < 2 ** 63:
+        return flat @ _digit_weights(q, m)
     return np.ascontiguousarray(flat.astype(">i8")).view(
-        np.dtype((np.void, 8 * r * r))).ravel()
+        np.dtype((np.void, 8 * m))).ravel()
 
 
 def _digit_weights(q: int, r: int) -> np.ndarray:

@@ -1,0 +1,205 @@
+"""The stabilizer chain against the closure: order and element keys on the
+twist corpus, the family groups, GSp_4(F_3), the Borel of GSp_4(F_5) and
+groups with byte keys; determinism; the cap; the order of GSp_4(F_5) from
+the orbit lengths alone; and the memory of the two blocked steps."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import h1loc
+from corpus import byte_key_group, twist_corpus
+from test_closure_keys import _unitriangular_mod8
+from h1loc.chain import StabChain
+from h1loc.cli import EXIT_CAP, EXIT_OK, run
+from h1loc.counterexample import build
+from h1loc.errors import CapExceededError, InputError
+from h1loc.groups import MatGroup, _distinct, _keys
+from h1loc.ringmat import Mat, ModuleSpec
+from h1loc.symplectic import gsp4_generators, gsp4_order
+
+
+def _assert_chain_matches(G):
+    """The chain of G's generators, built at cap |G|, has G's order, and its
+    elements have G's sorted keys."""
+    q = G.spec.modulus
+    chain = StabChain.build(G.generator_array(), G.spec, cap=G.order)
+    elements = chain.elements()
+    assert chain.order == G.order == len(elements)
+    assert np.array_equal(_distinct(_keys(elements, q)),
+                          np.sort(_keys(G.element_array(), q)))
+
+
+def test_chain_matches_close_on_the_twist_corpus():
+    corpus = twist_corpus()
+    assert len(corpus) == 112
+    for _label, _p, _g, G in corpus:
+        _assert_chain_matches(G)
+
+
+@pytest.mark.parametrize("p", [5, 11, 17])
+def test_chain_matches_close_on_the_family(p):
+    inst = build(p)
+    for G in (inst.G2, inst.H2):
+        _assert_chain_matches(G)
+
+
+def _gsp4_f3():
+    gens, space = gsp4_generators(3)
+    return MatGroup.close(gens, space.spec)
+
+
+def _borel_gsp4_f5():
+    """The Borel of GSp_4(F_5), 40,000 elements: the Levi blocks
+    [[A, 0], [0, A^-T]] for A = diag(2, 1), diag(1, 2) and [[1, 1], [0, 1]],
+    the unipotents [[I, S], [0, I]] for S = E11, E22 and E12 + E21, and
+    diag(1, 1, 2, 2)."""
+    q = 5
+    gens = []
+    for A in ([[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [0, 1]]):
+        A = Mat.from_rows(A, q)
+        gens.append(np.block([[A.to_array(), np.zeros((2, 2), int)],
+                              [np.zeros((2, 2), int),
+                               A.inv().to_array().T]]))
+    for S in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]):
+        gens.append(np.block([[np.eye(2, dtype=int), np.array(S)],
+                              [np.zeros((2, 2), int), np.eye(2, dtype=int)]]))
+    gens.append(np.diag([1, 1, 2, 2]))
+    G = MatGroup.close(np.array(gens) % q, ModuleSpec(5, 1, 4))
+    assert G.order == 40000
+    return G
+
+
+def _signed_permutations():
+    """The 48 signed 3x3 permutation matrices mod the prime 2097169:
+    q^3 >= 2^63, so the point keys are byte strings too."""
+    q = 2097169
+    return MatGroup.close([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                           [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                           [[q - 1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                          ModuleSpec(q, 1, 3))
+
+
+@pytest.mark.parametrize("make", [_gsp4_f3, _borel_gsp4_f5,
+                                  _unitriangular_mod8, byte_key_group,
+                                  _signed_permutations],
+                         ids=["GSp4(F3)", "Borel GSp4(F5)", "rank-3 mod 8",
+                              "rank-4 mod 25", "rank-3 mod 2097169"])
+def test_chain_matches_close(make):
+    _assert_chain_matches(make())
+
+
+def test_trivial_and_refused_generators():
+    spec = ModuleSpec(5, 2, 2)
+    chain = StabChain.build([], spec)
+    assert chain.orbit_lengths == (1, 1)
+    assert chain.elements().tolist() == [[[1, 0], [0, 1]]]
+    with pytest.raises(InputError, match="not invertible"):
+        StabChain.build([[[5, 0], [0, 1]]], spec)
+    with pytest.raises(InputError, match="too large"):
+        StabChain.build([[[1, 1], [0, 1]]],
+                        ModuleSpec(2305843009213693951, 1, 2))
+
+
+def test_chain_is_deterministic():
+    gens, space = gsp4_generators(3)
+    first, second = (StabChain.build(gens, space.spec) for _ in range(2))
+    assert first.orbit_lengths == second.orbit_lengths == (80, 24, 18, 3)
+    for a, b in zip(first.transversals, second.transversals):
+        assert np.array_equal(a, b)
+    assert np.array_equal(first.elements(), second.elements())
+
+
+def test_gsp4_enumerate_cap_boundary(capsys):
+    assert run(["gsp4", "--p", "3", "--enumerate", "--cap", "103679"]) \
+        == EXIT_CAP
+    assert capsys.readouterr().err == \
+        "error: group closure exceeded cap of 103679\n"
+    assert run(["gsp4", "--p", "3", "--enumerate", "--cap", "103680"]) \
+        == EXIT_OK
+    assert "103680 (match)" in capsys.readouterr().out
+
+
+def test_gsp4_f5_order_from_orbit_lengths():
+    """37,440,000 elements, past any closure: the order is the product of
+    the orbit lengths, one past it the chain refuses."""
+    gens, space = gsp4_generators(5)
+    order = gsp4_order(5)
+    chain = StabChain.build(gens, space.spec, cap=order)
+    assert chain.orbit_lengths == (624, 120, 100, 5)
+    assert chain.order == order == 37_440_000
+    with pytest.raises(CapExceededError):
+        StabChain.build(gens, space.spec, cap=order - 1)
+
+
+def test_family_p17_enumeration_memory():
+    """q^r = 83,521 at the p = 17 family group, far more than its 867
+    elements: the last level multiplies only the distinct rows of the
+    prefixes, where row tables of 83,521 codes per element of the widest
+    transversal would peak at about 2.2 GB."""
+    G = build(17).G2
+    chain = StabChain.build(G.generator_array(), G.spec)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        elements = chain.elements()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(elements) == G.order == 3 * 17 ** 2
+    assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_gsp4_f5_refusal_max_rss():
+    """gsp4 --p 5 --enumerate at the default cap: the level-2 Schreier
+    step has 378,000 pairs, and formed in blocks it exits 3 within 100 MB
+    max RSS (all at once it read 187 MB).  The child's max RSS is read in
+    a process of its own, as the CI steps do."""
+    script = textwrap.dedent("""
+        import resource, subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "h1loc.cli", "gsp4",
+                               "--p", "5", "--enumerate", "--json"],
+                              capture_output=True, text=True)
+        rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        print(proc.returncode, rss, proc.stderr.strip())
+    """)
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=600, check=True)
+    code, rss, err = out.stdout.split(maxsplit=2)
+    assert int(code) == EXIT_CAP
+    assert err.strip() == "error: group closure exceeded cap of 200000"
+    assert float(rss) <= 100, f"max RSS {float(rss):.1f} MB"
+
+
+def test_gsp4_f5_refusal_forms_one_block_of_level_2(monkeypatch):
+    """At the default cap the level-3 orbit under the first block of
+    level-2 Schreier generators already passes the cap, so the refusal
+    comes before the other 11 blocks of the 378,000 pairs are formed:
+    counted as the matrices the chain keys."""
+    formed = []
+
+    def counting(arr, q):
+        if arr.ndim == 3:
+            formed.append(len(arr))
+        return _keys(arr, q)
+
+    monkeypatch.setattr("h1loc.chain._keys", counting)
+    gens, space = gsp4_generators(5)
+    with pytest.raises(CapExceededError):
+        StabChain.build(gens, space.spec)
+    # at most the 6,864 level-1 pairs and one 32,768-pair block of level 2
+    assert sum(formed) < 50_000, sum(formed)

@@ -273,6 +273,44 @@ def test_missing_file():
     assert run(["h1", "/nonexistent/file.grp"]) == EXIT_INPUT
 
 
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    # a traceback would exit 1, which reads as nonvanishing cohomology
+    path = tmp_path / "bytes.grp"
+    path.write_bytes(b"p=5 n=2 rank=2\ngen:\n1 1\n0 \xff\n")
+    assert run(["h1loc", str(path), "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "utf-8" in captured.err
+
+
+def test_directory_as_group_file_exits_two(tmp_path, capsys):
+    assert run(["h1loc", str(tmp_path), "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Is a directory" in captured.err
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root reads a file whatever its mode")
+def test_unreadable_file_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "locked.grp", "p=5 n=1 rank=1\ngen:\n2\n")
+    os.chmod(path, 0)
+    try:
+        assert run(["h1loc", path, "--json"]) == EXIT_INPUT
+    finally:
+        os.chmod(path, 0o600)
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Permission denied" in captured.err
+
+
+def test_repeated_header_key_exits_two(tmp_path, capsys):
+    # the last key would win: p=3 ... p=5 answered for p = 5
+    path = write(tmp_path, "dup.grp", "p=3 n=1 rank=2 p=5\ngen:\n1 1\n0 1\n")
+    assert run(["h1loc", path, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeated header key 'p'" in captured.err
+    with pytest.raises(InputError, match="repeated header key 'rank'"):
+        parse_group("p=3 n=1 rank=2 rank=1\ngen:\n1\n")
+
+
 def test_shared_parser_leaks_nothing_between_runs(tmp_path, capsys):
     # run() reuses one parser: no default, --json or --cap of one call may
     # reach the next, so each output equals that of a fresh process
