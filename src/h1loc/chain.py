@@ -2,10 +2,10 @@
 
 The base is e_1, ..., e_r under the row action v -> v g, so the image of
 e_i under g is row i of g, and a point is a row vector keyed by its base-q
-code (groups._keys).  Level i holds generators S_i of G_i, the stabilizer
+code (keys._keys).  Level i holds generators S_i of G_i, the stabilizer
 in G of e_1, ..., e_{i-1} (S_1 the given generators), the orbit O_i of e_i
-under G_i, found breadth first over point codes with the primitives
-MatGroup.close uses (_first_occurrences, _find), and the transversal T_i:
+under G_i, found breadth first over point codes with keys._absorb, the
+step each layer of MatGroup.close takes, and the transversal T_i:
 for each orbit point b an element U_b with e_i U_b = b, formed along the
 orbit tree (U_{bs} = U_b s on the tree edge b -> bs, U_{e_i} = 1).
 
@@ -44,23 +44,12 @@ from math import prod
 import numpy as np
 
 from .errors import CapExceededError, certify
-from .groups import (DEFAULT_CAP, _distinct, _find, _first_occurrences,
-                     _generator_array, _keys)
+from .groups import DEFAULT_CAP, _generator_array
+from .keys import _absorb, _distinct, _find, _first_occurrences, _keys
 from .ringmat import ModuleSpec, batch_inv
 
 # orbit images and Schreier products are formed at most this many at a time
 _BLOCK = 1 << 15
-
-
-def _absorb(seen: np.ndarray, keys: np.ndarray):
-    """(merged, new): the sorted non-empty keys seen with the values of
-    keys merged in, and the position in keys of the first occurrence of
-    each value not in seen, ascending."""
-    values, first = _first_occurrences(keys)
-    fresh = ~_find(seen, values)[1]
-    # both runs are sorted, so the stable sort is one merge
-    merged = np.sort(np.concatenate([seen, values[fresh]]), kind="stable")
-    return merged, np.sort(first[fresh])
 
 
 def _orbit(gens: np.ndarray, i: int, index: int, cap: int, q: int):
@@ -83,6 +72,7 @@ def _orbit(gens: np.ndarray, i: int, index: int, cap: int, q: int):
             block = frontier[a:a + step]
             images = (block[:, None, i:i + 1] @ gens).reshape(-1, r) % q
             seen, t = _absorb(seen, _keys(images, q))
+            t.sort()
             layer.append(block[t // k] @ gens[t % k] % q)
             edges.append((start + a) * k + t)
             count += len(t)
@@ -125,7 +115,7 @@ def _schreier(gens: np.ndarray, U: np.ndarray, edges: np.ndarray, i: int,
         certify(hit.all(), "orbit not closed under the generators")
         schreier = us @ inverses[by_key[pos]] % q
         seen, fresh = _absorb(seen, _keys(schreier, q))
-        out.append(schreier[fresh])
+        out.append(schreier[np.sort(fresh)])
         if bound and t0 == 0 and len(U) * k > _BLOCK:
             _orbit(out[1], i + 1, *bound, q)
     return np.concatenate(out)

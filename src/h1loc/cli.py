@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -170,8 +172,14 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 def _read_description(args) -> GroupDescription:
     """The group file args.input, parsed; InputError when it cannot be
-    read (missing, a directory, unreadable) or is not UTF-8 text."""
+    read (missing, not a regular file, unreadable) or is not UTF-8 text.
+    A FIFO or a device is refused before open, which would wait for a
+    writer or read without end; a directory fails in open."""
     try:
+        mode = os.stat(args.input).st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise InputError(f"cannot read group file {args.input}: "
+                             f"not a regular file")
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:

@@ -30,10 +30,10 @@ import numpy as np
 
 from .cohomology import _system
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, _distinct, _factor, _normalizing,
-                     _power_positions, _scalar_power, coset_orders,
-                     lift_normalizer, p_sylow, sylow_normalizer_element,
-                     sylow_normalizer_mask)
+from .groups import (MatGroup, _factor, _normalizing, _power_positions,
+                     _scalar_power, coset_orders, lift_normalizer, p_sylow,
+                     sylow_normalizer_element, sylow_normalizer_mask)
+from .keys import _distinct
 from .ringmat import Mat, _bijective_shifts, _howell_stack
 from .symplectic import SymplecticSpace, similitude_multipliers
 
@@ -273,15 +273,14 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
             f"class order {info['class_order']} (multiple of {(p - 1) // i}, "
             f"i = {i})", witness=g)
     if not _bijective_shift(g, p):
-        # only existence is guaranteed; scan the same normalizer for another
-        # order-(p-1) element with the class-order certificate that also
-        # fixes nothing nonzero
-        Nrm = G1.subgroup(sylow_normalizer_mask(G1)[1])
-        full = (Nrm.orders() == p - 1) & (
-            coset_orders(Nrm, N) % ((p - 1) // i) == 0)
+        # only existence is guaranteed; scan the same normalizer, as a mask
+        # over G1's positions, for another order-(p-1) element with the
+        # class-order certificate that also fixes nothing nonzero
+        full = sylow_normalizer_mask(G1)[1] & (G1.orders() == p - 1) & (
+            coset_orders(G1, N) % ((p - 1) // i) == 0)
         hits = np.flatnonzero(full)
-        hits = hits[_bijective_shifts(Nrm.element_array()[hits], p)]
-        g = Nrm.element(hits[0]) if len(hits) else None
+        hits = hits[_bijective_shifts(G1.element_array()[hits], p)]
+        g = G1.element(hits[0]) if len(hits) else None
     if g is None:
         rep.add("a constructed element fixes nothing nonzero", "failed",
                 "every qualifying normalizer element has a fixed vector")

@@ -4,12 +4,8 @@ Groups are closures of generator lists under multiplication, enumerated
 breadth first with a deterministic order (BFS layer, then lexicographic on
 entries).  The closure keeps, for every element, one factorization
 element = parent * generator; the cohomology module rides on that tree.
-Once a closure holds q^rank elements it works on row codes: each row of a
-matrix as one base-q integer, and a product with a generator as one
-lookup per row in that generator's table of row images, built at that
-point so it never costs more than the products already formed.  The
-keys of a layer's products are those lookups combined by Horner, with no
-array of the products; only the fresh ones, the next layer, are formed.
+Elements are found by their sort keys, and each layer joins the closure
+through keys._absorb, the step the stabilizer chain runs too.
 
 Also here: element orders from prime power maps (one cached map per
 prime), inverses by adjugate (ringmat.batch_inv), the p-elements from the
@@ -51,100 +47,12 @@ import numpy as np
 
 from .errors import (CapExceededError, InputError, PreconditionError,
                      certify)
+from .keys import (_absorb, _code_space, _digit_weights, _distinct, _find,
+                   _first_occurrences, _keys, _product_keys, _row_table)
 from .ringmat import (Mat, ModuleSpec, RowSystem, _factor, _howell_rows,
                       batch_det, batch_inv)
 
 DEFAULT_CAP = 200_000
-
-
-def _keys(arr: np.ndarray, q: int) -> np.ndarray:
-    """Sort keys of the N matrices (N, r, r) or row vectors (N, r) in arr,
-    entries in [0, q), in the lexicographic order of the flattened entries:
-    base-q packed int64 codes while q^m < 2^63 for the m entries of each,
-    big-endian byte strings past that."""
-    m = arr.shape[1] ** (arr.ndim - 1)
-    flat = arr.reshape(len(arr), m)
-    if q ** m < 2 ** 63:
-        return flat @ _digit_weights(q, m)
-    return np.ascontiguousarray(flat.astype(">i8")).view(
-        np.dtype((np.void, 8 * m))).ravel()
-
-
-def _digit_weights(q: int, r: int) -> np.ndarray:
-    """q^(r-1), ..., q, 1: the weights of a big-endian base-q row code, so
-    row x_i of a matrix with entries in [0, q) has code x_i @ weights."""
-    return q ** np.arange(r - 1, -1, -1, dtype=np.int64)
-
-
-def _code_space(q: int, r: int) -> np.ndarray:
-    """The (q^r, r) rows of every code in [0, q^r), so the rows of any codes
-    are one gather from it."""
-    return np.arange(q ** r)[:, None] // _digit_weights(q, r) % q
-
-
-def _row_table(garr: np.ndarray, space: np.ndarray) -> np.ndarray:
-    """table[g, c]: the code of (row with code c) @ generator g mod q, for
-    every code c in [0, q^r) and each of the (k, r, r) generators garr.
-    space is _code_space(q, r); its last row, the code q^r - 1, has every
-    entry q - 1."""
-    q, r = int(space[-1, 0]) + 1, garr.shape[1]
-    return ((space @ garr) % q) @ _digit_weights(q, r)
-
-
-def _product_keys(table: np.ndarray, layer: np.ndarray,
-                  q: int) -> np.ndarray:
-    """_keys of the products x g, element-major (t = e * k + g), for the
-    (L, r) row-coded matrices x of layer and the k generators of the
-    code-major row table (the transpose of _row_table's).  Row i of x g
-    has code table[row i of x, g], and packing the row codes in base q^r
-    gives the base-q packing of the entries, so the int64 keys are r
-    gathers of (L, k) codes combined by Horner, with no (k * L, r) array
-    of the products.  Byte keys decode the gathered codes first."""
-    r = layer.shape[1]
-    if q ** (r * r) >= 2 ** 63:
-        codes = table[layer].transpose(0, 2, 1)[..., None]
-        return _keys((codes // _digit_weights(q, r) % q).reshape(-1, r, r), q)
-    keys = table[layer[:, 0]]
-    for i in range(1, r):
-        keys *= q ** r
-        keys += table[layer[:, i]]
-    return keys.ravel()
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of the 1-d array a, as np.unique(a) gives
-    them, without the import of numpy.ma that the plain np.unique call
-    makes (about 14 ms of every process that reaches it)."""
-    a = np.sort(a)
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
-
-
-def _first_occurrences(keys: np.ndarray):
-    """(distinct keys sorted, index of the first occurrence of each), as
-    np.unique(keys, return_index=True) gives them.  From 256 keys on, where
-    the n keys' indices fit in b bits and (max key + 1) << b fits in int64,
-    the packed values key << b | index are distinct, so the default sort
-    orders them with no stable argsort and each key's run starts at its
-    first index: a shift gives the keys (packed codes, so never negative),
-    a run starts where they change, and the low b bits of its first packed
-    value are that index.  Fewer keys, where np.unique's fixed cost is the
-    smaller, and byte keys go through np.unique."""
-    n = len(keys)
-    b = (n - 1).bit_length()
-    if n < 256 or keys.dtype != np.int64 or \
-            (int(keys.max()) + 1) << b > 2 ** 63:
-        return np.unique(keys, return_index=True)
-    packed = keys << b
-    packed |= np.arange(n)
-    packed.sort()
-    run = packed >> b
-    start = np.empty(n, dtype=bool)
-    start[0] = True
-    np.not_equal(run[1:], run[:-1], out=start[1:])
-    start = np.flatnonzero(start)
-    return run[start], packed[start] & ((1 << b) - 1)
 
 
 def _stack(mats, r: int) -> np.ndarray:
@@ -202,13 +110,6 @@ def _cached(fill):
     return get
 
 
-def _find(sorted_keys: np.ndarray, keys: np.ndarray):
-    """(pos, hit): searchsorted positions of keys in the non-empty
-    sorted_keys, and which keys are present."""
-    pos = np.searchsorted(sorted_keys, keys)
-    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
-
-
 class MatGroup:
     """A closed finite matrix group; construct through MatGroup.close().
 
@@ -240,7 +141,8 @@ class MatGroup:
         """Breadth-first closure of the generators under multiplication.
 
         A layer is the new products (previous layer) x (generators) in key
-        order; an element's tree edge is its first such product.  Products
+        order, taken by one _absorb; an element's tree edge is its first
+        such product.  Products
         are batched matmuls until the closure holds q^rank elements; from
         then on a layer is kept as row codes, the keys of its products are
         gathers from the generators' row tables (_row_table, read
@@ -271,25 +173,21 @@ class MatGroup:
                 prod_keys = _keys(prods, q)
             else:
                 prod_keys = _product_keys(table, layer, q)
-            keys, first = _first_occurrences(prod_keys)
-            fresh = ~_find(seen, keys)[1]
-            count = int(fresh.sum())
-            if not count:
+            merged, t = _absorb(seen, prod_keys)
+            if not len(t):
                 break
-            if len(seen) + count > cap:
+            if len(merged) > cap:
                 raise CapExceededError("group closure", cap)
-            t = first[fresh]
             e, g = np.divmod(t, k)
             parents.append(layer_idx[e])
             labels.append(g)
-            layers.append((len(seen), len(seen) + count))
+            layers.append((len(seen), len(merged)))
             # from the table on, only the fresh products are formed, as codes
             layer = prods[t] if table is None else table[layer[e], g[:, None]]
             layer_idx = np.arange(*layers[-1])
             (chunks if table is None else code_chunks).append(layer)
-            key_chunks.append(keys[fresh])
-            # both runs are sorted, so the stable sort is one merge
-            seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
+            key_chunks.append(prod_keys[t])
+            seen = merged
         # the element array is filled in place, the coded layers by one
         # gather; every code lies in [0, q^r), so mode="clip" clips
         # nothing and spares the copy np.take buffers out= in by default
@@ -314,7 +212,7 @@ class MatGroup:
         The elements are normalized as close normalizes generators."""
         arr = _generator_array(elements, spec)
         # distinct elements in lexicographic order
-        _, first = np.unique(_keys(arr, spec.modulus), return_index=True)
+        first = _first_occurrences(_keys(arr, spec.modulus))[1]
         return cls._from_lex_sorted(arr[first], spec, cap)
 
     @classmethod
@@ -775,12 +673,16 @@ def is_p_group(H: MatGroup) -> bool:
     return len(f) <= 1 and (not f or H.spec.p in f)
 
 
-def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP):
+def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP,
+                       most=None):
     """(positions, group): the greedy sublist of the (N, r, r) matrices arr
     that with the closed group base generates the same group as base and
     arr, keeping a matrix only when it enlarges the closure so far, and
     that group, closed from base's generators and the kept matrices in
-    order (base itself when nothing is kept)."""
+    order (base itself when nothing is kept).  A caller that reads only
+    the positions and knows that at most `most` matrices are kept passes
+    that bound: the greedy returns at the most-th kept matrix, with None
+    for the group, and never closes it."""
     kept, grp, start = [], base, 0
     while True:
         # the closure only grows, so matrices skipped so far stay inside it
@@ -789,6 +691,8 @@ def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP):
             return kept, grp
         start += int(outside[0])
         kept.append(start)
+        if len(kept) == most:
+            return kept, None
         grp = MatGroup.close(
             np.concatenate([base.generator_array(), arr[kept]]), base.spec,
             cap=cap)
@@ -801,14 +705,15 @@ def frattini(H: MatGroup) -> MatGroup:
     for p-groups, which the test suite's maximal_subgroup_intersection
     computes from that definition).  H's generators are first reduced by
     _greedy_generators from the trivial group, closed once per call, and
-    _frattini runs on the kept ones."""
+    _frattini runs on the kept ones; keeping all len(A) of them closes
+    nothing more."""
     if not is_p_group(H):
         raise PreconditionError("H is a p-group", f"|H| = {H.order}")
     if H.order == 1:
         return H
     A, trivial = H.generator_array(), MatGroup.close([], H.spec)
-    return _frattini(H, A[_greedy_generators(A, trivial, H.order + 1)[0]],
-                     trivial)
+    return _frattini(H, A[_greedy_generators(A, trivial, H.order + 1,
+                                             len(A))[0]], trivial)
 
 
 def _frattini(H: MatGroup, A: np.ndarray, trivial: MatGroup) -> MatGroup:
@@ -882,8 +787,11 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
             return []
         phi = _frattini(sub, A, trivial)
         X = sub.element_array()
-        # greedy basis of sub/phi in the deterministic element order
-        basis = _greedy_generators(X, phi, sub.order + 1)[0]
+        # greedy basis of sub/phi in the deterministic element order: sub/phi
+        # is elementary abelian of order p^d, so each kept element
+        # multiplies the closure by p and the d-th needs no close
+        d = _factor(sub.order // phi.order)[p]
+        basis = _greedy_generators(X, phi, sub.order + 1, d)[0]
         conj = (((ga @ X[basis]) % q) @ gia) % q    # g b g^-1 for each b
         k = len(basis)
         if k == 1:
@@ -929,8 +837,8 @@ def decompose_generators(g: Mat, H: MatGroup) -> Decomposition:
 
     A = H.generator_array()
     unique = {}
-    for h, lam in recurse(H, A[_greedy_generators(A, trivial,
-                                                  H.order + 1)[0]]):
+    for h, lam in recurse(H, A[_greedy_generators(A, trivial, H.order + 1,
+                                                  len(A))[0]]):
         unique.setdefault(h.tobytes(), (h, lam))
     hs = np.array([h for h, _ in unique.values()],
                   dtype=np.int64).reshape(-1, r, r)

@@ -288,6 +288,23 @@ def test_directory_as_group_file_exits_two(tmp_path, capsys):
     assert captured.out == "" and "Is a directory" in captured.err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_fifo_as_group_file_exits_two(tmp_path):
+    # open would wait for a writer forever; a subprocess with a timeout
+    # makes a regression fail instead of hanging the suite
+    fifo = tmp_path / "pipe.grp"
+    os.mkfifo(fifo)
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "h1loc.cli", "h1loc",
+                           str(fifo), "--json"], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.returncode == EXIT_INPUT and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read group file")
+
+
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                     reason="root reads a file whatever its mode")
 def test_unreadable_file_exits_two(tmp_path, capsys):
