@@ -1,33 +1,57 @@
-"""Deterministic stabilizer chains of finite matrix groups over Z/p^n.
+"""Deterministic stabilizer chains of finite matrix groups over Z/p^n, by
+Schreier-Sims.
 
 The base is e_1, ..., e_r under the row action v -> v g, so the image of
 e_i under g is row i of g, and a point is a row vector keyed by its base-q
-code (keys._keys).  Level i holds generators S_i of G_i, the stabilizer
-in G of e_1, ..., e_{i-1} (S_1 the given generators), the orbit O_i of e_i
-under G_i, found breadth first over point codes with keys._absorb, the
-step each layer of MatGroup.close takes, and the transversal T_i:
-for each orbit point b an element U_b with e_i U_b = b, formed along the
-orbit tree (U_{bs} = U_b s on the tree edge b -> bs, U_{e_i} = 1).
+code (keys._keys).  The build keeps one strong generating set S, each
+member with its inverse: the given generators less the identity, whose
+inverses come from one batch_inv, and the residues added below.  S^(i) is
+the members of S that fix e_1, ..., e_{i-1}, and H^(i) = <S^(i)>, so
+G = H^(1).  Level i holds the orbit D_i of e_i under S^(i), found breadth
+first over point codes with keys._absorb, the step each layer of
+MatGroup.close takes, and the transversal: for each orbit point b an
+element U_b with e_i U_b = b, formed along the orbit tree (U_{bs} = U_b s
+on the tree edge b -> bs, U_{e_i} = 1).  The inverses are carried along
+the same tree, U_{bs}^-1 = s^-1 U_b^-1, so none is computed.
 
-Schreier's lemma gives S_{i+1}.  For x in G_i fixing e_i, write x as a
-word s_1 ... s_m in S_i and let b_j = e_i s_1 ... s_j; then x is the
-product of the U_{b_{j-1}} s_j U_{b_j}^-1, since U_{b_0} = U_{b_m} = 1
-and the inner factors cancel, and each such factor fixes e_i.  So the
-Schreier generators U_b s U_{bs}^-1 (b in O_i, s in S_i) generate the
-stabilizer G_{i+1}.  Tree edges give 1 and are skipped, duplicates are
-dropped by key, and so is the identity; the products are formed in blocks
-of at most _BLOCK pairs.  A matrix that fixes every e_i is the identity, so
-the chain certifies that the last level's Schreier generators are all 1.
+The sift of x from level i: b = e_i x; if b lies in D_i, x U_b^-1 fixes
+e_i (and every earlier e_l that x fixed) and goes on to level i + 1;
+otherwise x stops at level i, and what it has become is its residue.  A
+matrix that passes every level has row i equal to e_i for every i, so it
+is the identity, and x is the product of the U_b it met: it lies in G.
+That is StabChain.contains.  A residue's inverse is carried along its sift
+as the transversal inverses are: (x U_b^-1)^-1 = U_b x^-1.
 
-Orbit-stabilizer gives |G_i| = |O_i| |G_{i+1}|, so |G| is the product of
-the orbit lengths, read with no element formed, and the chain refuses
-with close's CapExceededError as soon as that product passes the cap,
-before it forms any further Schreier generator; where a level's Schreier
-pairs take more than one block, the next orbit under the first block's
-generators already bounds |G| from below and is checked first.
+Schreier's lemma: for x in H^(i) fixing e_i, write x as a word s_1 ... s_m
+in S^(i) and let b_j = e_i s_1 ... s_j; then x is the product of the
+Schreier generators U_{b_{j-1}} s_j U_{b_j}^-1, since U_{b_0} = U_{b_m} = 1
+and the inner factors cancel.  So those generators (b in D_i, s in S^(i);
+tree edges give 1 and are skipped) generate the stabilizer of e_i in
+H^(i).  Sims' criterion (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 4.4; Sims 1970): when at every level the Schreier generators
+all sift to 1 through the levels below it, H^(i+1) is that stabilizer at
+every i, and by orbit-stabilizer |G| = |D_1| ... |D_r|.
 
-For the elements, x in G_i lies in exactly one coset G_{i+1} U_b, the one
-of b = e_i x, and then x U_b^-1 lies in G_{i+1}.  By induction every
+The build forms every orbit, then takes the levels from the deepest up,
+_BLOCK Schreier pairs at a time in pair order, and sifts each block
+through the levels below in one vectorized pass.  The first generator that
+does not sift leaves a residue h that fixes e_1, ..., e_{j-1} and moves
+e_j for some j > i; h joins S, the orbits i+1..j are formed again, and the
+build goes back to level j.  Levels below the current one are always
+complete, so a Schreier generator that sifted once sifts again and is not
+formed again; the rest of the block that did not sift is formed again
+once the build is back at level i.  A level is done when all of its
+Schreier generators sift; they then sift to 1, the certificate.  h
+already lies in H^(l) for l <= i, so the orbits there stand.
+
+The cap: H^(i+1) lies in the stabilizer of e_i in H^(i), so
+|H^(i)| >= |D_i| |H^(i+1)|, and at every stage the product of the current
+orbit lengths is a lower bound on |G|.  The build refuses with close's
+CapExceededError as soon as that product passes the cap, inside the orbit
+search, before any Schreier generator of a larger orbit is formed.
+
+For the elements, x in H^(i) lies in exactly one coset H^(i+1) U_b, the
+one of b = e_i x, and then x U_b^-1 lies in H^(i+1).  By induction every
 element of G is a product U_r ... U_1 with U_i in T_i in exactly one way,
 so the products list each element once, with nothing to deduplicate; one
 sort of their keys certifies it.
@@ -52,83 +76,97 @@ from .ringmat import ModuleSpec, batch_inv
 _BLOCK = 1 << 15
 
 
-def _orbit(gens: np.ndarray, i: int, index: int, cap: int, q: int):
-    """(U, edges) for the orbit of e_i under the (k, r, r) generators gens.
+def _orbit(gens: np.ndarray, invs: np.ndarray, i: int, index: int,
+           cap: int, q: int):
+    """(level, edges) for the orbit of e_i under the (k, r, r) generators
+    gens, whose inverses are invs.
 
-    U is the (n, r, r) transversal, U[0] = 1 and row i of U[b] the b-th
-    orbit point, in breadth-first order: a layer's points in the order of
-    their first (point, generator) pair, point-major.  edges holds the pair
-    t = b * k + s of each tree edge, ascending.  index is the product of
-    the orbit lengths of the levels before; CapExceededError once index
-    times the points found passes cap."""
+    level is (U, V, sorted point keys, transversal position of each): U the
+    (n, r, r) transversal, U[0] = 1 and row i of U[b] the b-th orbit point,
+    in breadth-first order (a layer's points in the order of their first
+    (point, generator) pair, point-major), and V[b] = U[b]^-1.  edges holds
+    the pair t = b * k + s of each tree edge, ascending.  index is the
+    product of the other levels' orbit lengths, so index times the points
+    found is a lower bound on |G|; CapExceededError once it passes cap."""
     k, r = gens.shape[:2]
-    frontier = np.eye(r, dtype=np.int64)[None]
+    frontier = inverse = np.eye(r, dtype=np.int64)[None]
     seen = _keys(frontier[:, i], q)
-    pieces, edges = [frontier], [np.zeros(0, dtype=np.int64)]
+    pieces, inverses, edges = [frontier], [inverse], [np.zeros(0, np.int64)]
     start, count = 0, 1
     while k and len(frontier):
-        layer, step = [], max(1, _BLOCK // k)
+        layer, layer_inv, step = [], [], max(1, _BLOCK // k)
         for a in range(0, len(frontier), step):
             block = frontier[a:a + step]
             images = (block[:, None, i:i + 1] @ gens).reshape(-1, r) % q
             seen, t = _absorb(seen, _keys(images, q))
             t.sort()
-            layer.append(block[t // k] @ gens[t % k] % q)
+            b, s = np.divmod(t, k)
+            layer.append(block[b] @ gens[s] % q)
+            layer_inv.append(invs[s] @ inverse[a + b] % q)
             edges.append((start + a) * k + t)
             count += len(t)
             if index * count > cap:
                 raise CapExceededError("group closure", cap)
         start += len(frontier)
-        frontier = np.concatenate(layer)
+        frontier, inverse = np.concatenate(layer), np.concatenate(layer_inv)
         pieces.append(frontier)
-    return np.concatenate(pieces), np.concatenate(edges)
-
-
-def _schreier(gens: np.ndarray, U: np.ndarray, edges: np.ndarray, i: int,
-              q: int, bound=None) -> np.ndarray:
-    """The distinct Schreier generators U_b s U_{bs}^-1 other than 1, for
-    the transversal U and tree edges of _orbit(gens, i, ...), in the order
-    of their first pair t = b * k + s.  The pairs are taken _BLOCK at a
-    time, tree edges left out; row i of U_b s is the point bs, and its key
-    finds U_{bs}^-1 among the inverses of U.
-
-    bound = (index, cap), index the product of the orbit lengths through
-    level i: when more blocks follow the first, the orbit of e_{i+1} under
-    the first block's generators, part of the next basic orbit, is found
-    first, so _orbit refuses as soon as index times its length passes cap
-    instead of after every block is formed."""
-    k, r = gens.shape[:2]
+        inverses.append(inverse)
+    U = np.concatenate(pieces)
     point_keys = _keys(U[:, i], q)
     by_key = np.argsort(point_keys, kind="stable")
-    sorted_points = point_keys[by_key]
-    inverses = batch_inv(U, q)
-    seen = _keys(np.eye(r, dtype=np.int64)[None], q)
-    out = [gens[:0]]
-    for t0 in range(0, len(U) * k, _BLOCK):
-        pairs = np.arange(t0, min(t0 + _BLOCK, len(U) * k))
-        tree = edges[(edges >= t0) & (edges < t0 + _BLOCK)]
-        keep = np.ones(len(pairs), dtype=bool)
-        keep[tree - t0] = False
-        pairs = pairs[keep]
-        us = U[pairs // k] @ gens[pairs % k] % q
-        pos, hit = _find(sorted_points, _keys(us[:, i], q))
-        certify(hit.all(), "orbit not closed under the generators")
-        schreier = us @ inverses[by_key[pos]] % q
-        seen, fresh = _absorb(seen, _keys(schreier, q))
-        out.append(schreier[np.sort(fresh)])
-        if bound and t0 == 0 and len(U) * k > _BLOCK:
-            _orbit(out[1], i + 1, *bound, q)
-    return np.concatenate(out)
+    level = (U, np.concatenate(inverses), point_keys[by_key], by_key)
+    return level, np.concatenate(edges)
+
+
+def _schreier(level: tuple, gens: np.ndarray, pairs: np.ndarray, i: int,
+              q: int, invs=None):
+    """The Schreier generators U_b s U_{bs}^-1 of the pairs t = b * k + s
+    of _orbit's level i and its k generators gens; with invs, the
+    generators' inverses, also their inverses U_{bs} s^-1 U_b^-1.  Row i
+    of U_b s is the point bs, and its key finds U_{bs} and U_{bs}^-1."""
+    U, V, point_keys, by_key = level
+    b, s = np.divmod(pairs, len(gens))
+    us = U[b] @ gens[s] % q
+    pos, hit = _find(point_keys, _keys(us[:, i], q))
+    certify(hit.all(), "orbit not closed under the generators")
+    at = by_key[pos]
+    if invs is None:
+        return us @ V[at] % q
+    return us @ V[at] % q, U[at] @ invs[s] % q @ V[b] % q
+
+
+def _sift(h: np.ndarray, levels, start: int, q: int, inv=None):
+    """Sift the (m, r, r) matrices h in place through levels[start:], each
+    an _orbit level: at level l, b = e_l h must be an orbit point, and h
+    becomes h U_b^-1.  Returns the level at which each one stopped, with
+    len(levels) for those that passed every level.  inv, the inverses of
+    h when given, is carried along in place as U_b h^-1."""
+    stop = np.full(len(h), len(levels))
+    live, x = np.arange(len(h)), h
+    for l in range(start, len(levels)):
+        U, V, point_keys, by_key = levels[l]
+        pos, hit = _find(point_keys, _keys(x[:, l], q))
+        if not hit.all():
+            stop[live[~hit]] = l
+            h[live[~hit]] = x[~hit]
+            live, x, pos = live[hit], x[hit], pos[hit]
+        at = by_key[pos]
+        x = x @ V[at] % q
+        if inv is not None:
+            inv[live] = U[at] @ inv[live] % q
+    h[live] = x
+    return stop
 
 
 @dataclass(frozen=True)
 class StabChain:
-    """A stabilizer chain with base e_1, ..., e_r: transversals[i] is the
-    read-only (|O_i|, r, r) transversal of level i, U[0] = 1.  Build it
-    with StabChain.build."""
+    """A stabilizer chain with base e_1, ..., e_r.  levels[i] is level i's
+    (U, U^-1, sorted point keys, transversal position of each), U the
+    read-only (|D_i|, r, r) transversal of _orbit, U[0] = 1.  Build it with
+    StabChain.build."""
 
     spec: ModuleSpec
-    transversals: tuple
+    levels: tuple
 
     @classmethod
     def build(cls, generators, spec: ModuleSpec, cap: int = DEFAULT_CAP):
@@ -136,19 +174,65 @@ class StabChain:
         lists or one (k, r, r) integer array, refused as close refuses them
         (_generator_array).  CapExceededError("group closure", cap) once
         the product of the orbit lengths passes cap; InternalError unless
-        the stabilizer of the whole base is trivial."""
-        q = spec.modulus
-        gens = _generator_array(generators, spec)
-        transversals, order = [], 1
-        for i in range(spec.rank):
-            U, edges = _orbit(gens, i, order, cap, q)
-            order *= len(U)
-            gens = _schreier(gens, U, edges, i, q,
-                             (order, cap) if i + 1 < spec.rank else None)
-            U.flags.writeable = False
-            transversals.append(U)
-        certify(not len(gens), "stabilizer of the base is not trivial")
-        return cls(spec, tuple(transversals))
+        every Schreier generator sifts to 1."""
+        q, r = spec.modulus, spec.rank
+        ident = np.eye(r, dtype=np.int64)
+        S = _generator_array(generators, spec)
+        moved = (S != ident).any(axis=2)
+        keep = moved.any(axis=1)
+        # depth: the first base point each member of S moves
+        S, depth = S[keep], moved[keep].argmax(axis=1)
+        S_inv = batch_inv(S, q)
+        # per level: its orbit's members of S (positions in S), and its
+        # pairs that are no tree edge and have not sifted yet
+        levels, under, todo = [None] * r, [None] * r, [None] * r
+
+        def form(l):
+            under[l] = np.flatnonzero(depth >= l)
+            index = prod(len(levels[m][0]) for m in range(r)
+                         if m != l and levels[m] is not None)
+            levels[l], edges = _orbit(S[under[l]], S_inv[under[l]], l, index,
+                                      cap, q)
+            tree = np.zeros(len(levels[l][0]) * len(under[l]), dtype=bool)
+            tree[edges] = True
+            todo[l] = np.flatnonzero(~tree)
+
+        for l in range(r):
+            form(l)
+        i = r - 1
+        while i >= 0:
+            if not len(todo[i]):
+                i -= 1
+                continue
+            pairs, todo[i] = todo[i][:_BLOCK], todo[i][_BLOCK:]
+            h = _schreier(levels[i], S[under[i]], pairs, i, q)
+            stop = _sift(h, levels, i + 1, q)
+            certify((h[stop == r] == ident).all(),
+                    "a Schreier generator sifts to a matrix other than 1")
+            out = np.flatnonzero(stop < r)
+            if not len(out):
+                continue
+            # the first generator that does not sift, again with its inverse
+            h, h_inv = _schreier(levels[i], S[under[i]], pairs[out[:1]], i,
+                                 q, S_inv[under[i]])
+            j = int(_sift(h, levels, i + 1, q, h_inv)[0])
+            S, S_inv = np.concatenate([S, h]), np.concatenate([S_inv, h_inv])
+            depth = np.append(depth, j)
+            # that generator sifts once the levels below are complete again;
+            # the others that did not sift are checked again then
+            todo[i] = np.concatenate([pairs[out[1:]], todo[i]])
+            for l in range(i + 1, j + 1):
+                form(l)
+            i = j
+        for level in levels:
+            for a in level:
+                a.flags.writeable = False
+        return cls(spec, tuple(levels))
+
+    @property
+    def transversals(self) -> tuple:
+        """The read-only transversal U of each level."""
+        return tuple(level[0] for level in self.levels)
 
     @property
     def orbit_lengths(self) -> tuple:
@@ -158,6 +242,17 @@ class StabChain:
     def order(self) -> int:
         """|G|, the product of the orbit lengths."""
         return prod(self.orbit_lengths)
+
+    def contains(self, arr) -> np.ndarray:
+        """Boolean mask over the (N, r, r) matrices arr, entries in [0, q),
+        of those in the group: the ones that sift through every level, since
+        a matrix that does ends at 1 and is then a product of the U_b."""
+        r = self.spec.rank
+        h = np.array(arr, dtype=np.int64).reshape(-1, r, r)
+        inside = _sift(h, self.levels, 0, self.spec.modulus) == r
+        certify((h[inside] == np.eye(r, dtype=np.int64)).all(),
+                "a sift through every level ends at a matrix other than 1")
+        return inside
 
     def elements(self) -> np.ndarray:
         """The (order, r, r) array of the products U_r ... U_1, U_i in

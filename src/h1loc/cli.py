@@ -9,7 +9,8 @@ Lines starting with `#` are comments.
 
 Exit codes: 0 success/certified, 1 mathematically interesting negative
 (nonvanishing group, criterion not applicable), 2 input error, 3 cap
-exceeded, 4 internal error (a failed certificate: a bug, not bad input).
+exceeded, 4 internal error (a failed certificate or any other exception
+that escapes a command: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -380,6 +381,14 @@ def run(argv=None) -> int:
         return EXIT_INPUT
     except InternalError as err:
         print(f"error: internal: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as err:
+        # any other failure is a bug, not a negative answer, so it exits 4
+        # and never the traceback's 1; the traceback follows the message.
+        # KeyboardInterrupt and SystemExit are no Exception and propagate
+        import traceback    # here, so that no other run pays its import
+        print(f"error: internal: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -92,9 +92,11 @@ def _refuse_singular(gens, q: int) -> None:
 
 
 def _cached(fill):
-    """Method decorator for a lazy cache: the first call runs fill under the
+    """Decorator for a lazy cache on a group, of a method or of a function
+    whose one argument is the group: the first call runs fill under the
     owner's lock (self._lock, reentrant) and later calls reuse its value, so
-    threads sharing the owner fill each cache exactly once."""
+    threads sharing the owner fill each cache exactly once, and no cache
+    outlives its group."""
     slot = f"_{fill.__name__}_cache"
 
     @functools.wraps(fill)
@@ -592,8 +594,10 @@ def _scalar_power(arr: np.ndarray, k: int, q: int) -> np.ndarray:
     return result
 
 
+@_cached
 def p_sylow(G: MatGroup) -> MatGroup:
-    """A p-Sylow subgroup of G by normalizer ascent.
+    """A p-Sylow subgroup of G by normalizer ascent, computed once per
+    group (_cached).
 
     Starts from a p-element of maximal order and repeatedly extends by
     p-elements of the normalizer of the current p-subgroup until the exact
@@ -643,9 +647,11 @@ def _normalizer_mask(G: MatGroup, H: MatGroup) -> np.ndarray:
     return _normalizing(X, X[G.inverse_indices()], H)
 
 
+@_cached
 def sylow_normalizer_mask(G: MatGroup):
-    """(|S|, mask): the order of a p-Sylow S of G and the mask over G's
-    element positions of its normalizer.
+    """(|S|, mask): the order of a p-Sylow S of G and the read-only mask
+    over G's element positions of its normalizer, computed once per group
+    (_cached).
 
     By Sylow's theorem every p-element lies in a p-Sylow, and each p-Sylow
     holds exactly p^a = |G|_p of them.  So G has exactly p^a p-elements
@@ -656,9 +662,12 @@ def sylow_normalizer_mask(G: MatGroup):
     p = G.spec.p
     target = p ** _factor(G.order).get(p, 0)
     if len(G._p_elements()[0]) == target:
-        return target, np.ones(G.order, dtype=bool)
-    H = p_sylow(G)
-    return H.order, _normalizer_mask(G, H)
+        mask, order = np.ones(G.order, dtype=bool), target
+    else:
+        H = p_sylow(G)
+        mask, order = _normalizer_mask(G, H), H.order
+    mask.flags.writeable = False
+    return order, mask
 
 
 def normalizer(G: MatGroup, H: MatGroup) -> MatGroup:

@@ -1,7 +1,9 @@
 """The stabilizer chain against the closure: order and element keys on the
 twist corpus, the family groups, GSp_4(F_3), the Borel of GSp_4(F_5) and
-groups with byte keys; determinism; the cap; the order of GSp_4(F_5) from
-the orbit lengths alone; and the memory of the two blocked steps."""
+groups with byte keys; membership by sift against lookup; determinism; the
+cap; the orders of GSp_4(F_5) and GSp_4(F_7) from the orbit lengths alone;
+the Schreier products the build forms; and the memory of the refusal and
+of the enumeration."""
 
 import os
 import subprocess
@@ -21,7 +23,7 @@ from h1loc.cli import EXIT_CAP, EXIT_OK, run
 from h1loc.counterexample import build
 from h1loc.errors import CapExceededError, InputError
 from h1loc.groups import MatGroup, _distinct, _keys
-from h1loc.ringmat import Mat, ModuleSpec
+from h1loc.ringmat import Mat, ModuleSpec, batch_det
 from h1loc.symplectic import gsp4_generators, gsp4_order
 
 
@@ -34,6 +36,25 @@ def _assert_chain_matches(G):
     assert chain.order == G.order == len(elements)
     assert np.array_equal(_distinct(_keys(elements, q)),
                           np.sort(_keys(G.element_array(), q)))
+
+
+def _assert_membership(G, seed):
+    """contains agrees with lookup(arr) >= 0 on every element of G, on 64
+    seeded random matrices, those of them with a unit determinant, and on
+    the products of every element with the first of those outside G, none
+    of which lies in G.  Returns how many of the random matrices lie
+    outside G."""
+    q, r = G.spec.modulus, G.spec.rank
+    chain = StabChain.build(G.generator_array(), G.spec, cap=G.order)
+    X = G.element_array()
+    assert chain.contains(X).all()
+    Y = np.random.default_rng(seed).integers(0, q, size=(64, r, r))
+    Y = Y[np.gcd(batch_det(Y, q), q) == 1]
+    outside = Y[G.lookup(Y) < 0]
+    tested = [Y, X @ outside[0] % q] if len(outside) else [Y]
+    for arr in tested:
+        assert np.array_equal(chain.contains(arr), G.lookup(arr) >= 0)
+    return len(outside)
 
 
 def test_chain_matches_close_on_the_twist_corpus():
@@ -84,6 +105,19 @@ def _signed_permutations():
                            [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
                            [[q - 1, 0, 0], [0, 1, 0], [0, 0, 1]]],
                           ModuleSpec(q, 1, 3))
+
+
+def test_membership_by_sift():
+    """Members and non-members of the twist corpus, G2 and H2 of the family
+    at p = 5, 11 and 17, GSp_4(F_3) and the Borel of GSp_4(F_5)."""
+    groups = [G for _label, _p, _g, G in twist_corpus()]
+    for p in (5, 11, 17):
+        inst = build(p)
+        groups += [inst.G2, inst.H2]
+    groups += [_gsp4_f3(), _borel_gsp4_f5()]
+    assert len(groups) == 120
+    outside = [_assert_membership(G, seed) for seed, G in enumerate(groups)]
+    assert all(outside[-8:]) and sum(map(bool, outside)) > 100
 
 
 @pytest.mark.parametrize("make", [_gsp4_f3, _borel_gsp4_f5,
@@ -161,10 +195,11 @@ def test_family_p17_enumeration_memory():
 
 
 def test_gsp4_f5_refusal_max_rss():
-    """gsp4 --p 5 --enumerate at the default cap: the level-2 Schreier
-    step has 378,000 pairs, and formed in blocks it exits 3 within 100 MB
-    max RSS (all at once it read 187 MB).  The child's max RSS is read in
-    a process of its own, as the CI steps do."""
+    """gsp4 --p 5 --enumerate at the default cap: the product of the first
+    orbits already passes the cap of 200,000, so the chain exits 3 before it
+    forms a Schreier product, within 100 MB max RSS (a chain that formed
+    all 378,000 level-2 Schreier pairs at once read 187 MB).  The child's
+    max RSS is read in a process of its own, as the CI steps do."""
     script = textwrap.dedent("""
         import resource, subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "h1loc.cli", "gsp4",
@@ -185,21 +220,62 @@ def test_gsp4_f5_refusal_max_rss():
     assert float(rss) <= 100, f"max RSS {float(rss):.1f} MB"
 
 
-def test_gsp4_f5_refusal_forms_one_block_of_level_2(monkeypatch):
-    """At the default cap the level-3 orbit under the first block of
-    level-2 Schreier generators already passes the cap, so the refusal
-    comes before the other 11 blocks of the 378,000 pairs are formed:
-    counted as the matrices the chain keys."""
+def _count_schreier_products(monkeypatch):
+    """A list that collects the number of Schreier products each call of
+    h1loc.chain._schreier forms, one per pair it is given."""
     formed = []
+    real = h1loc.chain._schreier
 
-    def counting(arr, q):
-        if arr.ndim == 3:
-            formed.append(len(arr))
-        return _keys(arr, q)
+    def counting(level, gens, pairs, *args, **kwargs):
+        formed.append(len(pairs))
+        return real(level, gens, pairs, *args, **kwargs)
 
-    monkeypatch.setattr("h1loc.chain._keys", counting)
+    monkeypatch.setattr("h1loc.chain._schreier", counting)
+    return formed
+
+
+def test_gsp4_f5_refusal_forms_one_block_of_level_2(monkeypatch):
+    """At the default cap the refusal comes before a chain could form the
+    378,000 level-2 Schreier pairs of a chain that keeps every Schreier
+    generator: counted as the Schreier products the chain forms.  The
+    sifting build refuses while it forms its first orbits, so it forms
+    none; the full chain, built first, shows that the counter sees them."""
+    formed = _count_schreier_products(monkeypatch)
     gens, space = gsp4_generators(5)
+    StabChain.build(gens, space.spec, cap=gsp4_order(5))
+    assert sum(formed) > 0
+    formed.clear()
     with pytest.raises(CapExceededError):
         StabChain.build(gens, space.spec)
     # at most the 6,864 level-1 pairs and one 32,768-pair block of level 2
     assert sum(formed) < 50_000, sum(formed)
+
+
+def test_gsp4_f3_sifts_few_schreier_generators(monkeypatch):
+    """GSp_4(F_3) forms at most 2,500 Schreier products (about 1,350): a
+    chain that keeps every Schreier generator forms about 8,500, one per
+    (point, generator) pair of its levels of 11, 281, 53 and 2 generators;
+    the sifting build keeps 12, the given 11 and one residue."""
+    formed = _count_schreier_products(monkeypatch)
+    gens, space = gsp4_generators(3)
+    chain = StabChain.build(gens, space.spec)
+    assert chain.orbit_lengths == (80, 24, 18, 3)
+    assert 0 < sum(formed) <= 2_500, sum(formed)
+
+
+def test_gsp4_f7_order_from_orbit_lengths(monkeypatch):
+    """GSp_4(F_7), 1,659,571,200 elements: the orbit lengths and the order
+    at a cap of exactly |G|, and the refusal at one less, each within
+    45,000 Schreier products (about 38,700 and 25,800 are formed; a chain
+    that keeps every Schreier generator took 5.1 s here)."""
+    formed = _count_schreier_products(monkeypatch)
+    gens, space = gsp4_generators(7)
+    order = gsp4_order(7)
+    chain = StabChain.build(gens, space.spec, cap=order)
+    assert chain.orbit_lengths == (2400, 336, 294, 7)
+    assert chain.order == order == 1_659_571_200
+    assert 0 < sum(formed) <= 45_000, sum(formed)
+    formed.clear()
+    with pytest.raises(CapExceededError):
+        StabChain.build(gens, space.spec, cap=order - 1)
+    assert sum(formed) <= 45_000, sum(formed)

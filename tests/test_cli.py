@@ -12,8 +12,8 @@ import pytest
 import h1loc
 
 from corpus import twist_corpus
-from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK,
-                       GroupDescription, parse_group, run)
+from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE,
+                       EXIT_OK, GroupDescription, parse_group, run)
 from h1loc.criteria import sylow_normalizer_criterion
 from h1loc.errors import InputError
 from h1loc.groups import MatGroup
@@ -326,6 +326,27 @@ def test_repeated_header_key_exits_two(tmp_path, capsys):
     assert captured.out == "" and "repeated header key 'p'" in captured.err
     with pytest.raises(InputError, match="repeated header key 'rank'"):
         parse_group("p=3 n=1 rank=2 rank=1\ngen:\n1\n")
+
+
+def test_unexpected_exception_exits_four(monkeypatch, capsys):
+    # an exception no command expects is a bug, not a negative answer: it
+    # exits 4 with "internal:", never the traceback's 1, while an
+    # interrupt still propagates
+    def broken(p):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("h1loc.cli.gsp4_order", broken)
+    assert run(["gsp4", "--p", "3"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ValueError: boom\n")
+
+    def interrupted(p):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("h1loc.cli.gsp4_order", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(["gsp4", "--p", "3"])
 
 
 def test_shared_parser_leaks_nothing_between_runs(tmp_path, capsys):
