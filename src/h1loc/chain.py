@@ -33,16 +33,19 @@ all sift to 1 through the levels below it, H^(i+1) is that stabilizer at
 every i, and by orbit-stabilizer |G| = |D_1| ... |D_r|.
 
 The build forms every orbit, then takes the levels from the deepest up,
-_BLOCK Schreier pairs at a time in pair order, and sifts each block
-through the levels below in one vectorized pass.  The first generator that
-does not sift leaves a residue h that fixes e_1, ..., e_{j-1} and moves
-e_j for some j > i; h joins S, the orbits i+1..j are formed again, and the
-build goes back to level j.  Levels below the current one are always
-complete, so a Schreier generator that sifted once sifts again and is not
-formed again; the rest of the block that did not sift is formed again
-once the build is back at level i.  A level is done when all of its
-Schreier generators sift; they then sift to 1, the certificate.  h
-already lies in H^(l) for l <= i, so the orbits there stand.
+in blocks of Schreier pairs in pair order, and sifts each block through
+the levels below in one vectorized pass.  A level's first block is
+_FIRST_BLOCK pairs and each later one twice the last, up to _BLOCK, so a
+residue found early does not make most of a large block be formed again.
+The first generator that does not sift leaves a residue h that fixes
+e_1, ..., e_{j-1} and moves e_j for some j > i; h joins S, the orbits
+i+1..j are formed again, and the build goes back to level j.  Levels
+below the current one are always complete, so a Schreier generator that
+sifted once sifts again and is not formed again; the rest of the block
+that did not sift is formed again once the build is back at level i.  A
+level is done when all of its Schreier generators sift; they then sift to
+1, the certificate.  h already lies in H^(l) for l <= i, so the orbits
+there stand.
 
 The cap: H^(i+1) lies in the stabilizer of e_i in H^(i), so
 |H^(i)| >= |D_i| |H^(i+1)|, and at every stage the product of the current
@@ -53,8 +56,15 @@ search, before any Schreier generator of a larger orbit is formed.
 For the elements, x in H^(i) lies in exactly one coset H^(i+1) U_b, the
 one of b = e_i x, and then x U_b^-1 lies in H^(i+1).  By induction every
 element of G is a product U_r ... U_1 with U_i in T_i in exactly one way,
-so the products list each element once, with nothing to deduplicate; one
-sort of their keys certifies it.
+so the products list each element once, with nothing to deduplicate.
+StabChain.planes lists them as entry planes, ringmat's layout: row i of
+x U_1 is (row i of x) U_1 for a prefix x = U_r ... U_2, and the prefixes'
+rows repeat, so the distinct ones are multiplied by every U_1 once and
+each plane is one gather from those images, in ringmat._entry_dtype (16
+int16 planes, 32 bytes per element of GSp_4(F_3), against 128 for an
+int64 4x4 matrix).  An element's key packs the codes of its image rows
+by Horner, as keys._product_keys packs a product's, and one sort of the
+keys certifies that no element appears twice.
 
 This module is not imported by the package's __init__, so processes that
 never build a chain do not compile it.
@@ -67,13 +77,17 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapExceededError, certify
+from .errors import CapExceededError, InputError, certify
 from .groups import DEFAULT_CAP, _generator_array
-from .keys import _absorb, _distinct, _find, _first_occurrences, _keys
-from .ringmat import ModuleSpec, batch_inv
+from .keys import (_absorb, _digit_weights, _distinct, _find,
+                   _first_occurrences, _keys, _product_keys)
+from .ringmat import ModuleSpec, _entry_dtype, batch_inv
 
 # orbit images and Schreier products are formed at most this many at a time
 _BLOCK = 1 << 15
+# each level's first block of Schreier pairs; each later block of the
+# level doubles, up to _BLOCK
+_FIRST_BLOCK = 1 << 8
 
 
 def _orbit(gens: np.ndarray, invs: np.ndarray, i: int, index: int,
@@ -183,9 +197,10 @@ class StabChain:
         # depth: the first base point each member of S moves
         S, depth = S[keep], moved[keep].argmax(axis=1)
         S_inv = batch_inv(S, q)
-        # per level: its orbit's members of S (positions in S), and its
-        # pairs that are no tree edge and have not sifted yet
-        levels, under, todo = [None] * r, [None] * r, [None] * r
+        # per level: its orbit's members of S (positions in S), its pairs
+        # that are no tree edge and have not sifted yet, and its next block
+        # size
+        levels, under, todo, block = ([None] * r for _ in range(4))
 
         def form(l):
             under[l] = np.flatnonzero(depth >= l)
@@ -196,6 +211,7 @@ class StabChain:
             tree = np.zeros(len(levels[l][0]) * len(under[l]), dtype=bool)
             tree[edges] = True
             todo[l] = np.flatnonzero(~tree)
+            block[l] = _FIRST_BLOCK
 
         for l in range(r):
             form(l)
@@ -204,7 +220,8 @@ class StabChain:
             if not len(todo[i]):
                 i -= 1
                 continue
-            pairs, todo[i] = todo[i][:_BLOCK], todo[i][_BLOCK:]
+            pairs, todo[i] = todo[i][:block[i]], todo[i][block[i]:]
+            block[i] = min(2 * block[i], _BLOCK)
             h = _schreier(levels[i], S[under[i]], pairs, i, q)
             stop = _sift(h, levels, i + 1, q)
             certify((h[stop == r] == ident).all(),
@@ -244,27 +261,40 @@ class StabChain:
         return prod(self.orbit_lengths)
 
     def contains(self, arr) -> np.ndarray:
-        """Boolean mask over the (N, r, r) matrices arr, entries in [0, q),
-        of those in the group: the ones that sift through every level, since
-        a matrix that does ends at 1 and is then a product of the U_b."""
-        r = self.spec.rank
-        h = np.array(arr, dtype=np.int64).reshape(-1, r, r)
-        inside = _sift(h, self.levels, 0, self.spec.modulus) == r
+        """Boolean mask over the (N, r, r) matrices arr, entries reduced
+        mod q first, of those in the group: the ones that sift through
+        every level, since a matrix that does ends at 1 and is then a
+        product of the U_b.  InputError unless arr's trailing shape is
+        (r, r)."""
+        q, r = self.spec.modulus, self.spec.rank
+        h = np.array(arr, dtype=np.int64)
+        if h.shape[-2:] != (r, r):
+            raise InputError(f"contains takes {r}x{r} matrices, "
+                             f"not an array of shape {h.shape}")
+        h = h.reshape(-1, r, r) % q
+        inside = _sift(h, self.levels, 0, q) == r
         certify((h[inside] == np.eye(r, dtype=np.int64)).all(),
                 "a sift through every level ends at a matrix other than 1")
         return inside
 
-    def elements(self) -> np.ndarray:
-        """The (order, r, r) array of the products U_r ... U_1, U_i in
-        transversals[i - 1], each element of the group once.
+    def planes(self) -> np.ndarray:
+        """The products U_r ... U_1, U_i in transversals[i - 1], each
+        element of the group once, as read-only entry-major (r, r, order)
+        planes in ringmat._entry_dtype(q): planes[i, j] holds entry (i, j)
+        of every element, as ringmat._planes lays them out.  Element
+        u * M + m is x_m U_1[u], x_m the m-th of the M prefixes.
 
         The prefixes U_r ... U_2 are batched products.  The last level is
-        the widest, one product per element, and row j of x U_1 is (row j
+        the widest, one product per element, and row i of x U_1 is (row i
         of x) U_1: the prefixes' rows repeat (5,184 rows, 79 distinct, at
-        GSp_4(F_3)), so each distinct row is multiplied by every U_1 once
-        and the product rows are one gather from those images, with no
-        batched product or reduction per element.  One _distinct of the
-        keys certifies that no element appears twice."""
+        GSp_4(F_3)), so each distinct row is multiplied by every U_1 once,
+        and each plane is one gather from those images' entries, with no
+        product, reduction or int64 matrix per element.  An element's key
+        is its rows' codes packed by Horner (keys._product_keys, bytes once
+        q^(r^2) >= 2^63), from the images' codes and the rows' positions
+        among the distinct ones; where a row's code itself passes int64
+        (q^r >= 2^63), the keys are the planes'.  One _distinct of the keys
+        certifies that no element appears twice."""
         q, r = self.spec.modulus, self.spec.rank
         first, *rest = self.transversals
         prefixes = np.eye(r, dtype=np.int64)[None]
@@ -273,11 +303,28 @@ class StabChain:
         rows = prefixes.reshape(-1, r)
         codes = _keys(rows, q)
         distinct, at = _first_occurrences(codes)
-        images = (rows[at] @ first % q).reshape(-1, r)
-        gather = np.arange(len(first))[:, None] * len(at) + \
-            _find(distinct, codes)[0]
-        array = np.take(images, gather.ravel(), axis=0).reshape(-1, r, r)
-        keys = _keys(array, q)
+        # where[m, i]: the position of row i of prefix m among the distinct
+        # rows; images[u, d]: distinct row d times U_1[u]
+        where = _find(distinct, codes)[0].reshape(-1, r)
+        images = rows[at] @ first % q
+        entries = np.ascontiguousarray(images.transpose(2, 0, 1),
+                                       dtype=_entry_dtype(q))
+        planes = np.empty((r, r, len(first) * len(where)), entries.dtype)
+        for i, j in np.ndindex(r, r):
+            np.take(entries[j], where[:, i], axis=1,
+                    out=planes[i, j].reshape(len(first), -1))
+        if q ** r < 2 ** 63:
+            keys = _product_keys(np.ascontiguousarray(
+                (images @ _digit_weights(q, r)).T), where, q)
+        else:
+            keys = _keys(planes.transpose(2, 0, 1), q)
         certify(len(_distinct(keys)) == len(keys),
                 "stabilizer chain lists an element twice")
-        return array
+        planes.flags.writeable = False
+        return planes
+
+    def elements(self) -> np.ndarray:
+        """The (order, r, r) int64 array of the group's elements, in the
+        order of planes(): planes().transpose(2, 0, 1) as int64."""
+        return np.ascontiguousarray(self.planes().transpose(2, 0, 1),
+                                    dtype=np.int64)

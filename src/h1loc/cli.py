@@ -264,7 +264,10 @@ def _cmd_gsp4(args) -> int:
     element exactly once, so the enumerated order is the number of
     distinct elements with no closure table; the chain refuses with the
     closure's cap error once the product of its orbit lengths passes
-    --cap."""
+    --cap.  StabChain.planes hands them over as read-only entry planes
+    (int16 up to p = 181) whose distinctness the codes of their rows
+    certify, and the pairing sweep reads those planes in place, so no
+    (N, 4, 4) int64 array is formed."""
     order = gsp4_order(args.p)
     payload = {"command": "gsp4", "p": args.p, "order_formula": order}
     lines = [f"|GSp4(F_{args.p})| = {order}"]
@@ -273,7 +276,8 @@ def _cmd_gsp4(args) -> int:
         from .chain import StabChain
         gens, _space = gsp4_generators(args.p)
         chain = StabChain.build(gens, ModuleSpec(args.p, 1, 4), cap=args.cap)
-        failures = eigenvalue_pairing_sweep(chain.elements(), args.p)
+        failures = eigenvalue_pairing_sweep(
+            chain.planes().transpose(2, 0, 1), args.p)
         enumerated = chain.order
         payload.update({"order_enumerated": enumerated,
                         "pairing_failures": failures,

@@ -656,12 +656,21 @@ _PLANE_BLOCK = 1 << 16
 def _planes(arr: np.ndarray, q: int) -> np.ndarray:
     """The (N, r, r) matrices arr as one entry-major (r, r, N) array with
     entries in [0, q): planes[i, j] holds entry (i, j) of every matrix as
-    one contiguous N-vector.  The copy has the _entry_dtype of q, so int16
-    up to q = 181 and int32 up to q = 46341; entries outside [0, q) are
-    reduced in int64 before it, as the narrowing cast would wrap them."""
+    one contiguous N-vector, in the _entry_dtype of q, so int16 up to
+    q = 181 and int32 up to q = 46341.  A read-only arr in that dtype
+    whose transpose is such planes (StabChain.planes().transpose(2, 0, 1)
+    is one) comes back as those planes, with no copy, once its entries are
+    found in [0, q); no caller writes into planes.  Otherwise the planes
+    are a copy, and entries outside [0, q) are reduced in int64 before it,
+    as the narrowing cast would wrap them."""
     dtype = _entry_dtype(q)
-    arr = np.asarray(arr, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= q):
+    arr = np.asarray(arr)
+    if arr.dtype == dtype and not arr.flags.writeable:
+        planes = arr.transpose(1, 2, 0)
+        if planes.flags.c_contiguous and _reduced(arr, q):
+            return planes
+    arr = arr.astype(np.int64, copy=False)
+    if not _reduced(arr, q):
         arr = arr % q
     n, r = arr.shape[:2]
     planes = np.empty((r, r, n), dtype=dtype)
@@ -671,9 +680,14 @@ def _planes(arr: np.ndarray, q: int) -> np.ndarray:
     return planes
 
 
+def _reduced(arr: np.ndarray, q: int) -> bool:
+    """Every entry of arr lies in [0, q)."""
+    return not arr.size or (arr.min() >= 0 and arr.max() < q)
+
+
 def _sum_of_products(terms, q: int) -> np.ndarray:
     """sum of s * x * y mod q, in [0, q), over the (s, x, y) in terms with
-    s = +-1 and x, y N-vectors of one integer dtype (the _planes copy's)
+    s = +-1 and x, y N-vectors of one integer dtype (that of the _planes)
     with entries in [0, q).  Each product is below (q-1)^2, so a running
     bound on the partial sum, as in _howell, reduces it only when the next
     product could pass the dtype's maximum: once at the end for small q,
@@ -725,7 +739,7 @@ def _plane_det(planes, q: int) -> np.ndarray:
 
 def batch_det(arr: np.ndarray, q: int) -> np.ndarray:
     """Determinants mod q of the (N, r, r) matrices in arr (r >= 1), as
-    int64, by _plane_det on their _planes copy."""
+    int64, by _plane_det on their _planes."""
     return _plane_det(_planes(arr, q), q).astype(np.int64)
 
 
@@ -749,10 +763,10 @@ def _principal_minors(P, k: int, q: int) -> np.ndarray:
 
 def batch_inv(arr, q: int) -> np.ndarray:
     """Inverses mod q of the (N, r, r) matrices in arr (r >= 1), as
-    adj(x) det(x)^-1.  Each minor is a _plane_det on views of the _planes
-    copy, det(x) the expansion of row 0 by its cofactors, and det(x)^-1
-    comes from _unit_inverses; all of it in the _planes copy's dtype, the
-    result as int64.  Raises InputError when some det(x) is not a unit,
+    adj(x) det(x)^-1.  Each minor is a _plane_det on views of the
+    _planes, det(x) the expansion of row 0 by its cofactors, and
+    det(x)^-1 comes from _unit_inverses; all of it in the _planes' dtype,
+    the result as int64.  Raises InputError when some det(x) is not a unit,
     and, through _entry_dtype, for a modulus past the int64 bound."""
     P = _planes(arr, q)
     r = len(P)
@@ -776,11 +790,11 @@ def batch_inv(arr, q: int) -> np.ndarray:
 
 def _bijective_shifts(X: np.ndarray, modulus: int) -> np.ndarray:
     """Mask over the (N, r, r) matrices X: x - 1 is bijective over
-    (Z/modulus)^rank."""
-    shift = _planes(X, modulus)
-    for i in range(len(shift)):
-        shift[i, i] -= 1
-        shift[i, i] %= modulus
+    (Z/modulus)^rank.  The planes of x - 1 are X's, but for the diagonal
+    x_ii - 1, formed as new vectors: _planes may hand back X's own."""
+    P = _planes(X, modulus)
+    shift = [[(P[i, j] - 1) % modulus if i == j else P[i, j]
+              for j in range(len(P))] for i in range(len(P))]
     return np.gcd(_plane_det(shift, modulus), modulus) == 1
 
 

@@ -73,9 +73,10 @@ def similitude_multipliers(arr: np.ndarray,
 
 
 def _similitude_planes(arr: np.ndarray, space: SymplecticSpace):
-    """(planes, nu): the ringmat._planes copy of arr, entries reduced mod q
-    in the narrowest integer dtype q allows, and similitude_multipliers(arr,
-    space) in that dtype.
+    """(planes, nu): ringmat._planes of arr, entries reduced mod q in the
+    narrowest integer dtype q allows (a view of arr when arr is read-only
+    transposed planes in that dtype, a copy otherwise), and
+    similitude_multipliers(arr, space) in that dtype.
 
     From the blocks of J, S = A^T J A has S[i, j] = sum_{k<d} A[k, i]
     A[k+d, j] - A[k+d, i] A[k, j].  S and nu J are antisymmetric and S has
@@ -89,7 +90,7 @@ def _similitude_planes(arr: np.ndarray, space: SymplecticSpace):
     q is exact."""
     spec = space.spec
     q, d, m = spec.modulus, space.d, spec.rank
-    arr = np.asarray(arr, dtype=np.int64)
+    arr = np.asarray(arr)
     if arr.shape[1:] != (m, m):
         raise InputError("matrix size does not match the symplectic space")
     P = _planes(arr, q)
@@ -172,7 +173,7 @@ def eigenvalue_pairing_sweep(mats: np.ndarray, p: int) -> int:
     """Vectorized pairing check over a batch of 4x4 matrices mod p; returns
     the number of failures (0 expected).  Raises if a matrix in the batch is
     not a similitude; c0 = det = nu^2 is certified by the multiplier, and
-    c3, c1 come from the multiplier's plane copy."""
+    c3, c1 come from the multiplier's planes."""
     P, nu = _similitude_planes(mats, SymplecticSpace(ModuleSpec(p, 1, 4)))
     if not nu.all():
         raise PreconditionError("every matrix is a similitude")

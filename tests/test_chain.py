@@ -1,10 +1,14 @@
 """The stabilizer chain against the closure: order and element keys on the
 twist corpus, the family groups, GSp_4(F_3), the Borel of GSp_4(F_5) and
-groups with byte keys; membership by sift against lookup; determinism; the
-cap; the orders of GSp_4(F_5) and GSp_4(F_7) from the orbit lengths alone;
-the Schreier products the build forms; and the memory of the refusal and
-of the enumeration."""
+groups with byte keys, and there the entry planes against the elements
+and the elements against the products U_r ... U_1 in their order; the
+certificate that no element repeats; membership by
+sift against lookup, and its refusals; determinism; the cap; the orders of
+GSp_4(F_5) and GSp_4(F_7) from the orbit lengths alone; the Schreier
+products the build forms; and the memory of the refusal and of the
+enumeration."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,21 +25,41 @@ from test_closure_keys import _unitriangular_mod8
 from h1loc.chain import StabChain
 from h1loc.cli import EXIT_CAP, EXIT_OK, run
 from h1loc.counterexample import build
-from h1loc.errors import CapExceededError, InputError
+from h1loc.errors import CapExceededError, InputError, InternalError
 from h1loc.groups import MatGroup, _distinct, _keys
-from h1loc.ringmat import Mat, ModuleSpec, batch_det
-from h1loc.symplectic import gsp4_generators, gsp4_order
+from h1loc.ringmat import Mat, ModuleSpec, _entry_dtype, batch_det
+from h1loc.symplectic import (eigenvalue_pairing_sweep, gsp4_generators,
+                              gsp4_order)
+
+
+def _reference_elements(chain):
+    """The products U_r ... U_1 by batched int64 products, U_i running
+    over transversals[i - 1], the prefixes U_r ... U_2 fastest: the
+    values and order elements() lists."""
+    q, r = chain.spec.modulus, chain.spec.rank
+    first, *rest = chain.transversals
+    prefixes = np.eye(r, dtype=np.int64)[None]
+    for T in reversed(rest):
+        prefixes = (prefixes[:, None] @ T).reshape(-1, r, r) % q
+    return (prefixes[None] @ first[:, None] % q).reshape(-1, r, r)
 
 
 def _assert_chain_matches(G):
     """The chain of G's generators, built at cap |G|, has G's order, and its
-    elements have G's sorted keys."""
+    elements have G's sorted keys.  They are the products U_r ... U_1 in
+    their order, and planes() is read-only, C-contiguous, in
+    _entry_dtype(q) and their transpose."""
     q = G.spec.modulus
     chain = StabChain.build(G.generator_array(), G.spec, cap=G.order)
-    elements = chain.elements()
+    planes, elements = chain.planes(), chain.elements()
     assert chain.order == G.order == len(elements)
     assert np.array_equal(_distinct(_keys(elements, q)),
                           np.sort(_keys(G.element_array(), q)))
+    assert planes.dtype == _entry_dtype(q)
+    assert planes.flags.c_contiguous and not planes.flags.writeable
+    assert elements.dtype == np.int64 and elements.flags.c_contiguous
+    assert np.array_equal(planes.transpose(2, 0, 1), elements)
+    assert np.array_equal(elements, _reference_elements(chain))
 
 
 def _assert_membership(G, seed):
@@ -129,6 +153,91 @@ def test_chain_matches_close(make):
     _assert_chain_matches(make())
 
 
+@pytest.mark.parametrize("make", [_gsp4_f3, byte_key_group,
+                                  _signed_permutations],
+                         ids=["GSp4(F3)", "rank-4 mod 25",
+                              "rank-3 mod 2097169"])
+def test_planes_certify_that_no_element_repeats(make):
+    """A chain whose first transversal lists 1 twice lists some elements
+    twice: planes() must refuse it, with int64 keys, with byte keys from
+    the row codes, and with the planes' own keys."""
+    G = make()
+    chain = StabChain.build(G.generator_array(), G.spec, cap=G.order)
+    U, *rest = chain.levels[0]
+    U = U.copy()
+    U[-1] = U[0]
+    twice = StabChain(chain.spec, ((U, *rest),) + chain.levels[1:])
+    with pytest.raises(InternalError, match="twice"):
+        twice.planes()
+
+
+def test_gsp4_f3_elements_frozen():
+    """sha256 of GSp_4(F_3)'s elements() as little-endian int64, the
+    values and order the chain listed before it enumerated into planes."""
+    gens, space = gsp4_generators(3)
+    elements = StabChain.build(gens, space.spec).elements()
+    assert elements.shape == (103680, 4, 4)
+    assert hashlib.sha256(elements.astype("<i8").tobytes()).hexdigest() == \
+        "b1dc87f7cf14d1afd8d3609866819371295ccf5e5349878ec3debb0807185164"
+
+
+def _traced_peak(fn):
+    """(fn(), the tracemalloc peak of the call above what was traced
+    before it)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_gsp4_f3_planes_and_sweep_memory(capsys):
+    """planes() and the pairing sweep on them peak at no more than 10 MiB,
+    and so does all of gsp4 --p 3 --enumerate, the chain's build included:
+    16 int16 planes of 103,680 entries are 3.2 MiB, where the (N, 4, 4)
+    int64 elements alone are 12.7 MiB (elements() and the sweep peaked at
+    18.7 MiB)."""
+    gens, space = gsp4_generators(3)
+    chain = StabChain.build(gens, space.spec)
+    failures, peak = _traced_peak(lambda: eigenvalue_pairing_sweep(
+        chain.planes().transpose(2, 0, 1), 3))
+    assert failures == 0
+    assert peak <= 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    code, peak = _traced_peak(lambda: run(["gsp4", "--p", "3", "--enumerate",
+                                           "--json"]))
+    assert code == EXIT_OK and '"pairing_failures": 0' in \
+        capsys.readouterr().out
+    assert peak <= 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_membership_reduces_entries_mod_q():
+    """I + 3 and 4 I are I mod 3, so they lie in GSp_4(F_3), and so do
+    elements with every entry shifted by -3 or by 6; a sift that read the
+    entries unreduced found none of them."""
+    gens, space = gsp4_generators(3)
+    chain = StabChain.build(gens, space.spec)
+    ident = np.eye(4, dtype=np.int64)
+    assert chain.contains(np.stack([ident + 3, 4 * ident])).all()
+    X = chain.elements()[::997]
+    assert chain.contains(X - 3).all() and chain.contains(X + 6).all()
+
+
+def test_membership_refuses_matrices_of_another_size():
+    """Sixteen 3x3 matrices hold as many entries as nine 4x4 ones, but
+    they are not 4x4 matrices."""
+    gens, space = gsp4_generators(3)
+    chain = StabChain.build(gens, space.spec)
+    for shape in [(16, 3, 3), (9, 4, 4, 1), (4,), (2, 16)]:
+        with pytest.raises(InputError, match="4x4"):
+            chain.contains(np.zeros(shape, dtype=np.int64))
+
+
 def test_trivial_and_refused_generators():
     spec = ModuleSpec(5, 2, 2)
     chain = StabChain.build([], spec)
@@ -179,17 +288,7 @@ def test_family_p17_enumeration_memory():
     transversal would peak at about 2.2 GB."""
     G = build(17).G2
     chain = StabChain.build(G.generator_array(), G.spec)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        elements = chain.elements()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    elements, peak = _traced_peak(chain.elements)
     assert len(elements) == G.order == 3 * 17 ** 2
     assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
@@ -252,30 +351,34 @@ def test_gsp4_f5_refusal_forms_one_block_of_level_2(monkeypatch):
 
 
 def test_gsp4_f3_sifts_few_schreier_generators(monkeypatch):
-    """GSp_4(F_3) forms at most 2,500 Schreier products (about 1,350): a
-    chain that keeps every Schreier generator forms about 8,500, one per
-    (point, generator) pair of its levels of 11, 281, 53 and 2 generators;
-    the sifting build keeps 12, the given 11 and one residue."""
+    """GSp_4(F_3) forms at most 1,300 Schreier products (1,200): a chain
+    that keeps every Schreier generator forms about 8,500, one per (point,
+    generator) pair of its levels of 11, 281, 53 and 2 generators; the
+    sifting build keeps 12, the given 11 and one residue, and one whose
+    every block was 32,768 pairs formed 1,352."""
     formed = _count_schreier_products(monkeypatch)
     gens, space = gsp4_generators(3)
     chain = StabChain.build(gens, space.spec)
     assert chain.orbit_lengths == (80, 24, 18, 3)
-    assert 0 < sum(formed) <= 2_500, sum(formed)
+    assert 0 < sum(formed) <= 1_300, sum(formed)
 
 
 def test_gsp4_f7_order_from_orbit_lengths(monkeypatch):
     """GSp_4(F_7), 1,659,571,200 elements: the orbit lengths and the order
-    at a cap of exactly |G|, and the refusal at one less, each within
-    45,000 Schreier products (about 38,700 and 25,800 are formed; a chain
-    that keeps every Schreier generator took 5.1 s here)."""
+    at a cap of exactly |G| within 32,000 Schreier products (28,723 are
+    formed), and the refusal at one less within 2,500 (2,038).  Blocks
+    that start at 256 pairs and double keep a residue found early from
+    forming most of a 32,768-pair block twice: with every block at 32,768
+    pairs the build formed 38,718 and 25,783, and a chain that keeps every
+    Schreier generator took 5.1 s here."""
     formed = _count_schreier_products(monkeypatch)
     gens, space = gsp4_generators(7)
     order = gsp4_order(7)
     chain = StabChain.build(gens, space.spec, cap=order)
     assert chain.orbit_lengths == (2400, 336, 294, 7)
     assert chain.order == order == 1_659_571_200
-    assert 0 < sum(formed) <= 45_000, sum(formed)
+    assert 0 < sum(formed) <= 32_000, sum(formed)
     formed.clear()
     with pytest.raises(CapExceededError):
         StabChain.build(gens, space.spec, cap=order - 1)
-    assert sum(formed) <= 45_000, sum(formed)
+    assert sum(formed) <= 2_500, sum(formed)

@@ -6,7 +6,9 @@ char_poly's, against the trace and principal minors by the Leibniz
 expansion, up to 1518499999, the largest prime the multiplier accepted
 under its old bound.  Each kernel also runs on both sides of the int16
 and int32 plane widths, against the Leibniz expansion and Python
-integers, and the multipliers also at 2^31 - 1 and 3037000493."""
+integers, and the multipliers also at 2^31 - 1 and 3037000493.  Read-only
+planes come back from _planes as a view, and the bijective-shift mask on
+such a view is the one on its int64 copy."""
 
 import itertools
 import math
@@ -298,6 +300,60 @@ def test_char_poly_principal_minor_sums_stay_bounded():
         m, dtype=np.int64)
     assert char_poly(Mat.from_array(A, p), ModuleSpec(p, 1, m)) == \
         tuple(math.comb(m, k) % p for k in range(m + 1))
+
+
+def _read_only_planes(q: int, seed: int) -> np.ndarray:
+    """Read-only (3, 3, 500) planes in the _entry_dtype of q, entries in
+    [0, q), as StabChain.planes() hands them out."""
+    rng = np.random.default_rng(seed)
+    P = rng.integers(0, q, size=(3, 3, 500)).astype(ringmat._entry_dtype(q))
+    P.flags.writeable = False
+    return P
+
+
+@pytest.mark.parametrize("q", [7, 191, 46349])
+def test_planes_of_read_only_planes_are_a_view(q):
+    """The transposed view of read-only planes comes back as those planes,
+    with no copy; a writeable one is copied."""
+    P = _read_only_planes(q, q)
+    got = _planes(P.transpose(2, 0, 1), q)
+    assert got.dtype == P.dtype and np.shares_memory(got, P)
+    assert np.array_equal(got, P)
+    writeable = P.copy()
+    got = _planes(writeable.transpose(2, 0, 1), q)
+    assert not np.shares_memory(got, writeable)
+    assert np.array_equal(got, P) and got.flags.c_contiguous
+
+
+def test_planes_of_read_only_planes_reduce_entries_outside_the_range():
+    """Read-only planes with entries -1 and q are copied and reduced; read
+    in another dtype or laid out otherwise, they are copied too."""
+    q = 7
+    P = _read_only_planes(q, 1).copy()
+    P[0, 1, 3], P[2, 2, 499] = -1, q
+    P.flags.writeable = False
+    got = _planes(P.transpose(2, 0, 1), q)
+    assert not np.shares_memory(got, P)
+    assert np.array_equal(got, P % q)
+    for other in (P.astype(np.int32), P.copy(order="F")):
+        other.flags.writeable = False
+        got = _planes(other.transpose(2, 0, 1), q)
+        assert got.dtype == np.int16 and not np.shares_memory(got, other)
+        assert np.array_equal(got, P % q)
+
+
+@pytest.mark.parametrize("q", [7, 9, 191])
+def test_bijective_shifts_on_read_only_planes(q):
+    """The mask on the read-only view is the mask on its int64 copy, and
+    the planes keep their entries."""
+    P = _read_only_planes(q, q + 1)
+    before = P.copy()
+    view = P.transpose(2, 0, 1)
+    mask = _bijective_shifts(view, q)
+    assert mask.tolist() == _bijective_shifts(view.astype(np.int64),
+                                              q).tolist()
+    assert 0 < mask.sum() < len(mask)
+    assert np.array_equal(P, before)
 
 
 def test_planes_reduce_before_narrowing():
