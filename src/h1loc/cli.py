@@ -140,15 +140,19 @@ def parse_group(text: str) -> GroupDescription:
     return GroupDescription(spec.p, spec.n, spec.rank, gens, symplectic)
 
 
+def _generator_values(Z) -> list:
+    """The values of the cocycle Z on its group's generators, in order, as
+    lists of ints: Cocycle.generator_vector() split per generator."""
+    return Z.generator_vector().reshape(-1, Z.group.spec.rank).tolist()
+
+
 def _structure_json(cohom):
     return {
         "invariant_factors": list(cohom.structure.invariant_factors),
         "order": cohom.order,
         "trivial": cohom.is_trivial,
         "representatives_on_generators": [
-            [list(Z.at(g)) for g in Z.group.generators]
-            for Z in cohom.representatives
-        ],
+            _generator_values(Z) for Z in cohom.representatives],
     }
 
 
@@ -192,8 +196,8 @@ def _read_description(args) -> GroupDescription:
 def _rep_lines(res):
     out = []
     for f, Z in zip(res.structure.invariant_factors, res.representatives):
-        vals = ", ".join(f"{g.entries} -> {Z.at(g)}"
-                         for g in Z.group.generators)
+        vals = ", ".join(f"{g.entries} -> {tuple(v)}" for g, v in
+                         zip(Z.group.generators, _generator_values(Z)))
         out.append(f"  order-{f} class, cocycle on generators: {vals}")
     return out
 

@@ -74,7 +74,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, InternalError, PreconditionError, certify
-from .groups import MatGroup, _cached, _stack
+from .groups import MatGroup, _cached, _semisimple_parts, _stack
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
                       RowSystemStack, _bijective_shifts, _howell_rows,
                       eigenvalues_in_ext, quotient_structure, span_order)
@@ -412,10 +412,13 @@ def _system(G: MatGroup, module_exponent=None) -> _CocycleSystem:
     j = module_exponent if module_exponent is not None else G.spec.n
     if not 1 <= j <= G.spec.n:
         raise InputError("module exponent out of range")
-    with G._lock:
-        if j not in G._cohom_cache:
-            G._cohom_cache[j] = _CocycleSystem(G, j)
-        return G._cohom_cache[j]
+    return _system_at(G, j)
+
+
+@_cached
+def _system_at(G: MatGroup, j: int) -> _CocycleSystem:
+    """The one cocycle system of G at module exponent j (_cached)."""
+    return _CocycleSystem(G, j)
 
 
 def cocycle_space(G: MatGroup, module_exponent=None):
@@ -568,16 +571,14 @@ def torsion_isomorphism_check(G: MatGroup, delta: Mat) -> TorsionIsomorphismRepo
     if not _bijective_shifts(delta.to_array()[None], spec.modulus)[0]:
         raise PreconditionError("delta - 1 is bijective",
                                 "determinant is not a unit")
-    lhs = h1(G, module_exponent=1)
-    full = h1(G)
+    lhs, sysn = _system(G, 1).h1_structure(), _system(G)
     # p-torsion of the full group contributes one factor p per nontrivial
     # invariant factor
-    tors_factors = tuple(spec.p for _ in full.structure.invariant_factors)
-    sysn = _system(G, spec.n)
+    tors_factors = tuple(spec.p for _ in sysn.h1_structure().invariant_factors)
     # injectivity of [W] -> [p^(n-1) lift(W)]: image subgroup order == |lhs|
     shift = spec.p ** (spec.n - 1)
     image_gens = [(np.array(g, dtype=np.int64) * shift) % sysn.q
-                  for g in lhs.structure.generators]
+                  for g in lhs.generators]
     if image_gens:
         amb = np.vstack([np.array(image_gens, dtype=np.int64),
                          sysn.b1_gens()])
@@ -586,8 +587,8 @@ def torsion_isomorphism_check(G: MatGroup, delta: Mat) -> TorsionIsomorphismRepo
         injective = image_struct.order == lhs.order
     else:
         injective = lhs.order == 1
-    return TorsionIsomorphismReport(lhs.structure.invariant_factors,
-                                    tors_factors, injective)
+    return TorsionIsomorphismReport(lhs.invariant_factors, tors_factors,
+                                    injective)
 
 
 @dataclass
@@ -629,8 +630,10 @@ def eigenvalue_ratio_condition(delta_bar: Mat, p: int):
 def eigenvalue_ratio_vanishing(G: MatGroup) -> RatioCriterionReport:
     """Sufficient criterion for H^1(G, M) = 0: some delta with delta - 1
     bijective, trivial H^1 of the mod-p quotient, and no eigenvalue ratio
-    of a p-prime power of delta-bar being itself an eigenvalue.  When the
-    hypotheses hold the conclusion is also verified by direct computation.
+    of the semisimple part of delta-bar being itself an eigenvalue.  When
+    the hypotheses hold the conclusion is also verified by direct
+    computation.  Only H^1 structures are read, with no representative
+    cocycle expanded.
     """
     spec = G.spec
     # the first element, in G's order, with det(x - 1) a unit
@@ -639,21 +642,19 @@ def eigenvalue_ratio_vanishing(G: MatGroup) -> RatioCriterionReport:
         return RatioCriterionReport(None, None, None, None, "inconclusive")
     delta = G.element(hits[0])
     Q = G.reduce_mod(1)
-    q_h1 = h1(Q, module_exponent=1)
-    if not q_h1.is_trivial:
+    if not _system(Q).h1_structure().is_trivial:
         return RatioCriterionReport(delta, False, None, None, "not_applicable")
-    # p-prime power of the reduction of delta, an element of Q
-    dbar = delta.reduce_mod(spec.p)
-    while Q.element_order(dbar) % spec.p == 0:
-        dbar = dbar.pow(spec.p)
+    # the semisimple part of the reduction of delta, an element of Q
+    dbar = Mat.from_array(_semisimple_parts(
+        Q, delta.reduce_mod(spec.p).to_array()[None])[0], spec.p)
     holds, offending = eigenvalue_ratio_condition(dbar, spec.p)
     if holds is None:
         return RatioCriterionReport(delta, True, None, None, "inconclusive")
     if not holds:
         return RatioCriterionReport(delta, True, False, offending,
                                     "not_applicable")
-    direct = h1(G)
+    direct = _system(G).h1_structure()
     certify(direct.is_trivial,
             "ratio criterion certified a nonvanishing H^1 (internal)")
     return RatioCriterionReport(delta, True, True, None, "certified",
-                                direct.structure.invariant_factors)
+                                direct.invariant_factors)

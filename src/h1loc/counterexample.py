@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .cohomology import (Cocycle, class_order, cocycle_from_generator_values,
                          h1_loc, is_coboundary, satisfies_local_conditions)
-from .errors import InputError, certify
-from .groups import MatGroup, _normalizing
+from .errors import CapExceededError, InputError, certify
+from .groups import DEFAULT_CAP, MatGroup, _normalizing
 from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, solve, span_order
 
 import numpy as np
@@ -73,10 +73,15 @@ class CounterexampleInstance:
 
 
 def build(p: int) -> CounterexampleInstance:
-    """Construct the instance at p and certify all structural invariants."""
+    """Construct the instance at p and certify all structural invariants.
+
+    G has exactly 3 p^2 elements, so CapExceededError refuses p with
+    3 p^2 past DEFAULT_CAP, as closing G would, before anything is closed."""
     if not is_prime(p) or p < 5 or p % 3 != 2:
         raise InputError(f"p must be a prime >= 5 with p = 2 mod 3, got {p}")
     q = p * p
+    if 3 * q > DEFAULT_CAP:
+        raise CapExceededError("group closure", DEFAULT_CAP)
     spec = ModuleSpec(p, 2, 2)
     g = twist_matrix(p)
     h10, h01 = family_matrix(p, 1, 0), family_matrix(p, 0, 1)
@@ -215,16 +220,9 @@ def _equivariant_hom_group(inst: CounterexampleInstance):
     p = inst.p
     gb = inst.g.reduce_mod(p).to_array()
     Cmat = np.array([[0, -1], [1, -1]], dtype=np.int64) % p
-    rows = []
-    for i in range(2):
-        for j in range(2):
-            row = np.zeros(4, dtype=np.int64)
-            for s in range(2):
-                row[i * 2 + s] += Cmat[s, j]
-            for r in range(2):
-                row[r * 2 + j] -= gb[i, r]
-            rows.append(row % p)
-    R = np.array(rows, dtype=np.int64)
+    # F C - gbar F on the row-major flattening of F
+    eye = np.eye(2, dtype=np.int64)
+    R = (np.kron(eye, Cmat.T) - np.kron(gb, eye)) % p
     sol = RowSystem(R.T, p, 1).kernel()   # all F with R @ flat(F) = 0
     dim = sol.shape[0]
     FZ = np.array([[1, -2], [1, -1]], dtype=np.int64) % p

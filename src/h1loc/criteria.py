@@ -23,18 +23,17 @@ system, with no representative cocycle expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, gcd
 from typing import Optional
 
 import numpy as np
 
 from .cohomology import _system
 from .errors import PreconditionError, certify
-from .groups import (MatGroup, _factor, _normalizing, _power_positions,
-                     _scalar_power, coset_orders, lift_normalizer, p_sylow,
+from .groups import (MatGroup, _factor, _normalizing, _scalar_power,
+                     _semisimple_parts, coset_orders, p_sylow,
                      sylow_normalizer_element, sylow_normalizer_mask)
 from .keys import _distinct
-from .ringmat import Mat, _bijective_shifts, _howell_stack
+from .ringmat import Mat, _bijective_shifts, _howell_stack, batch_inv
 from .symplectic import SymplecticSpace, similitude_multipliers
 
 
@@ -185,9 +184,18 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     and bijective g1 - 1.  The lift normalizes a Sylow of G, keeps order
     dividing p-1, reduces to g1 mod p, and g - 1 stays bijective (its
     determinant is a unit already mod p).
+
+    The reduction kernel is a p-group, so H, the full preimage of the mod-p
+    Sylow HQ, is a p-Sylow of G.  The first h0 in G reducing to g1
+    normalizes H: h0 H h0^-1 reduces to g1 HQ g1^-1 = HQ, and H holds
+    everything that reduces into HQ.  The lift is the semisimple part of
+    h0 (groups._semisimple_parts), a power of h0, so it normalizes H too.
+    It reduces to the semisimple part of g1, which is g1 itself, and no
+    element of order prime to p but 1 lies in the kernel, so its order is
+    that of g1.
     """
     spec = G.spec
-    p = spec.p
+    p, q = spec.p, spec.modulus
     if spec.n == 1:
         if g1 not in G:
             raise PreconditionError("g1 is an element of G")
@@ -207,38 +215,17 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     if not _normalizing(QX[qpos], QX[Q.inverse_indices()[qpos]], HQ)[0]:
         raise PreconditionError("g1 normalizes a p-Sylow of the mod-p image",
                                 "the deterministic Sylow is not normalized")
-    # preimage of the mod-p Sylow is a p-Sylow of G (the reduction kernel is
-    # a p-group), so the coset correction happens inside G
-    red = Q.lookup(G.element_array() % p)    # position of x mod p in Q
-    N = G.subgroup(red == 0)                 # Q's identity comes first
-    H = G.subgroup((HQ.lookup(Q.element_array()) >= 0)[red])
-    h0 = G.element(int(np.argmax(red == qpos[0])))
-    h = lift_normalizer(G, N, H, h0)
-    pos = np.array([G.index_of(h)])
-    o = int(G.orders()[pos[0]])
-    a = 0
-    while o % p == 0:
-        o //= p
-        a += 1
-    if a:
-        # exponent p^k with p^k = 1 mod t keeps the reduction equal to g1
-        # while killing the p-part of the order
-        e0 = 1
-        while pow(p, e0, t) != 1 % t:
-            e0 += 1
-        k = e0
-        while k < a:
-            k += e0
-        pos = _power_positions(G.power_maps(), pos, np.array([p ** k]))
-    g = G.element(pos[0])
-    certify((p - 1) % G.orders()[pos[0]] == 0,
+    X = G.element_array()
+    red = Q.lookup(X % p)                    # position of x mod p in Q
+    H = G.subgroup((HQ.lookup(QX) >= 0)[red])
+    gs = _semisimple_parts(G, X[np.argmax(red == qpos[0]), None])
+    g = Mat.from_array(gs[0], q)
+    certify((_scalar_power(gs, p - 1, q) == np.eye(spec.rank)).all(),
             "lift order does not divide p-1 (internal)")
     certify(g.reduce_mod(p).key() == g1.key(),
             "lift does not reduce to g1 (internal)")
-    certify(_bijective_shift(g, spec.modulus),
-            "lift g-1 not bijective (internal)")
-    X = G.element_array()
-    certify(_normalizing(X[pos], X[G.inverse_indices()[pos]], H)[0],
+    certify(_bijective_shift(g, q), "lift g-1 not bijective (internal)")
+    certify(_normalizing(gs, batch_inv(gs, q), H)[0],
             "lift does not normalize the Sylow (internal)")
     return g
 
@@ -267,7 +254,7 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     rep.add("multiplier is surjective onto the units", "satisfied")
     N = G1.subgroup(mults == 1)
     g, info = sylow_normalizer_element(G1, N)
-    i = gcd(factorial(spec.rank), p - 1)
+    i = info["i"]
     rep.add("Sylow-normalizer element of order p-1 from the multiplier "
             "kernel", "satisfied",
             f"class order {info['class_order']} (multiple of {(p - 1) // i}, "

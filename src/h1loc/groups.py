@@ -93,22 +93,22 @@ def _refuse_singular(gens, q: int) -> None:
 
 def _cached(fill):
     """Decorator for a lazy cache on a group, of a method or of a function
-    whose one argument is the group: the first call runs fill under the
-    owner's lock (self._lock, reentrant) and later calls reuse its value, so
-    threads sharing the owner fill each cache exactly once, and no cache
-    outlives its group."""
+    whose first argument is the group, keyed by the arguments after it:
+    the first call with those arguments runs fill under the owner's lock
+    (self._lock, reentrant) and later calls reuse its value, so threads
+    sharing the owner fill each entry exactly once, and no cache outlives
+    its group."""
     slot = f"_{fill.__name__}_cache"
 
     @functools.wraps(fill)
-    def get(self):
-        value = self.__dict__.get(slot)
-        if value is None:
+    def get(self, *args):
+        cache = self.__dict__.get(slot, {})
+        if args not in cache:
             with self._lock:
-                value = self.__dict__.get(slot)
-                if value is None:
-                    value = fill(self)
-                    setattr(self, slot, value)
-        return value
+                cache = self.__dict__.setdefault(slot, {})
+                if args not in cache:
+                    cache[args] = fill(self, *args)
+        return cache[args]
     return get
 
 
@@ -133,8 +133,6 @@ class MatGroup:
         self._layers = tuple(layers)        # (start, stop) of each BFS layer
         self.order = len(array)
         self._lock = threading.RLock()      # guards the lazy caches
-        self._cohom_cache = {}              # module exponent -> system
-        self._power_map_cache = {}          # prime -> power map
 
     # -- construction ------------------------------------------------------
 
@@ -313,20 +311,14 @@ class MatGroup:
         right.flags.writeable = False
         return right
 
+    @_cached
     def _power_map(self, ell: int) -> np.ndarray:
         """The position of x^ell for every element x, for a prime ell
         dividing |G|: one batched power and one lookup, cached per prime
-        under the group's lock, so a caller that needs one prime (the
-        p-elements) computes no other."""
-        pm = self._power_map_cache.get(ell)
-        if pm is None:
-            with self._lock:
-                pm = self._power_map_cache.get(ell)
-                if pm is None:
-                    pm = self.lookup(_scalar_power(self._array, ell,
-                                                   self.spec.modulus))
-                    pm.flags.writeable = False
-                    self._power_map_cache[ell] = pm
+        (_cached), so a caller that needs one prime (the p-elements)
+        computes no other."""
+        pm = self.lookup(_scalar_power(self._array, ell, self.spec.modulus))
+        pm.flags.writeable = False
         return pm
 
     @_cached
@@ -592,6 +584,17 @@ def _scalar_power(arr: np.ndarray, k: int, q: int) -> np.ndarray:
             np.matmul(base, base, out=prod)
             np.remainder(prod, q, out=base)
     return result
+
+
+def _semisimple_parts(G: MatGroup, arr: np.ndarray) -> np.ndarray:
+    """The semisimple part x_s of every element x of G in the (M, r, r)
+    array arr: x = x_s x_u with x_s of order prime to p, x_u of p-power
+    order and the two commuting.  With |G| = p^a m and m prime to p,
+    x_s = x^e for e = 0 mod p^a and e = 1 mod m, since x^|G| = 1: one
+    _scalar_power, with no element order."""
+    pa = G.spec.p ** _factor(G.order).get(G.spec.p, 0)
+    return _scalar_power(arr, pa * pow(pa, -1, G.order // pa),
+                         G.spec.modulus)
 
 
 @_cached

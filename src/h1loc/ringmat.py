@@ -262,12 +262,6 @@ def _entry_dtype(q: int):
                      f"((q-1)^2 + (q-1) >= 2^63)")
 
 
-def _check_int64(q: int) -> None:
-    """Elimination forms x - f * y with x, f, y in [0, q); refuse moduli
-    where that can leave int64 (_entry_dtype's bound)."""
-    _entry_dtype(q)
-
-
 def _howell(M: np.ndarray, p: int, n: int):
     """Canonical Howell form of the row span of M, zero rows dropped, with
     its pivot columns and pivot values: (H, cols, divs).
@@ -279,7 +273,7 @@ def _howell(M: np.ndarray, p: int, n: int):
     row itself mod q), and the pivot's annihilator row takes its slot.
     """
     q = p ** n
-    _check_int64(q)
+    _entry_dtype(q)     # refuses q where x - f * y can leave int64
     W = np.asarray(M, dtype=np.int64) % q
     W = W[W.any(axis=1)]
     # W only matters modulo q, so it is reduced only when the next step
@@ -369,7 +363,7 @@ def _howell_stack(M: np.ndarray, p: int, n: int):
     The steps are _howell's, one column at a time across all N systems;
     a system whose column is zero is masked out of that step."""
     q = p ** n
-    _check_int64(q)
+    _entry_dtype(q)     # refuses q where x - f * y can leave int64
     W = np.asarray(M, dtype=np.int64) % q
     N, _, C = W.shape
     H = np.zeros((N, C, C), dtype=np.int64)
@@ -641,7 +635,7 @@ def char_poly(A: Mat, spec: ModuleSpec) -> tuple:
         raise InputError("characteristic polynomial of non-square matrix")
     _p_exponent(A.modulus, spec.p)      # refuses a modulus not a power of p
     p = spec.p
-    _check_int64(p)
+    _entry_dtype(p)     # refuses p before to_array could overflow
     P = _planes(A.reduce_mod(p).to_array()[None], p)
     return (1,) + tuple(int((-1) ** k * _principal_minors(P, k, p)[0] % p)
                         for k in range(1, A.rows + 1))

@@ -25,7 +25,7 @@ from .errors import (CapExceededError, InputError, PreconditionError,
 from .groups import MatGroup, _primitive_root
 from .ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, _planes,
                       _plane_det, _principal_minors, _sum_of_products,
-                      is_prime)
+                      is_prime, span_order)
 
 
 @dataclass(frozen=True)
@@ -255,14 +255,13 @@ def perp(V: Mat, space: SymplecticSpace) -> Mat:
 
 
 def is_stable(V: Mat, G: MatGroup) -> bool:
+    """Whether g v lies in the span of the rows v of V for every generator
+    g: the span does not grow when the generator images join it."""
     p = G.spec.p
     B = V.to_array() % p
-    sys = RowSystem(B, p, 1)
-    for garr in G.generator_array() % p:
-        for row in B:
-            if not sys.contains((garr @ row) % p):
-                return False
-    return True
+    images = (B @ G.generator_array().transpose(0, 2, 1)) % p
+    return span_order(B, p, 1) == span_order(
+        np.concatenate([B, images.reshape(-1, B.shape[1])]), p, 1)
 
 
 def projective_order(G: MatGroup) -> int:

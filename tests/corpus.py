@@ -112,6 +112,25 @@ def twist_corpus():
     return out
 
 
+@lru_cache(maxsize=None)
+def semisimple_groups():
+    """(label, group): the Borel <diag(u, 1), diag(1, u), [[1, 1], [0, 1]]>
+    of GL_2(Z/p^n), u a primitive root mod p^n, and <[[2, 1], [0, 2]],
+    [[1, p], [0, 1]]>, each mod 9, 27, 25 and 49.  Many of their elements
+    have a p-part, and the reduction of [[2, 1], [0, 2]] has order 6, 20
+    or 21, divisible by p."""
+    out = []
+    for p, n, u in ((3, 2, 2), (3, 3, 2), (5, 2, 2), (7, 2, 3)):
+        q = p ** n
+        spec = ModuleSpec(p, n, 2)
+        out.append((f"borel mod {q}", MatGroup.close(
+            [M([[u, 0], [0, 1]], q), M([[1, 0], [0, u]], q),
+             M([[1, 1], [0, 1]], q)], spec)))
+        out.append((f"jordan mod {q}", MatGroup.close(
+            [M([[2, 1], [0, 2]], q), M([[1, p], [0, 1]], q)], spec)))
+    return out
+
+
 def byte_key_group():
     """A rank-4 group mod 25: q^16 >= 2^63, so its element keys are byte
     strings."""

@@ -20,8 +20,9 @@ from math import gcd
 import numpy as np
 
 from h1loc.errors import CapExceededError
-from h1loc.groups import DEFAULT_CAP, MatGroup, _factor, _keys, _stack
-from h1loc.ringmat import (Mat, RowSystem, _check_int64, _howell_rows,
+from h1loc.groups import (DEFAULT_CAP, MatGroup, _factor, _keys,
+                          _power_positions, _stack, lift_normalizer, p_sylow)
+from h1loc.ringmat import (Mat, RowSystem, _entry_dtype, _howell_rows,
                            _valuation)
 
 
@@ -108,7 +109,7 @@ def reference_batch_det(arr: np.ndarray, q: int) -> np.ndarray:
     """batch_det by the Leibniz expansion, r! signed products per matrix,
     each reduced after every factor: the reference for the Laplace
     expansion."""
-    _check_int64(q)
+    _entry_dtype(q)
     arr = np.asarray(arr, dtype=np.int64)
     r = arr.shape[1]
     out = np.zeros(len(arr), dtype=np.int64)
@@ -151,6 +152,48 @@ def reference_coset_orders(G, N) -> np.ndarray:
     reference for one membership mask and the power-map gathers."""
     return _reference_strip_exponents(G, reference_orders(G),
                                       lambda y: N.lookup(y) >= 0)
+
+
+def reference_lift_qualifying_element(G, g1):
+    """(lift, stripped): criteria.lift_qualifying_element on a g1 that meets
+    its preconditions, by the coset correction it replaced.  The first h0
+    in G reducing to g1 goes through lift_normalizer with the reduction
+    kernel N and the preimage H of the mod-p Sylow; the p-part of the
+    order of the result is then killed by x -> x^(p^k), with p^k = 1
+    modulo the order t of g1 and p^k at least that p-part.  stripped says
+    whether there was a p-part to kill."""
+    p = G.spec.p
+    Q = G.reduce_mod(1)
+    red = Q.lookup(G.element_array() % p)
+    N = G.subgroup(red == 0)
+    H = G.subgroup((p_sylow(Q).lookup(Q.element_array()) >= 0)[red])
+    qpos = Q.index_of(g1)
+    t = int(Q.orders()[qpos])
+    h = lift_normalizer(G, N, H, G.element(int(np.argmax(red == qpos))))
+    pos = np.array([G.index_of(h)])
+    o, a = int(G.orders()[pos[0]]), 0
+    while o % p == 0:
+        o //= p
+        a += 1
+    if a:
+        e0 = 1
+        while pow(p, e0, t) != 1 % t:
+            e0 += 1
+        k = e0
+        while k < a:
+            k += e0
+        pos = _power_positions(G.power_maps(), pos, np.array([p ** k]))
+    return G.element(pos[0]), a > 0
+
+
+def reference_p_prime_power(Q, x):
+    """x^(p^k) for the least k giving an order prime to p, x an element of
+    the group Q mod p: Mat.pow by p while Q's element order of the power
+    is divisible by p, as cohomology.eigenvalue_ratio_vanishing took it
+    before the semisimple part."""
+    while Q.element_order(x) % Q.spec.p == 0:
+        x = x.pow(Q.spec.p)
+    return x
 
 
 def reference_inverse_indices(G) -> np.ndarray:

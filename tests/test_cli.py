@@ -185,6 +185,25 @@ def test_counterexample_bad_prime():
     assert run(["counterexample", "--p", "7"]) == EXIT_INPUT
 
 
+def test_counterexample_past_the_cap_closes_nothing(capsys, monkeypatch):
+    """G has 3 p^2 elements, past the default cap of 200,000 at p = 263
+    (207,507): the op exits 3 before any closure, where it would otherwise
+    close about 1 KB per element.  At p = 257 G has 198,147 elements, under
+    the cap."""
+    from h1loc import counterexample
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure started past the cap")
+    monkeypatch.setattr(MatGroup, "close", classmethod(refuse))
+    assert run(["counterexample", "--p", "263", "--json"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == \
+        "error: group closure exceeded cap of 200000"
+    with pytest.raises(AssertionError, match="closure started"):
+        counterexample.build(257)
+
+
 def test_gsp4_formula_only(capsys):
     assert run(["gsp4", "--p", "3"]) == EXIT_OK
     assert "103680" in capsys.readouterr().out

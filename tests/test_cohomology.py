@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import h1loc
+import oracles
 
-from corpus import M, small_oracle_groups, twist_corpus
+from corpus import M, semisimple_groups, small_oracle_groups, twist_corpus
 from h1loc.cohomology import (Cocycle, class_order, coboundaries,
                               cocycle_from_generator_values, cocycle_space,
                               eigenvalue_ratio_vanishing, h1, h1_loc, inflate,
@@ -316,6 +317,35 @@ def test_eigenvalue_ratio_examples():
     rep3 = eigenvalue_ratio_vanishing(G3)
     assert rep3.verdict == "not_applicable"
     assert rep3.ratio_condition is False  # ratio 2 is an eigenvalue
+
+
+def test_ratio_test_semisimple_part_matches_p_power_loop():
+    """eigenvalue_ratio_vanishing takes the semisimple part of delta-bar by
+    one power.  On the Borel and <[[2, 1], [0, 2]], [[1, p], [0, 1]]>
+    groups mod 9, 27, 25 and 49, the reference loop of p-th powers reaches
+    a p-power of that part, with the same characteristic polynomial, and
+    the ratio condition on it gives the report's verdict and offending
+    triple.  The delta-bar of orders 6, 20 and 21 are not semisimple."""
+    from h1loc.cohomology import eigenvalue_ratio_condition
+    from h1loc.groups import _semisimple_parts
+    from h1loc.ringmat import char_poly
+    orders = set()
+    for label, G in semisimple_groups():
+        p = G.spec.p
+        rep = eigenvalue_ratio_vanishing(G)
+        assert rep.quotient_h1_trivial, label
+        Q = G.reduce_mod(1)
+        dbar = rep.delta.reduce_mod(p)
+        orders.add(Q.element_order(dbar))
+        ref = oracles.reference_p_prime_power(Q, dbar)
+        part = Mat.from_array(_semisimple_parts(Q, dbar.to_array()[None])[0],
+                              p)
+        assert any(part.pow(p ** i) == ref
+                   for i in range(Q.element_order(part))), label
+        assert char_poly(part, Q.spec) == char_poly(ref, Q.spec), label
+        assert ((rep.ratio_condition, rep.offending_pair)
+                == eigenvalue_ratio_condition(ref, p)), label
+    assert {6, 20, 21} <= orders
 
 
 def test_h1_representative_orders_match_factors():

@@ -5,18 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import h1loc
-from corpus import M
+import oracles
+from corpus import M, semisimple_groups
 from h1loc.counterexample import build
 from h1loc.criteria import (fixed_point_free_criterion, fixed_point_spectrum,
                             lift_qualifying_element, similitude_criterion,
                             sylow_normalizer_criterion)
 from h1loc.errors import PreconditionError
-from h1loc import criteria, groups
-from h1loc.groups import MatGroup, element_order
-from h1loc.ringmat import Mat, ModuleSpec
+from h1loc import groups
+from h1loc.groups import (MatGroup, _normalizer_mask, _scalar_power,
+                          element_order, p_sylow)
+from h1loc.ringmat import Mat, ModuleSpec, _bijective_shifts
 
 
 def test_fixed_point_free_criterion_diag():
@@ -129,12 +132,12 @@ def lift_by_products(G, N, H, g):
 
 
 def test_lift_normalizer_matches_products_of_n_and_h(monkeypatch):
-    """lift_normalizer builds HN as the closure <N, H>; every call the
-    criteria make on the GL2(F_5) similitude case and the mod-25
-    lift_qualifying_element case returns the element that HN built from
-    every product n h gives, as does a direct call with H outside N: the
-    quaternion N of GL2(F_3), the Sylow H of order 3 and g in N, where the
-    search runs since N moves H (HN = SL2(F_3) has four 3-Sylows)."""
+    """lift_normalizer builds HN as the closure <N, H>; the one call the
+    criteria make on the GL2(F_5) similitude case returns the element that
+    HN built from every product n h gives, as does a direct call with H
+    outside N: the quaternion N of GL2(F_3), the Sylow H of order 3 and g
+    in N, where the search runs since N moves H (HN = SL2(F_3) has four
+    3-Sylows).  The mod-25 lift_qualifying_element case makes no call."""
     calls = []
     real = groups.lift_normalizer
 
@@ -142,14 +145,13 @@ def test_lift_normalizer_matches_products_of_n_and_h(monkeypatch):
         calls.append((G, N, H, g, real(G, N, H, g)))
         return calls[-1][-1]
     monkeypatch.setattr(groups, "lift_normalizer", recorded)
-    monkeypatch.setattr(criteria, "lift_normalizer", recorded)
     GL2 = MatGroup.close([M([[2, 0], [0, 1]], 5), M([[4, 1], [4, 0]], 5)],
                          ModuleSpec(5, 1, 2))
     assert similitude_criterion(GL2).certified
     G = MatGroup.close([M([[2, 0], [0, 3]], 25), M([[1, 5], [0, 1]], 25)],
                        ModuleSpec(5, 2, 2))
     lift_qualifying_element(G, M([[2, 0], [0, 3]], 5))
-    assert len(calls) == 2
+    assert len(calls) == 1
     spec3 = ModuleSpec(3, 1, 2)
     GL23 = MatGroup.close([M([[2, 0], [0, 1]], 3), M([[2, 1], [2, 0]], 3)],
                           spec3)
@@ -163,6 +165,31 @@ def test_lift_normalizer_matches_products_of_n_and_h(monkeypatch):
     recorded(GL23, Q8, H, g)
     for G, N, H, g, got in calls:
         assert got == lift_by_products(G, N, H, g)
+
+
+def test_lift_matches_the_coset_correction_reference():
+    """lift_qualifying_element, the semisimple part of the first h0 over
+    g1, equals the reference that ran h0 through lift_normalizer and
+    stripped the p-part of its order by p-th powers, for every g1 of the
+    mod-p image with order dividing p-1, bijective g1 - 1 and normalizing
+    the mod-p Sylow, in the Borel and <[[2, 1], [0, 2]], [[1, p], [0, 1]]>
+    groups mod 9, 27, 25 and 49.  Each of those lifts had a p-part to
+    strip, so the one power is what makes them agree."""
+    lifts = stripped = 0
+    for label, G in semisimple_groups():
+        p = G.spec.p
+        Q = G.reduce_mod(1)
+        X = Q.element_array()
+        qualifying = ((_scalar_power(X, p - 1, p) == np.eye(2)).all(
+            axis=(1, 2)) & _bijective_shifts(X, p)
+                      & _normalizer_mask(Q, p_sylow(Q)))
+        for i in np.flatnonzero(qualifying):
+            g1 = Q.element(i)
+            want, strip = oracles.reference_lift_qualifying_element(G, g1)
+            assert lift_qualifying_element(G, g1) == want, label
+            lifts += 1
+            stripped += strip
+    assert lifts == stripped == 187
 
 
 def test_similitude_criterion_gl2():

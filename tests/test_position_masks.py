@@ -156,7 +156,8 @@ def test_lazy_caches_fill_once_across_threads():
         return [grp.elements, grp.power_maps(), grp.orders(),
                 grp.inverse_indices(), grp.cyclic_class_representatives(),
                 system, system.cocycle_basis(), system.z1_gens(),
-                system.b1_gens(), system.z1loc_gens(), grp.generators]
+                system.b1_gens(), system.z1loc_gens(),
+                grp._power_map(grp.spec.p), _system(grp, 1), grp.generators]
 
     results = [None] * 4
     barrier = threading.Barrier(4)
@@ -184,8 +185,12 @@ def test_lazy_caches_fill_once_across_threads():
     maps, ref_maps = results[0][1], ref[1]
     assert list(maps) == list(ref_maps)
     assert all(np.array_equal(maps[ell], ref_maps[ell]) for ell in ref_maps)
-    for a, b in zip(results[0][2:5] + results[0][6:-1], ref[2:5] + ref[6:-1]):
+    for a, b in zip(results[0][2:5] + results[0][6:11], ref[2:5] + ref[6:11]):
         assert np.array_equal(a, b)
+    # the p-power map is the one power_maps() holds, and the system at
+    # module exponent 1 is its own
+    assert results[0][10] is maps[G.spec.p]
+    assert results[0][11].j == 1 and results[0][11] is not results[0][5]
     assert results[0][-1] == ref[-1] == G0.generators
     assert h1_loc(G).structure == h1_loc(G0).structure
 

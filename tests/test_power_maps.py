@@ -5,12 +5,13 @@ they replaced."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from corpus import byte_key_group, small_oracle_groups, twist_corpus
+from corpus import (byte_key_group, semisimple_groups, small_oracle_groups,
+                    twist_corpus)
 import oracles
 from h1loc.errors import CapExceededError
-from h1loc.groups import (MatGroup, _factor, coset_orders, element_order,
-                          p_sylow)
-from h1loc.ringmat import Mat, ModuleSpec
+from h1loc.groups import (MatGroup, _factor, _semisimple_parts, coset_orders,
+                          element_order, p_sylow)
+from h1loc.ringmat import Mat, ModuleSpec, batch_inv
 from h1loc.symplectic import gsp4_generators
 
 
@@ -128,3 +129,23 @@ def test_gsp4_orders_match_iterative_element_order():
     X = G.element_array()
     inv = G.inverse_indices()
     assert ((X[pos] @ X[inv[pos]]) % 3 == np.eye(4, dtype=np.int64)).all()
+
+
+def test_semisimple_parts_split_every_element():
+    """For every element x of the Borel and <[[2, 1], [0, 2]],
+    [[1, p], [0, 1]]> groups mod 9, 27, 25 and 49, its semisimple part x_s
+    from one power lies in G with order prime to p, x x_s^-1 has p-power
+    order, and x and x_s commute; on the trivial groups x_s is 1.  Some
+    element of each of the eight groups is not semisimple."""
+    cases = semisimple_groups() + [("trivial", T) for T in _trivial_groups()]
+    for label, G in cases:
+        p, q = G.spec.p, G.spec.modulus
+        X = G.element_array()
+        S = _semisimple_parts(G, X)
+        orders = G.orders()
+        s_pos, u_pos = G.lookup(S), G.lookup(X @ batch_inv(S, q) % q)
+        assert (s_pos >= 0).all() and (u_pos >= 0).all(), label
+        assert (orders[s_pos] % p != 0).all(), label
+        assert (p ** _factor(G.order).get(p, 0) % orders[u_pos] == 0).all()
+        assert np.array_equal(X @ S % q, S @ X % q), label
+        assert (orders[s_pos] != orders).any() == (G.order > 1), label
