@@ -17,8 +17,7 @@ from .groups import (Decomposition, MatGroup, decompose_generators,
                      element_order, find_normalized_sylow, frattini,
                      lift_normalizer, normalizer, p_sylow,
                      sylow_normalizer_element)
-from .ringmat import (AbelianStructure, ExtensionField, Mat, ModuleSpec,
-                      char_poly, eigenvalues_in_ext, kernel,
+from .ringmat import (AbelianStructure, Mat, ModuleSpec, char_poly, kernel,
                       quotient_structure, solve)
 from .symplectic import (SymplecticSpace, eigenvalue_pairing_check,
                          eigenvalue_pairing_sweep, gsp4_generators,

@@ -74,10 +74,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, InternalError, PreconditionError, certify
-from .groups import MatGroup, _cached, _semisimple_parts, _stack
+from .groups import MatGroup, _cached, _stack
 from .ringmat import (AbelianStructure, Mat, ModuleSpec, RowSystem,
                       RowSystemStack, _bijective_shifts, _howell_rows,
-                      eigenvalues_in_ext, quotient_structure, span_order)
+                      _p_exponent, quotient_structure, span_order)
 
 
 # constraint rows folded into a running Howell basis at a time; the basis
@@ -598,40 +598,52 @@ class RatioCriterionReport:
     delta: Optional[Mat]
     quotient_h1_trivial: Optional[bool]
     ratio_condition: Optional[bool]
-    offending_pair: Optional[tuple]
+    ratio_witness: Optional[Mat]  # eigenvalue_ratio_condition's X
     verdict: str                  # 'certified' | 'not_applicable' | 'inconclusive'
     h1_factors: Optional[tuple] = None
 
 
 def eigenvalue_ratio_condition(delta_bar: Mat, p: int):
-    """Whether no ratio of eigenvalues of delta_bar (mod p, order prime to
-    p) is itself an eigenvalue; i = j is included, so eigenvalue 1 always
-    fails.  Returns (holds, offending_triple_or_None); holds is None when
-    the eigenvalues do not all lie in a supported extension field."""
-    spec1 = ModuleSpec(p, 1, delta_bar.rows)
-    field = None
-    eig = None
-    for deg in (1, 2, 4):
-        f, rts = eigenvalues_in_ext(delta_bar, spec1, deg)
-        if sum(mlt for _, mlt in rts) == delta_bar.rows:
-            field, eig = f, rts
-            break
-    if field is None:
-        return None, None
-    values = [r for r, _ in eig]
-    for a in values:
-        for b in values:
-            ratio = field.mul(a, field.inv(b))
-            if ratio in values:
-                return False, (a, b, ratio)
-    return True, None
+    """Whether no ratio of eigenvalues of A = delta_bar mod p is itself an
+    eigenvalue; i = j is included, so eigenvalue 1 always fails.  The
+    condition says lambda_i lambda_j != lambda_k for all i, j, k, that is,
+    A (x) A and A share no eigenvalue, and by Sylvester's theorem that
+    holds exactly when X -> (A (x) A) X - X A is injective over F_p.  So
+    the test is one Howell kernel of S = I_r (x) (A (x) A) - A^T (x) I_r^2,
+    the r^3 x r^3 matrix of that map on X read column-major, and no
+    eigenvalue is computed.  Returns (True, None) when the kernel is empty,
+    else (False, X): X is the r^2 x r matrix of the first kernel row, a
+    certified nonzero solution of (A (x) A) X = X A.  InputError for a
+    non-square delta_bar, a p that is not prime, a modulus that is not a
+    power of p, and a delta_bar singular mod p."""
+    r = delta_bar.rows
+    if delta_bar.cols != r:
+        raise InputError("eigenvalue ratios of a non-square matrix")
+    ModuleSpec(p, 1, r)                 # refuses a p that is not prime
+    _p_exponent(delta_bar.modulus, p)   # and a modulus not a power of p
+    if not delta_bar.is_invertible():
+        raise InputError("delta_bar is singular mod p")
+    A = delta_bar.reduce_mod(p)
+    a = A.to_array()
+    AA = np.kron(a, a) % p
+    S = (np.kron(np.eye(r, dtype=np.int64), AA)
+         - np.kron(a.T, np.eye(r * r, dtype=np.int64))) % p
+    ker = RowSystem(S.T, p, 1).kernel()
+    if not len(ker):
+        return True, None
+    X = Mat.from_array(ker[0].reshape(r, r * r).T, p)
+    certify(X != Mat.zeros(r * r, r, p)
+            and Mat.from_array(AA, p).mul(X) == X.mul(A),
+            "ratio witness does not solve (A (x) A) X = X A (internal)")
+    return False, X
 
 
 def eigenvalue_ratio_vanishing(G: MatGroup) -> RatioCriterionReport:
     """Sufficient criterion for H^1(G, M) = 0: some delta with delta - 1
     bijective, trivial H^1 of the mod-p quotient, and no eigenvalue ratio
-    of the semisimple part of delta-bar being itself an eigenvalue.  When
-    the hypotheses hold the conclusion is also verified by direct
+    of delta-bar being itself an eigenvalue.  delta-bar and its semisimple
+    part have the same eigenvalues, so the test runs on delta-bar itself.
+    When the hypotheses hold the conclusion is also verified by direct
     computation.  Only H^1 structures are read, with no representative
     cocycle expanded.
     """
@@ -641,17 +653,11 @@ def eigenvalue_ratio_vanishing(G: MatGroup) -> RatioCriterionReport:
     if not len(hits):
         return RatioCriterionReport(None, None, None, None, "inconclusive")
     delta = G.element(hits[0])
-    Q = G.reduce_mod(1)
-    if not _system(Q).h1_structure().is_trivial:
+    if not _system(G.reduce_mod(1)).h1_structure().is_trivial:
         return RatioCriterionReport(delta, False, None, None, "not_applicable")
-    # the semisimple part of the reduction of delta, an element of Q
-    dbar = Mat.from_array(_semisimple_parts(
-        Q, delta.reduce_mod(spec.p).to_array()[None])[0], spec.p)
-    holds, offending = eigenvalue_ratio_condition(dbar, spec.p)
-    if holds is None:
-        return RatioCriterionReport(delta, True, None, None, "inconclusive")
+    holds, witness = eigenvalue_ratio_condition(delta, spec.p)
     if not holds:
-        return RatioCriterionReport(delta, True, False, offending,
+        return RatioCriterionReport(delta, True, False, witness,
                                     "not_applicable")
     direct = _system(G).h1_structure()
     certify(direct.is_trivial,

@@ -192,7 +192,9 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     h0 (groups._semisimple_parts), a power of h0, so it normalizes H too.
     It reduces to the semisimple part of g1, which is g1 itself, and no
     element of order prime to p but 1 lies in the kernel, so its order is
-    that of g1.
+    that of g1.  H is kept as a mask over G's positions, never closed: the
+    last certificate conjugates every element of H by the lift and finds
+    each conjugate in G and in H.
     """
     spec = G.spec
     p, q = spec.p, spec.modulus
@@ -217,7 +219,7 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
                                 "the deterministic Sylow is not normalized")
     X = G.element_array()
     red = Q.lookup(X % p)                    # position of x mod p in Q
-    H = G.subgroup((HQ.lookup(QX) >= 0)[red])
+    in_H = (HQ.lookup(QX) >= 0)[red]         # H as a mask over G
     gs = _semisimple_parts(G, X[np.argmax(red == qpos[0]), None])
     g = Mat.from_array(gs[0], q)
     certify((_scalar_power(gs, p - 1, q) == np.eye(spec.rank)).all(),
@@ -225,7 +227,9 @@ def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
     certify(g.reduce_mod(p).key() == g1.key(),
             "lift does not reduce to g1 (internal)")
     certify(_bijective_shift(g, q), "lift g-1 not bijective (internal)")
-    certify(_normalizing(gs, batch_inv(gs, q), H)[0],
+    # a conjugate outside G has position -1 and fails before in_H is read
+    conj = G.lookup(gs @ X[in_H] % q @ batch_inv(gs, q) % q)
+    certify((conj >= 0).all() and in_H[conj].all(),
             "lift does not normalize the Sylow (internal)")
     return g
 

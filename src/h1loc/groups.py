@@ -93,22 +93,23 @@ def _refuse_singular(gens, q: int) -> None:
 
 def _cached(fill):
     """Decorator for a lazy cache on a group, of a method or of a function
-    whose first argument is the group, keyed by the arguments after it:
-    the first call with those arguments runs fill under the owner's lock
-    (self._lock, reentrant) and later calls reuse its value, so threads
-    sharing the owner fill each entry exactly once, and no cache outlives
-    its group."""
+    whose first argument is the group, keyed by the arguments after it
+    (keyword arguments by name): the first call with those arguments runs
+    fill under the owner's lock (self._lock, reentrant) and later calls
+    reuse its value, so threads sharing the owner fill each entry exactly
+    once, and no cache outlives its group."""
     slot = f"_{fill.__name__}_cache"
 
     @functools.wraps(fill)
-    def get(self, *args):
+    def get(self, *args, **kwargs):
+        key = (*args, *sorted(kwargs.items()))
         cache = self.__dict__.get(slot, {})
-        if args not in cache:
+        if key not in cache:
             with self._lock:
                 cache = self.__dict__.setdefault(slot, {})
-                if args not in cache:
-                    cache[args] = fill(self, *args)
-        return cache[args]
+                if key not in cache:
+                    cache[key] = fill(self, *args, **kwargs)
+        return cache[key]
     return get
 
 
@@ -464,12 +465,16 @@ class MatGroup:
         return (self.spec == other.spec
                 and bool((other.lookup(self._array) >= 0).all()))
 
+    @_cached
     def reduce_mod(self, j: int, cap: int = DEFAULT_CAP) -> "MatGroup":
         """Image of the group under entrywise reduction mod p^j, closed from
         the distinct reduced generators other than the identity, in their
         first order.  A product with the identity or a repeated generator
         is never fresh, so the elements, tree_parent and layers are those
-        of closing every reduced generator; tree_gen indexes the kept ones."""
+        of closing every reduced generator; tree_gen indexes the kept ones.
+        Closed once per group and arguments (_cached), so every caller
+        shares the image and its own caches: power maps, Sylow, cohomology
+        systems."""
         sub = self.spec.with_exponent(j)
         # the identity first, so a generator reduced to it is a repeat
         gens = np.concatenate([np.eye(sub.rank, dtype=np.int64)[None],

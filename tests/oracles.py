@@ -19,11 +19,11 @@ from math import gcd
 
 import numpy as np
 
-from h1loc.errors import CapExceededError
+from h1loc.errors import CapExceededError, InputError, InternalError
 from h1loc.groups import (DEFAULT_CAP, MatGroup, _factor, _keys,
                           _power_positions, _stack, lift_normalizer, p_sylow)
-from h1loc.ringmat import (Mat, RowSystem, _entry_dtype, _howell_rows,
-                           _valuation)
+from h1loc.ringmat import (Mat, ModuleSpec, RowSystem, _entry_dtype,
+                           _howell_rows, _valuation, char_poly, is_prime)
 
 
 def reference_closure(generators, spec, cap=DEFAULT_CAP):
@@ -194,6 +194,187 @@ def reference_p_prime_power(Q, x):
     while Q.element_order(x) % Q.spec.p == 0:
         x = x.pow(Q.spec.p)
     return x
+
+
+class ExtensionField:
+    """F_{p^degree} realized as F_p[x] modulo a fixed irreducible polynomial,
+    the field the eigenvalue-ratio test enumerated before the Sylvester
+    kernel replaced it.
+
+    The modulus is deterministic: the first irreducible monic polynomial
+    x^e + c_{e-1} x^{e-1} + ... + c_0 in lexicographic order of
+    (c_{e-1}, ..., c_0).  Elements are coefficient tuples (a_0, ..., a_{e-1}).
+    """
+
+    def __init__(self, p: int, degree: int):
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
+        if not 1 <= degree <= 5:
+            # trial division by roots and quadratics certifies
+            # irreducibility only up to degree 5
+            raise InputError("extension degree must be between 1 and 5")
+        self.p = p
+        self.degree = degree
+        self.modulus_poly = self._find_irreducible(p, degree)
+        self.zero = (0,) * degree
+        self.one = (1,) + (0,) * (degree - 1)
+
+    @staticmethod
+    def _find_irreducible(p: int, e: int) -> tuple:
+        if e == 1:
+            return (0, 1)  # x itself; arithmetic is plain mod p
+        for tail in itertools.product(range(p), repeat=e):
+            # tail = (c_{e-1}, ..., c_0)
+            coeffs = tuple(reversed(tail)) + (1,)  # ascending, monic
+            if _poly_is_irreducible(coeffs, p):
+                return coeffs
+        raise InternalError("no irreducible polynomial found (internal)")
+
+    def embed(self, c: int) -> tuple:
+        return tuple([c % self.p] + [0] * (self.degree - 1))
+
+    def elements(self):
+        return itertools.product(range(self.p), repeat=self.degree)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        p, e = self.p, self.degree
+        if e == 1:
+            return ((a[0] * b[0]) % p,)
+        raw = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    raw[i + j] += x * y
+        # reduce modulo the modulus polynomial
+        mod = self.modulus_poly
+        for d in range(2 * e - 2, e - 1, -1):
+            c = raw[d] % p
+            if c:
+                for i in range(e):
+                    raw[d - e + i] -= c * mod[i]
+            raw[d] = 0
+        return tuple(x % p for x in raw[:e])
+
+    def pow(self, a, k: int):
+        result = self.one
+        base = a
+        while k:
+            if k & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return result
+
+    def inv(self, a):
+        if a == self.zero:
+            raise InputError("division by zero in extension field")
+        return self.pow(a, self.p ** self.degree - 2)
+
+    def poly_eval(self, coeffs_desc, x) -> tuple:
+        """Evaluate a polynomial with F_p coefficients (leading first) at x."""
+        acc = self.zero
+        for c in coeffs_desc:
+            acc = self.add(self.mul(acc, x), self.embed(c))
+        return acc
+
+
+def _poly_is_irreducible(coeffs_asc: tuple, p: int) -> bool:
+    """Irreducibility of a monic polynomial over F_p by trial division."""
+    e = len(coeffs_asc) - 1
+    # no roots
+    for r in range(p):
+        acc = 0
+        for c in reversed(coeffs_asc):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            return False
+    if e <= 3:
+        return True
+    # degree 4+: divide by all monic irreducible quadratics (enough for e <= 5)
+    for b in range(p):
+        for c in range(p):
+            quad = (c, b, 1)
+            if any((r * r + b * r + c) % p == 0 for r in range(p)):
+                continue
+            if _poly_divides(quad, coeffs_asc, p):
+                return False
+    return True
+
+
+def _poly_divides(d_asc, f_asc, p) -> bool:
+    rem = list(f_asc)
+    dd = len(d_asc) - 1
+    while len(rem) - 1 >= dd and any(rem):
+        while rem and rem[-1] % p == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        lead = rem[-1] % p
+        shift = len(rem) - 1 - dd
+        for i, c in enumerate(d_asc):
+            rem[shift + i] = (rem[shift + i] - lead * c) % p
+    return not any(x % p for x in rem)
+
+
+def eigenvalues_in_ext(A, spec, ext_degree: int):
+    """All eigenvalues of A (mod p) lying in F_{p^ext_degree}, with
+    multiplicities, by enumerating the field.  Returns
+    (field, [(element, multiplicity), ...])."""
+    if ext_degree not in (1, 2, 3, 4):
+        raise InputError("ext_degree must be 1, 2, 3 or 4")
+    field = ExtensionField(spec.p, ext_degree)
+    cp = char_poly(A, spec)
+    roots = [x for x in field.elements()
+             if field.poly_eval(cp, x) == field.zero]
+    out = []
+    for root in sorted(roots):
+        # multiplicity via synthetic division by (t - root)
+        mult = 0
+        coeffs = [field.embed(c) for c in cp]
+        while True:
+            quot, rem = _synthetic_div(coeffs, root, field)
+            if rem != field.zero:
+                break
+            mult += 1
+            coeffs = quot
+            if len(coeffs) == 1:
+                break
+        out.append((root, mult))
+    return field, out
+
+
+def _synthetic_div(coeffs_desc, root, field: ExtensionField):
+    acc = field.zero
+    quot = []
+    for c in coeffs_desc:
+        acc = field.add(field.mul(acc, root), c)
+        quot.append(acc)
+    return quot[:-1], quot[-1]
+
+
+def reference_eigenvalue_ratio_condition(delta_bar, p: int):
+    """cohomology.eigenvalue_ratio_condition by enumeration, as it was
+    decided before the Sylvester kernel: the eigenvalues of delta_bar mod p
+    in the first F_{p^d}, d = 1, 2, 3, 4, that holds all of them, and some
+    ratio of two of them that is one of them.  Degree 3 was not tried
+    then, so a cubic factor left the answer open; with it every matrix of
+    rank at most 4 is decided.  Returns (holds, (a, b, a/b) or None), with
+    holds None past rank 4 when no such field holds every eigenvalue."""
+    spec = ModuleSpec(p, 1, delta_bar.rows)
+    for deg in (1, 2, 3, 4):
+        field, eig = eigenvalues_in_ext(delta_bar, spec, deg)
+        if sum(mult for _, mult in eig) == delta_bar.rows:
+            values = [root for root, _ in eig]
+            for a in values:
+                for b in values:
+                    ratio = field.mul(a, field.inv(b))
+                    if ratio in values:
+                        return False, (a, b, ratio)
+            return True, None
+    return None, None
 
 
 def reference_inverse_indices(G) -> np.ndarray:

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -301,10 +302,13 @@ def test_eigenvalue_ratio_examples():
     # diag(1,2): ratio 2/1 = 2 is an eigenvalue
     holds2, off2 = eigenvalue_ratio_condition(M([[1, 0], [0, 2]], 5), 5)
     assert holds2 is False and off2 is not None
-    # diag(2,4): ratios {3, 2}; 2 is an eigenvalue
+    # diag(2,4): ratios {3, 2}; 2 is an eigenvalue, as the enumeration
+    # reference names it
     holds3, off3 = eigenvalue_ratio_condition(M([[2, 0], [0, 4]], 5), 5)
     assert holds3 is False
-    assert off3[2] == (2,)
+    assert _solves_sylvester(M([[2, 0], [0, 4]], 5), off3)
+    assert oracles.reference_eigenvalue_ratio_condition(
+        M([[2, 0], [0, 4]], 5), 5)[1][2] == (2,)
 
     spec = ModuleSpec(5, 1, 2)
     G = MatGroup.close([M([[2, 0], [0, 3]], 5)], spec)
@@ -320,12 +324,14 @@ def test_eigenvalue_ratio_examples():
 
 
 def test_ratio_test_semisimple_part_matches_p_power_loop():
-    """eigenvalue_ratio_vanishing takes the semisimple part of delta-bar by
-    one power.  On the Borel and <[[2, 1], [0, 2]], [[1, p], [0, 1]]>
-    groups mod 9, 27, 25 and 49, the reference loop of p-th powers reaches
-    a p-power of that part, with the same characteristic polynomial, and
-    the ratio condition on it gives the report's verdict and offending
-    triple.  The delta-bar of orders 6, 20 and 21 are not semisimple."""
+    """The semisimple part of delta-bar, one power, has the spectrum of
+    delta-bar, on which eigenvalue_ratio_vanishing runs.  On the Borel and
+    <[[2, 1], [0, 2]], [[1, p], [0, 1]]> groups mod 9, 27, 25 and 49, the
+    reference loop of p-th powers reaches a p-power of that part, with the
+    same characteristic polynomial, the ratio condition on it gives the
+    report's verdict, and the report's witness solves the Sylvester
+    equation of delta-bar.  The delta-bar of orders 6, 20 and 21 are not
+    semisimple."""
     from h1loc.cohomology import eigenvalue_ratio_condition
     from h1loc.groups import _semisimple_parts
     from h1loc.ringmat import char_poly
@@ -343,9 +349,107 @@ def test_ratio_test_semisimple_part_matches_p_power_loop():
         assert any(part.pow(p ** i) == ref
                    for i in range(Q.element_order(part))), label
         assert char_poly(part, Q.spec) == char_poly(ref, Q.spec), label
-        assert ((rep.ratio_condition, rep.offending_pair)
-                == eigenvalue_ratio_condition(ref, p)), label
+        assert (rep.ratio_condition
+                == eigenvalue_ratio_condition(ref, p)[0]), label
+        assert (rep.ratio_witness is None) == rep.ratio_condition, label
+        if rep.ratio_witness is not None:
+            assert _solves_sylvester(dbar, rep.ratio_witness), label
     assert {6, 20, 21} <= orders
+
+
+def _solves_sylvester(A: Mat, X: Mat) -> bool:
+    """X is a nonzero r^2 x r matrix mod p with (A (x) A) X = X A."""
+    p, r = X.modulus, A.rows
+    a = np.array(A.entries, dtype=object) % p
+    x = np.array(X.entries, dtype=object).reshape(r * r, r)
+    return bool(x.any() and not ((np.kron(a, a) @ x - x @ a) % p).any())
+
+
+def _invertible_matrices(p: int, r: int, count: int, rng) -> list:
+    out = []
+    while len(out) < count:
+        A = Mat.from_array(rng.integers(0, p, size=(r, r)), p)
+        if A.is_invertible():
+            out.append(A)
+    return out
+
+
+def _companion(coeffs_asc, p: int) -> Mat:
+    """The companion matrix of the monic polynomial with ascending
+    coefficients coeffs_asc, whose characteristic polynomial it is."""
+    r = len(coeffs_asc) - 1
+    C = np.zeros((r, r), dtype=np.int64)
+    C[1:, :-1] = np.eye(r - 1, dtype=np.int64)
+    C[:, -1] = [-c % p for c in coeffs_asc[:-1]]
+    return Mat.from_array(C, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_ratio_kernel_matches_enumeration_reference(p):
+    """The Sylvester kernel gives the verdict of the enumeration over
+    F_{p^d}, d <= 4, on 49 seeded invertible matrices of each rank 1-4
+    (784 over the four primes), and every witness is certified."""
+    from h1loc.cohomology import eigenvalue_ratio_condition
+    rng = np.random.default_rng(3300 + p)
+    verdicts = set()
+    for r in (1, 2, 3, 4):
+        for A in _invertible_matrices(p, r, 49, rng):
+            holds, X = eigenvalue_ratio_condition(A, p)
+            want = oracles.reference_eigenvalue_ratio_condition(A, p)[0]
+            assert want is not None and holds is want, (r, A)
+            assert (X is None) if holds else _solves_sylvester(A, X), (r, A)
+            verdicts.add((r, holds))
+    # rank 1 always fails (eigenvalue l, ratio 1 = l / l); the others both
+    assert verdicts >= {(1, False), (2, True), (2, False), (3, True),
+                        (3, False), (4, True), (4, False)}
+
+
+def test_ratio_kernel_decides_cubic_factors_and_a_quartic_at_p31():
+    """Matrices with an irreducible cubic factor, where the enumeration
+    over degrees 1, 2 and 4 had no answer, get the enumeration's verdict
+    through degree 3; the companion matrix of an irreducible quartic at
+    p = 31, 24.5 s by enumerating F_{31^4}, is decided at once, and agrees
+    with the ratios of its eigenvalues, the conjugates x^(31^i) of x in
+    F_31[x] modulo that quartic."""
+    from h1loc.cohomology import eigenvalue_ratio_condition
+    verdicts = set()
+    for p in (3, 5, 7, 11):
+        # the cubic's companion alone, and beside the eigenvalue 1 or 2
+        C = _companion(oracles.ExtensionField(p, 3).modulus_poly, p)
+        for extra in (None, 1, 2):
+            A = C
+            if extra is not None:
+                block = np.diag([0, 0, 0, extra])
+                block[:3, :3] = C.to_array()
+                A = Mat.from_array(block, p)
+            holds, X = eigenvalue_ratio_condition(A, p)
+            assert holds is oracles.reference_eigenvalue_ratio_condition(
+                A, p)[0], A
+            assert X is None if holds else _solves_sylvester(A, X)
+            verdicts.add(holds)
+    assert verdicts == {True, False}
+    field = oracles.ExtensionField(31, 4)
+    x = (0, 1, 0, 0)
+    roots = [field.pow(x, 31 ** i) for i in range(4)]
+    want = not any(field.mul(a, field.inv(b)) in roots
+                   for a in roots for b in roots)
+    start = time.perf_counter()
+    holds, X = eigenvalue_ratio_condition(
+        _companion(field.modulus_poly, 31), 31)
+    assert time.perf_counter() - start < 1.0
+    assert holds is want
+
+
+def test_ratio_kernel_refuses_bad_input():
+    """A non-square delta-bar, a modulus that is not a power of p and a
+    delta-bar singular mod p are refused with InputError."""
+    from h1loc.cohomology import eigenvalue_ratio_condition
+    with pytest.raises(InputError, match="non-square"):
+        eigenvalue_ratio_condition(M([[1, 2, 3], [4, 5, 6]], 5), 5)
+    with pytest.raises(InputError, match="power of"):
+        eigenvalue_ratio_condition(M([[1, 0], [0, 2]], 7), 5)
+    with pytest.raises(InputError, match="singular"):
+        eigenvalue_ratio_condition(M([[1, 5], [0, 5]], 25), 5)
 
 
 def test_h1_representative_orders_match_factors():

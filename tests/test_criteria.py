@@ -15,8 +15,8 @@ from h1loc.counterexample import build
 from h1loc.criteria import (fixed_point_free_criterion, fixed_point_spectrum,
                             lift_qualifying_element, similitude_criterion,
                             sylow_normalizer_criterion)
-from h1loc.errors import PreconditionError
-from h1loc import groups
+from h1loc.errors import InternalError, PreconditionError
+from h1loc import criteria, groups
 from h1loc.groups import (MatGroup, _normalizer_mask, _scalar_power,
                           element_order, p_sylow)
 from h1loc.ringmat import Mat, ModuleSpec, _bijective_shifts
@@ -190,6 +190,65 @@ def test_lift_matches_the_coset_correction_reference():
             lifts += 1
             stripped += strip
     assert lifts == stripped == 187
+
+
+def _qualifying(Q):
+    """Positions in the mod-p image Q of the g1 that lift_qualifying_element
+    takes: order dividing p-1, bijective g1 - 1, normalizing the Sylow."""
+    p, X = Q.spec.p, Q.element_array()
+    return np.flatnonzero(
+        (_scalar_power(X, p - 1, p) == np.eye(Q.spec.rank)).all(axis=(1, 2))
+        & _bijective_shifts(X, p) & _normalizer_mask(Q, p_sylow(Q)))
+
+
+def test_lifts_share_one_mod_p_image_and_close_no_subgroup(monkeypatch):
+    """reduce_mod is cached on its group, so lifting every qualifying
+    element of the mod-7 image of the mod-49 Borel (86,436 elements)
+    closes that image once, and the Sylow preimage H stays a mask: no
+    MatGroup.subgroup call."""
+    B = dict(semisimple_groups())["borel mod 49"]
+    G = MatGroup.close(B.generator_array(), B.spec)    # no cache filled yet
+    closes, subgroups = [], []
+    close, subgroup = MatGroup.close, MatGroup.subgroup
+
+    def counting_close(generators, spec, cap=groups.DEFAULT_CAP):
+        grp = close(generators, spec, cap)
+        closes.append((spec, grp.order))
+        return grp
+
+    def counting_subgroup(self, mask):
+        subgroups.append(self.order)
+        return subgroup(self, mask)
+
+    monkeypatch.setattr(MatGroup, "close", staticmethod(counting_close))
+    monkeypatch.setattr(MatGroup, "subgroup", counting_subgroup)
+    Q = G.reduce_mod(1)
+    assert G.reduce_mod(1) is Q and G.reduce_mod(1, cap=10 ** 6) is not Q
+    lifts = [lift_qualifying_element(G, Q.element(i)) for i in _qualifying(Q)]
+    assert len(lifts) > 20 and subgroups == []
+    assert closes.count((Q.spec, Q.order)) == 2    # the default and 10^6 caps
+
+
+def test_lift_fails_a_conjugate_outside_g(monkeypatch):
+    """The normalizing certificate reads H as a mask over G's positions.
+    In G = <[[1, 1], [0, 1]], diag(7, 18), [[6, 1], [0, 1]]> mod 25, of
+    order 500, the lift of diag(2, 3) is diag(7, 18).  Conjugated by
+    [[1, 0], [5, 1]] it still reduces to g1 with order 4 and bijective
+    g - 1, but it takes [[1, 1], [0, 1]] in H to [[11, 24], [0, 16]],
+    outside G, at position -1.  G's last element lies in H, so reading the
+    mask at -1 would pass: the certificate must fail on the -1 itself."""
+    G = MatGroup.close([M([[1, 1], [0, 1]], 25), M([[7, 0], [0, 18]], 25),
+                        M([[6, 1], [0, 1]], 25)], ModuleSpec(5, 2, 2))
+    g1 = M([[2, 0], [0, 3]], 5)
+    assert G.order == 500
+    assert G.element(-1).reduce_mod(5) in p_sylow(G.reduce_mod(1))
+    assert lift_qualifying_element(G, g1) == M([[7, 0], [0, 18]], 25)
+    k, k_inv = np.array([[1, 0], [5, 1]]), np.array([[1, 0], [20, 1]])
+    parts = criteria._semisimple_parts
+    monkeypatch.setattr(criteria, "_semisimple_parts",
+                        lambda G, arr: k @ parts(G, arr) % 25 @ k_inv % 25)
+    with pytest.raises(InternalError, match="does not normalize"):
+        lift_qualifying_element(G, g1)
 
 
 def test_similitude_criterion_gl2():
