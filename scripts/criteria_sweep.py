@@ -4,7 +4,10 @@
 Builds twists of assorted orders against p-subgroups of the reduction
 kernel, runs the Sylow-normalizer and mod-p criteria on each, and tabulates
 certifications against directly computed H^1_loc.  A sound run has no row
-where a criterion certified but the direct computation is nonzero.
+where a criterion certified but the direct computation is nonzero.  The
+library cross-checks every verdict as well (the fixed-point-free one
+against the mod-p^2 group), and raises InternalError on an unsound
+certificate; the sweep keeps its own count.
 
 Usage: python scripts/criteria_sweep.py [--p 5] [--cap 20000]
 """
@@ -69,9 +72,9 @@ def main():
         total += 1
         direct = h1_loc(G).structure.invariant_factors
         verdicts = []
-        rep = sylow_normalizer_criterion(G, compute_cross_check=False)
+        rep = sylow_normalizer_criterion(G)
         verdicts.append(("sylow", rep.certified))
-        rep2 = fixed_point_free_criterion(G.reduce_mod(1))
+        rep2 = fixed_point_free_criterion(G.reduce_mod(1), G)
         verdicts.append(("mod-p", rep2.certified))
         certs = [name for name, c in verdicts if c]
         certified += len(certs)

@@ -4,10 +4,14 @@ Each checker searches for the structure its criterion needs (a Sylow
 normalizer element of order dividing p-1 acting without nonzero fixed
 points, a fixed-point-free element of the mod-p group plus trivial H^1,
 a surjective similitude multiplier), reports every hypothesis separately,
-and never takes the conclusion on faith: a "certified" verdict is always
-cross-checked by computing H^1_loc directly.  Failing a hypothesis is not
-an error: the group may still have vanishing cohomology for other reasons,
-so the verdict is just "not applicable".
+and never takes the conclusion on faith: CriterionReport.finalize
+cross-checks every verdict against H^1_loc computed directly on the group
+the verdict is about (G for the Sylow-normalizer criterion, the
+full-level group, else the mod-p group, for the fixed-point-free
+criterion, the mod-p group for the similitude criterion), and a
+"certified" verdict with a nontrivial direct H^1_loc raises InternalError.
+Failing a hypothesis is not an error: the group may still have vanishing
+cohomology for other reasons, so the verdict is just "not applicable".
 
 The Sylow normalizer comes from groups.sylow_normalizer_mask.  By Sylow's
 theorem every p-element lies in a p-Sylow, and each p-Sylow holds exactly
@@ -16,8 +20,9 @@ p-Sylow, and its normalizer is the whole group with no Sylow ascent;
 only a non-normal Sylow is computed and its normalizer tested.  The
 search for a qualifying element reads no element order: x^(p-1) = 1 picks
 its candidates, and powers of the hits alone give their orders.  The
-cross-checks read the cached H^1 and H^1_loc structures of the cohomology
-system, with no representative cocycle expanded.
+hypothesis H^1 = 0 and the cross-checks read the cached H^1 and H^1_loc
+structures of the cohomology system, with no representative cocycle
+expanded.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ class CriterionReport:
     criterion: str
     items: list = field(default_factory=list)
     conclusion: str = "not_applicable"   # 'certified' | 'not_applicable' | 'inconclusive'
-    cross_check: Optional[tuple] = None  # invariant factors of direct H^1_loc
+    # invariant factors of the direct H^1_loc, set by finalize
+    cross_check: Optional[tuple] = None
 
     def add(self, name, status, detail="", witness=None):
         self.items.append(CheckItem(name, status, detail, witness))
@@ -59,11 +65,17 @@ class CriterionReport:
     def certified(self) -> bool:
         return self.conclusion == "certified"
 
-    def finalize(self, conclusion: str, cross_check=None):
+    def finalize(self, conclusion: str, group: MatGroup):
+        """Set the conclusion and, as its cross-check, the invariant
+        factors of H^1_loc(group, M) from the group's cached cohomology
+        system, with no representative cocycle expanded.  A certified
+        verdict needs every item satisfied and a trivial H^1_loc, or
+        InternalError is raised."""
+        cross_check = _system(group).h1loc_structure().invariant_factors
         if conclusion == "certified":
             certify(all(i.status == "satisfied" for i in self.items),
                     "certified with an unsatisfied hypothesis (internal)")
-            certify(cross_check in (None, ()),
+            certify(not cross_check,
                     "certified but direct H^1_loc is nontrivial (internal)")
         self.conclusion = conclusion
         self.cross_check = cross_check
@@ -75,9 +87,8 @@ class CriterionReport:
             out.append(f"  [{i.status}] {i.name}" +
                        (f": {i.detail}" if i.detail else ""))
         out.append(f"  conclusion: {self.conclusion}")
-        if self.cross_check is not None:
-            desc = " x ".join(f"C{f}" for f in self.cross_check) or "trivial"
-            out.append(f"  direct H1_loc: {desc}")
+        desc = " x ".join(f"C{f}" for f in self.cross_check) or "trivial"
+        out.append(f"  direct H1_loc: {desc}")
         return out
 
 
@@ -123,14 +134,7 @@ def _divisors(n: int) -> list:
     return sorted(divs)
 
 
-def _h1loc_factors(G: MatGroup) -> tuple:
-    """Invariant factors of H^1_loc(G, M), with no representative
-    cocycles expanded."""
-    return _system(G).h1loc_structure().invariant_factors
-
-
-def sylow_normalizer_criterion(G: MatGroup,
-                               compute_cross_check: bool = True) -> CriterionReport:
+def sylow_normalizer_criterion(G: MatGroup) -> CriterionReport:
     """Vanishing when the normalizer of a p-Sylow subgroup contains an
     element g of order dividing p-1 with g - 1 bijective."""
     rep = CriterionReport("sylow-normalizer element of order dividing p-1")
@@ -142,19 +146,20 @@ def sylow_normalizer_criterion(G: MatGroup,
     if found is None:
         rep.add("normalizer element of order dividing p-1 with g-1 bijective",
                 "failed", "no qualifying element")
-        cross = _h1loc_factors(G) if compute_cross_check else None
-        return rep.finalize("not_applicable", cross)
+        return rep.finalize("not_applicable", G)
     g, order = found
     rep.add("normalizer element of order dividing p-1 with g-1 bijective",
             "satisfied", f"order {order}, det(g-1) unit", witness=g)
-    return rep.finalize("certified", _h1loc_factors(G))
+    return rep.finalize("certified", G)
 
 
 def fixed_point_free_criterion(G1: MatGroup,
                                Gn: Optional[MatGroup] = None) -> CriterionReport:
     """Vanishing at every level from mod-p data: an element of G1 of order
-    dividing p-1 fixing no nonzero vector, plus H^1(G1, M) = 0.  When the
-    full-level group is supplied its H^1_loc is computed and must vanish."""
+    dividing p-1 fixing no nonzero vector, plus H^1(G1, M) = 0.  The
+    verdict is cross-checked against the direct H^1_loc of the full-level
+    group Gn when it is given, else of G1; a certified verdict needs it
+    trivial."""
     rep = CriterionReport("fixed-point-free element mod p with trivial H^1")
     p = G1.spec.p
     if G1.spec.n != 1:
@@ -171,10 +176,9 @@ def fixed_point_free_criterion(G1: MatGroup,
         rep.add("H^1(G1, M) = 0", "satisfied")
     else:
         rep.add("H^1(G1, M) = 0", "failed", h1_group.describe())
-    cross = _h1loc_factors(Gn) if Gn is not None else None
-    if found is None or not h1_group.is_trivial:
-        return rep.finalize("not_applicable", cross)
-    return rep.finalize("certified", cross)
+    conclusion = ("certified" if found is not None and h1_group.is_trivial
+                  else "not_applicable")
+    return rep.finalize(conclusion, G1 if Gn is None else Gn)
 
 
 def lift_qualifying_element(G: MatGroup, g1: Mat) -> Mat:
@@ -248,13 +252,13 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     if (mults == 0).any():
         rep.add("every element is a similitude", "failed",
                 "a non-similitude element exists")
-        return rep.finalize("not_applicable")
+        return rep.finalize("not_applicable", G1)
     rep.add("every element is a similitude", "satisfied")
     image = _distinct(mults)
     if len(image) != p - 1:
         rep.add("multiplier is surjective onto the units", "failed",
                 f"image has order {len(image)}")
-        return rep.finalize("not_applicable", _h1loc_factors(G1))
+        return rep.finalize("not_applicable", G1)
     rep.add("multiplier is surjective onto the units", "satisfied")
     N = G1.subgroup(mults == 1)
     g, info = sylow_normalizer_element(G1, N)
@@ -275,10 +279,10 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     if g is None:
         rep.add("a constructed element fixes nothing nonzero", "failed",
                 "every qualifying normalizer element has a fixed vector")
-        return rep.finalize("not_applicable", _h1loc_factors(G1))
+        return rep.finalize("not_applicable", G1)
     rep.add("a constructed element fixes nothing nonzero", "satisfied",
             witness=g)
-    return rep.finalize("certified", _h1loc_factors(G1))
+    return rep.finalize("certified", G1)
 
 
 def fixed_point_spectrum(G: MatGroup):

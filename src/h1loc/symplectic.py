@@ -14,6 +14,7 @@ certificate of the multiplier computation, and the sweep checks c1 = nu c3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -40,14 +41,13 @@ class SymplecticSpace:
     def d(self) -> int:
         return self.spec.rank // 2
 
-    @property
+    @functools.cached_property
     def J(self) -> Mat:
-        d, q = self.d, self.spec.modulus
-        rows = [[0] * (2 * d) for _ in range(2 * d)]
-        for i in range(d):
-            rows[i][d + i] = 1
-            rows[d + i][i] = -1
-        return Mat.from_rows(rows, q)
+        """[[0, I_d], [-I_d, 0]] mod q, built on first use and kept."""
+        eye = np.eye(self.d, dtype=np.int64)
+        zero = np.zeros_like(eye)
+        return Mat.from_array(np.block([[zero, eye], [-eye, zero]]),
+                              self.spec.modulus)
 
     def pair(self, v, w) -> int:
         """<v, w> = v^T J w."""
@@ -123,39 +123,34 @@ def gsp4_order(p: int) -> int:
 
 def transvection(v, c: int, space: SymplecticSpace) -> Mat:
     """x -> x + c <x, v> v, a symplectic transvection (multiplier 1)."""
-    q = space.spec.modulus
-    m = space.spec.rank
-    cols = []
-    for j in range(m):
-        e = [0] * m
-        e[j] = 1
-        pairing = space.pair(e, v)
-        cols.append([(e[i] + c * pairing * v[i]) % q for i in range(m)])
-    rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-    return Mat.from_rows(rows, q)
+    return Mat.from_array(_transvections([v], c, space)[0],
+                          space.spec.modulus)
+
+
+def _transvections(V, c: int, space: SymplecticSpace) -> np.ndarray:
+    """The transvections along the rows v of V as one (k, m, m) array: as
+    <x, v> = x^T J v = (J v)^T x, each is I + c v (J v)^T mod q, where
+    J v = (v_2, -v_1) for the halves v_1, v_2 of v.  Its entries are
+    Python ints (object dtype), exact at every q."""
+    q, d = space.spec.modulus, space.d
+    V = np.asarray(V, dtype=object) % q
+    JV = np.concatenate([V[:, d:], -V[:, :d]], axis=1)
+    outer = V[:, :, None] * JV[:, None, :]
+    return (np.eye(space.spec.rank, dtype=np.int64) + c * outer) % q
 
 
 def gsp4_generators(p: int):
-    """Transvections along a fixed spanning set plus one similitude of
-    nontrivial multiplier; at p = 3 these generate all 103680 elements."""
-    spec = ModuleSpec(p, 1, 4)
-    space = SymplecticSpace(spec)
-    vs = []
-    for i in range(4):
-        e = [0] * 4
-        e[i] = 1
-        vs.append(tuple(e))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e = [0] * 4
-            e[i] = 1
-            e[j] = 1
-            vs.append(tuple(e))
-    gens = [transvection(v, 1, space) for v in vs]
+    """Transvections along e_1..e_4 and e_i + e_j (i < j) plus one
+    similitude of nontrivial multiplier, diag(nu, nu, 1, 1) for the least
+    primitive root nu; at p = 3 these generate all 103680 elements."""
+    space = SymplecticSpace(ModuleSpec(p, 1, 4))
+    eye = np.eye(4, dtype=np.int64)
+    V = np.concatenate([eye, [eye[i] + eye[j] for i, j in
+                              itertools.combinations(range(4), 2)]])
     nu = _primitive_root(p)
-    gens.append(Mat.from_rows([[nu, 0, 0, 0], [0, nu, 0, 0],
-                               [0, 0, 1, 0], [0, 0, 0, 1]], p))
-    return gens, space
+    gens = np.concatenate([_transvections(V, 1, space),
+                           np.diag([nu, nu, 1, 1])[None]])
+    return [Mat.from_array(g, p) for g in gens], space
 
 
 def eigenvalue_pairing_check(A: Mat, space: SymplecticSpace) -> bool:

@@ -119,6 +119,25 @@ def test_criteria_command(tmp_path, capsys):
     assert any(r["conclusion"] == "certified" for r in payload2["reports"])
 
 
+def test_criteria_cross_checks_every_report_at_n1(tmp_path, capsys):
+    """At n = 1 every report carries its direct H^1_loc as well: the
+    fixed-point-free report read null here, so a certified verdict went
+    out with no cross-check."""
+    diag = write(tmp_path, "diag.grp", "p=5 n=1 rank=2\ngen:\n2 0\n0 3\n")
+    sym = write(tmp_path, "gl2.grp", GL2F5)
+    for path, count in ((diag, 2), (sym, 3)):
+        assert run(["criteria", path, "--json"]) == EXIT_OK
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert len(reports) == count
+        assert all(isinstance(r["direct_h1_loc"], list) for r in reports)
+        assert any(r["conclusion"] == "certified" for r in reports)
+        assert all(r["direct_h1_loc"] == [] for r in reports
+                   if r["conclusion"] == "certified")
+        assert run(["criteria", path]) == EXIT_OK
+        assert capsys.readouterr().out.count(
+            "  direct H1_loc: trivial\n") == count
+
+
 def test_criteria_closes_the_mod_p_image_once(tmp_path, monkeypatch,
                                               capsys):
     """On a symplectic file with n >= 2 the fixed-point-free and the
@@ -147,7 +166,10 @@ def test_criteria_outputs_frozen(tmp_path, capsys):
     # the exit code and `criteria --json` output of every twist-corpus
     # group, unconjugated, in corpus order; the witnesses of the
     # Sylow-normalizer criterion on the same groups; and both outputs on
-    # GL2F5, whose 5-Sylow is not normal
+    # GL2F5, whose 5-Sylow is not normal.  The GL2F5 digest was re-taken
+    # once every report carried its direct H^1_loc: the fixed-point-free
+    # report there, at n = 1, went from "direct_h1_loc": null to [] and
+    # gained the plain line "direct H1_loc: trivial"
     outputs, witnesses = hashlib.sha256(), hashlib.sha256()
     for i, (label, p, _g, G) in enumerate(twist_corpus()):
         desc = GroupDescription(p, 2, 2, [[list(row) for row in g.entries]
@@ -156,7 +178,7 @@ def test_criteria_outputs_frozen(tmp_path, capsys):
         code = run(["criteria", path, "--json"])
         outputs.update(f"{label}\n{code}\n{capsys.readouterr().out}".encode())
         found = [item.witness.key() for item in sylow_normalizer_criterion(
-            G, compute_cross_check=False).items if item.witness is not None]
+            G).items if item.witness is not None]
         witnesses.update(f"{label}\n{found}\n".encode())
     sym = write(tmp_path, "gl2.grp", GL2F5)
     gl2 = hashlib.sha256()
@@ -168,7 +190,7 @@ def test_criteria_outputs_frozen(tmp_path, capsys):
     assert witnesses.hexdigest() == \
         "273348438f4e71630a729415582bc58636d84f61024e96e43f57108a05a4fe41"
     assert gl2.hexdigest() == \
-        "05793b7c9ec7e272254ececd19167ea1bd788fd39d92264d9e74a1926670b260"
+        "afa58f29dbf00c3f1888ca7030bedecac13d1ff2029d09e02e68278581a6a0d9"
 
 
 def test_counterexample_command(capsys):
@@ -286,6 +308,11 @@ def test_huge_prime_header_exits_two(tmp_path, capsys):
     path = write(tmp_path, "huge.grp", text)
     assert run(["h1", path]) == EXIT_INPUT
     assert "too large" in capsys.readouterr().err
+    # a huge n is refused before p^n is formed, which would not finish
+    path = write(tmp_path, "huge_n.grp", "p=5 n=10000000000 rank=2\n")
+    assert run(["h1", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "error: line 1: n = 10000000000 too large: p^n >= 2^63\n"
 
 
 def test_missing_file():

@@ -196,6 +196,7 @@ def test_coset_orders_match_per_element_loop():
 def test_internal_error_survives_python_O():
     # a certificate that fails must raise even when asserts are stripped
     code = textwrap.dedent("""
+        from types import SimpleNamespace
         import h1loc.criteria as crit
         from h1loc.errors import InternalError
         from h1loc.groups import MatGroup
@@ -203,7 +204,8 @@ def test_internal_error_survives_python_O():
         G = MatGroup.close([Mat.from_rows([[2, 0], [0, 3]], 5)],
                            ModuleSpec(5, 1, 2))
         print(crit.sylow_normalizer_criterion(G).conclusion)
-        crit._h1loc_factors = lambda G: (5,)
+        crit._system = lambda G: SimpleNamespace(
+            h1loc_structure=lambda: SimpleNamespace(invariant_factors=(5,)))
         try:
             print(crit.sylow_normalizer_criterion(G).conclusion)
         except InternalError:

@@ -41,6 +41,20 @@ def test_fixed_point_free_criterion_on_family_reduction():
     assert rep.cross_check == (5, 5)
 
 
+def test_finalize_cross_checks_the_group_it_is_given():
+    """finalize computes the direct H^1_loc itself: a report whose items
+    are all satisfied cannot be certified on the p = 5 family group, whose
+    H^1_loc is C5 x C5, and every verdict carries the invariant factors."""
+    G2 = build(5).G2
+    rep = criteria.CriterionReport("every item satisfied")
+    rep.add("a hypothesis", "satisfied")
+    with pytest.raises(InternalError, match="direct H\\^1_loc"):
+        rep.finalize("certified", G2)
+    assert rep.finalize("not_applicable", G2).cross_check == (5, 5)
+    D = MatGroup.close([M([[2, 0], [0, 3]], 5)], ModuleSpec(5, 1, 2))
+    assert rep.finalize("certified", D).cross_check == ()
+
+
 def test_fixed_point_free_criterion_trivial_group():
     spec = ModuleSpec(5, 1, 2)
     T = MatGroup.close([], spec)
@@ -48,6 +62,7 @@ def test_fixed_point_free_criterion_trivial_group():
     # the identity fixes every nonzero vector
     assert rep.items[0].status == "failed"
     assert not rep.certified
+    assert rep.cross_check == ()
 
 
 def test_sylow_normalizer_criterion_positive():
