@@ -113,6 +113,8 @@ def parse_group(text: str) -> GroupDescription:
         # p^n is formed, which a huge n makes unbounded in time and memory
         raise InputError(f"line {lineno}: n = {spec.n} too large: "
                          f"p^n >= 2^63")
+    if symplectic and spec.rank % 2:
+        raise InputError(f"line {lineno}: symplectic rank must be even")
     q = spec.modulus
     gens = []
     while True:

@@ -468,16 +468,25 @@ def is_coboundary(Z: Cocycle):
     return tuple(int(x) for x in sol)
 
 
-def satisfies_local_conditions(Z: Cocycle):
-    """(flag, witnesses): for each sigma a v with (sigma - 1) v = Z_sigma,
-    or None where unsolvable.  True iff solvable everywhere.  The |G|
-    systems are solved together, as one stack."""
+def local_solutions(Z: Cocycle) -> tuple:
+    """(sols, ok) by element position: ok[i] says whether
+    (sigma - 1) v = Z_sigma is solvable at the element sigma at position
+    i, and sols[i] is such a v wherever it is.  The |G| systems are solved
+    together, as one stack."""
     G = Z.group
     B = (G.element_array() - np.eye(G.spec.rank, dtype=np.int64)) % Z.q
-    sols, ok = RowSystemStack(B.transpose(0, 2, 1), G.spec.p,
-                              Z.module_exponent).solve(Z.values)
+    return RowSystemStack(B.transpose(0, 2, 1), G.spec.p,
+                          Z.module_exponent).solve(Z.values)
+
+
+def satisfies_local_conditions(Z: Cocycle):
+    """(flag, witnesses): for each sigma a v with (sigma - 1) v = Z_sigma,
+    or None where unsolvable, keyed by sigma.key().  True iff solvable
+    everywhere.  The witnesses are the rows of local_solutions, keyed by
+    element at the API edge."""
+    sols, ok = local_solutions(Z)
     witnesses = {mat.key(): tuple(sol) if good else None
-                 for mat, sol, good in zip(G.elements, sols.tolist(),
+                 for mat, sol, good in zip(Z.group.elements, sols.tolist(),
                                            ok.tolist())}
     return bool(ok.all()), witnesses
 

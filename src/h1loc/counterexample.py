@@ -16,15 +16,20 @@ Sylow-normalizer vanishing criterion cannot apply to this group.
 
 build() constructs and certifies every structural invariant; verify() checks
 the five content claims; scan_orders() contrasts the family against the same
-construction driven by an element of order dividing p - 1.
+construction driven by an element of order dividing p - 1.  Both work on
+arrays: ord(g) = 3 is g != 1 and g^3 = 1 (3 is prime), with no element order
+of G; the local witnesses are one stacked solve read by element position;
+and H^1_loc is the cached quotient structure, with no representative cocycle
+expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import (Cocycle, class_order, cocycle_from_generator_values,
-                         h1_loc, is_coboundary, satisfies_local_conditions)
+from .cohomology import (Cocycle, _system, class_order,
+                         cocycle_from_generator_values, is_coboundary,
+                         local_solutions)
 from .errors import CapExceededError, InputError, certify
 from .groups import DEFAULT_CAP, MatGroup, _normalizing
 from .ringmat import Mat, ModuleSpec, RowSystem, is_prime, solve, span_order
@@ -88,7 +93,9 @@ def build(p: int) -> CounterexampleInstance:
     H2 = MatGroup.close([h10, h01], spec, cap=q + 1)
     G2 = MatGroup.close([g, h10, h01], spec, cap=3 * q + 1)
 
-    certify(G2.element_order(g) == 3, "g must have order 3")
+    # 3 is prime, so g != 1 and g^3 = 1 is exactly ord(g) = 3
+    one = Mat.identity(2, q)
+    certify(g != one and g.pow(3) == one, "g must have order 3")
     certify(H2.order == p * p, "H must have order p^2")
     certify(G2.order == 3 * p * p, "G must have order 3 p^2")
     # every h(a, b) at once, a-major, and the laws as array equalities
@@ -148,7 +155,12 @@ class VerificationReport:
 
 
 def verify(inst: CounterexampleInstance) -> VerificationReport:
-    """The five content checks for a built instance."""
+    """The five content checks for a built instance.
+
+    The local conditions are checked at every element by one stacked solve
+    (cohomology.local_solutions), and the witnesses at h(1,1) and h(2,1)
+    are read off it at their positions; H^1_loc is the invariant factors
+    of the cached Z^1_loc / B^1 structure."""
     p, q = inst.p, inst.p ** 2
     checks = []
 
@@ -162,7 +174,8 @@ def verify(inst: CounterexampleInstance) -> VerificationReport:
         f"offenders: {bad or 'none'}; x^2+x+1 rootless mod {p}: {no_root}"))
 
     # (ii) local conditions hold everywhere
-    ok, witnesses = satisfies_local_conditions(inst.Z)
+    sols, solvable = local_solutions(inst.Z)
+    ok = bool(solvable.all())
     checks.append(CheckResult("local conditions solvable at every element",
                               ok, f"{inst.G2.order} elements checked"))
 
@@ -170,9 +183,12 @@ def verify(inst: CounterexampleInstance) -> VerificationReport:
     m = is_coboundary(inst.Z)
     h11, h21 = family_matrix(p, 1, 1), family_matrix(p, 2, 1)
     disjoint = not _witness_sets_meet(inst, h11, h21)
-    w11 = tuple(x % p for x in witnesses[h11.key()])
-    w21 = tuple(x % p for x in witnesses[h21.key()])
-    expected = (w11 == (1, 1) and w21 == ((-1) % p, 0))
+    i11, i21 = inst.G2.index_of(h11), inst.G2.index_of(h21)
+    witness_11, witness_21 = (tuple(sols[i].tolist()) for i in (i11, i21))
+    w11 = tuple(x % p for x in witness_11)
+    w21 = tuple(x % p for x in witness_21)
+    expected = (bool(solvable[i11] and solvable[i21]) and w11 == (1, 1)
+                and w21 == ((-1) % p, 0))
     cert = (m is None) and disjoint and expected
     checks.append(CheckResult(
         "not a coboundary",
@@ -181,7 +197,7 @@ def verify(inst: CounterexampleInstance) -> VerificationReport:
         f"{disjoint}; witnesses mod p: {w11}, {w21}"))
 
     # (iv) H^1_loc nontrivial and the class of Z has order p
-    loc = h1_loc(inst.G2)
+    loc = _system(inst.G2).h1loc_structure()
     zc = class_order(inst.Z)
     checks.append(CheckResult(
         "H1_loc nontrivial with [Z] of order p",
@@ -198,8 +214,8 @@ def verify(inst: CounterexampleInstance) -> VerificationReport:
         f"F_p-dimension {hom_dim}; module generated by Z|_H is everything: "
         f"{z_generates}"))
 
-    return VerificationReport(p, checks, loc.structure.invariant_factors,
-                              witnesses[h11.key()], witnesses[h21.key()])
+    return VerificationReport(p, checks, loc.invariant_factors,
+                              witness_11, witness_21)
 
 
 def _witness_sets_meet(inst: CounterexampleInstance, a: Mat, b: Mat) -> bool:
@@ -260,14 +276,14 @@ def scan_orders(p: int):
     for label, top, twist, cap in cases:
         G = MatGroup.close(twist + list(inst.H2.generators), inst.spec,
                            cap=cap)
-        loc = h1_loc(G)
+        loc = _system(G).h1loc_structure()
         order = G.element_order(top)
         rows.append({
             "label": label,
             "twist_order": order,
             "divides_p_minus_1": (p - 1) % order == 0,
             "group_order": G.order,
-            "h1_loc": loc.structure.invariant_factors,
+            "h1_loc": loc.invariant_factors,
             "vanishes": loc.is_trivial,
         })
     return rows

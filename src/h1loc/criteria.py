@@ -18,11 +18,11 @@ theorem every p-element lies in a p-Sylow, and each p-Sylow holds exactly
 |G|_p of them, so a group with exactly |G|_p p-elements has one, normal,
 p-Sylow, and its normalizer is the whole group with no Sylow ascent;
 only a non-normal Sylow is computed and its normalizer tested.  The
-search for a qualifying element reads no element order: x^(p-1) = 1 picks
-its candidates, and powers of the hits alone give their orders.  The
-hypothesis H^1 = 0 and the cross-checks read the cached H^1 and H^1_loc
-structures of the cohomology system, with no representative cocycle
-expanded.
+search for a qualifying element reads no element order: x^p = x, read
+off the cached p-power map, picks its candidates, and powers of the hits
+alone give their orders.  The hypothesis H^1 = 0 and the cross-checks
+read the cached H^1 and H^1_loc structures of the cohomology system,
+with no representative cocycle expanded.
 """
 
 from __future__ import annotations
@@ -103,18 +103,20 @@ def _qualifying_search(mask, G: MatGroup, p: int):
     g - 1, searching by increasing element order and then deterministic
     position; None if there is none.
 
-    No element order or power map of G is read.  The candidates are the
-    masked x with x^(p-1) = 1, one batched power; det(g - 1) is tested on
-    all of them at once.  Among the hits, the least divisor d of p-1 with
-    some hit x^d = 1 is the least order, and the hits with x^d = 1 are
-    those of order d, so the first of them in position order is the
-    element sought.  The identity has no bijective g - 1, so no hit has
-    order 1 and d starts past 1; with no hits nothing is powered."""
+    No element order of G is read.  The candidates are the masked x with
+    x^(p-1) = 1, that is x^p = x: the fixed positions of G's cached p-power
+    map, which the Sylow search has already filled whenever p divides |G|;
+    det(g - 1) is tested on all of them at once.  Among the hits, the
+    least divisor d of p-1 with some hit x^d = 1 is the least order, and
+    the hits with x^d = 1 are those of order d, so the first of them in
+    position order is the element sought.  The identity has no bijective
+    g - 1, so no hit has order 1 and d starts past 1; with no hits nothing
+    is powered."""
     q = G.spec.modulus
     X = G.element_array()
     ident = np.eye(G.spec.rank, dtype=np.int64)
     cand = np.flatnonzero(mask)
-    cand = cand[(_scalar_power(X[cand], p - 1, q) == ident).all(axis=(1, 2))]
+    cand = cand[G._power_map(p)[cand] == cand]
     hits = X[cand[_bijective_shifts(X[cand], q)]]
     if not len(hits):
         return None

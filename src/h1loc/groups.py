@@ -314,10 +314,12 @@ class MatGroup:
 
     @_cached
     def _power_map(self, ell: int) -> np.ndarray:
-        """The position of x^ell for every element x, for a prime ell
-        dividing |G|: one batched power and one lookup, cached per prime
-        (_cached), so a caller that needs one prime (the p-elements)
-        computes no other."""
+        """The position of x^ell for every element x, for a prime ell: one
+        batched power and one lookup, cached per prime (_cached), so a
+        caller that needs one prime (the p-elements) computes no other.
+        power_maps reads it for the primes dividing |G|; the qualifying
+        search of the criteria reads it at ell = p whether or not p
+        divides |G|, its fixed points being the x with x^(p-1) = 1."""
         pm = self.lookup(_scalar_power(self._array, ell, self.spec.modulus))
         pm.flags.writeable = False
         return pm

@@ -251,10 +251,13 @@ def _valuation(x: int, p: int, n: int) -> int:
     return v
 
 
+@functools.lru_cache(maxsize=256)
 def _entry_dtype(q: int):
     """The narrowest of int16, int32 and int64 that holds (q-1)^2 + (q-1),
     a residue plus one product of two residues mod q; InputError past
-    int64 instead of wrapping around silently."""
+    int64 instead of wrapping around silently.  Cached per modulus; a
+    refusal is not cached, so it is raised on every call."""
+    q = int(q)      # a numpy integer q would wrap around in (q-1)^2
     for dtype in (np.int16, np.int32, np.int64):
         if (q - 1) ** 2 + (q - 1) <= np.iinfo(dtype).max:
             return dtype

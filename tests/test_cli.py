@@ -203,6 +203,28 @@ def test_counterexample_command(capsys):
     assert [x % 5 for x in payload["witness_h21"]] == [4, 0]
 
 
+# sha256 of the stdout of `counterexample --p P --json` and of the plain
+# output, taken while verify still read its witnesses off the per-element
+# dict of satisfies_local_conditions and H^1_loc off h1_loc
+COUNTEREXAMPLE_STDOUT = {
+    (5, True): "776185a09d2b06d2ef0cb5a4fe34b2fc3ae88ca951e2b0bcf6e5f444f3d4f031",
+    (5, False): "f566fbcaf1568a76bb860feb2c6e0c13fa3cc40d58e36a83e0f38fa9bf8303b0",
+    (11, True): "e94c6c24e863582485fe12af5af8f847953273af7e416511f18d0802c87e919d",
+    (11, False): "c4869f99c14f0c08778582218e0756ab7e302c75bf8ac54471e1a029fc3552d7",
+    (17, True): "5cd5687480bddc8e331ba22f25d4022e32e845c3d2948446489149069fb66abc",
+    (17, False): "3edd263c7be6caad1ad71c2dda6d05a15aca9f6127bff96d8d74fb46afbfbe45",
+}
+
+
+@pytest.mark.parametrize("p, as_json", sorted(COUNTEREXAMPLE_STDOUT))
+def test_counterexample_outputs_frozen(capsys, p, as_json):
+    argv = ["counterexample", "--p", str(p)] + (["--json"] if as_json else [])
+    assert run(argv) == EXIT_NEGATIVE
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        COUNTEREXAMPLE_STDOUT[p, as_json]
+
+
 def test_counterexample_bad_prime():
     assert run(["counterexample", "--p", "7"]) == EXIT_INPUT
 
@@ -313,6 +335,23 @@ def test_huge_prime_header_exits_two(tmp_path, capsys):
     assert run(["h1", path]) == EXIT_INPUT
     assert capsys.readouterr().err == \
         "error: line 1: n = 10000000000 too large: p^n >= 2^63\n"
+
+
+@pytest.mark.parametrize("command", ["h1", "criteria"])
+def test_odd_rank_symplectic_header_exits_two(tmp_path, capsys, monkeypatch,
+                                              command):
+    """A symplectic form needs an even rank: the parser refuses an odd one
+    with the header's line number, before any closure, where criteria
+    would otherwise compute two criteria and H^1_loc first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure started on an odd symplectic rank")
+    monkeypatch.setattr(MatGroup, "close", classmethod(refuse))
+    path = write(tmp_path, "odd.grp",
+                 "# odd rank\np=5 n=1 rank=1 symplectic\ngen:\n2\n")
+    assert run([command, path, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: symplectic rank must be even\n"
 
 
 def test_missing_file():

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import h1loc
 import oracles
+from h1loc.cohomology import _CocycleSystem
 from h1loc.counterexample import (_witness_sets_meet, build, cocycle_value,
                                   family_matrix, scan_orders, twist_matrix,
                                   verify)
 from h1loc.errors import InputError
 from h1loc.groups import element_order
+from h1loc.ringmat import Mat
 
 
 def test_build_rejects_bad_primes():
@@ -95,6 +97,33 @@ def test_witness_sets_meet_matches_enumeration(p, coords):
     detail = next(c.detail for c in verify(inst).checks
                   if c.name == "not a coboundary")
     assert "witness sets at h(1,1), h(2,1) disjoint: True" in detail
+
+
+def test_counterexample_reads_arrays(monkeypatch):
+    """build and verify certify everything with no Mat per element, no
+    element order of G and no H^1_loc representative expanded: g has order
+    3 by g != 1 and g^3 = 1, the witnesses are read by position off the
+    one stacked local solve, and H^1_loc is the cached structure.
+    scan_orders expands no representative either."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("H^1_loc representative expanded")
+    monkeypatch.setattr(_CocycleSystem, "expand", refuse)
+    built = [0]
+    init = Mat.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Mat, "__init__", counting_init)
+    inst = build(17)
+    rep = verify(inst)
+    assert rep.all_passed and rep.h1_loc_factors == (17, 17)
+    assert "_elements_cache" not in vars(inst.G2)
+    assert "_orders_cache" not in vars(inst.G2)
+    assert built[0] < 64 < inst.G2.order
+    monkeypatch.setattr(Mat, "__init__", init)
+    assert [r["h1_loc"] for r in scan_orders(5)] == \
+        [(5, 5), (5, 5), (5, 5), ()]
 
 
 def test_scan_orders_rows():

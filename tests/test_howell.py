@@ -14,8 +14,8 @@ from h1loc.cohomology import (_CocycleSystem, _system, cocycle_space,
                               satisfies_local_conditions)
 from h1loc.counterexample import build
 from h1loc.errors import InputError
-from h1loc.ringmat import (Mat, ModuleSpec, RowSystem, _howell_rows, kernel,
-                           solve, span_order)
+from h1loc.ringmat import (Mat, ModuleSpec, RowSystem, _entry_dtype,
+                           _howell_rows, kernel, solve, span_order)
 
 
 @st.composite
@@ -219,6 +219,18 @@ def test_linear_algebra_refuses_moduli_past_int64(p, n):
         span_order(A.to_array(), p, n)
     with pytest.raises(InputError, match=r"2\^63"):
         RowSystem(A.to_array(), p, n)
+
+
+def test_entry_dtype_refuses_on_every_call():
+    """_entry_dtype is cached per modulus, but a refusal is not: the least
+    prime above sqrt(2^63) is refused on two calls in a row, and a numpy
+    integer modulus gets the dtype of the equal Python int."""
+    for _ in range(2):
+        with pytest.raises(InputError, match=r"2\^63"):
+            _entry_dtype(3037000507)
+    assert _entry_dtype(np.int64(3037000493)) is _entry_dtype(3037000493) \
+        is np.int64
+    assert _entry_dtype(181) is np.int16 and _entry_dtype(182) is np.int32
 
 
 # -- local-condition witnesses -------------------------------------------------
