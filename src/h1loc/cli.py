@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import counterexample as cex
-from .cohomology import h1, h1_loc
+from .cohomology import _system
 from .criteria import (fixed_point_free_criterion, similitude_criterion,
                        sylow_normalizer_criterion)
 from .errors import CapExceededError, InputError, InternalError
@@ -147,19 +147,20 @@ def parse_group(text: str) -> GroupDescription:
     return GroupDescription(spec.p, spec.n, spec.rank, gens, symplectic)
 
 
-def _generator_values(Z) -> list:
-    """The values of the cocycle Z on its group's generators, in order, as
-    lists of ints: Cocycle.generator_vector() split per generator."""
-    return Z.generator_vector().reshape(-1, Z.group.spec.rank).tolist()
+def _on_generators(struct, rank: int) -> list:
+    """The generators of a cohomology structure, each a representative
+    cocycle's values on the group generators stacked (the z coordinates),
+    as one list of rank ints per group generator."""
+    return [[list(g[i:i + rank]) for i in range(0, len(g), rank)]
+            for g in struct.generators]
 
 
-def _structure_json(cohom):
+def _structure_json(struct, rank: int):
     return {
-        "invariant_factors": list(cohom.structure.invariant_factors),
-        "order": cohom.order,
-        "trivial": cohom.is_trivial,
-        "representatives_on_generators": [
-            _generator_values(Z) for Z in cohom.representatives],
+        "invariant_factors": list(struct.invariant_factors),
+        "order": struct.order,
+        "trivial": struct.is_trivial,
+        "representatives_on_generators": _on_generators(struct, rank),
     }
 
 
@@ -199,27 +200,32 @@ def _read_description(args) -> GroupDescription:
     return parse_group(text)
 
 
-def _rep_lines(res):
+def _rep_lines(struct, G: MatGroup):
     out = []
-    for f, Z in zip(res.structure.invariant_factors, res.representatives):
+    for f, rows in zip(struct.invariant_factors,
+                       _on_generators(struct, G.spec.rank)):
         vals = ", ".join(f"{g.entries} -> {tuple(v)}" for g, v in
-                         zip(Z.group.generators, _generator_values(Z)))
+                         zip(G.generators, rows))
         out.append(f"  order-{f} class, cocycle on generators: {vals}")
     return out
 
 
 def _cmd_cohomology(args) -> int:
-    """h1 and h1loc: H^1 or H^1_loc of the group in args.input."""
+    """h1 and h1loc: H^1 or H^1_loc of the group in args.input, read off
+    the cached structure, whose generators are the representatives' values
+    on the group generators; no cocycle is expanded over the group."""
     local = args.command == "h1loc"
     desc = _read_description(args)
     G = desc.group(cap=args.cap)
-    res = h1_loc(G) if local else h1(G)
+    cocycles = _system(G)
+    res = cocycles.h1loc_structure() if local else cocycles.h1_structure()
     key, label = ("h1_loc", "H1_loc") if local else ("h1", "H1")
     _emit({"command": args.command, "group_order": G.order, "p": desc.p,
-           "n": desc.n, "rank": desc.rank, key: _structure_json(res)},
+           "n": desc.n, "rank": desc.rank,
+           key: _structure_json(res, desc.rank)},
           args.json,
           [f"group of order {G.order}", f"{label} = {res.describe()}"]
-          + _rep_lines(res))
+          + _rep_lines(res, G))
     return EXIT_OK if res.is_trivial else EXIT_NEGATIVE
 
 

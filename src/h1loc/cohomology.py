@@ -326,6 +326,11 @@ class _CocycleSystem:
         so this is the Howell basis of K's constraint rows stacked with
         the rows that cut it, and its kernel is Z's canonical basis."""
         p, j = self.p, self.j
+        # rows has one column per row of K but may be far taller; its
+        # kernel depends only on its span, and its Howell rows, no more of
+        # them than K has, keep the transposed system's layout small
+        if len(rows) > len(K):
+            rows = _howell_rows(rows, p, j)
         # object products: a sum of len(K) terms near q^2 could leave int64
         Z = RowSystem(rows.T, p, j).kernel().astype(object) @ K % self.q
         return RowSystem(Z.astype(np.int64).T, p, j).kernel()
@@ -513,11 +518,12 @@ def cocycle_from_generator_values(G: MatGroup, gen_values: dict,
 
 def class_order(Z: Cocycle) -> int:
     """Order of [Z] in H^1: [Z] lies in a p-group killed by p^j, so this is
-    the least p^i, i <= j, with p^i Z a coboundary."""
+    the least p^i, i <= j, with p^i Z a coboundary: the multiples are
+    solved against B^1 at once."""
     sys = _system(Z.group, Z.module_exponent)
-    z = Z.generator_vector()
-    return next(sys.p ** i for i in range(sys.j + 1)
-                if sys.b1_system().contains((sys.p ** i * z) % sys.q))
+    multiples = sys.p ** np.arange(sys.j + 1)[:, None] * Z.generator_vector()
+    _, ok = sys.b1_system().solve(multiples % sys.q)
+    return sys.p ** int(ok.argmax())
 
 
 def restrict(Z: Cocycle, H: MatGroup) -> Cocycle:
@@ -584,18 +590,13 @@ def torsion_isomorphism_check(G: MatGroup, delta: Mat) -> TorsionIsomorphismRepo
     # p-torsion of the full group contributes one factor p per nontrivial
     # invariant factor
     tors_factors = tuple(spec.p for _ in sysn.h1_structure().invariant_factors)
-    # injectivity of [W] -> [p^(n-1) lift(W)]: image subgroup order == |lhs|
-    shift = spec.p ** (spec.n - 1)
-    image_gens = [(np.array(g, dtype=np.int64) * shift) % sysn.q
-                  for g in lhs.generators]
-    if image_gens:
-        amb = np.vstack([np.array(image_gens, dtype=np.int64),
-                         sysn.b1_gens()])
-        image_struct = quotient_structure(amb, sysn.b1_gens(), spec,
-                                          modulus=sysn.q)
-        injective = image_struct.order == lhs.order
-    else:
-        injective = lhs.order == 1
+    # injectivity of [W] -> [p^(n-1) lift(W)]: the image, span(images,
+    # B^1) / B^1, has order |lhs|
+    image = np.array(lhs.generators, dtype=np.int64).reshape(-1, sysn.dim)
+    b1 = sysn.b1_gens()
+    amb = np.concatenate([image * spec.p ** (spec.n - 1) % sysn.q, b1])
+    injective = (span_order(amb, spec.p, sysn.j)
+                 // span_order(b1, spec.p, sysn.j) == lhs.order)
     return TorsionIsomorphismReport(lhs.invariant_factors, tors_factors,
                                     injective)
 

@@ -7,9 +7,15 @@ reduces to zero by back-substitution, and annihilator rows (p^(n-v) times a
 pivot row) are folded in so the column filtration of the row span is exact.
 
 All matrices are dense, entries are canonical representatives in [0, p^n),
-and every operation is a pure function.  Many small systems over the same
-ring are solved as one stack (RowSystemStack), with the same answers as one
-RowSystem each.
+and every operation is a pure function.  A Howell form has one layout,
+indexed by pivot column: row c is the pivot row at column c, or zero where
+there is none (_howell for one system, _howell_stack for a stack of them,
+one canonical reduction step for both).  RowSystemStack reads kernels and
+solutions off the forms of the augmented systems [M | I] with one
+back-substitution, and RowSystem is the stack of one system, which also
+solves several right-hand sides at once.  quotient_structure solves every
+sub row in one call and diagonalizes the relations with array steps
+(_smith_with_inverse).
 
 Determinants and inverses have one routine each, on entry planes (_planes:
 entry (i, j) of N matrices as one contiguous N-vector).  _plane_det, a
@@ -27,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Optional, Sequence
@@ -266,23 +271,30 @@ def _entry_dtype(q: int):
 
 
 def _howell(M: np.ndarray, p: int, n: int):
-    """Canonical Howell form of the row span of M, zero rows dropped, with
-    its pivot columns and pivot values: (H, cols, divs).
+    """Canonical Howell form of the row span of M, indexed by pivot column
+    as _howell_stack's is for each system: (H, divs), where H[c] is the
+    pivot row at column c with pivot divs[c] = p^v, and a zero row with
+    divs[c] = q where there is no pivot at c.
 
-    Rows come back sorted by pivot column, each pivot a power of p, entries
-    above a pivot reduced modulo the pivot.  One step per column, vectorized
-    across rows: the row of least valuation there becomes the pivot, the
-    column is eliminated from every row at once (which cancels the pivot
-    row itself mod q), and the pivot's annihilator row takes its slot.
+    One step per column, vectorized across rows: the row of least
+    valuation there becomes the pivot, the column is eliminated from every
+    row at once (which cancels the pivot row itself mod q), and the
+    pivot's annihilator row takes its slot.  The entries above each pivot
+    are then reduced modulo it (_reduce_above).
     """
     q = p ** n
     _entry_dtype(q)     # refuses q where x - f * y can leave int64
     W = np.asarray(M, dtype=np.int64) % q
     W = W[W.any(axis=1)]
+    C = W.shape[1]
     # W only matters modulo q, so it is reduced only when the next step
     # could leave int64: each step adds at most step to |W|
     step, bound = (q - 1) ** 2, q - 1
-    cols, divs, piv_rows = [], [], []
+    # np.zeros leaves the pages of rows without a pivot untouched, so a
+    # wide system costs memory by its pivot rows, not by C^2
+    H = np.zeros((C, C), dtype=np.int64)
+    D = np.full(C, q, dtype=np.int64)
+    cols, divs = [], []
     # row operations keep initially-zero columns zero, so skip them outright
     for col in np.flatnonzero(W.any(axis=0)).tolist():
         c = W[:, col] % q
@@ -299,22 +311,31 @@ def _howell(M: np.ndarray, p: int, n: int):
         bound += step
         if d > 1:
             W[best] = piv * (q // d) % q
+        H[col], D[col] = piv, d
         cols.append(col)
         divs.append(d)
-        piv_rows.append(piv)
-    if not piv_rows:
-        return np.zeros((0, W.shape[1]), dtype=np.int64), cols, divs
-    H = np.stack(piv_rows)
-    # canonical reduction above each pivot
+    if len(cols) > 1:
+        H[cols] = _reduce_above(H[cols], divs, cols, q)
+    return H, D
+
+
+def _reduce_above(P: np.ndarray, divs, cols: list, q: int) -> np.ndarray:
+    """The canonical reduction of Howell rows, for one system or a stack,
+    in place: P[..., i, :] is the pivot row at column cols[i] (ascending)
+    with pivot divs[i], a number, or for a stack an (N, 1, 1) array that
+    holds q where a system has a zero row there.  Every entry above a
+    pivot is reduced modulo it, one pivot at a time from the left."""
     for i in range(1, len(cols)):
-        H[:i] -= (H[:i, cols[i]] // divs[i])[:, None] * H[i]
-        H[:i] %= q
-    return H, cols, divs
+        above = P[..., :i, :]
+        above -= above[..., cols[i], None] // divs[i] * P[..., i, None, :]
+        above %= q
+    return P
 
 
 def _howell_rows(M: np.ndarray, p: int, n: int) -> np.ndarray:
     """Canonical Howell form of the row span of M; zero rows dropped."""
-    return _howell(M, p, n)[0]
+    H, divs = _howell(M, p, n)
+    return H[divs < p ** n]
 
 
 def _unit_inverses(u: np.ndarray, phi: int, q: int) -> np.ndarray:
@@ -358,10 +379,8 @@ def _totient(q: int) -> int:
 
 def _howell_stack(M: np.ndarray, p: int, n: int):
     """Canonical Howell forms of the row spans of the (N, R, C) stack M,
-    indexed by pivot column: (H, divs), where H[s, c] is system s's pivot
-    row at column c with pivot divs[s, c] = p^v, and a zero row with
-    divs[s, c] = q where system s has no pivot at c.  For each system the
-    pivot rows, columns and divisors are those of _howell on it alone.
+    in _howell's layout: (H, divs), where H[s], divs[s] is _howell of
+    system s alone.
 
     The steps are _howell's, one column at a time across all N systems;
     a system whose column is zero is masked out of that step."""
@@ -397,109 +416,96 @@ def _howell_stack(M: np.ndarray, p: int, n: int):
         H[live, col] = piv[live]
         divs[live, col] = d[live]
         pivot_cols.append(col)
-    # canonical reduction above each pivot; rows without a pivot are zero
-    for col in pivot_cols[1:]:
-        f = H[:, :col, col] // divs[:, col, None]
-        H[:, :col] -= f[:, :, None] * H[:, col, None, :]
-        H[:, :col] %= q
+    H[:, pivot_cols] = _reduce_above(
+        H[:, pivot_cols], divs[:, pivot_cols].T[:, :, None, None],
+        pivot_cols, q)
     return H, divs
 
 
-class RowSystem:
-    """Precomputed Howell data for the row space of M over Z/p^n.
-
-    Supports span membership, solving a @ M = v for a row vector a, the left
-    kernel of M, and the order of the row span.  Right-sided problems go
-    through the transpose.
-    """
-
-    def __init__(self, M: np.ndarray, p: int, n: int):
-        self.p, self.n = p, n
-        self.q = p ** n
-        M = np.asarray(M, dtype=np.int64)
-        self.nrows, self.ncols = M.shape
-        H, cols, divs = _howell(
-            np.concatenate([M, np.eye(self.nrows, dtype=np.int64)], axis=1),
-            p, n)
-        inside = bisect_left(cols, self.ncols)
-        # (pivot_col, pivot value p^v, row) with the pivot inside M columns
-        self.basis = list(zip(cols[:inside], divs[:inside], H[:inside]))
-        # coefficient rows spanning the left kernel
-        self.kern = H[inside:, self.ncols:]
-
-    def _reduce(self, v: np.ndarray) -> Optional[np.ndarray]:
-        """Back-substitute v against the basis; None if v is not in the span."""
-        w = np.concatenate([np.asarray(v, dtype=np.int64) % self.q,
-                            np.zeros(self.nrows, dtype=np.int64)])
-        for col, d, row in self.basis:
-            e = int(w[col])
-            if e:
-                if e % d:
-                    return None
-                w = (w - (e // d) * row) % self.q
-        if w[:self.ncols].any():
-            return None
-        return w[self.ncols:]
-
-    def contains(self, v) -> bool:
-        return self._reduce(v) is not None
-
-    def solve(self, v) -> Optional[np.ndarray]:
-        """Row vector a with a @ M = v, or None."""
-        tail = self._reduce(v)
-        if tail is None:
-            return None
-        return (-tail) % self.q
-
-    def kernel(self) -> np.ndarray:
-        """Rows generating {a : a @ M = 0}."""
-        return self.kern
-
-    def span_order(self) -> int:
-        return prod(self.q // d for (_, d, _) in self.basis)
-
-
 class RowSystemStack:
-    """RowSystem for every (R, C) matrix of an (N, R, C) stack at once: one
-    _howell_stack of the N augmented systems [M_s | I], and back-substitution
-    one column at a time across all of them.  Every answer equals the one
-    RowSystem(M_s) gives for its system."""
+    """Left kernels and solutions of a @ M_s = v for every (R, C) matrix
+    M_s of an (N, R, C) stack at once, from the Howell forms of the
+    augmented systems [M_s | I] (_howell_stack): the rows whose pivot lies
+    in I's columns generate the kernel, and back-substitution of [v | 0]
+    leaves -a in I's columns."""
 
     def __init__(self, M: np.ndarray, p: int, n: int):
-        self.q = p ** n
         M = np.asarray(M, dtype=np.int64)
-        N, R, self.ncols = M.shape
+        (N, R, self.ncols), self.q = M.shape, p ** n
         eye = np.broadcast_to(np.eye(R, dtype=np.int64), (N, R, R))
         self.H, self.divs = _howell_stack(np.concatenate([M, eye], axis=2),
                                           p, n)
 
     def kernels(self):
-        """(K, live): K[s][live[s]] are the rows RowSystem(M_s).kernel()
-        gives, in its order."""
+        """(K, live): the rows K[s][live[s]] generate {a : a @ M_s = 0},
+        in pivot order."""
         C = self.ncols
         return self.H[:, C:, C:], self.divs[:, C:] < self.q
 
+    @functools.cached_property
+    def _steps(self) -> list:
+        """(col, divs, rows) for each column of M where some system has
+        a pivot, ascending: the pivots there as an (N, 1) column and the
+        (N, C + R) pivot rows."""
+        live = (self.divs[:, :self.ncols] < self.q).any(axis=0)
+        return [(col, self.divs[:, col, None], self.H[:, col])
+                for col in np.flatnonzero(live).tolist()]
+
     def solve(self, V: np.ndarray):
-        """(A, ok): A[s] is the row RowSystem(M_s).solve(V[s]) gives, with
-        A[s] @ M_s = V[s], wherever ok[s]; ok[s] is False where there is
-        none."""
+        """(A, ok) for the (N, C) right-hand sides V: A[s] @ M_s = V[s]
+        wherever ok[s], and ok[s] is False where there is no solution.  A
+        stack of one system broadcasts against any number of rows of V.
+        Back-substitution runs one pivot column at a time across all of
+        them."""
         C, q = self.ncols, self.q
-        w = np.zeros(self.H.shape[:2], dtype=np.int64)
-        w[:, :C] = np.asarray(V, dtype=np.int64) % q
-        ok = np.ones(len(w), dtype=bool)
-        for col in range(C):
-            # no pivot at col: divs is q, so a nonzero entry fails here;
-            # later pivot rows are zero at col, so a passed column stays 0
-            e, d = w[:, col], self.divs[:, col]
-            ok &= e % d == 0
-            w = (w - (e // d)[:, None] * self.H[:, col]) % q
-        return (-w[:, C:]) % q, ok
+        V = np.asarray(V, dtype=np.int64) % q
+        w = np.zeros((len(V), self.H.shape[-1]), dtype=np.int64)
+        w[:, :C] = V
+        for col, d, rows in self._steps:
+            w -= w[:, col, None] // d * rows
+            w %= q
+        # later pivot rows are zero at col, so what is left in a column of
+        # M stays: the entry mod the pivot there, or all of it where the
+        # system has no pivot
+        return (-w[:, C:]) % q, ~w[:, :C].any(axis=1)
+
+
+class RowSystem(RowSystemStack):
+    """The RowSystemStack of the one matrix M, from _howell: span
+    membership, solving a @ M = v for a row vector a, the left kernel of
+    M, and the order of the row span.  Right-sided problems go through the
+    transpose."""
+
+    def __init__(self, M: np.ndarray, p: int, n: int):
+        M = np.asarray(M, dtype=np.int64)
+        (R, self.ncols), self.q = M.shape, p ** n
+        H, divs = _howell(np.concatenate(
+            [M, np.eye(R, dtype=np.int64)], axis=1), p, n)
+        self.H, self.divs = H[None], divs[None]
+
+    def contains(self, v) -> bool:
+        return self.solve(v) is not None
+
+    def solve(self, v):
+        """Row vector a with a @ M = v, or None.  The rows of a 2-D v are
+        solved at once, as RowSystemStack.solve: (A, ok)."""
+        if np.ndim(v) > 1:
+            return super().solve(v)
+        A, ok = super().solve(np.asarray(v)[None])
+        return A[0] if ok[0] else None
+
+    def kernel(self) -> np.ndarray:
+        """Rows generating {a : a @ M = 0}."""
+        K, live = self.kernels()
+        return K[0][live[0]]
+
+    def span_order(self) -> int:
+        return prod((self.q // self.divs[0, :self.ncols]).tolist())
 
 
 def span_order(rows: np.ndarray, p: int, n: int) -> int:
     """Order of the subgroup of (Z/p^n)^c generated by the given rows."""
-    q = p ** n
-    return prod(q // d for d in _howell(rows, p, n)[2])
+    return prod((p ** n // _howell(rows, p, n)[1]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -526,46 +532,39 @@ def solve(A: Mat, b: Sequence[int], spec: ModuleSpec) -> Optional[tuple]:
 
 def quotient_structure(ambient_gens, sub_gens, spec: ModuleSpec,
                        modulus: Optional[int] = None) -> AbelianStructure:
-    """Invariant factors and generators of span(ambient)/span(sub).
+    """Invariant factors and generators of span(ambient)/span(sub), the
+    generators the rows of two integer arrays of one width.
 
     Vectors may live in any (Z/p^j)^c; pass modulus = p^j when it differs
-    from spec.modulus (cohomology uses torsion modules this way).
+    from spec.modulus (cohomology uses torsion modules this way).  The
+    relations are the left kernel of the ambient rows and the solutions
+    for every sub row, all from one RowSystem.
     """
     p = spec.p
     q = modulus if modulus is not None else spec.modulus
     n = _p_exponent(q, p)
-    ambient = [tuple(int(x) % q for x in v) for v in ambient_gens]
-    sub = [tuple(int(x) % q for x in v) for v in sub_gens]
-    if not ambient:
-        if any(any(x for x in v) for v in sub):
+    # reduced before the int64 cast: Python ints past int64 stay exact
+    U = (np.asarray(ambient_gens) % q).astype(np.int64)
+    S = (np.asarray(sub_gens) % q).astype(np.int64)
+    if not len(U):
+        if S.any():
             raise InputError("sub generators not contained in ambient span")
         return AbelianStructure((), ())
-    U = np.array(ambient, dtype=np.int64) % q
-    k = U.shape[0]
+    S = S.reshape(len(S), U.shape[1])     # an empty list has no width
     sys = RowSystem(U, p, n)
-    rel_rows = [row for row in sys.kernel()]
-    for v in sub:
-        a = sys.solve(np.array(v, dtype=np.int64))
-        if a is None:
-            raise InputError("sub generators not contained in ambient span")
-        rel_rows.append(a)
-    if rel_rows:
-        R = np.stack(rel_rows) % q
-    else:
-        R = np.zeros((0, k), dtype=np.int64)
-    vals, Rinv = _smith_with_inverse(R, p, n)
-    entries = []
-    for i in range(k):
-        v = vals[i]
-        if v >= 1:
-            gen = tuple(int(x) for x in (Rinv[i] @ U) % q)
-            entries.append((p ** v, gen))
-    entries.sort(key=lambda t: -t[0])
-    struct = AbelianStructure(tuple(f for f, _ in entries),
-                              tuple(g for _, g in entries))
+    A, ok = sys.solve(S)
+    if not ok.all():
+        raise InputError("sub generators not contained in ambient span")
+    vals, Rinv = _smith_with_inverse(np.concatenate([sys.kernel(), A]), p, n)
+    # the summands with a relation, the largest first, in coordinate order
+    # among equal factors
+    live = np.flatnonzero(vals >= 1)
+    live = live[np.argsort(-vals[live], kind="stable")]
+    struct = AbelianStructure(
+        tuple(p ** int(v) for v in vals[live]),
+        tuple(tuple(g) for g in ((Rinv[live] @ U) % q).tolist()))
     # order coherence: |quotient| * |span(sub)| == |span(ambient)|
-    sub_order = span_order(np.array(sub, dtype=np.int64), p, n) if sub else 1
-    certify(struct.order * sub_order == sys.span_order(),
+    certify(struct.order * span_order(S, p, n) == sys.span_order(),
             "quotient order mismatch (internal)")
     return struct
 
@@ -584,45 +583,44 @@ def _p_exponent(q: int, p: int) -> int:
 def _smith_with_inverse(M: np.ndarray, p: int, n: int):
     """Diagonalize M over Z/p^n by row/column ops; track the inverse of the
     accumulated column transform.  Returns per-coordinate valuations (n for
-    relation-free coordinates) and Rinv whose row i generates summand i of
-    (Z/p^n)^k / rowspan(M)."""
+    relation-free coordinates) as an array, and Rinv whose row i generates
+    summand i of (Z/p^n)^k / rowspan(M).
+
+    Step t takes as pivot the first entry of least valuation of M[t:, t:]
+    in row-major order, the first least gcd(M[t:, t:], q), and clears its
+    row and column with array operations: the column by a rank-one update
+    of M[t+1:, t+1:], the row by adding its multiples of the later rows of
+    Rinv to Rinv[t]."""
     q = p ** n
-    M = np.asarray(M, dtype=np.int64).copy() % q
+    M = np.asarray(M, dtype=np.int64) % q
     r, k = M.shape
     Rinv = np.eye(k, dtype=np.int64)
-    vals = [n] * k
-    t = 0
-    while t < min(r, k):
-        best, bestv = None, n
-        for i in range(t, r):
-            for j in range(t, k):
-                e = int(M[i, j])
-                if e:
-                    v = _valuation(e, p, n)
-                    if v < bestv:
-                        best, bestv = (i, j), v
-        if best is None:
+    vals = np.full(k, n)
+    for t in range(min(r, k)):
+        g = np.gcd(M[t:, t:], q)
+        bi, bj = divmod(int(g.argmin()), k - t)
+        d = int(g[bi, bj])
+        if d == q:
             break
-        bi, bj = best
-        M[[t, bi]] = M[[bi, t]]
+        bi, bj = bi + t, bj + t
+        if bi != t:
+            M[[t, bi]] = M[[bi, t]]
         if bj != t:
             M[:, [t, bj]] = M[:, [bj, t]]
             Rinv[[t, bj]] = Rinv[[bj, t]]
-        v = bestv
-        u_inv = pow(int(M[t, t]) // p ** v, -1, q)
-        M[t] = (M[t] * u_inv) % q
-        for i in range(t + 1, r):
-            e = int(M[i, t])
-            if e:
-                M[i] = (M[i] - (e // p ** v) * M[t]) % q
-        for j in range(t + 1, k):
-            e = int(M[t, j])
-            if e:
-                f = e // p ** v
-                M[:, j] = (M[:, j] - f * M[:, t]) % q
-                Rinv[t] = (Rinv[t] + f * Rinv[j]) % q
-        vals[t] = v
-        t += 1
+        vals[t] = _valuation(d, p, n)
+        if t + 1 == k:
+            break
+        # the pivot row scaled to pivot d; d divides every entry of
+        # M[t:, t:], so the quotients below are exact.  Clearing column t
+        # leaves the rest of row t zero, so only M[t+1:, t+1:] changes
+        row = M[t, t + 1:] * pow(int(M[t, t]) // d, -1, q) % q
+        M[t + 1:, t + 1:] -= M[t + 1:, t, None] // d * row
+        M[t + 1:, t + 1:] %= q
+        # one product per entry, reduced before the sum: near q = 2^31.5
+        # two unreduced ones could leave int64
+        Rinv[t] = (Rinv[t] + (row[:, None] // d * Rinv[t + 1:] % q)
+                   .sum(axis=0)) % q
     return vals, Rinv
 
 
@@ -729,6 +727,8 @@ def _plane_det(planes, q: int) -> np.ndarray:
     without S_t, so r * 2^(r-1) products per matrix, not the Leibniz
     r * r!.  Each minor is one _sum_of_products, so it lies in [0, q)."""
     r = len(planes)
+    if not len(planes[0][0]):
+        return planes[0][0].copy()     # no matrices: nothing to expand
     minors = {(c,): planes[0][c] for c in range(r)}
     for i in range(1, r):
         minors = {cols: _sum_of_products(

@@ -498,6 +498,50 @@ def reference_howell_rows(M, p: int, n: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(placed), ncols)
 
 
+def reference_smith_with_inverse(M: np.ndarray, p: int, n: int):
+    """ringmat._smith_with_inverse with a per-entry pivot search and
+    per-row and per-column clearing, as a reference for its array steps:
+    the same pivots, valuations and Rinv."""
+    q = p ** n
+    M = np.asarray(M, dtype=np.int64).copy() % q
+    r, k = M.shape
+    Rinv = np.eye(k, dtype=np.int64)
+    vals = [n] * k
+    t = 0
+    while t < min(r, k):
+        best, bestv = None, n
+        for i in range(t, r):
+            for j in range(t, k):
+                e = int(M[i, j])
+                if e:
+                    v = _valuation(e, p, n)
+                    if v < bestv:
+                        best, bestv = (i, j), v
+        if best is None:
+            break
+        bi, bj = best
+        M[[t, bi]] = M[[bi, t]]
+        if bj != t:
+            M[:, [t, bj]] = M[:, [bj, t]]
+            Rinv[[t, bj]] = Rinv[[bj, t]]
+        v = bestv
+        u_inv = pow(int(M[t, t]) // p ** v, -1, q)
+        M[t] = (M[t] * u_inv) % q
+        for i in range(t + 1, r):
+            e = int(M[i, t])
+            if e:
+                M[i] = (M[i] - (e // p ** v) * M[t]) % q
+        for j in range(t + 1, k):
+            e = int(M[t, j])
+            if e:
+                f = e // p ** v
+                M[:, j] = (M[:, j] - f * M[:, t]) % q
+                Rinv[t] = (Rinv[t] + f * Rinv[j]) % q
+        vals[t] = v
+        t += 1
+    return vals, Rinv
+
+
 def reference_cocycle_rows(G, module_exponent=None) -> np.ndarray:
     """The whole stack of cocycle constraint rows C[g x] - E_g - g C[x],
     with C from reference_coefficients, one generator g at a time over all

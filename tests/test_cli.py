@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import h1loc
 from corpus import twist_corpus
 from h1loc.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE,
                        EXIT_OK, GroupDescription, parse_group, run)
+from h1loc.cohomology import _CocycleSystem, h1, h1_loc
 from h1loc.criteria import sylow_normalizer_criterion
 from h1loc.errors import InputError
 from h1loc.groups import MatGroup
@@ -158,6 +160,57 @@ def test_criteria_closes_the_mod_p_image_once(tmp_path, monkeypatch,
         "fixed-point-free element mod p with trivial H^1",
         "surjective similitude multiplier"]
     assert calls == [1]
+
+
+def test_cohomology_commands_read_structure_rows(tmp_path, capsys,
+                                                monkeypatch):
+    """h1 and h1loc print each class by its representative's values on
+    the generators, read off the structure's rows with no cocycle expanded.
+    They equal the generator values of the representatives that h1 and
+    h1_loc expand, on every twist-corpus group with its first generator
+    listed again and the identity appended."""
+    paths, expected = [], []
+    for i, (_label, p, _g, G) in enumerate(twist_corpus()):
+        gens = [[list(row) for row in g.entries] for g in G.generators]
+        desc = GroupDescription(p, 2, 2, gens + [gens[0], [[1, 0], [0, 1]]])
+        paths.append(write(tmp_path, f"twist{i:03d}.grp", desc.serialize()))
+        group = desc.group()
+        for fn in (h1, h1_loc):
+            expected.append([Z.generator_vector().reshape(-1, 2).tolist()
+                             for Z in fn(group).representatives])
+
+    def expand(self, K):
+        raise AssertionError("a cocycle was expanded")
+
+    monkeypatch.setattr(_CocycleSystem, "expand", expand)
+    got = []
+    for path in paths:
+        for command, key in (("h1", "h1"), ("h1loc", "h1_loc")):
+            run([command, path, "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            got.append(payload[key]["representatives_on_generators"])
+    assert got == expected
+    assert sum(map(len, expected)) == 82
+
+
+def test_header_only_file_of_rank_50_answers(tmp_path):
+    """A header-only file names the trivial group, whose empty generator
+    stack takes no determinant expansion (2^50 minors at rank 50); a
+    subprocess with a timeout makes a regression fail instead of hanging
+    the suite."""
+    path = write(tmp_path, "empty.grp", "p=5 n=1 rank=50\n")
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for command in ("h1", "h1loc"):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "h1loc.cli", command,
+                               path, "--json"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["group_order"] == 1
 
 
 def test_criteria_outputs_frozen(tmp_path, capsys):

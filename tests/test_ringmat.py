@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from h1loc.errors import InputError
-from h1loc.ringmat import (Mat, ModuleSpec, _howell_rows, char_poly, is_prime,
-                           kernel, quotient_structure, solve, span_order)
+from h1loc.ringmat import (Mat, ModuleSpec, _howell_rows, _smith_with_inverse,
+                           char_poly, is_prime, kernel, quotient_structure,
+                           solve, span_order)
 
 
 def test_module_spec_validation():
@@ -261,6 +262,41 @@ def test_quotient_order_product_law(data):
     s = quotient_structure(ambient, sub, spec)
     assert s.order * len(oracles.span_enumerate(sub or [[0] * cols], q)) == \
         len(oracles.span_enumerate(ambient, q))
+
+
+SMITH_MODULI = [(p, n) for p in (2, 3, 5) for n in range(1, 5)] + \
+    [(3037000493, 1)]
+
+
+@st.composite
+def relation_matrix(draw):
+    """(M, p, n): an r x k relation matrix over Z/p^n with r < k, r = k and
+    r > k, each row scaled by a power of p (non-unit pivots), and some rows
+    and columns zero."""
+    p, n = draw(st.sampled_from(SMITH_MODULI))
+    q = p ** n
+    r, k = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entries = st.integers(0, q - 1)
+    M = np.array([[draw(entries) for _ in range(k)] for _ in range(r)],
+                 dtype=np.int64).reshape(r, k)
+    for i in range(r):
+        M[i] = M[i] * p ** draw(st.integers(0, n)) % q
+    M[np.array(draw(st.lists(st.booleans(), min_size=r, max_size=r)),
+               dtype=bool)] = 0
+    M[:, np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)),
+                  dtype=bool)] = 0
+    return M, p, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_matrix())
+def test_smith_with_inverse_matches_per_entry_reference(case):
+    M, p, n = case
+    vals, Rinv = _smith_with_inverse(M, p, n)
+    want_vals, want_Rinv = oracles.reference_smith_with_inverse(M, p, n)
+    assert vals.tolist() == want_vals
+    assert Rinv.dtype == want_Rinv.dtype
+    assert np.array_equal(Rinv, want_Rinv)
 
 
 @settings(max_examples=30, deadline=None)
