@@ -343,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "over Z/p^n")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("input", help="group description file")
+    def add_common(sp):
+        sp.add_argument("input", help="group description file")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
         sp.add_argument("--cap", type=_cap, default=DEFAULT_CAP,

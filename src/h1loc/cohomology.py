@@ -385,8 +385,8 @@ class _CocycleSystem:
     @_cached
     def h1_structure(self) -> AbelianStructure:
         """Z^1 / B^1, its generators in the z coordinates."""
-        return quotient_structure(self.z1_gens(), self.b1_gens(), self.G.spec,
-                                  modulus=self.q)
+        return quotient_structure(self.z1_gens(), self.b1_gens(),
+                                  self.G.spec.with_exponent(self.j))
 
     @_cached
     def h1loc_structure(self) -> AbelianStructure:
@@ -395,7 +395,8 @@ class _CocycleSystem:
         conditions."""
         z1loc, b1 = self.z1loc_gens(), self.b1_gens()
         try:
-            return quotient_structure(z1loc, b1, self.G.spec, modulus=self.q)
+            return quotient_structure(z1loc, b1,
+                                      self.G.spec.with_exponent(self.j))
         except InputError:
             raise InternalError("coboundary outside Z^1_loc (internal)") \
                 from None

@@ -38,7 +38,7 @@ from .groups import (MatGroup, _factor, _normalizing, _scalar_power,
                      _semisimple_parts, coset_orders, p_sylow,
                      sylow_normalizer_element, sylow_normalizer_mask)
 from .keys import _distinct
-from .ringmat import Mat, _bijective_shifts, _howell_stack, batch_inv
+from .ringmat import Mat, _bijective_shifts, batch_inv
 from .symplectic import SymplecticSpace, similitude_multipliers
 
 
@@ -109,13 +109,15 @@ def _qualifying_search(mask, G: MatGroup, p: int):
     det(g - 1) is tested on all of them at once.  Among the hits, the
     least divisor d of p-1 with some hit x^d = 1 is the least order, and
     the hits with x^d = 1 are those of order d, so the first of them in
-    position order is the element sought.  The identity has no bijective
-    g - 1, so no hit has order 1 and d starts past 1; with no hits nothing
-    is powered."""
+    position order is the element sought.  The identity, at position 0,
+    has no bijective g - 1, so it is dropped before the test (the trivial
+    group then takes no determinant expansion, exponential in the rank),
+    no hit has order 1 and d starts past 1; with no hits nothing is
+    powered."""
     q = G.spec.modulus
     X = G.element_array()
     ident = np.eye(G.spec.rank, dtype=np.int64)
-    cand = np.flatnonzero(mask)
+    cand = np.flatnonzero(mask[1:]) + 1
     cand = cand[G._power_map(p)[cand] == cand]
     hits = X[cand[_bijective_shifts(X[cand], q)]]
     if not len(hits):
@@ -285,18 +287,3 @@ def similitude_criterion(G1: MatGroup) -> CriterionReport:
     rep.add("a constructed element fixes nothing nonzero", "satisfied",
             witness=g)
     return rep.finalize("certified", G1)
-
-
-def fixed_point_spectrum(G: MatGroup):
-    """Per-element dimension of the fixed space ker(sigma - 1) over F_p,
-    plus a flag: every element has eigenvalue 1.  Over F_p the dimension
-    is rank minus the pivot count of sigma - 1, and the pivots of all the
-    sigma - 1 come from one stacked Howell call."""
-    spec = G.spec
-    if spec.n != 1:
-        raise PreconditionError("fixed-point spectrum works mod p")
-    B = (G.element_array() - np.eye(spec.rank, dtype=np.int64)) % spec.p
-    _, divs = _howell_stack(B, spec.p, 1)
-    dims = (spec.rank - (divs < spec.p).sum(axis=1)).tolist()
-    return ({x.key(): dim for x, dim in zip(G.elements, dims)},
-            all(dims))

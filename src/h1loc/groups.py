@@ -34,6 +34,10 @@ runs over the representatives.  A group holds its generators as one
 (k, r, r) array, and close takes such an array as well as Mat values or
 row lists (_generator_array), so every internal closure concatenates
 generator arrays; Mat values appear only in arguments and results.
+A cap, the caller's or the default, bounds only the closures a caller
+asks for: close and from_elements.  Every other closure in the module
+is the trivial group or an image or a subgroup of a group already
+closed, so that group's order, or its p-part, caps it.
 """
 
 from __future__ import annotations
@@ -348,9 +352,6 @@ class MatGroup:
         inv.flags.writeable = False
         return inv
 
-    def inverse(self, mat: Mat) -> Mat:
-        return self.element(self.inverse_indices()[self.index_of(mat)])
-
     @_cached
     def _p_elements(self) -> tuple:
         """(positions, e): the positions of the p-elements of G, ascending,
@@ -468,33 +469,25 @@ class MatGroup:
                 and bool((other.lookup(self._array) >= 0).all()))
 
     @_cached
-    def reduce_mod(self, j: int, cap: int = DEFAULT_CAP) -> "MatGroup":
+    def reduce_mod(self, j: int) -> "MatGroup":
         """Image of the group under entrywise reduction mod p^j, closed from
         the distinct reduced generators other than the identity, in their
         first order.  A product with the identity or a repeated generator
         is never fresh, so the elements, tree_parent and layers are those
         of closing every reduced generator; tree_gen indexes the kept ones.
-        Closed once per group and arguments (_cached), so every caller
-        shares the image and its own caches: power maps, Sylow, cohomology
-        systems."""
+        The image is no larger than the group, so |G| caps its closure.
+        Closed once per group and j (_cached), so every caller shares the
+        image and its own caches: power maps, Sylow, cohomology systems."""
         sub = self.spec.with_exponent(j)
         # the identity first, so a generator reduced to it is a repeat
         gens = np.concatenate([np.eye(sub.rank, dtype=np.int64)[None],
                                self._gens]) % sub.modulus
         first = np.sort(_first_occurrences(_keys(gens, sub.modulus))[1])
-        return MatGroup.close(gens[first[1:]], sub, cap=cap)
-
-    def scalar_elements(self):
-        """The scalar elements c * Id, found with one mask over the element
-        array."""
-        X = self._array
-        ident = np.eye(self.spec.rank, dtype=np.int64)
-        scalar = (X == X[:, :1, :1] * ident).all(axis=(1, 2))
-        return [self.element(i) for i in np.flatnonzero(scalar)]
+        return MatGroup.close(gens[first[1:]], sub, cap=self.order)
 
 
-def element_order(A: Mat, cap: int = 10 ** 6) -> int:
-    """Least k >= 1 with A^k = Id (direct iteration, capped)."""
+def element_order(A: Mat) -> int:
+    """Least k >= 1 with A^k = Id (direct iteration, capped at 10^6)."""
     if not A.is_invertible():
         raise InputError("element order of a non-invertible matrix")
     ident = Mat.identity(A.rows, A.modulus)
@@ -503,8 +496,8 @@ def element_order(A: Mat, cap: int = 10 ** 6) -> int:
     while x.key() != ident.key():
         x = x.mul(A)
         k += 1
-        if k > cap:
-            raise CapExceededError("element order iteration", cap)
+        if k > 10 ** 6:
+            raise CapExceededError("element order iteration", 10 ** 6)
     return k
 
 
@@ -614,22 +607,24 @@ def p_sylow(G: MatGroup) -> MatGroup:
     p-part of |G| is reached.  Ties are broken by the deterministic element
     order, so the result is reproducible.  Only p-elements can extend a
     p-subgroup, so the normalizer and membership tests run on the
-    p-element positions alone."""
+    p-element positions alone.  Every closure is a p-subgroup of G, so
+    |G|_p caps it."""
     spec, p = G.spec, G.spec.p
     target = p ** _factor(G.order).get(p, 0)
     if target == 1:
-        return MatGroup.close([], spec)
+        return MatGroup.close([], spec, cap=target)
     P, e = G._p_elements()
     X = G.element_array()
     # argmax takes the first position among the largest p-element orders
-    current = MatGroup.close(X[P[np.argmax(e)], None], spec)
+    current = MatGroup.close(X[P[np.argmax(e)], None], spec, cap=target)
     while current.order < target:
         XP = X[P]
         ext = P[_normalizing(XP, X[G.inverse_indices()[P]], current)
                 & (current.lookup(XP) < 0)]
         certify(len(ext), "Sylow ascent stalled (internal)")
         current = MatGroup.close(
-            np.concatenate([current.generator_array(), X[ext[:1]]]), spec)
+            np.concatenate([current.generator_array(), X[ext[:1]]]), spec,
+            cap=target)
     return current
 
 
@@ -692,8 +687,7 @@ def is_p_group(H: MatGroup) -> bool:
     return len(f) <= 1 and (not f or H.spec.p in f)
 
 
-def _greedy_generators(arr, base: MatGroup, cap: int = DEFAULT_CAP,
-                       most=None):
+def _greedy_generators(arr, base: MatGroup, cap: int, most=None):
     """(positions, group): the greedy sublist of the (N, r, r) matrices arr
     that with the closed group base generates the same group as base and
     arr, keeping a matrix only when it enlarges the closure so far, and
@@ -955,26 +949,3 @@ def sylow_normalizer_element(G: MatGroup, N: MatGroup):
     report = {"i": i, "class_order": t, "order": p - 1,
               "class_order_multiple_of": lower}
     return g, report
-
-
-def find_normalized_sylow(G: MatGroup, g: Mat):
-    """Search harness: look for a p-Sylow subgroup of G normalized by g.
-
-    Whether such a Sylow always exists for g of order dividing p-1 is an open
-    question; this only reports what the search finds on one input."""
-    spec = G.spec
-    q = spec.modulus
-    ga, gia = _element_arrays(g, spec)
-    H = p_sylow(G)
-    target = spec.p ** _factor(G.order).get(spec.p, 0)
-    # all Sylows are conjugate: take x H x^-1 for the first x in G's order
-    # with g normalizing it, that is with x^-1 g x normalizing H
-    X = G.element_array()
-    Xi = X[G.inverse_indices()]
-    hits = np.flatnonzero(_normalizing((((Xi @ ga) % q) @ X) % q,
-                                       (((Xi @ gia) % q) @ X) % q, H))
-    if not len(hits):
-        return None
-    x, xi = X[hits[0]], Xi[hits[0]]
-    conj = (((x @ H.generator_array()) % q) @ xi) % q
-    return MatGroup.close(conj, spec, cap=target + 1)

@@ -530,19 +530,16 @@ def solve(A: Mat, b: Sequence[int], spec: ModuleSpec) -> Optional[tuple]:
     return tuple(int(x) for x in a)
 
 
-def quotient_structure(ambient_gens, sub_gens, spec: ModuleSpec,
-                       modulus: Optional[int] = None) -> AbelianStructure:
+def quotient_structure(ambient_gens, sub_gens,
+                       spec: ModuleSpec) -> AbelianStructure:
     """Invariant factors and generators of span(ambient)/span(sub), the
-    generators the rows of two integer arrays of one width.
-
-    Vectors may live in any (Z/p^j)^c; pass modulus = p^j when it differs
-    from spec.modulus (cohomology uses torsion modules this way).  The
-    relations are the left kernel of the ambient rows and the solutions
-    for every sub row, all from one RowSystem.
+    generators the rows of two integer arrays of one width, over
+    spec.modulus = p^n (cohomology passes the spec of its torsion
+    module, spec.with_exponent(j)).  The relations are the left kernel
+    of the ambient rows and the solutions for every sub row, all from
+    one RowSystem.
     """
-    p = spec.p
-    q = modulus if modulus is not None else spec.modulus
-    n = _p_exponent(q, p)
+    p, n, q = spec.p, spec.n, spec.modulus
     # reduced before the int64 cast: Python ints past int64 stay exact
     U = (np.asarray(ambient_gens) % q).astype(np.int64)
     S = (np.asarray(sub_gens) % q).astype(np.int64)

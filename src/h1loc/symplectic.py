@@ -49,12 +49,6 @@ class SymplecticSpace:
         return Mat.from_array(np.block([[zero, eye], [-eye, zero]]),
                               self.spec.modulus)
 
-    def pair(self, v, w) -> int:
-        """<v, w> = v^T J w."""
-        q = self.spec.modulus
-        Jv = self.J.apply(w)
-        return sum(int(a) * int(b) for a, b in zip(v, Jv)) % q
-
 
 def similitude_multiplier(A: Mat, space: SymplecticSpace) -> Optional[int]:
     """nu with A^T J A = nu J, or None; asserts det(A) = nu^d when found."""
@@ -257,8 +251,3 @@ def is_stable(V: Mat, G: MatGroup) -> bool:
     images = (B @ G.generator_array().transpose(0, 2, 1)) % p
     return span_order(B, p, 1) == span_order(
         np.concatenate([B, images.reshape(-1, B.shape[1])]), p, 1)
-
-
-def projective_order(G: MatGroup) -> int:
-    """|G / (G intersect scalars)|."""
-    return G.order // len(G.scalar_elements())

@@ -10,6 +10,9 @@ h1loc.oracles.cocycle_counts.
 
 The reference_* functions are the slow paths that batched code replaced,
 kept one element at a time so the fast paths can be tested against them.
+find_normalized_sylow, fixed_point_spectrum and projective_order are
+tested here but called by no command, criterion or script, so they live
+here and not in the package.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from math import gcd
 
 import numpy as np
 
-from h1loc.errors import CapExceededError, InputError, InternalError
-from h1loc.groups import (DEFAULT_CAP, MatGroup, _factor, _keys,
-                          _power_positions, _stack, lift_normalizer, p_sylow)
+from h1loc.errors import (CapExceededError, InputError, InternalError,
+                          PreconditionError)
+from h1loc.groups import (DEFAULT_CAP, MatGroup, _element_arrays, _factor,
+                          _keys, _normalizing, _power_positions, _stack,
+                          lift_normalizer, p_sylow)
 from h1loc.ringmat import (Mat, ModuleSpec, RowSystem, _entry_dtype,
-                           _howell_rows, _valuation, char_poly, is_prime)
+                           _howell_rows, _howell_stack, _valuation,
+                           char_poly, is_prime)
 
 
 def reference_closure(generators, spec, cap=DEFAULT_CAP):
@@ -650,9 +656,55 @@ def reference_local_constraints(G, module_exponent=None,
     return np.concatenate(blocks, axis=0)
 
 
+def find_normalized_sylow(G: MatGroup, g: Mat):
+    """Search harness: look for a p-Sylow subgroup of G normalized by g.
+
+    Whether such a Sylow always exists for g of order dividing p-1 is an open
+    question; this only reports what the search finds on one input."""
+    spec = G.spec
+    q = spec.modulus
+    ga, gia = _element_arrays(g, spec)
+    H = p_sylow(G)
+    target = spec.p ** _factor(G.order).get(spec.p, 0)
+    # all Sylows are conjugate: take x H x^-1 for the first x in G's order
+    # with g normalizing it, that is with x^-1 g x normalizing H
+    X = G.element_array()
+    Xi = X[G.inverse_indices()]
+    hits = np.flatnonzero(_normalizing((((Xi @ ga) % q) @ X) % q,
+                                       (((Xi @ gia) % q) @ X) % q, H))
+    if not len(hits):
+        return None
+    x, xi = X[hits[0]], Xi[hits[0]]
+    conj = (((x @ H.generator_array()) % q) @ xi) % q
+    return MatGroup.close(conj, spec, cap=target + 1)
+
+
+def fixed_point_spectrum(G: MatGroup):
+    """Per-element dimension of the fixed space ker(sigma - 1) over F_p,
+    plus a flag: every element has eigenvalue 1.  Over F_p the dimension
+    is rank minus the pivot count of sigma - 1, and the pivots of all the
+    sigma - 1 come from one stacked Howell call."""
+    spec = G.spec
+    if spec.n != 1:
+        raise PreconditionError("fixed-point spectrum works mod p")
+    B = (G.element_array() - np.eye(spec.rank, dtype=np.int64)) % spec.p
+    _, divs = _howell_stack(B, spec.p, 1)
+    dims = (spec.rank - (divs < spec.p).sum(axis=1)).tolist()
+    return ({x.key(): dim for x, dim in zip(G.elements, dims)},
+            all(dims))
+
+
+def projective_order(G: MatGroup) -> int:
+    """|G / (G intersect scalars)|, the scalar elements c * Id found with
+    one mask over the element array."""
+    X = G.element_array()
+    ident = np.eye(G.spec.rank, dtype=np.int64)
+    return G.order // int((X == X[:, :1, :1] * ident).all(axis=(1, 2)).sum())
+
+
 def reference_fixed_point_spectrum(G):
-    """criteria.fixed_point_spectrum with one RowSystem kernel per element,
-    as a reference for the stacked kernels."""
+    """fixed_point_spectrum with one RowSystem kernel per element, as a
+    reference for the stacked kernels."""
     p, m = G.spec.p, G.spec.rank
     out = {}
     for x in G.elements:

@@ -58,6 +58,16 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def _cli_env():
+    """The environment of a CLI subprocess, with the package's source
+    directory first on PYTHONPATH."""
+    src = str(Path(h1loc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def test_parse_and_roundtrip():
     desc = parse_group(CYCLIC)
     assert (desc.p, desc.n, desc.rank) == (5, 2, 2)
@@ -195,22 +205,41 @@ def test_cohomology_commands_read_structure_rows(tmp_path, capsys,
 
 def test_header_only_file_of_rank_50_answers(tmp_path):
     """A header-only file names the trivial group, whose empty generator
-    stack takes no determinant expansion (2^50 minors at rank 50); a
-    subprocess with a timeout makes a regression fail instead of hanging
-    the suite."""
+    stack takes no determinant expansion (2^50 minors at rank 50), and
+    whose one element, the identity, the criteria's qualifying search
+    skips; a subprocess with a timeout makes a regression fail instead of
+    hanging the suite."""
     path = write(tmp_path, "empty.grp", "p=5 n=1 rank=50\n")
-    src = str(Path(h1loc.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    for command in ("h1", "h1loc"):
+    env = _cli_env()
+    for command, code in (("h1", EXIT_OK), ("h1loc", EXIT_OK),
+                          ("criteria", EXIT_NEGATIVE)):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "h1loc.cli", command,
                                path, "--json"], capture_output=True,
                               text=True, env=env, timeout=60)
         assert time.perf_counter() - start < 10
-        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert json.loads(proc.stdout)["group_order"] == 1
+
+
+def test_cap_bounds_only_the_input_group(tmp_path):
+    """--cap bounds the closure of the file's group; its mod-p image is no
+    larger, so it is closed under |G|, not the default cap.  Here
+    G = <diag(w, 1), diag(1, w)> mod 449^2, w = 3^449 of order 448, has
+    200,704 elements and so has its image mod 449, past the default cap
+    of 200,000."""
+    q = 449 ** 2
+    w = pow(3, 449, q)
+    path = write(tmp_path, "diag.grp", f"p=449 n=2 rank=2\ngen:\n{w} 0\n"
+                                       f"0 1\ngen:\n1 0\n0 {w}\n")
+    proc = subprocess.run([sys.executable, "-m", "h1loc.cli", "criteria",
+                           path, "--cap", "300000", "--json"],
+                          capture_output=True, text=True, env=_cli_env(),
+                          timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["group_order"] == 200704
+    assert [r["conclusion"] for r in payload["reports"]] == ["certified"] * 2
 
 
 def test_criteria_outputs_frozen(tmp_path, capsys):
@@ -432,10 +461,7 @@ def test_fifo_as_group_file_exits_two(tmp_path):
     # makes a regression fail instead of hanging the suite
     fifo = tmp_path / "pipe.grp"
     os.mkfifo(fifo)
-    src = str(Path(h1loc.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _cli_env()
     proc = subprocess.run([sys.executable, "-m", "h1loc.cli", "h1loc",
                            str(fifo), "--json"], capture_output=True,
                           text=True, env=env, timeout=30)
@@ -502,10 +528,7 @@ def test_shared_parser_leaks_nothing_between_runs(tmp_path, capsys):
         in_process.append((code, out.out, out.err))
     assert [c for c, _, _ in in_process] == [EXIT_OK, EXIT_CAP, EXIT_OK,
                                              EXIT_OK]
-    src = str(Path(h1loc.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _cli_env()
     for argv, got in zip(calls, in_process):
         proc = subprocess.run([sys.executable, "-m", "h1loc.cli", *argv],
                               capture_output=True, text=True, env=env,
@@ -528,10 +551,7 @@ def test_cli_commands_do_not_import_numpy_ma(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        run(argv)\n"
         "print('numpy.ma' in sys.modules)\n")
-    src = str(Path(h1loc.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _cli_env()
     proc = subprocess.run([sys.executable, "-c", script, fam, sym],
                           capture_output=True, text=True, env=env,
                           timeout=600)

@@ -11,8 +11,9 @@ import pytest
 import h1loc
 import oracles
 from corpus import M, semisimple_groups
+from oracles import fixed_point_spectrum
 from h1loc.counterexample import build
-from h1loc.criteria import (fixed_point_free_criterion, fixed_point_spectrum,
+from h1loc.criteria import (fixed_point_free_criterion,
                             lift_qualifying_element, similitude_criterion,
                             sylow_normalizer_criterion)
 from h1loc.errors import InternalError, PreconditionError
@@ -238,10 +239,10 @@ def test_lifts_share_one_mod_p_image_and_close_no_subgroup(monkeypatch):
     monkeypatch.setattr(MatGroup, "close", staticmethod(counting_close))
     monkeypatch.setattr(MatGroup, "subgroup", counting_subgroup)
     Q = G.reduce_mod(1)
-    assert G.reduce_mod(1) is Q and G.reduce_mod(1, cap=10 ** 6) is not Q
+    assert G.reduce_mod(1) is Q
     lifts = [lift_qualifying_element(G, Q.element(i)) for i in _qualifying(Q)]
     assert len(lifts) > 20 and subgroups == []
-    assert closes.count((Q.spec, Q.order)) == 2    # the default and 10^6 caps
+    assert closes.count((Q.spec, Q.order)) == 1
 
 
 def test_lift_fails_a_conjugate_outside_g(monkeypatch):

@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import M, small_oracle_groups, twist_corpus
 import oracles
+from oracles import find_normalized_sylow
 from h1loc import groups as groups_module
 from h1loc.cohomology import _system, coboundaries, restrict
 from h1loc.counterexample import build, family_matrix, twist_matrix
 from h1loc.errors import CapExceededError, InputError, PreconditionError
 from h1loc.groups import (MatGroup, _normalizer_mask, _scalar_power, _stack,
-                          decompose_generators, element_order,
-                          find_normalized_sylow, frattini, lift_normalizer,
-                          normalizer, p_sylow, sylow_normalizer_element,
-                          sylow_normalizer_mask)
+                          decompose_generators, element_order, frattini,
+                          lift_normalizer, normalizer, p_sylow,
+                          sylow_normalizer_element, sylow_normalizer_mask)
 from h1loc.ringmat import Mat, ModuleSpec
 
 
@@ -134,6 +134,38 @@ def test_normalizer_brute_force():
     assert N.order == 12
     with pytest.raises(InputError):
         normalizer(H, G)
+
+
+def test_reduce_mod_and_p_sylow_closures_are_capped_by_the_group(
+        monkeypatch):
+    """reduce_mod closes an image and p_sylow p-subgroups, none larger than
+    the group, so neither passes close a cap above |G|: the caller's cap
+    bounds only the closures it asks for.  GL_2(Z/9), of order 3888, has a
+    non-normal 3-Sylow of order 243, which the ascent reaches in several
+    closes."""
+    spec = ModuleSpec(3, 2, 2)
+    gens = [M([[1, 1], [0, 1]], 9), M([[0, 1], [1, 0]], 9),
+            M([[2, 0], [0, 1]], 9)]
+    fresh = [MatGroup.close(gens, spec)]
+    fresh += [MatGroup.close(G.generator_array(), G.spec)
+              for _label, _p, _g, G in twist_corpus()[::8]]
+    assert fresh[0].order == 3888
+    close, calls = MatGroup.close, []
+
+    def spy(generators, spec, cap=groups_module.DEFAULT_CAP):
+        calls.append(cap)
+        return close(generators, spec, cap)
+
+    monkeypatch.setattr(MatGroup, "close", staticmethod(spy))
+    for G in fresh:
+        calls.clear()
+        Q = G.reduce_mod(1)
+        assert calls and max(calls) <= G.order
+        for H in (G, Q):
+            calls.clear()
+            p_sylow(H)
+            assert calls and max(calls) <= H.order
+    assert p_sylow(fresh[0]).order == 243
 
 
 def test_reduce_mod_drops_identity_and_repeated_generators():

@@ -11,9 +11,9 @@ import pytest
 
 from corpus import M, byte_key_group, small_oracle_groups, twist_corpus
 import oracles
+from oracles import fixed_point_spectrum
 from h1loc.cohomology import Cocycle, _system, cocycle_space
 from h1loc.counterexample import build
-from h1loc.criteria import fixed_point_spectrum
 from h1loc.groups import MatGroup, _first_occurrences, _keys
 from h1loc.ringmat import (ModuleSpec, RowSystem, RowSystemStack, _howell,
                            _howell_stack)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import M
+from oracles import projective_order
 from h1loc.errors import CapExceededError, InputError, PreconditionError
 from h1loc.groups import MatGroup
 from h1loc.ringmat import Mat, ModuleSpec
 from h1loc.symplectic import (SymplecticSpace, eigenvalue_pairing_check,
                               eigenvalue_pairing_sweep, gsp4_generators,
                               gsp4_order, invariant_subspaces, is_stable,
-                              perp, projective_order, similitude_multiplier,
-                              transvection)
+                              perp, similitude_multiplier, transvection)
 
 
 def space(p, n=1, rank=4):
